@@ -196,8 +196,11 @@ SCHEMAS = {
     },
 }
 
-TOLERANCE_KEYS = ("tol", "drift_tol", "stability_tol", "order_min", "order_max",
-                  "fd_step", "step")
+# Keys that must be positive: tolerances and steps, sample counts, and the
+# time extents and pulse shape that set a run's step size.
+POSITIVE_KEYS = ("tol", "drift_tol", "stability_tol", "order_min", "order_max",
+                 "fd_step", "step", "n_points", "n_samples", "n_x", "t_end", "t_max",
+                 "cfl", "width")
 
 
 def parse_config(argv):
@@ -261,7 +264,7 @@ def parse_config(argv):
     cfg["out"] = out
     cfg["threads"] = int(threads)
 
-    for key in TOLERANCE_KEYS:
+    for key in POSITIVE_KEYS:
         if key in cfg and cfg[key] is not None and cfg[key] <= 0:
             raise DomainError(f"{key} must be positive")
     return ns.subcommand, cfg
@@ -323,9 +326,9 @@ def _run_kerr_check(cfg):
 
 
 def _run_geodesic(cfg):
-    from .geodesics import (conserved_drift, conserved_quantities,
+    from .geodesics import (conserved_drift, conserved_quantities, conserved_series,
                             integrate_geodesic, normalize_velocity)
-    from .kerr import BLPoint, KerrParams, _eval, _forms
+    from .kerr import BLPoint, KerrParams
 
     params = KerrParams(m=cfg["m"], a=cfg["a"])
     if cfg["causal"] not in ("timelike", "null"):
@@ -336,18 +339,9 @@ def _run_geodesic(cfg):
     traj = integrate_geodesic(params, s0, cfg["t_max"], tol=cfg["tol"],
                               n_samples=cfg["n_samples"])
 
-    # per-sample conserved quantities from the closed forms directly (the
-    # integrator's O(tol) norm drift must show up in the CSV, not abort it)
-    g_f, K_f = _forms()["g"], _forms()["K"]
-    rows = []
-    for i in range(len(traj.tau)):
-        x, u = traj.x[i], traj.u[i]
-        g = np.array(g_f(params.m, params.a, x[1], x[2]), dtype=float)
-        K = np.array(K_f(params.m, params.a, x[1], x[2]), dtype=float)
-        gu = g @ u
-        rows.append((float(traj.tau[i]), *map(float, x), *map(float, u),
-                     float(-gu[0]), float(gu[3]), float(u @ K @ u),
-                     float(u @ gu)))
+    conserved = conserved_series(params, traj.x, traj.u)
+    rows = [(float(tau), *map(float, x), *map(float, u), *map(float, c))
+            for tau, x, u, c in zip(traj.tau, traj.x, traj.u, conserved)]
     header = ["tau", "t", "r", "theta", "phi", "ut", "ur", "utheta", "uphi",
               "e", "lz", "k", "norm"]
 
@@ -483,7 +477,7 @@ def _run_maxwell_currents(cfg):
         maxwell_res = maxwell_divergence_residual(params, F_field, p, step=step)
         # future unit timelike vector along d_t for the leading-part check
         from .kerr import _eval
-        g = _eval("g", params, p).real
+        g = _eval("g", params, p)
         v = np.array([1.0, 0.0, 0.0, 0.0]) / math.sqrt(-g[0, 0])
         energy = dominant_energy_value(params, rep.eta, p, v, v)
         per_point.append({

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import DomainError
-from .kerr import BLPoint, KerrParams, _eval, carter_tensor, kerr_metric
+from .kerr import BLPoint, KerrParams, _eval, _forms, carter_tensor
 from .tensors import UP, TensorValue
 
 # Trajectories stop at r_plus + PLUNGE_GUARD * m.  Boyer-Lindquist components
@@ -46,7 +46,7 @@ class GeodesicState:
         uc = self.u.real_part()
         if uc[0] <= 0:
             raise ValueError("4-velocity must be future-directed (u^t > 0)")
-        g = _eval("g", self.x.params, self.x).real
+        g = _eval("g", self.x.params, self.x)
         norm = uc @ g @ uc
         target = -1.0 if self.causal_type == "timelike" else 0.0
         if abs(norm - target) > 1e-10:
@@ -75,7 +75,7 @@ class ConservedSet:
 
 def conserved_quantities(params: KerrParams, s: GeodesicState) -> ConservedSet:
     """e = -g(u, d/dt), l_z = g(u, d/dphi), k = K_ab u^a u^b."""
-    g = _eval("g", params, s.x).real
+    g = _eval("g", params, s.x)
     u = s.u.real_part()
     K = carter_tensor(params, s.x).real_part()
     return ConservedSet(
@@ -86,16 +86,13 @@ def conserved_quantities(params: KerrParams, s: GeodesicState) -> ConservedSet:
 
 
 def _geodesic_rhs(params):
-    from .kerr import _forms
-
     gamma_f = _forms()["gamma"]
     m, a = params.m, params.a
 
     def rhs(tau, y):
-        r, th = y[1], y[2]
-        gamma = np.array(gamma_f(m, a, r, th), dtype=float)
         u = y[4:]
-        du = -np.einsum("cab,a,b->c", gamma, u, u)
+        # du^c = -Gamma^c_ab u^a u^b
+        du = -(gamma_f(m, a, y[1], y[2]) @ u @ u)
         return np.concatenate([u, du])
 
     return rhs
@@ -175,20 +172,25 @@ def integrate_geodesic(
     return Trajectory(tau=taus, x=ys[:4].T.copy(), u=ys[4:].T.copy(), plunged=plunged, params=params)
 
 
+def conserved_series(params: KerrParams, x, u) -> np.ndarray:
+    """(e, l_z, k, norm) at every sample of chart positions x and velocities
+    u (both shape (n, 4)), in one broadcasting pass over the closed forms.
+
+    Unlike conserved_quantities this validates nothing, so the integrator's
+    O(tol) norm drift shows up in the values instead of aborting them.
+    """
+    forms = _forms()
+    g = forms["g"](params.m, params.a, x[:, 1], x[:, 2])
+    K = forms["K"](params.m, params.a, x[:, 1], x[:, 2])
+    gu = np.einsum("nab,nb->na", g, u)
+    return np.stack([-gu[:, 0], gu[:, 3],
+                     np.einsum("na,nab,nb->n", u, K, u),
+                     np.einsum("na,na->n", u, gu)], axis=1)
+
+
 def conserved_drift(params: KerrParams, traj: Trajectory, causal_type: str):
     """Max relative drift of (e, l_z, k, norm) along a sampled trajectory."""
-    from .kerr import _forms
-
-    g_f = _forms()["g"]
-    K_f = _forms()["K"]
-    m, a = params.m, params.a
-    vals = []
-    for x, u in zip(traj.x, traj.u):
-        g = np.array(g_f(m, a, x[1], x[2]), dtype=float)
-        K = np.array(K_f(m, a, x[1], x[2]), dtype=float)
-        gu = g @ u
-        vals.append([-gu[0], gu[3], u @ K @ u, u @ gu])
-    vals = np.array(vals)
+    vals = conserved_series(params, traj.x, traj.u)
     ref = vals[0]
     scale = np.maximum(np.abs(ref), 1.0)
     return np.max(np.abs(vals - ref) / scale, axis=0)
@@ -202,7 +204,7 @@ def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> Geodesi
     4-velocity is normalized to g(u,u) = -1.
     """
     p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
-    gamma = _eval("gamma", params, p).real
+    gamma = _eval("gamma", params, p)
     A = gamma[1, 3, 3]
     B = 2.0 * gamma[1, 0, 3]
     C = gamma[1, 0, 0]
@@ -211,7 +213,7 @@ def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> Geodesi
         raise DomainError(f"no circular orbit at r={r}")
     roots = sorted(((-B - math.sqrt(disc)) / (2 * A), (-B + math.sqrt(disc)) / (2 * A)))
     omega = roots[1] if prograde else roots[0]
-    g = _eval("g", params, p).real
+    g = _eval("g", params, p)
     quad = g[0, 0] + 2 * omega * g[0, 3] + omega**2 * g[3, 3]
     if quad >= 0:
         raise DomainError(f"circular orbit at r={r} is not timelike")
@@ -223,7 +225,7 @@ def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> Geodesi
 def null_circular_state(params: KerrParams, r: float, prograde=True) -> GeodesicState:
     """Tangential null ray at radius r in the equatorial plane."""
     p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
-    g = _eval("g", params, p).real
+    g = _eval("g", params, p)
     # g_tt + 2 Omega g_tphi + Omega^2 g_phiphi = 0
     A, B, C = g[3, 3], 2 * g[0, 3], g[0, 0]
     disc = B * B - 4 * A * C
@@ -248,12 +250,12 @@ def photon_orbit_radius(params: KerrParams, bracket, prograde=True, tol=1e-14) -
 
     def residual(r):
         p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
-        g = _eval("g", params, p).real
+        g = _eval("g", params, p)
         A, B, C = g[3, 3], 2 * g[0, 3], g[0, 0]
         disc = B * B - 4 * A * C
         roots = sorted(((-B - math.sqrt(disc)) / (2 * A), (-B + math.sqrt(disc)) / (2 * A)))
         omega = roots[1] if prograde else roots[0]
-        gamma = _eval("gamma", params, p).real
+        gamma = _eval("gamma", params, p)
         return gamma[1, 0, 0] + 2 * omega * gamma[1, 0, 3] + omega**2 * gamma[1, 3, 3]
 
     f_lo, f_hi = residual(lo), residual(hi)
@@ -267,7 +269,7 @@ def normalize_velocity(params: KerrParams, p: BLPoint, u_spatial, causal_type="t
 
     Solves the quadratic normalization condition for u^t > 0.
     """
-    g = _eval("g", params, p).real
+    g = _eval("g", params, p)
     ur, uth, uph = u_spatial
     A = g[0, 0]
     B = 2 * g[0, 3] * uph

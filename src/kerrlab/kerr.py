@@ -2,8 +2,14 @@
 
 All closed forms (metric, Christoffel symbols, Killing-Yano 2-form and its
 square, principal tetrad, Coulomb test field) are derived once symbolically
-at first use and frozen as fast numeric callables.  The Killing-Yano sign
-is calibrated, not assumed: construction fails loudly unless the associated
+at first use (`_exprs`) and compiled once (`_forms`): each tensor
+expression is flattened, its identically zero entries are dropped, and the
+remaining entries are lambdified together with common-subexpression
+elimination into one flat kernel whose results are scattered back into an
+array of the form's shape.  Real forms return float arrays; only xi, U,
+kappa1 and m_vec are complex.  Every compiled form broadcasts over arrays
+of (r, theta), with the point axes leading.  The Killing-Yano sign is
+calibrated, not assumed: construction fails loudly unless the associated
 Killing field comes out as +d/dt.
 
 Conventions: signature (-,+,+,+); orientation eps_{t r theta phi} = +sqrt|g|;
@@ -21,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError, DomainError
-from .tensors import DOWN, UP, MetricData, TensorValue
+from .tensors import DOWN, UP, MetricData, TensorValue, _projector, cov_deriv_fd
 
 THETA_GUARD = 1e-6
 
@@ -87,7 +93,12 @@ class BLPoint:
 
 
 @lru_cache(maxsize=1)
-def _forms():
+def _exprs():
+    """Symbolic closed forms: ((m, a, r, th), {name: sympy expression}).
+
+    Tensor forms are sympy matrices or nested lists indexed like the
+    numeric arrays; scalar forms are plain expressions.
+    """
     import sympy as sp
 
     m, a, r, th = sp.symbols("m a r th", real=True)
@@ -221,36 +232,77 @@ def _forms():
         for j in range(4):
             F_unif[i, j] = d(A_unif[j], i) - d(A_unif[i], j)
 
-    args = (m, a, r, th)
-
-    def lam(expr):
-        return sp.lambdify(args, expr, modules="numpy")
-
-    funcs = {
-        "g": lam(g),
-        "ginv": lam(ginv),
-        "sqrtg": lam(sqrtg),
-        "gamma": lam(gamma),
-        "Y": lam(Y),
-        "dY": lam(dY),
-        "K": lam(K),
-        "dK": lam(dK),
-        "starY": lam(starY),
-        "xi": lam(xi),
-        "kappa1": lam(kappa1),
-        "U": lam(U),
-        "l": lam(l_up),
-        "n": lam(n_up),
-        "m_vec": lam(m_up),
-        "F_coulomb": lam(F),
-        "F_uniform": lam(F_unif),
+    exprs = {
+        "g": g,
+        "ginv": ginv,
+        "sqrtg": sqrtg,
+        "gamma": gamma,
+        "Y": Y,
+        "dY": dY,
+        "K": K,
+        "dK": dK,
+        "starY": starY,
+        "xi": xi,
+        "kappa1": kappa1,
+        "U": U,
+        "l": l_up,
+        "n": n_up,
+        "m_vec": m_up,
+        "F_coulomb": F,
+        "F_uniform": F_unif,
     }
-    return funcs
+    return (m, a, r, th), exprs
+
+
+# Forms with genuinely complex values; every other form is real.
+COMPLEX_FORMS = frozenset({"xi", "U", "kappa1", "m_vec"})
+
+
+def _compile(args, expr, dtype):
+    """One flat kernel for a tensor-valued expression.
+
+    The expression is flattened, its identically zero entries are dropped,
+    and the rest are lambdified together with common-subexpression
+    elimination.  The returned callable (m, a, r, th) takes scalar m and a,
+    and r and theta as scalars or broadcastable arrays; it scatters the
+    entries into a fresh array of shape broadcast(r, th).shape + form shape,
+    broadcasting the constant ones.
+    """
+    import sympy as sp
+
+    entries = np.array(expr.tolist() if isinstance(expr, sp.MatrixBase) else expr, dtype=object)
+    shape = entries.shape
+    flat = entries.ravel()
+    idx = np.flatnonzero([e != 0 for e in flat])
+    kernel = sp.lambdify(args, list(flat[idx]), modules="numpy", cse=True)
+    form_axes = range(len(shape))
+
+    def form(m, a, r, th):
+        vals = kernel(m, a, r, th)
+        if isinstance(r, float) and isinstance(th, float):  # one point: the hot path
+            out = np.zeros(flat.size, dtype=dtype)
+            out[idx] = vals
+            return out.reshape(shape)
+        points = np.broadcast(m, a, r, th).shape
+        out = np.zeros((flat.size,) + points, dtype=dtype)
+        for k, v in zip(idx, vals):
+            out[k] = v
+        # point axes first: result[..., i, j] is the form at every point
+        return np.moveaxis(out.reshape(shape + points), form_axes, range(-len(shape), 0))
+
+    return form
+
+
+@lru_cache(maxsize=1)
+def _forms():
+    """name -> compiled numeric callable (m, a, r, th) -> array."""
+    args, exprs = _exprs()
+    return {name: _compile(args, e, complex if name in COMPLEX_FORMS else float)
+            for name, e in exprs.items()}
 
 
 def _eval(name, params: KerrParams, p: BLPoint):
-    f = _forms()[name](params.m, params.a, p.r, p.theta)
-    return np.array(f, dtype=complex)
+    return _forms()[name](params.m, params.a, p.r, p.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +313,11 @@ def _eval(name, params: KerrParams, p: BLPoint):
 def kerr_metric(params: KerrParams, p: BLPoint) -> MetricData:
     """Kerr metric, inverse, volume density and Christoffels at a point."""
     _check_point(params, p)
-    g = _eval("g", params, p).real
-    ginv = _eval("ginv", params, p).real
-    sqrtg = float(_forms()["sqrtg"](params.m, params.a, p.r, p.theta))
-    gamma = _eval("gamma", params, p).real
     return MetricData(
-        g=TensorValue((DOWN, DOWN), g),
-        g_inv=TensorValue((UP, UP), ginv),
-        sqrt_abs_det=sqrtg,
-        christoffel=gamma,
+        g=TensorValue((DOWN, DOWN), _eval("g", params, p)),
+        g_inv=TensorValue((UP, UP), _eval("ginv", params, p)),
+        sqrt_abs_det=float(_eval("sqrtg", params, p)),
+        christoffel=_eval("gamma", params, p),
         point=p.coords,
     )
 
@@ -289,9 +337,7 @@ def _ky_calibration(params: KerrParams):
     """
     p = BLPoint(0.0, 3.0 * params.m + 1.0, 1.0, 0.3, params)
     # (c): xi must be +d/dt with vanishing imaginary part
-    xi = _eval("xi", params, p)
-    ginv = _eval("ginv", params, p).real
-    xi_up = ginv @ xi
+    xi_up = _eval("ginv", params, p) @ _eval("xi", params, p)
     if np.max(np.abs(xi_up.imag)) > 1e-8:
         raise CalibrationError("xi is not real for a Killing-Yano normalized Y")
     target = np.array([1.0, 0.0, 0.0, 0.0])
@@ -308,41 +354,50 @@ def killing_yano(params: KerrParams, p: BLPoint) -> TensorValue:
     """Calibrated Killing-Yano 2-form Y_ab."""
     _check_point(params, p)
     sign = _ky_calibration(params)
-    return TensorValue((DOWN, DOWN), sign * _eval("Y", params, p).real)
+    return TensorValue((DOWN, DOWN), sign * _eval("Y", params, p))
 
 
-def _cov_deriv_analytic(params, p, comp, dcomp, variance):
-    """nabla_c T_{ab...} from analytic components and partials (all-down tensors)."""
-    gamma = _eval("gamma", params, p).real
-    rank = len(variance)
-    out = np.array(dcomp, dtype=complex)
-    for slot in range(rank):
-        moved = np.moveaxis(comp, slot, 0)
-        corr = np.tensordot(gamma, moved, axes=(0, 0))  # [c, b, rest]
-        corr = np.moveaxis(corr, 1, slot + 1)
-        out -= corr
-    return out
+def _analytic_nabla(params: KerrParams, p: BLPoint, name: str):
+    """nabla_c T_ab of the named all-down closed form from its analytic partials 'd<name>'."""
+    T = _eval(name, params, p)
+    gamma = _eval("gamma", params, p)
+    # nabla_c T_ab = d_c T_ab - Gamma^e_ca T_eb - Gamma^e_cb T_ae
+    return (_eval("d" + name, params, p)
+            - np.einsum("eca,eb->cab", gamma, T)
+            - np.einsum("ecb,ae->cab", gamma, T))
+
+
+def _fd_nabla(params: KerrParams, p: BLPoint, name: str, step: float):
+    """nabla_c T_ab of the named all-down closed form by finite differences."""
+
+    def field(coords):
+        q = BLPoint(coords[0], coords[1], coords[2], coords[3], params)
+        return TensorValue((DOWN, DOWN), _eval(name, params, q))
+
+    def mp(coords):
+        q = BLPoint(coords[0], coords[1], coords[2], coords[3], params)
+        return kerr_metric(params, q)
+
+    return cov_deriv_fd(field, p.coords, mp, step, order=2).components.real
+
+
+def _symmetrized_max(nabla, slots) -> float:
+    """max |nabla_(a T_b)c| (slots 0, 1) or max |nabla_(a T_bc)| (slots 0, 1, 2)."""
+    return float(np.max(np.abs(_projector(nabla, slots, antisym=False))))
 
 
 def killing_yano_residual(params: KerrParams, p: BLPoint) -> float:
     """max |nabla_(a Y_b)c| with analytic derivatives."""
-    Y = _eval("Y", params, p).real
-    dY = _eval("dY", params, p).real
-    nabla = _cov_deriv_analytic(params, p, Y, dY, (DOWN, DOWN)).real
-    sym = 0.5 * (nabla + nabla.transpose(1, 0, 2))
-    return float(np.max(np.abs(sym)))
+    return _symmetrized_max(_analytic_nabla(params, p, "Y"), (0, 1))
 
 
 def conformal_ky_residual(params: KerrParams, p: BLPoint) -> float:
     """Residual of the conformal Killing-Yano equation for Y (analytic derivatives)."""
-    Y = _eval("Y", params, p).real
-    dY = _eval("dY", params, p).real
-    g = _eval("g", params, p).real
-    ginv = _eval("ginv", params, p).real
-    nabla = _cov_deriv_analytic(params, p, Y, dY, (DOWN, DOWN)).real  # [c,a,b]
+    g = _eval("g", params, p)
+    nabla = _analytic_nabla(params, p, "Y")  # [c,a,b]
     # div_a = nabla_d Y_a{}^d = nabla_d Y_ac g^{cd}
-    div = np.einsum("dac,cd->a", nabla, ginv)
-    lhs = 0.5 * (nabla + nabla.transpose(1, 0, 2))
+    div = np.einsum("dac,cd->a", nabla, _eval("ginv", params, p))
+    lhs = _projector(nabla, (0, 1), antisym=False)
     # lhs[a,b,c] = nabla_(a Y_b)c; rhs from the conformal Killing-Yano equation
     rhs = (
         -np.einsum("ab,c->abc", g, div) / 3.0
@@ -353,61 +408,24 @@ def conformal_ky_residual(params: KerrParams, p: BLPoint) -> float:
 
 def killing_tensor_residual(params: KerrParams, p: BLPoint) -> float:
     """max |nabla_(a K_bc)| with analytic derivatives."""
-    K = _eval("K", params, p).real
-    dK = _eval("dK", params, p).real
-    nabla = _cov_deriv_analytic(params, p, K, dK, (DOWN, DOWN)).real  # [c,a,b]
-    sym = (
-        nabla
-        + nabla.transpose(1, 0, 2)
-        + nabla.transpose(1, 2, 0)
-        + nabla.transpose(2, 0, 1)
-        + nabla.transpose(2, 1, 0)
-        + nabla.transpose(0, 2, 1)
-    ) / 6.0
-    return float(np.max(np.abs(sym)))
-
-
-def _fd_nabla(params: KerrParams, p: BLPoint, name: str, step: float):
-    """nabla_c T_ab of the named all-down closed form by finite differences."""
-    from .tensors import cov_deriv_fd
-
-    def field(coords):
-        q = BLPoint(coords[0], coords[1], coords[2], coords[3], params)
-        return TensorValue((DOWN, DOWN), _eval(name, params, q).real)
-
-    def mp(coords):
-        q = BLPoint(coords[0], coords[1], coords[2], coords[3], params)
-        return kerr_metric(params, q)
-
-    return cov_deriv_fd(field, p.coords, mp, step, order=2).components.real
+    return _symmetrized_max(_analytic_nabla(params, p, "K"), (0, 1, 2))
 
 
 def killing_yano_residual_fd(params: KerrParams, p: BLPoint, step=1e-3) -> float:
     """max |nabla_(a Y_b)c| with second-order central differences."""
-    nabla = _fd_nabla(params, p, "Y", step)
-    sym = 0.5 * (nabla + nabla.transpose(1, 0, 2))
-    return float(np.max(np.abs(sym)))
+    return _symmetrized_max(_fd_nabla(params, p, "Y", step), (0, 1))
 
 
 def killing_tensor_residual_fd(params: KerrParams, p: BLPoint, step=1e-3) -> float:
     """max |nabla_(a K_bc)| with second-order central differences."""
-    nabla = _fd_nabla(params, p, "K", step)
-    sym = (
-        nabla
-        + nabla.transpose(1, 0, 2)
-        + nabla.transpose(1, 2, 0)
-        + nabla.transpose(2, 0, 1)
-        + nabla.transpose(2, 1, 0)
-        + nabla.transpose(0, 2, 1)
-    ) / 6.0
-    return float(np.max(np.abs(sym)))
+    return _symmetrized_max(_fd_nabla(params, p, "K", step), (0, 1, 2))
 
 
 def carter_tensor(params: KerrParams, p: BLPoint) -> TensorValue:
     """Carter Killing tensor K_ab = Y_ac Y^c_b (sign-invariant in Y)."""
     _check_point(params, p)
     _ky_calibration(params)
-    return TensorValue((DOWN, DOWN), _eval("K", params, p).real)
+    return TensorValue((DOWN, DOWN), _eval("K", params, p))
 
 
 def xi_oneform(params: KerrParams, p: BLPoint) -> TensorValue:
@@ -421,9 +439,35 @@ def xi_oneform(params: KerrParams, p: BLPoint) -> TensorValue:
 def kappa_scalars(params: KerrParams, p: BLPoint):
     """Killing-spinor scalar kappa1 = -(r - i a cos theta)/3 and U = -d log kappa1."""
     _check_point(params, p)
-    k1 = complex(_forms()["kappa1"](params.m, params.a, p.r, p.theta))
+    k1 = complex(_eval("kappa1", params, p))
     U = TensorValue((DOWN,), _eval("U", params, p))
     return k1, U
+
+
+def _tetrad(params: KerrParams, p: BLPoint):
+    """Tetrad legs (l, n, m, mbar), the worst of their normalization
+    residuals, and the reconstruction residual max |ghat - 2(l_(a n_b) - m_(a mbar_b))|."""
+    l = _eval("l", params, p)
+    n = _eval("n", params, p)
+    mv = _eval("m_vec", params, p)
+    mb = mv.conjugate()
+    g = _eval("g", params, p)
+
+    def ip(u, v):
+        return u @ g @ v
+
+    normalization = max(
+        abs(ip(l, l)),
+        abs(ip(n, n)),
+        abs(ip(mv, mv)),
+        abs(ip(l, n) + 1.0),  # ghat(l,n) = 1
+        abs(ip(mv, mb) - 1.0),  # ghat(m,mbar) = -1
+    )
+    # reconstruction against ghat = -g: lowered legs use ghat
+    gh = -g
+    l_d, n_d, m_d, mb_d = gh @ l, gh @ n, gh @ mv, gh @ mb
+    recon = np.outer(l_d, n_d) + np.outer(n_d, l_d) - np.outer(m_d, mb_d) - np.outer(mb_d, m_d)
+    return (l, n, mv, mb), normalization, float(np.max(np.abs(recon - gh)))
 
 
 def principal_tetrad(params: KerrParams, p: BLPoint, tol=1e-11):
@@ -433,55 +477,27 @@ def principal_tetrad(params: KerrParams, p: BLPoint, tol=1e-11):
     ghat_ab = 2(l_(a n_b) - m_(a mbar_b)); verified before returning.
     """
     _check_point(params, p)
-    l = _eval("l", params, p)
-    n = _eval("n", params, p)
-    mv = _eval("m_vec", params, p)
-    mb = mv.conjugate()
-    g = _eval("g", params, p).real
-
-    def ip(u, v):
-        return u @ g @ v
-
-    checks = [
-        abs(ip(l, l)),
-        abs(ip(n, n)),
-        abs(ip(mv, mv)),
-        abs(ip(l, n) + 1.0),  # ghat(l,n) = 1
-        abs(ip(mv, mb) - 1.0),  # ghat(m,mbar) = -1
-    ]
-    # reconstruction against ghat = -g: lowered legs use ghat
-    l_d, n_d, m_d, mb_d = (-g) @ l, (-g) @ n, (-g) @ mv, (-g) @ mb
-    recon = (
-        np.outer(l_d, n_d)
-        + np.outer(n_d, l_d)
-        - np.outer(m_d, mb_d)
-        - np.outer(mb_d, m_d)
-    )
-    checks.append(np.max(np.abs(recon - (-g))))
-    if max(checks) > tol:
-        raise CalibrationError(f"tetrad normalization residual {max(checks)} above {tol}")
-    mk = lambda v: TensorValue((UP,), v)
-    return mk(l), mk(n), mk(mv), mk(mb)
+    legs, normalization, reconstruction = _tetrad(params, p)
+    worst = max(normalization, reconstruction)
+    if worst > tol:
+        raise CalibrationError(f"tetrad normalization residual {worst} above {tol}")
+    return tuple(TensorValue((UP,), v) for v in legs)
 
 
 def tetrad_reconstruction_residual(params: KerrParams, p: BLPoint) -> float:
     """max |ghat_ab - 2(l_(a n_b) - m_(a mbar_b))| with ghat = -g."""
-    l, n, mv, mb = (x.components for x in principal_tetrad(params, p, tol=np.inf))
-    g = _eval("g", params, p).real
-    gh = -g
-    l_d, n_d, m_d, mb_d = gh @ l, gh @ n, gh @ mv, gh @ mb
-    recon = np.outer(l_d, n_d) + np.outer(n_d, l_d) - np.outer(m_d, mb_d) - np.outer(mb_d, m_d)
-    return float(np.max(np.abs(recon - gh)))
+    _check_point(params, p)
+    return _tetrad(params, p)[2]
 
 
 def coulomb_F_unit(params: KerrParams, p: BLPoint) -> np.ndarray:
-    """Closed-form F = dA for the unit-charge Coulomb potential (complex array)."""
-    return _eval("F_coulomb", params, p).real
+    """Closed-form F = dA for the unit-charge Coulomb potential (real array)."""
+    return _eval("F_coulomb", params, p)
 
 
 def uniform_F_unit(params: KerrParams, p: BLPoint) -> np.ndarray:
     """Closed-form uniform-magnetic-field Maxwell test solution, unit strength."""
-    return _eval("F_uniform", params, p).real
+    return _eval("F_uniform", params, p)
 
 
 def horizon_radius(params: KerrParams) -> float:

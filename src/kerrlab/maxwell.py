@@ -128,7 +128,7 @@ def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
 def maxwell_divergence_residual(params, F_field, p: BLPoint, step=1e-3, order=4) -> float:
     """max_b |nabla^a F_ab| for a sampled field strength (coords -> TensorValue)."""
     nabla = cov_deriv_fd(F_field, p.coords, _metric_provider(params), step, order=order)
-    ginv = _eval("ginv", params, p).real
+    ginv = _eval("ginv", params, p)
     div = np.einsum("ca,cab->b", ginv, nabla.components)
     return float(np.max(np.abs(div)))
 
@@ -156,8 +156,8 @@ def np_scalars(sample: MaxwellSample, tetrad):
 def stress_tensor(sample: MaxwellSample) -> TensorValue:
     """T_ab = F_ac F_b^c - (1/4) F_cd F^cd g_ab (symmetric, traceless)."""
     params = sample.point.params
-    g = _eval("g", params, sample.point).real
-    ginv = _eval("ginv", params, sample.point).real
+    g = _eval("g", params, sample.point)
+    ginv = _eval("ginv", params, sample.point)
     F = sample.F.components.real
     Fup = np.einsum("ac,bd,cd->ab", ginv, ginv, F)  # F^{ab}
     invariant = np.einsum("ab,ab->", F, Fup)
@@ -248,23 +248,31 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
     def xi_up_field(which):
         def field(coords):
             q = _point(params, coords)
-            ginv = _eval("ginv", params, q).real
+            ginv = _eval("ginv", params, q)
             xi = _eval("xi", params, q)
             up = ginv @ xi
             return up.real if which == "re" else up.imag
 
         return field
 
-    def V_field(coords):
+    # point -> (V, Z, eta): the centre serves V0, both outer stencils and the report
+    evaluated = {}
+
+    def V_Z_eta(coords):
+        key = tuple(coords)
+        if key in evaluated:
+            return evaluated[key]
         q = _point(params, coords)
         metric = kerr_metric(params, q)
         g = metric.g.components.real
         ginv = metric.g_inv.components.real
-        eta = eta_oneform(params, F_field, q, step=step).components
+        eta_tv = eta_oneform(params, F_field, q, step=step)
+        eta = eta_tv.components
         V = 0.5 * (np.outer(eta, eta.conj()) + np.outer(eta.conj(), eta))
         V -= 0.5 * g * (eta @ ginv @ eta.conj())
 
-        Z = zf(coords).components
+        Z_tv = zf(coords)
+        Z = Z_tv.components
         lieF = _lie_2form(params, xi_up_field("re"), F_field, coords, step)
 
         def star_field(coords2):
@@ -283,9 +291,13 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
 
         V -= coupling(lieF, 1.0)
         V += coupling(lieStarF, 1.0)
-        return TensorValue((DOWN, DOWN), V)
+        evaluated[key] = (TensorValue((DOWN, DOWN), V), Z_tv, eta_tv)
+        return evaluated[key]
 
-    V0 = V_field(p.coords)
+    def V_field(coords):
+        return V_Z_eta(coords)[0]
+
+    V0, Z0, eta0 = V_Z_eta(p.coords)
     if np.max(np.abs(V0.components.imag)) > 1e-11 * max(1.0, np.max(np.abs(V0.components))):
         raise CalibrationError("V has a non-negligible imaginary part")
 
@@ -293,7 +305,7 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
 
     def div_norm(h):
         nabla = cov_deriv_fd(V_field, p.coords, mp, h, order=2).components
-        ginv = _eval("ginv", params, p).real
+        ginv = _eval("ginv", params, p)
         return np.einsum("ca,cab->b", ginv, nabla)
 
     # The outer layer differentiates a field that itself carries O(step^2)
@@ -306,10 +318,9 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
     div = (4.0 * d2 - d1) / 3.0
     residual = float(np.max(np.abs(div)))
 
-    eta = eta_oneform(params, F_field, p, step=step)
     return CurrentReport(
-        Z=zf(p.coords),
-        eta=eta,
+        Z=Z0,
+        eta=eta0,
         V=TensorValue((DOWN, DOWN), V0.components.real),
         div_V_residual=residual,
         fd_step=step,
@@ -318,8 +329,8 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
 
 def dominant_energy_value(params: KerrParams, eta: TensorValue, p: BLPoint, v1, v2) -> float:
     """(eta_(a etabar_b) - 1/2 g_ab eta.etabar) v1^a v2^b for the leading part of V."""
-    g = _eval("g", params, p).real
-    ginv = _eval("ginv", params, p).real
+    g = _eval("g", params, p)
+    ginv = _eval("ginv", params, p)
     e = eta.components
     W = 0.5 * (np.outer(e, e.conj()) + np.outer(e.conj(), e)) - 0.5 * g * (e @ ginv @ e.conj())
     val = np.asarray(v1) @ W @ np.asarray(v2)

@@ -125,3 +125,14 @@ def test_invariant_violation_exits_one(tmp_path):
     assert rep["failures"]
     f = rep["failures"][0]
     assert {"check", "value", "tolerance"} <= set(f)
+
+
+@pytest.mark.parametrize("args", [
+    ["kerr-check", "--n-points", "0"],
+    ["maxwell-currents", "--n-points", "0"],
+    ["geodesic", "--n-samples", "0"],
+    ["wave-evolve", "--t-end", "-1"],
+])
+def test_degenerate_counts_and_extents_are_input_errors(args, capsys):
+    assert main(args) == 2
+    assert "input error" in capsys.readouterr().err

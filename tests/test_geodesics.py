@@ -69,3 +69,18 @@ def test_plunge_detected():
     traj = integrate_geodesic(params, s0, 500.0, tol=1e-10)
     assert traj.plunged
     assert traj.x[-1, 1] < 4.0
+
+
+def test_conserved_series_matches_pointwise_integrals():
+    from kerrlab.geodesics import conserved_series
+
+    params = KerrParams(1.0, 0.7)
+    pt = BLPoint(0.0, 9.0, 1.2, 0.0, params)
+    s0 = normalize_velocity(params, pt, (0.01, 0.02, 0.03), "timelike")
+    traj = integrate_geodesic(params, s0, 40.0, tol=1e-12, n_samples=7)
+    series = conserved_series(params, traj.x, traj.u)
+    assert series.shape == (7, 4)
+    for i in range(7):
+        c = conserved_quantities(params, traj.state(i, "timelike"))
+        assert np.allclose(series[i, :3], [c.e, c.lz, c.k], rtol=1e-13, atol=1e-13)
+    assert np.allclose(series[:, 3], -1.0, atol=1e-10)

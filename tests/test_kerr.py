@@ -91,3 +91,63 @@ def test_tetrad_inner_products(params):
     assert abs(ip(n, n)) < 1e-11
     assert abs(ip(l, n) + 1.0) < 1e-11  # ghat(l, n) = 1 with ghat = -g
     assert abs(ip(mv, mb) - 1.0) < 1e-11  # ghat(m, mbar) = -1
+
+
+# exterior points (m = 1): a = 0, a generic spin, and theta next to either
+# edge of the axis guard band
+FORM_POINTS = [(0.0, 4.0, 1.1), (0.0, 7.5, 2.0e-6), (0.5, 3.0, 0.7),
+               (0.9, 2.5, math.pi - 2.0e-6), (0.9, 11.0, 1.9)]
+
+
+def test_compiled_forms_match_plain_lambdify():
+    import sympy as sp
+
+    from kerrlab.kerr import COMPLEX_FORMS, _exprs, _forms
+
+    args, exprs = _exprs()
+    forms = _forms()
+    assert set(forms) == set(exprs) and len(forms) == 17
+    for name, expr in exprs.items():
+        plain = sp.lambdify(args, expr, modules="numpy")
+        for a, r, th in FORM_POINTS:
+            ref = np.array(plain(1.0, a, r, th), dtype=complex)
+            got = forms[name](1.0, a, r, th)
+            assert got.shape == ref.shape, name
+            if name in COMPLEX_FORMS:
+                assert got.dtype == np.complex128, name
+            else:
+                assert got.dtype == np.float64, name
+                assert np.max(np.abs(ref.imag), initial=0.0) == 0.0, name
+            scale = max(np.max(np.abs(ref), initial=0.0), 1e-300)
+            err = np.max(np.abs(got - ref), initial=0.0)
+            if err > 1e-13 * scale:
+                # next to the axis the unfactored expression cancels terms of
+                # order 1/sin^2 theta (dK at a = 0 loses 3e-10 there); the
+                # compiled form must then match the 40-digit value instead
+                exact = _evalf(args, expr, (1.0, a, r, th))
+                err = np.max(np.abs(got - exact), initial=0.0)
+            assert err <= 1e-13 * scale, (name, a, r, th, err / scale)
+
+
+def _evalf(args, expr, values):
+    import sympy as sp
+
+    subs = {s: sp.Float(v, 40) for s, v in zip(args, values)}
+    entries = sp.Array(expr)
+    flat = sp.flatten(entries) if entries.shape else [entries[()]]
+    return np.array([complex(sp.N(e.subs(subs), 40)) for e in flat]).reshape(entries.shape)
+
+
+def test_compiled_forms_broadcast_over_points():
+    from kerrlab.kerr import _forms
+
+    r = np.array([[3.0, 4.5, 9.0], [2.5, 6.0, 11.0]])
+    th = np.array([0.4, 1.6, math.pi - 2.0e-6])  # broadcast against r's rows
+    for a in (0.0, 0.6):
+        for name, form in _forms().items():
+            batch = form(1.0, a, r, th)
+            single = np.array([[form(1.0, a, r[i, j], th[j]) for j in range(3)]
+                               for i in range(2)])
+            assert batch.shape == single.shape and batch.dtype == single.dtype, name
+            scale = max(np.max(np.abs(single), initial=0.0), 1e-300)
+            assert np.max(np.abs(batch - single), initial=0.0) <= 1e-13 * scale, name

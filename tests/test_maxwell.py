@@ -101,3 +101,23 @@ def test_hodge_dual_of_coulomb_antisymmetric():
     dual = hodge_dual2(sample.F, kerr_metric(PARAMS, p))
     c = dual.components
     assert np.max(np.abs(c + c.T)) < 1e-10 * max(1.0, np.max(np.abs(c)))
+
+
+def test_V_tensor_evaluates_each_point_once(monkeypatch):
+    # 16 outer-stencil points (two steps x four directions x two sides) plus
+    # the centre, which also supplies V0 and the reported eta
+    import kerrlab.maxwell as maxwell
+
+    calls = []
+    inner = maxwell.eta_oneform
+
+    def counted(params, F_field, p, *args, **kwargs):
+        calls.append(tuple(p.coords))
+        return inner(params, F_field, p, *args, **kwargs)
+
+    monkeypatch.setattr(maxwell, "eta_oneform", counted)
+    p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
+    F = lambda q: _uniform_F(PARAMS, q)
+    rep = V_tensor(PARAMS, F, p, step=1e-3)
+    assert len(calls) == 17 and len(set(calls)) == 17
+    assert np.array_equal(rep.eta.components, inner(PARAMS, F, p, step=1e-3).components)
