@@ -368,13 +368,7 @@ def _wave_setup(cfg, n_r, n_theta):
                     rstar_min=cfg["rstar_min"], rstar_max=cfg["rstar_max"])
     psi, psi_t = initial_data(grid, family=cfg["family"], center=cfg["center"],
                               width=cfg["width"])
-    return grid, ModeField2p1(grid=grid, psi=psi, psi_t=psi_t)
-
-
-def _wave_dt(grid, cfg):
-    dt = cfg["cfl"] * 2.0 / math.sqrt(grid.max_wave_speed_sq())
-    n_steps = max(int(math.ceil(cfg["t_end"] / dt)), 5)
-    return cfg["t_end"] / n_steps
+    return ModeField2p1(grid=grid, psi=psi, psi_t=psi_t)
 
 
 def _energy_rows(reports, dt):
@@ -389,10 +383,10 @@ def _energy_rows(reports, dt):
 def _run_wave_evolve(cfg):
     from .waves import evolve
 
-    grid, field = _wave_setup(cfg, cfg["n_r"], cfg["n_theta"])
-    dt = _wave_dt(grid, cfg)
+    field = _wave_setup(cfg, cfg["n_r"], cfg["n_theta"])
     final, reports = evolve(field, t_end=cfg["t_end"], cfl=cfg["cfl"],
                             report_dt=cfg["report_dt"])
+    dt = final.history[1]
     header, rows = _energy_rows(reports, dt)
     results = {
         "dt": dt,
@@ -407,27 +401,22 @@ def _run_wave_evolve(cfg):
 
 
 def _run_morawetz(cfg):
-    from .waves import evolve
+    from .waves import ModeField2p1, evolve
 
     ratios = {}
     series = None
     for label, factor in (("coarse", 1), ("fine", 2)):
-        run_cfg = dict(cfg)
-        grid, field = _wave_setup(run_cfg, cfg["n_r"] * factor,
-                                  cfg["n_theta"] * factor)
-        dt = _wave_dt(grid, run_cfg)
-        _, reports = evolve(field, t_end=cfg["t_end"], cfl=cfg["cfl"],
-                            report_dt=cfg["report_dt"])
+        field = _wave_setup(cfg, cfg["n_r"] * factor, cfg["n_theta"] * factor)
+        final, reports = evolve(field, t_end=cfg["t_end"], cfl=cfg["cfl"],
+                                report_dt=cfg["report_dt"])
         ratios[label] = reports[-1].ratio
         if label == "coarse":
-            series = _energy_rows(reports, dt)
+            series = _energy_rows(reports, final.history[1])
 
     # data-scaling invariance: the ratio is a quotient of quadratic
     # functionals, so rescaling the data must leave it unchanged exactly
-    scaled_cfg = dict(cfg)
-    grid, field = _wave_setup(scaled_cfg, cfg["n_r"], cfg["n_theta"])
-    from .waves import ModeField2p1
-    field3 = ModeField2p1(grid=grid, psi=3.0 * field.psi, psi_t=3.0 * field.psi_t)
+    field = _wave_setup(cfg, cfg["n_r"], cfg["n_theta"])
+    field3 = ModeField2p1(grid=field.grid, psi=3.0 * field.psi, psi_t=3.0 * field.psi_t)
     _, reports3 = evolve(field3, t_end=cfg["t_end"], cfl=cfg["cfl"],
                          report_dt=cfg["report_dt"])
     scale_dev = abs(reports3[-1].ratio - ratios["coarse"]) / max(ratios["coarse"], 1e-300)

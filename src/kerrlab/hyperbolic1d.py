@@ -236,9 +236,9 @@ def goursat_solve(p, q, extent, n, f=None, initial_fill=0.0) -> GoursatField:
     p, q are callables on the two null rays from the vertex and must agree at
     the vertex.  f, when given, is a callable f(t, x) (the wave-operator
     source; the double-null right-hand side is f/4).  No derivative data is
-    accepted along the rays.  `initial_fill` seeds the interior array and is
-    irrelevant to the result (the scheme is explicit); it exists to document
-    uniqueness on the future of the rays.
+    accepted along the rays.  `initial_fill` is accepted and ignored: the
+    scheme is explicit, so the solution on the future of the rays is fixed
+    by the ray data and the source alone (uniqueness).
     """
     if extent <= 0:
         raise DomainError("extent must be positive")
@@ -251,18 +251,18 @@ def goursat_solve(p, q, extent, n, f=None, initial_fill=0.0) -> GoursatField:
     qv = np.asarray([q(v) for v in vv], dtype=complex)
     if abs(pv[0] - qv[0]) > 1e-12 * max(1.0, abs(pv[0])):
         raise DomainError("null data disagree at the vertex")
-    phi = np.full((n + 1, n + 1), complex(initial_fill))
-    phi[:, 0] = pv
-    phi[0, :] = qv
-    for i in range(n):
-        for j in range(n):
-            if f is None:
-                mid = 0.0
-            else:
-                um, vm = uu[i] + 0.5 * h, vv[j] + 0.5 * h
-                t, x = 0.5 * (um + vm), 0.5 * (vm - um)
-                mid = f(t, x) / 4.0
-            phi[i + 1, j + 1] = phi[i + 1, j] + phi[i, j + 1] - phi[i, j] + h * h * mid
+    # the scheme phi[i+1,j+1] = phi[i+1,j] + phi[i,j+1] - phi[i,j] + h^2 mid[i,j]
+    # telescopes to the ray data plus a double cumulative sum of the source,
+    # accumulated here one row of midpoints at a time
+    phi = pv[:, None] + qv[None, :]
+    phi -= qv[0]
+    phi[:, 0], phi[0, :] = pv, qv
+    if f is not None:
+        um = (uu[:-1] + 0.5 * h).tolist()
+        column_sums = np.zeros(n, dtype=complex)
+        for i, u in enumerate(um):
+            column_sums += [f(0.5 * (u + v), 0.5 * (v - u)) / 4.0 for v in um]
+            phi[i + 1, 1:] += h * h * np.cumsum(column_sums)
     return GoursatField(uu=uu, vv=vv, phi=phi)
 
 

@@ -34,7 +34,7 @@ a zero boundary eigenvalue the half-open conventions break the naive swap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -201,20 +201,7 @@ class IndexReport:
             raise ValueError("total relative charge must vanish")
 
     def as_dict(self):
-        return {
-            "dim_ker_aps": self.dim_ker_aps,
-            "dim_ker_aaps": self.dim_ker_aaps,
-            "index_lhs": self.index_lhs,
-            "ch_integral": self.ch_integral,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "h1": self.h1,
-            "h2": self.h2,
-            "index_rhs": self.index_rhs,
-            "q_left": self.q_left,
-            "q_right": self.q_right,
-            "q_chiral": self.q_chiral,
-        }
+        return asdict(self)
 
 
 def chern_integral(profile: ConnectionProfile) -> float:

@@ -9,10 +9,18 @@ Morawetz bulk integral with a trapping cutoff.
 Operator conventions.  With Sigma = r^2 + a^2 cos^2 theta the combination
 Sigma Box splits as R(r) + Q + d_phi^2-terms where R involves only (t, r)
 derivatives, so [Q, Sigma Box] = 0 in the continuum while [Q, Box] does not
-vanish for a != 0.  Discretely, Q uses the flux form with trapezoid-averaged
-face weights while Sigma Box uses exact face values; the two stencils differ
-at a uniform O(h^2) (including the pole cells), which makes the discrete
-commutator a genuine O(h^2) quantity instead of an exact zero.
+vanish for a != 0.  The spatial operator c1 D2 + c2 D1 + c3 Lambda_theta - c4
+(`_spatial`, with c1..c5 the Sigma Box coefficients times Delta/Pi) is
+defined once: the leapfrog step, its Taylor start and the Sigma Box / Box
+diagnostics all apply it, the diagnostics as the residual
+(Pi/Delta)(spatial - d_t^2 - i m_phi c5 d_t) of the evolved equation.
+Discretely, Q uses the flux form with trapezoid-averaged face weights while
+Sigma Box uses exact face values; the two stencils differ at a uniform
+O(h^2) (including the pole cells), which makes the discrete commutator a
+genuine O(h^2) quantity instead of an exact zero.
+
+All stencils act on the last two axes (r*, theta), so a stack of time
+levels, or any other leading batch axes, is differentiated in one call.
 
 Time derivatives in diagnostics are always taken from a centered stack of
 consecutive time levels; the evolver bootstraps levels on both sides of the
@@ -23,12 +31,12 @@ to the scheme's order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .kerr import KerrParams
+from .kerr import KerrParams, _forms
 
 # ---------------------------------------------------------------------------
 # tortoise coordinate
@@ -156,9 +164,13 @@ class WaveGrid:
         )
         self.c5 = 4 * m * a * r[:, None] / self.Pi
 
-        # conservative Lambda_theta face weights: sin(theta) at cell faces
+        # Lambda_theta face weights, both exactly 0 at the poles: sin(theta)
+        # at the faces (conservative), and the mean of the two neighbouring
+        # cell-centre sines, ghost cells included (trapezoid, Q's variant)
         faces = np.arange(n_theta + 1) * self.h_theta
-        self.sin_face = np.sin(faces)  # exactly 0 at both poles
+        self.sin_face = np.sin(faces)
+        theta_pad = np.concatenate([[-self.theta[0]], self.theta, [math.pi + self.theta[0]]])
+        self.sin_face_trap = 0.5 * (np.sin(theta_pad[:-1]) + np.sin(theta_pad[1:]))
         self.parity = (-1.0) ** self.m_phi
 
     def max_wave_speed_sq(self):
@@ -173,19 +185,22 @@ class WaveGrid:
 
 
 def _ghost_pad_theta(psi, parity):
-    """Pad the theta axis with reflection ghosts: psi(-theta) = parity * psi(theta)."""
+    """Pad the theta (last) axis with reflection ghosts: psi(-theta) = parity * psi(theta)."""
     return np.concatenate(
-        [parity * psi[:, :1], psi, parity * psi[:, -1:]], axis=1
+        [parity * psi[..., :1], psi, parity * psi[..., -1:]], axis=-1
     )
+
+
+def _lambda_theta_flux(grid: WaveGrid, psi, face_weight):
+    """(1/sin) d_theta (w d_theta psi) in flux form, w given at faces 0..n_theta."""
+    h = grid.h_theta
+    flux = np.diff(_ghost_pad_theta(psi, grid.parity), axis=-1) / h * face_weight
+    return np.diff(flux, axis=-1) / (h * grid.sin_theta)
 
 
 def lambda_theta_conservative(grid: WaveGrid, psi):
     """(1/sin) d_theta (sin d_theta psi) in flux form (pole flux exactly zero)."""
-    p = _ghost_pad_theta(psi, grid.parity)
-    h = grid.h_theta
-    flux = (p[:, 1:] - p[:, :-1]) / h  # at faces 0..n_theta
-    flux = flux * grid.sin_face[None, :]
-    return (flux[:, 1:] - flux[:, :-1]) / (h * grid.sin_theta[None, :])
+    return _lambda_theta_flux(grid, psi, grid.sin_face)
 
 
 def lambda_theta_trapezoid(grid: WaveGrid, psi):
@@ -198,37 +213,47 @@ def lambda_theta_trapezoid(grid: WaveGrid, psi):
     discrepancy with the conservative variant stays uniformly O(h^2) after
     division by sin(theta_j), including at the pole cells.
     """
-    p = _ghost_pad_theta(psi, grid.parity)
-    h = grid.h_theta
-    flux = (p[:, 1:] - p[:, :-1]) / h
-    theta_pad = np.concatenate([[-grid.theta[0]], grid.theta, [math.pi + grid.theta[0]]])
-    sin_trap = 0.5 * (np.sin(theta_pad[:-1]) + np.sin(theta_pad[1:]))
-    flux = flux * sin_trap[None, :]
-    return (flux[:, 1:] - flux[:, :-1]) / (h * grid.sin_theta[None, :])
+    return _lambda_theta_flux(grid, psi, grid.sin_face_trap)
 
 
 def d_rstar(grid: WaveGrid, psi):
-    """Central first tortoise derivative; one-sided second order at the ends."""
+    """Central first tortoise derivative (axis -2); one-sided second order at the ends."""
     out = np.empty_like(psi)
     h = grid.h_r
-    out[1:-1] = (psi[2:] - psi[:-2]) / (2 * h)
-    out[0] = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2 * h)
-    out[-1] = (3.0 * psi[-1] - 4.0 * psi[-2] + psi[-3]) / (2 * h)
+    out[..., 1:-1, :] = (psi[..., 2:, :] - psi[..., :-2, :]) / (2 * h)
+    out[..., 0, :] = (-3.0 * psi[..., 0, :] + 4.0 * psi[..., 1, :] - psi[..., 2, :]) / (2 * h)
+    out[..., -1, :] = (3.0 * psi[..., -1, :] - 4.0 * psi[..., -2, :] + psi[..., -3, :]) / (2 * h)
     return out
 
 
 def d2_rstar(grid: WaveGrid, psi):
     out = np.empty_like(psi)
     h2 = grid.h_r**2
-    out[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h2
-    out[0] = (2.0 * psi[0] - 5.0 * psi[1] + 4.0 * psi[2] - psi[3]) / h2
-    out[-1] = (2.0 * psi[-1] - 5.0 * psi[-2] + 4.0 * psi[-3] - psi[-4]) / h2
+    out[..., 1:-1, :] = (psi[..., 2:, :] - 2.0 * psi[..., 1:-1, :] + psi[..., :-2, :]) / h2
+    out[..., 0, :] = (2.0 * psi[..., 0, :] - 5.0 * psi[..., 1, :] + 4.0 * psi[..., 2, :]
+                      - psi[..., 3, :]) / h2
+    out[..., -1, :] = (2.0 * psi[..., -1, :] - 5.0 * psi[..., -2, :] + 4.0 * psi[..., -3, :]
+                       - psi[..., -4, :]) / h2
     return out
 
 
 def d_theta(grid: WaveGrid, psi):
     p = _ghost_pad_theta(psi, grid.parity)
-    return (p[:, 2:] - p[:, :-2]) / (2.0 * grid.h_theta)
+    return (p[..., 2:] - p[..., :-2]) / (2.0 * grid.h_theta)
+
+
+def _spatial(grid: WaveGrid, psi):
+    """The spatial wave operator c1 D2 + c2 D1 + c3 Lambda_theta - c4.
+
+    The one definition shared by the evolver and the Sigma Box / Box
+    diagnostics: d_t^2 psi = _spatial(psi) - i m_phi c5 d_t psi.
+    """
+    return (
+        grid.c1 * d2_rstar(grid, psi)
+        + grid.c2 * d_rstar(grid, psi)
+        + grid.c3 * lambda_theta_conservative(grid, psi)
+        - grid.c4 * psi
+    )
 
 
 @dataclass
@@ -272,16 +297,12 @@ class ModeField2p1:
 # ---------------------------------------------------------------------------
 
 
-def _spatial_sigma_box(grid: WaveGrid, psi):
-    """All non-time terms of Sigma Box psi (conservative theta stencil)."""
-    return (
-        ((grid.r**2 + grid.params.a**2) ** 2 / grid.delta)[:, None] * d2_rstar(grid, psi)
-        + (2 * grid.r)[:, None] * d_rstar(grid, psi)
-        + lambda_theta_conservative(grid, psi)
-        - grid.m_phi**2
-        * (1.0 / grid.sin_theta[None, :] ** 2 - (grid.params.a**2 / grid.delta)[:, None])
-        * psi
-    )
+def _centered_dtt(stack, dt, who):
+    """The stack as complex levels, and the centered d_t^2 of its interior levels."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.shape[0] < 3:
+        raise DomainError(f"{who} needs at least 3 time levels")
+    return stack, (stack[2:] - 2.0 * stack[1:-1] + stack[:-2]) / dt**2
 
 
 def sigma_box_stack(grid: WaveGrid, stack, dt):
@@ -289,27 +310,19 @@ def sigma_box_stack(grid: WaveGrid, stack, dt):
 
     Sigma Box = -(Pi/Delta) d_t^2 - (4 m a r / Delta) d_t d_phi
                 + d_rs((r^2+a^2)^2/Delta d_rs) + 2r d_rs
-                + Lambda_theta - m^2 (1/sin^2 - a^2/Delta).
+                + Lambda_theta - m^2 (1/sin^2 - a^2/Delta),
+    evaluated as (Pi/Delta)(_spatial - d_t^2 - i m_phi c5 d_t): the residual
+    of the evolved equation in the normalization of Sigma Box.
     """
-    stack = np.asarray(stack, dtype=complex)
-    if stack.shape[0] < 3:
-        raise DomainError("sigma_box_stack needs at least 3 time levels")
-    m, a = grid.params.m, grid.params.a
-    out = []
-    for k in range(1, stack.shape[0] - 1):
-        psi = stack[k]
-        dtt = (stack[k + 1] - 2.0 * psi + stack[k - 1]) / dt**2
-        dt1 = (stack[k + 1] - stack[k - 1]) / (2.0 * dt)
-        val = _spatial_sigma_box(grid, psi)
-        val -= (grid.Pi / grid.delta[:, None]) * dtt
-        val -= (4 * m * a * grid.r / grid.delta)[:, None] * (1j * grid.m_phi) * dt1
-        out.append(val)
-    return np.array(out)
+    stack, dtt = _centered_dtt(stack, dt, "sigma_box_stack")
+    dt1 = (stack[2:] - stack[:-2]) / (2.0 * dt)
+    residual = _spatial(grid, stack[1:-1]) - dtt - 1j * grid.m_phi * grid.c5 * dt1
+    return (grid.Pi / grid.delta[:, None]) * residual
 
 
 def box_stack(grid: WaveGrid, stack, dt):
     """Box psi = (Sigma Box psi) / Sigma on each retained level."""
-    return sigma_box_stack(grid, stack, dt) / grid.sigma[None]
+    return sigma_box_stack(grid, stack, dt) / grid.sigma
 
 
 def carter_q_stack(grid: WaveGrid, stack, dt):
@@ -318,22 +331,13 @@ def carter_q_stack(grid: WaveGrid, stack, dt):
     Uses the trapezoid-face theta stencil (see module docstring); consumes one
     level per end of the stack for the centered d_t^2.
     """
-    stack = np.asarray(stack, dtype=complex)
-    if stack.shape[0] < 3:
-        raise DomainError("carter_q_stack needs at least 3 time levels")
-    a = grid.params.a
-    sin2 = grid.sin_theta[None, :] ** 2
-    out = []
-    for k in range(1, stack.shape[0] - 1):
-        psi = stack[k]
-        dtt = (stack[k + 1] - 2.0 * psi + stack[k - 1]) / dt**2
-        val = (
-            lambda_theta_trapezoid(grid, psi)
-            - grid.m_phi**2 / sin2 * psi
-            + a**2 * sin2 * dtt
-        )
-        out.append(val)
-    return np.array(out)
+    stack, dtt = _centered_dtt(stack, dt, "carter_q_stack")
+    sin2 = grid.sin_theta**2
+    return (
+        lambda_theta_trapezoid(grid, stack[1:-1])
+        - grid.m_phi**2 / sin2 * stack[1:-1]
+        + grid.params.a**2 * sin2 * dtt
+    )
 
 
 def carter_Q(field: ModeField2p1):
@@ -350,14 +354,14 @@ def reduced_wave_apply(field: ModeField2p1):
     """Box psi on the grid.
 
     Uses the stored history for time derivatives when available; otherwise
-    the field is treated as stationary (time-derivative terms dropped),
-    which is exact for static test profiles.
+    the field is treated as stationary (a constant stack, so the
+    time-derivative terms vanish), which is exact for static test profiles.
     """
     grid = field.grid
     if field.history is not None and field.history[0].shape[0] >= 5:
         levels, dt = field.history
         return box_stack(grid, levels[-5:-2], dt)[0]
-    return _spatial_sigma_box(grid, field.psi) / grid.sigma
+    return box_stack(grid, np.array([field.psi] * 3), 1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +375,7 @@ def _step(grid: WaveGrid, psi_prev, psi, dt):
     The first-order rotation term is treated with a centered implicit
     average, which for the diagonal i*m*c5 coefficient is a scalar solve.
     """
-    rhs = (
-        grid.c1 * d2_rstar(grid, psi)
-        + grid.c2 * d_rstar(grid, psi)
-        + grid.c3 * lambda_theta_conservative(grid, psi)
-        - grid.c4 * psi
-    )
+    rhs = _spatial(grid, psi)
     imc = 1j * grid.m_phi * grid.c5
     denom = 1.0 + 0.5 * dt * imc
     new = (2.0 * psi - psi_prev + dt**2 * rhs + 0.5 * dt * imc * psi_prev) / denom
@@ -403,13 +402,7 @@ def _step(grid: WaveGrid, psi_prev, psi, dt):
 
 def _bootstrap_prev(grid, psi, psi_t, dt):
     """Second-order accurate psi(t - dt) from Cauchy data via a Taylor start."""
-    rhs = (
-        grid.c1 * d2_rstar(grid, psi)
-        + grid.c2 * d_rstar(grid, psi)
-        + grid.c3 * lambda_theta_conservative(grid, psi)
-        - grid.c4 * psi
-        - 1j * grid.m_phi * grid.c5 * psi_t
-    )
+    rhs = _spatial(grid, psi) - 1j * grid.m_phi * grid.c5 * psi_t
     return psi - dt * psi_t + 0.5 * dt**2 * rhs
 
 
@@ -425,7 +418,7 @@ class EnergyReport:
 
     def __post_init__(self):
         vals = (self.e_model3, self.bulk_increment, self.bulk_cumulative, self.ratio)
-        if not all(math.isfinite(v) and v >= -1e-12 for v in vals):
+        if not all(math.isfinite(v) and v >= 0.0 for v in vals):
             raise StabilityError(f"non-finite or negative energy report at t={self.time}")
 
 
@@ -595,11 +588,12 @@ def _word_derivatives(grid: WaveGrid, stack, dt):
     if stack.shape[0] < 7:
         raise DomainError("energy diagnostics need a 7-level stack")
     mid = stack.shape[0] // 2
-    s7 = stack[mid - 3: mid + 4]
     a = grid.params.a
     to_r = ((grid.r**2 + a**2) / grid.delta)[:, None]
     for word in S0_WORDS + S1_WORDS + S2_WORDS:
-        ws = symmetry_apply(grid, s7, dt, word)
+        # the levels each d_t or Q consumes per side, plus one for f_t
+        k = word[0] + word[2] + 1
+        ws = symmetry_apply(grid, stack[mid - k: mid + k + 1], dt, word)
         c = ws.shape[0] // 2
         f = ws[c]
         f_t = (ws[c + 1] - ws[c - 1]) / (2.0 * dt)
@@ -651,30 +645,10 @@ def morawetz_bulk(grid: WaveGrid, stack, dt) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bl_metric_arrays(grid: WaveGrid):
-    """Metric and inverse metric in (t, r, theta, phi) on the grid,
-    shape (4, 4, n_r, n_theta)."""
-    m, a = grid.params.m, grid.params.a
-    R, TH = np.meshgrid(grid.r, grid.theta, indexing="ij")
-    sin2 = np.sin(TH) ** 2
-    sigma = R**2 + a**2 * np.cos(TH) ** 2
-    delta = R**2 - 2 * m * R + a**2
-    pi_fn = (R**2 + a**2) ** 2 - delta * a**2 * sin2
-
-    g = np.zeros((4, 4) + R.shape)
-    g[0, 0] = -1.0 + 2 * m * R / sigma
-    g[0, 3] = g[3, 0] = -2 * m * R * a * sin2 / sigma
-    g[1, 1] = sigma / delta
-    g[2, 2] = sigma
-    g[3, 3] = pi_fn * sin2 / sigma
-
-    ginv = np.zeros((4, 4) + R.shape)
-    ginv[0, 0] = -pi_fn / (sigma * delta)
-    ginv[0, 3] = ginv[3, 0] = -2 * m * R * a / (sigma * delta)
-    ginv[1, 1] = delta / sigma
-    ginv[2, 2] = 1.0 / sigma
-    ginv[3, 3] = (delta - a**2 * sin2) / (sigma * delta * sin2)
-    return g, ginv
+def _metric_on_grid(grid: WaveGrid, name):
+    """The Kerr form "g" or "ginv" on the grid, shape (4, 4, n_r, n_theta)."""
+    form = _forms()[name](grid.params.m, grid.params.a, grid.r[:, None], grid.theta[None, :])
+    return form.transpose(2, 3, 0, 1)
 
 
 def _gradient4(grid: WaveGrid, stack3, dt):
@@ -714,7 +688,7 @@ def polarized_stress(grid: WaveGrid, stack, dt, word_a, word_b):
         return s[mid - 1: mid + 2]
 
     fa, fb = center3(fa), center3(fb)
-    g, ginv = _bl_metric_arrays(grid)
+    g, ginv = _metric_on_grid(grid, "g"), _metric_on_grid(grid, "ginv")
     gp = _gradient4(grid, fa + fb, dt)
     gm = _gradient4(grid, fa - fb, dt)
     return 0.25 * (
@@ -747,7 +721,7 @@ def assemble_current(grid: WaveGrid, stack, dt, coefficients):
     Jp = current_at(mid + 1)
     Jm = current_at(mid - 1)
 
-    _, ginv = _bl_metric_arrays(grid)
+    ginv = _metric_on_grid(grid, "ginv")
     sqrtg = grid.sigma * grid.sin_theta[None, :]
 
     def raise_idx(Jcov):

@@ -83,6 +83,24 @@ def test_wave_csv_schema(tmp_path):
     assert rows[0] == ["step", "time", "e_model3", "bulk_increment",
                        "bulk_cumulative", "ratio"]
     assert float(rows[1][1]) == 0.0 and float(rows[1][5]) == 0.0
+    # the step column counts steps of the dt the evolver used
+    dt = rep["results"]["dt"]
+    assert all(int(row[0]) == round(float(row[1]) / dt) for row in rows[1:])
+    assert int(rows[-1][0]) * dt == pytest.approx(rep["results"]["final_time"])
+
+
+def test_wave_subcommands_do_not_build_kerr_forms(tmp_path):
+    # the wave evolver takes its geometry from WaveGrid alone; the compiled
+    # Kerr forms (a sympy derivation and lambdify) stay off its CLI paths
+    from kerrlab.kerr import _forms
+
+    calls = lambda: _forms.cache_info().hits + _forms.cache_info().misses
+    before = calls()
+    assert main(["wave-evolve", "--t-end", "1", "--n-r", "32", "--n-theta", "8",
+                 "--out", str(tmp_path / "w.json")]) == 0
+    assert main(["morawetz", "--t-end", "1", "--n-r", "32", "--n-theta", "8",
+                 "--out", str(tmp_path / "m.json")]) == 0
+    assert calls() == before
 
 
 def test_reports_are_byte_identical(tmp_path):

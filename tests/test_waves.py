@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from kerrlab import (DomainError, KerrParams, ModeField2p1, WaveGrid, carter_Q,
-                     energy_model3, evolve, initial_data, morawetz_bulk,
-                     pointwise_norm, radius_from_tortoise, reduced_wave_apply,
-                     symmetry_apply, tortoise_from_radius)
-from kerrlab.waves import (assemble_current, box_stack, carter_q_stack,
-                           horizon_gap_from_tortoise, lambda_theta_trapezoid,
-                           polarized_stress, sigma_box_stack)
+from kerrlab import (DomainError, EnergyReport, KerrParams, ModeField2p1,
+                     StabilityError, WaveGrid, carter_Q, energy_model3, evolve,
+                     initial_data, morawetz_bulk, pointwise_norm,
+                     radius_from_tortoise, reduced_wave_apply, symmetry_apply,
+                     tortoise_from_radius)
+from kerrlab.waves import (_metric_on_grid, assemble_current, box_stack,
+                           carter_q_stack, d2_rstar, d_rstar, d_theta,
+                           horizon_gap_from_tortoise, lambda_theta_conservative,
+                           lambda_theta_trapezoid, polarized_stress,
+                           sigma_box_stack)
 
 
 def make_grid(a=0.5, m_phi=0, n_r=120, n_theta=16, lo=-20.0, hi=30.0):
@@ -199,3 +202,48 @@ def test_grid_validation():
         make_grid(n_r=8)
     with pytest.raises(DomainError):
         make_grid(lo=10.0, hi=-10.0)
+
+
+def test_stencils_act_per_level_on_a_stack():
+    # every stencil works on the last two axes (r*, theta), so an L-level
+    # stack gives the per-level results bit for bit
+    grid = make_grid(a=0.5, m_phi=1, n_r=40, n_theta=12)
+    rng = np.random.default_rng(11)
+    shape = (5, grid.n_r, grid.n_theta)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for op in (d_rstar, d2_rstar, d_theta, lambda_theta_conservative,
+               lambda_theta_trapezoid):
+        assert np.array_equal(op(grid, stack), np.array([op(grid, s) for s in stack]))
+    dt = 0.05
+    for op in (sigma_box_stack, carter_q_stack):
+        per_level = [op(grid, stack[k - 1:k + 2], dt)[0] for k in range(1, 4)]
+        assert np.array_equal(op(grid, stack, dt), np.array(per_level))
+
+
+def test_stationary_reduced_wave_apply_is_the_spatial_operator():
+    # without a history the time-derivative terms vanish: Box psi is
+    # (Pi/Delta) (c1 D2 + c2 D1 + c3 Lambda_theta - c4) psi / Sigma
+    grid = make_grid(a=0.5, m_phi=1, n_r=40, n_theta=12)
+    psi, psi_t = initial_data(grid, family="gaussian-static", center=5.0, width=3.0)
+    box = reduced_wave_apply(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t))
+    rhs = (grid.c1 * d2_rstar(grid, psi) + grid.c2 * d_rstar(grid, psi)
+           + grid.c3 * lambda_theta_conservative(grid, psi) - grid.c4 * psi)
+    expected = grid.Pi / grid.delta[:, None] * rhs / grid.sigma
+    assert np.allclose(box, expected, rtol=1e-14, atol=0.0)
+
+
+def test_metric_on_grid_inverts():
+    grid = make_grid(a=0.7, m_phi=1, n_r=20, n_theta=8, lo=-5.0, hi=30.0)
+    g, ginv = _metric_on_grid(grid, "g"), _metric_on_grid(grid, "ginv")
+    assert g.shape == ginv.shape == (4, 4, grid.n_r, grid.n_theta)
+    eye = np.einsum("abxy,bcxy->acxy", g, ginv)
+    assert np.max(np.abs(eye - np.eye(4)[:, :, None, None])) < 1e-10
+    assert np.allclose(g[2, 2], grid.sigma, rtol=1e-14, atol=0.0)
+
+
+def test_energy_report_rejects_small_negative_values():
+    # every field is a sum of non-negative terms: any negative value is a
+    # fault, however small the data
+    EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(StabilityError):
+        EnergyReport(0.0, -1e-13, 0.0, 0.0, 0.0)
