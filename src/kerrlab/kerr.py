@@ -1,15 +1,17 @@
 """Closed-form Kerr/Schwarzschild geometry in Boyer-Lindquist coordinates.
 
 All closed forms (metric, Christoffel symbols, Killing-Yano 2-form and its
-square, principal tetrad, Coulomb test field) are derived once symbolically
-at first use (`_exprs`) and compiled once (`_forms`): each tensor
-expression is flattened, its identically zero entries are dropped, and the
-remaining entries are lambdified together with common-subexpression
-elimination into one flat kernel whose results are scattered back into an
-array of the form's shape.  Real forms return float arrays; only xi, U,
-kappa1 and m_vec are complex.  Every compiled form broadcasts over arrays
-of (r, theta), with the point axes leading.  The Killing-Yano sign is
-calibrated, not assumed: construction fails loudly unless the associated
+square, principal tetrad, Coulomb test field) are derived symbolically
+ahead of time in `_derive`, which needs sympy: each tensor expression is
+flattened, its identically zero entries are dropped, and the remaining
+entries are lambdified together with common-subexpression elimination into
+one flat kernel.  The kernels are emitted to the generated module
+`_closed_forms.py` (`python -m kerrlab._derive` rewrites it), so run time
+needs numpy only.  At first use `_forms` scatters each kernel's entries
+back into an array of the form's shape.  Real forms return float arrays;
+only xi, U, kappa1 and m_vec are complex.  Every form broadcasts over
+arrays of (r, theta), with the point axes leading.  The Killing-Yano sign
+is calibrated, not assumed: construction fails loudly unless the associated
 Killing field comes out as +d/dt.
 
 Conventions: signature (-,+,+,+); orientation eps_{t r theta phi} = +sqrt|g|;
@@ -88,203 +90,45 @@ class BLPoint:
 
 
 # ---------------------------------------------------------------------------
-# symbolic backend (built once, cached)
+# compiled closed forms (generated ahead of time, scattered at first use)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
 def _exprs():
     """Symbolic closed forms: ((m, a, r, th), {name: sympy expression}).
 
-    Tensor forms are sympy matrices or nested lists indexed like the
-    numeric arrays; scalar forms are plain expressions.
+    Derived in `_derive`, which needs sympy.  Only the tests, which check
+    the compiled forms against plain sympy, call this.
     """
-    import sympy as sp
+    from ._derive import _exprs
 
-    m, a, r, th = sp.symbols("m a r th", real=True)
-    sin, cos = sp.sin(th), sp.cos(th)
-    Sigma = r**2 + a**2 * cos**2
-    Delta = r**2 - 2 * m * r + a**2
-    Pi = (r**2 + a**2) ** 2 - Delta * a**2 * sin**2
-
-    g = sp.zeros(4, 4)
-    g[0, 0] = -1 + 2 * m * r / Sigma
-    g[0, 3] = g[3, 0] = -2 * m * r * a * sin**2 / Sigma
-    g[1, 1] = Sigma / Delta
-    g[2, 2] = Sigma
-    g[3, 3] = Pi * sin**2 / Sigma
-
-    ginv = sp.zeros(4, 4)
-    ginv[0, 0] = -Pi / (Sigma * Delta)
-    ginv[0, 3] = ginv[3, 0] = -2 * m * r * a / (Sigma * Delta)
-    ginv[1, 1] = Delta / Sigma
-    ginv[2, 2] = 1 / Sigma
-    ginv[3, 3] = (Delta - a**2 * sin**2) / (Sigma * Delta * sin**2)
-
-    sqrtg = Sigma * sin
-
-    coords = [None, r, th, None]  # stationary and axisymmetric
-
-    def d(expr, c):
-        if coords[c] is None:
-            return sp.Integer(0)
-        return sp.diff(expr, coords[c])
-
-    dg = [[[d(g[i, j], c) for j in range(4)] for i in range(4)] for c in range(4)]
-    gamma = [
-        [
-            [
-                sum(
-                    ginv[c, dd] * (dg[aa][dd][bb] + dg[bb][dd][aa] - dg[dd][aa][bb])
-                    for dd in range(4)
-                )
-                / 2
-                for bb in range(4)
-            ]
-            for aa in range(4)
-        ]
-        for c in range(4)
-    ]
-
-    # Killing-Yano 2-form:
-    #   Y = a cos(th) dr ^ (dt - a sin^2 dphi) + r sin(th) dth ^ ((r^2+a^2) dphi - a dt)
-    Y = sp.zeros(4, 4)
-    Y[1, 0] = a * cos
-    Y[1, 3] = -(a**2) * cos * sin**2
-    Y[2, 3] = r * (r**2 + a**2) * sin
-    Y[2, 0] = -a * r * sin
-    Y[0, 1] = -Y[1, 0]
-    Y[3, 1] = -Y[1, 3]
-    Y[3, 2] = -Y[2, 3]
-    Y[0, 2] = -Y[2, 0]
-
-    K = Y * ginv * Y  # K_ab = Y_ac g^{cd} Y_db
-
-    dY = [[[d(Y[i, j], c) for j in range(4)] for i in range(4)] for c in range(4)]
-    dK = [[[d(K[i, j], c) for j in range(4)] for i in range(4)] for c in range(4)]
-
-    # Hodge dual of Y with eps_{trthph} = +sqrtg
-    eps = sp.LeviCivita
-    starY = sp.zeros(4, 4)
-    for i in range(4):
-        for j in range(4):
-            s = sp.Integer(0)
-            for c in range(4):
-                for dd in range(4):
-                    e = eps(i, j, c, dd)
-                    if e != 0:
-                        s += (
-                            e
-                            * sqrtg
-                            * sum(
-                                ginv[c, p] * ginv[dd, q] * Y[p, q]
-                                for p in range(4)
-                                for q in range(4)
-                            )
-                        ) / 2
-            starY[i, j] = s
-
-    def mixed(M):
-        # M_a{}^b = M_ac g^{cb}
-        return M * ginv
-
-    def div_mixed(Mx):
-        # nabla_b M_a{}^b for a (down, up) tensor
-        out = []
-        for aa in range(4):
-            s = sp.Integer(0)
-            for bb in range(4):
-                s += d(Mx[aa, bb], bb)
-                for c in range(4):
-                    s += gamma[bb][bb][c] * Mx[aa, c]
-                    s -= gamma[c][bb][aa] * Mx[c, bb]
-            out.append(s)
-        return out
-
-    divY = div_mixed(mixed(Y))
-    divStarY = div_mixed(mixed(starY))
-    xi = [sp.Rational(1, 3) * sp.I * divY[aa] - sp.Rational(1, 3) * divStarY[aa] for aa in range(4)]
-
-    kappa1 = -(r - sp.I * a * cos) / 3
-    U = [sp.Integer(0), -sp.diff(kappa1, r) / kappa1, -sp.diff(kappa1, th) / kappa1, sp.Integer(0)]
-
-    # Kinnersley principal tetrad (contravariant components)
-    sqrt2 = sp.sqrt(2)
-    l_up = [(r**2 + a**2) / Delta, sp.Integer(1), sp.Integer(0), a / Delta]
-    n_up = [(r**2 + a**2) / (2 * Sigma), -Delta / (2 * Sigma), sp.Integer(0), a / (2 * Sigma)]
-    mden = sqrt2 * (r + sp.I * a * cos)
-    m_up = [sp.I * a * sin / mden, sp.Integer(0), 1 / mden, sp.I / (sin * mden)]
-
-    # Coulomb test potential and field strength, unit charge:
-    #   A = -(r/Sigma) (dt - a sin^2 dphi)
-    A = [-(r / Sigma), sp.Integer(0), sp.Integer(0), r * a * sin**2 / Sigma]
-    F = sp.zeros(4, 4)
-    for i in range(4):
-        for j in range(4):
-            F[i, j] = d(A[j], i) - d(A[i], j)
-
-    # Uniform-magnetic-field test solution (unit field strength): for any
-    # Killing vector of a vacuum spacetime, d(xi-flat) solves Maxwell; the
-    # aligned-at-infinity combination uses (d/dphi)-flat + 2a (d/dt)-flat.
-    A_unif = [(g[0, 3] + 2 * a * g[0, 0]) / 2, sp.Integer(0), sp.Integer(0), (g[3, 3] + 2 * a * g[0, 3]) / 2]
-    F_unif = sp.zeros(4, 4)
-    for i in range(4):
-        for j in range(4):
-            F_unif[i, j] = d(A_unif[j], i) - d(A_unif[i], j)
-
-    exprs = {
-        "g": g,
-        "ginv": ginv,
-        "sqrtg": sqrtg,
-        "gamma": gamma,
-        "Y": Y,
-        "dY": dY,
-        "K": K,
-        "dK": dK,
-        "starY": starY,
-        "xi": xi,
-        "kappa1": kappa1,
-        "U": U,
-        "l": l_up,
-        "n": n_up,
-        "m_vec": m_up,
-        "F_coulomb": F,
-        "F_uniform": F_unif,
-    }
-    return (m, a, r, th), exprs
+    return _exprs()
 
 
 # Forms with genuinely complex values; every other form is real.
 COMPLEX_FORMS = frozenset({"xi", "U", "kappa1", "m_vec"})
 
 
-def _compile(args, expr, dtype):
-    """One flat kernel for a tensor-valued expression.
+def _scatter(kernel, shape, idx, dtype):
+    """The form (m, a, r, th) -> array of one generated kernel.
 
-    The expression is flattened, its identically zero entries are dropped,
-    and the rest are lambdified together with common-subexpression
-    elimination.  The returned callable (m, a, r, th) takes scalar m and a,
-    and r and theta as scalars or broadcastable arrays; it scatters the
-    entries into a fresh array of shape broadcast(r, th).shape + form shape,
-    broadcasting the constant ones.
+    The kernel returns the form's non-zero entries at the flat indices idx.
+    m and a are scalars; r and theta are scalars or broadcastable arrays.
+    The entries are scattered into a fresh array of shape
+    broadcast(r, th).shape + shape, broadcasting the constant ones.
     """
-    import sympy as sp
-
-    entries = np.array(expr.tolist() if isinstance(expr, sp.MatrixBase) else expr, dtype=object)
-    shape = entries.shape
-    flat = entries.ravel()
-    idx = np.flatnonzero([e != 0 for e in flat])
-    kernel = sp.lambdify(args, list(flat[idx]), modules="numpy", cse=True)
+    size = math.prod(shape)
+    idx = np.array(idx)
     form_axes = range(len(shape))
 
     def form(m, a, r, th):
         vals = kernel(m, a, r, th)
         if isinstance(r, float) and isinstance(th, float):  # one point: the hot path
-            out = np.zeros(flat.size, dtype=dtype)
+            out = np.zeros(size, dtype=dtype)
             out[idx] = vals
             return out.reshape(shape)
         points = np.broadcast(m, a, r, th).shape
-        out = np.zeros((flat.size,) + points, dtype=dtype)
+        out = np.zeros((size,) + points, dtype=dtype)
         for k, v in zip(idx, vals):
             out[k] = v
         # point axes first: result[..., i, j] is the form at every point
@@ -295,10 +139,10 @@ def _compile(args, expr, dtype):
 
 @lru_cache(maxsize=1)
 def _forms():
-    """name -> compiled numeric callable (m, a, r, th) -> array."""
-    args, exprs = _exprs()
-    return {name: _compile(args, e, complex if name in COMPLEX_FORMS else float)
-            for name, e in exprs.items()}
+    """name -> numeric callable (m, a, r, th) -> array."""
+    from ._closed_forms import FORMS
+
+    return {name: _scatter(*entry) for name, entry in FORMS.items()}
 
 
 def _eval(name, params: KerrParams, p: BLPoint):

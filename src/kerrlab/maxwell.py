@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -66,33 +66,9 @@ def _metric_provider(params):
     return lambda q: kerr_metric(params, _point(params, q))
 
 
-@lru_cache(maxsize=32)
-def _coulomb_calibration(params: KerrParams):
-    """Validate the Coulomb ansatz: the Maxwell divergence residual must
-    converge to zero under step refinement at a spread of exterior points."""
-    rng = np.random.default_rng(1234)
-    pts = random_exterior_points(params, 5, rng, r_range=(None, 10.0))
-    for p in pts:
-        res_h = maxwell_divergence_residual(params, lambda q: _coulomb_F(params, q), p, step=1e-2)
-        res_h2 = maxwell_divergence_residual(params, lambda q: _coulomb_F(params, q), p, step=5e-3)
-        if not (res_h2 <= 1e-6 and (res_h2 < res_h or res_h < 1e-10)):
-            raise CalibrationError(
-                f"Coulomb ansatz failed Maxwell validation at {p.coords}: {res_h} -> {res_h2}"
-            )
-    return True
-
-
 def _coulomb_F(params, coords):
     p = _point(params, coords)
     return TensorValue((DOWN, DOWN), coulomb_F_unit(params, p))
-
-
-def coulomb_field(params: KerrParams, q: float, p: BLPoint) -> MaxwellSample:
-    """Stationary Coulomb-type Maxwell field of charge q (F = dA closed by
-    construction)."""
-    _coulomb_calibration(params)
-    F = q * coulomb_F_unit(params, p)
-    return MaxwellSample(TensorValue((DOWN, DOWN), F), p, provenance="coulomb")
 
 
 def _uniform_F(params, coords):
@@ -100,19 +76,38 @@ def _uniform_F(params, coords):
     return TensorValue((DOWN, DOWN), uniform_F_unit(params, p))
 
 
-@lru_cache(maxsize=32)
-def _uniform_calibration(params: KerrParams):
-    """Maxwell validation for the uniform-field solution (same test as Coulomb)."""
-    rng = np.random.default_rng(4321)
+# field -> (label, coords -> F given params, point seed, tolerance at the finer
+# step, residual below which the coarser step counts as converged)
+_CALIBRATIONS = {
+    "coulomb": ("Coulomb", _coulomb_F, 1234, 1e-6, 1e-10),
+    "uniform": ("uniform-field", _uniform_F, 4321, 1e-5, 1e-9),
+}
+
+
+@lru_cache(maxsize=64)
+def _calibration(params: KerrParams, field: str):
+    """Validate a closed-form field: the Maxwell divergence residual must
+    converge to zero under step refinement at a spread of exterior points."""
+    label, F, seed, tol, floor = _CALIBRATIONS[field]
+    F_field = partial(F, params)
+    rng = np.random.default_rng(seed)
     pts = random_exterior_points(params, 5, rng, r_range=(None, 10.0))
     for p in pts:
-        res_h = maxwell_divergence_residual(params, lambda q: _uniform_F(params, q), p, step=1e-2)
-        res_h2 = maxwell_divergence_residual(params, lambda q: _uniform_F(params, q), p, step=5e-3)
-        if not (res_h2 <= 1e-5 and (res_h2 < res_h or res_h < 1e-9)):
+        res_h = maxwell_divergence_residual(params, F_field, p, step=1e-2)
+        res_h2 = maxwell_divergence_residual(params, F_field, p, step=5e-3)
+        if not (res_h2 <= tol and (res_h2 < res_h or res_h < floor)):
             raise CalibrationError(
-                f"uniform-field ansatz failed Maxwell validation at {p.coords}: {res_h} -> {res_h2}"
+                f"{label} ansatz failed Maxwell validation at {p.coords}: {res_h} -> {res_h2}"
             )
     return True
+
+
+def coulomb_field(params: KerrParams, q: float, p: BLPoint) -> MaxwellSample:
+    """Stationary Coulomb-type Maxwell field of charge q (F = dA closed by
+    construction)."""
+    _calibration(params, "coulomb")
+    F = q * coulomb_F_unit(params, p)
+    return MaxwellSample(TensorValue((DOWN, DOWN), F), p, provenance="coulomb")
 
 
 def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
@@ -120,7 +115,7 @@ def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
 
     Unlike the Coulomb field this one is not aligned with the principal null
     directions, so it produces nonzero Z, eta and V."""
-    _uniform_calibration(params)
+    _calibration(params, "uniform")
     F = b * uniform_F_unit(params, p)
     return MaxwellSample(TensorValue((DOWN, DOWN), F), p, provenance="uniform")
 
@@ -166,10 +161,13 @@ def stress_tensor(sample: MaxwellSample) -> TensorValue:
     return TensorValue((DOWN, DOWN), T)
 
 
-def Z_form(sample: MaxwellSample) -> TensorValue:
-    """Z_ab = -(4/3) (*F)_[a^c Y_b]c with the calibrated Killing-Yano form."""
+def Z_form(sample: MaxwellSample, metric=None) -> TensorValue:
+    """Z_ab = -(4/3) (*F)_[a^c Y_b]c with the calibrated Killing-Yano form.
+
+    metric, when given, is the Kerr metric at the sample's point."""
     params = sample.point.params
-    metric = kerr_metric(params, sample.point)
+    if metric is None:
+        metric = kerr_metric(params, sample.point)
     starF = hodge_dual2(sample.F, metric).components
     ginv = metric.g_inv.components.real
     Y = killing_yano(params, sample.point).components.real
@@ -178,22 +176,13 @@ def Z_form(sample: MaxwellSample) -> TensorValue:
     return TensorValue((DOWN, DOWN), Z)
 
 
-def _Z_field(params, F_field):
-    def field(coords):
-        p = _point(params, coords)
-        return Z_form(MaxwellSample(F_field(coords), p))
-
-    return field
-
-
 def _mixed_W_field(params, F_field):
     """coords -> W_a{}^b = (Z + i *Z)_a{}^b, the combination whose divergence is eta."""
-    zf = _Z_field(params, F_field)
 
     def field(coords):
         p = _point(params, coords)
         metric = kerr_metric(params, p)
-        Z = zf(coords)
+        Z = Z_form(MaxwellSample(F_field(coords), p), metric)
         starZ = hodge_dual2(Z, metric)
         ginv = metric.g_inv.components.real
         W = (Z.components + 1j * starZ.components) @ ginv
@@ -243,17 +232,15 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
     The divergence max_b |nabla^a V_ab| uses Richardson-extrapolated central
     differences at the outer layer; the nested eta layer uses the same step.
     """
-    zf = _Z_field(params, F_field)
+    # point -> xi^a = g^ab xi_b, shared by the Lie derivatives along Re xi and Im xi
+    xi_up_at = {}
 
-    def xi_up_field(which):
-        def field(coords):
+    def xi_up(coords):
+        key = tuple(coords)
+        if key not in xi_up_at:
             q = _point(params, coords)
-            ginv = _eval("ginv", params, q)
-            xi = _eval("xi", params, q)
-            up = ginv @ xi
-            return up.real if which == "re" else up.imag
-
-        return field
+            xi_up_at[key] = _eval("ginv", params, q) @ _eval("xi", params, q)
+        return xi_up_at[key]
 
     # point -> (V, Z, eta): the centre serves V0, both outer stencils and the report
     evaluated = {}
@@ -271,15 +258,15 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
         V = 0.5 * (np.outer(eta, eta.conj()) + np.outer(eta.conj(), eta))
         V -= 0.5 * g * (eta @ ginv @ eta.conj())
 
-        Z_tv = zf(coords)
+        Z_tv = Z_form(MaxwellSample(F_field(coords), q), metric)
         Z = Z_tv.components
-        lieF = _lie_2form(params, xi_up_field("re"), F_field, coords, step)
+        lieF = _lie_2form(params, lambda c: xi_up(c).real, F_field, coords, step)
 
         def star_field(coords2):
             q2 = _point(params, coords2)
             return hodge_dual2(F_field(coords2), kerr_metric(params, q2))
 
-        lieStarF = _lie_2form(params, xi_up_field("im"), star_field, coords, step)
+        lieStarF = _lie_2form(params, lambda c: xi_up(c).imag, star_field, coords, step)
 
         def coupling(L, sign):
             # sign * [ (1/3) L_(a^c Z_b)c - (1/12) g_ab L^{cd} Z_cd ]

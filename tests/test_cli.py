@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kerrlab
 from kerrlab.cli import main
 
 
@@ -91,7 +95,7 @@ def test_wave_csv_schema(tmp_path):
 
 def test_wave_subcommands_do_not_build_kerr_forms(tmp_path):
     # the wave evolver takes its geometry from WaveGrid alone; the compiled
-    # Kerr forms (a sympy derivation and lambdify) stay off its CLI paths
+    # Kerr forms (the scattered kernels of _closed_forms) stay off its CLI paths
     from kerrlab.kerr import _forms
 
     calls = lambda: _forms.cache_info().hits + _forms.cache_info().misses
@@ -154,3 +158,22 @@ def test_invariant_violation_exits_one(tmp_path):
 def test_degenerate_counts_and_extents_are_input_errors(args, capsys):
     assert main(args) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_geometry_subcommands_run_without_sympy(tmp_path):
+    # the closed forms are compiled ahead of time into _closed_forms; a fresh
+    # interpreter running the geometry subcommands never imports sympy
+    code = f"""
+import sys
+from kerrlab import cli
+for argv in (["geodesic", "--t-max", "20", "--n-samples", "20"],
+             ["kerr-check", "--n-points", "2"]):
+    sub, cfg = cli.parse_config(argv + ["--out", {str(tmp_path / "r.json")!r}])
+    assert cli.run(sub, cfg) == 0, sub
+assert "sympy" not in sys.modules, "sympy was imported"
+"""
+    src = os.path.dirname(os.path.dirname(kerrlab.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -151,3 +151,21 @@ def test_compiled_forms_broadcast_over_points():
             assert batch.shape == single.shape and batch.dtype == single.dtype, name
             scale = max(np.max(np.abs(single), initial=0.0), 1e-300)
             assert np.max(np.abs(batch - single), initial=0.0) <= 1e-13 * scale, name
+
+
+def test_closed_forms_module_is_current():
+    # re-deriving with sympy reproduces the committed _closed_forms.py byte for byte
+    from kerrlab import _derive
+
+    assert _derive.main(["--check"]) == 0
+
+
+def test_derive_check_rejects_a_stale_module(tmp_path, monkeypatch):
+    from kerrlab import _derive
+
+    stale = tmp_path / "_closed_forms.py"
+    stale.write_text(_derive.TARGET.read_text().replace("x0", "y0", 1))
+    monkeypatch.setattr(_derive, "TARGET", stale)
+    assert _derive.main(["--check"]) == 1
+    assert _derive.main([]) == 0 and _derive.main(["--check"]) == 0
+    assert stale.read_text() == _derive.emit()

@@ -5,9 +5,9 @@ import pytest
 
 from kerrlab import (BLPoint, KerrParams, V_tensor, Z_form, coulomb_field,
                      dominant_energy_value, eta_oneform, hodge_dual2,
-                     kerr_metric, maxwell_divergence_residual, np_scalars,
-                     principal_tetrad, random_exterior_points, stress_tensor,
-                     uniform_field)
+                     kerr_metric, killing_yano, maxwell_divergence_residual,
+                     np_scalars, principal_tetrad, random_exterior_points,
+                     stress_tensor, uniform_field)
 from kerrlab.maxwell import _coulomb_F, _uniform_F
 
 PARAMS = KerrParams(1.0, 0.5)
@@ -121,3 +121,31 @@ def test_V_tensor_evaluates_each_point_once(monkeypatch):
     rep = V_tensor(PARAMS, F, p, step=1e-3)
     assert len(calls) == 17 and len(set(calls)) == 17
     assert np.array_equal(rep.eta.components, inner(PARAMS, F, p, step=1e-3).components)
+
+
+def test_V_tensor_geometry_evaluation_counts(monkeypatch):
+    # W evaluates the metric once for itself and its Z, and xi^a is evaluated
+    # once for the Lie derivatives along both Re xi and Im xi.  kerr_metric:
+    # 17 points x (centre + 9 W points + eta's connection + 9 *F points) + the
+    # 2 outer connections; xi: 17 points x 9 Lie-derivative points
+    import kerrlab.kerr as kerr
+    import kerrlab.maxwell as maxwell
+
+    p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
+    killing_yano(PARAMS, p)  # the cached Killing-Yano calibration evaluates xi once
+    counts = {"kerr_metric": 0, "xi": 0}
+    metric, evaluate = maxwell.kerr_metric, kerr._eval
+
+    def counted_metric(*args):
+        counts["kerr_metric"] += 1
+        return metric(*args)
+
+    def counted_eval(name, *args):
+        counts["xi"] += name == "xi"
+        return evaluate(name, *args)
+
+    monkeypatch.setattr(maxwell, "kerr_metric", counted_metric)
+    monkeypatch.setattr(maxwell, "_eval", counted_eval)
+    monkeypatch.setattr(kerr, "_eval", counted_eval)
+    V_tensor(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
+    assert counts == {"kerr_metric": 342, "xi": 153}
