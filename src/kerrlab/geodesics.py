@@ -196,6 +196,16 @@ def conserved_drift(params: KerrParams, traj: Trajectory, causal_type: str):
     return np.max(np.abs(vals - ref) / scale, axis=0)
 
 
+def _angular_velocity(A, B, C, prograde, no_root):
+    """The prograde (larger) or retrograde root Omega of A Omega^2 + B Omega + C = 0;
+    DomainError(no_root) when there is no real root."""
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        raise DomainError(no_root)
+    roots = sorted(((-B - math.sqrt(disc)) / (2 * A), (-B + math.sqrt(disc)) / (2 * A)))
+    return roots[1] if prograde else roots[0]
+
+
 def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> GeodesicState:
     """Equatorial circular timelike orbit at Boyer-Lindquist radius r.
 
@@ -205,14 +215,8 @@ def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> Geodesi
     """
     p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
     gamma = _eval("gamma", params, p)
-    A = gamma[1, 3, 3]
-    B = 2.0 * gamma[1, 0, 3]
-    C = gamma[1, 0, 0]
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        raise DomainError(f"no circular orbit at r={r}")
-    roots = sorted(((-B - math.sqrt(disc)) / (2 * A), (-B + math.sqrt(disc)) / (2 * A)))
-    omega = roots[1] if prograde else roots[0]
+    omega = _angular_velocity(gamma[1, 3, 3], 2.0 * gamma[1, 0, 3], gamma[1, 0, 0], prograde,
+                              f"no circular orbit at r={r}")
     g = _eval("g", params, p)
     quad = g[0, 0] + 2 * omega * g[0, 3] + omega**2 * g[3, 3]
     if quad >= 0:
@@ -227,12 +231,8 @@ def null_circular_state(params: KerrParams, r: float, prograde=True) -> Geodesic
     p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
     g = _eval("g", params, p)
     # g_tt + 2 Omega g_tphi + Omega^2 g_phiphi = 0
-    A, B, C = g[3, 3], 2 * g[0, 3], g[0, 0]
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        raise DomainError(f"no null directions at r={r}")
-    roots = sorted(((-B - math.sqrt(disc)) / (2 * A), (-B + math.sqrt(disc)) / (2 * A)))
-    omega = roots[1] if prograde else roots[0]
+    omega = _angular_velocity(g[3, 3], 2 * g[0, 3], g[0, 0], prograde,
+                              f"no null directions at r={r}")
     u = np.array([1.0, 0.0, 0.0, omega])
     return GeodesicState(p, TensorValue((UP,), u), "null")
 
@@ -251,10 +251,8 @@ def photon_orbit_radius(params: KerrParams, bracket, prograde=True, tol=1e-14) -
     def residual(r):
         p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
         g = _eval("g", params, p)
-        A, B, C = g[3, 3], 2 * g[0, 3], g[0, 0]
-        disc = B * B - 4 * A * C
-        roots = sorted(((-B - math.sqrt(disc)) / (2 * A), (-B + math.sqrt(disc)) / (2 * A)))
-        omega = roots[1] if prograde else roots[0]
+        omega = _angular_velocity(g[3, 3], 2 * g[0, 3], g[0, 0], prograde,
+                                  f"no null directions at r={r}")
         gamma = _eval("gamma", params, p)
         return gamma[1, 0, 0] + 2 * omega * gamma[1, 0, 3] + omega**2 * gamma[1, 3, 3]
 

@@ -5,7 +5,10 @@ Maxwell divergence residual before being trusted) and computes, at arbitrary
 exterior points: Newman-Penrose scalars, the stress tensor, the 2-form
 Z_ab = -(4/3)(*F)_[a^c Y_b]c, the complex current eta_a, and the symmetric
 conserved tensor V_ab together with a nested-finite-difference residual of
-its conservation law.
+its conservation law.  The nested stencil is sampled once: the field at
+every one of its points, and the geometry at all of them in one broadcasting
+closed-form call per quantity; the rest is array arithmetic over the
+leading point axes.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ from .kerr import (
     BLPoint,
     KerrParams,
     _eval,
+    _forms,
+    _ky_calibration,
     coulomb_F_unit,
     kerr_metric,
     killing_yano,
-    principal_tetrad,
     random_exterior_points,
     uniform_F_unit,
 )
-from .tensors import DOWN, UP, TensorValue, cov_deriv_fd, hodge_dual2
+from .tensors import (DOWN, UP, TensorValue, _cov_fd, _fd_rule, _hodge, _partial_fd,
+                      _stencil, cov_deriv_fd, hodge_dual2)
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,6 @@ class CurrentReport:
 
 def _point(params, coords):
     return BLPoint(coords[0], coords[1], coords[2], coords[3], params)
-
-
-def _metric_provider(params):
-    return lambda q: kerr_metric(params, _point(params, q))
 
 
 def _coulomb_F(params, coords):
@@ -122,7 +123,8 @@ def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
 
 def maxwell_divergence_residual(params, F_field, p: BLPoint, step=1e-3, order=4) -> float:
     """max_b |nabla^a F_ab| for a sampled field strength (coords -> TensorValue)."""
-    nabla = cov_deriv_fd(F_field, p.coords, _metric_provider(params), step, order=order)
+    metric = lambda q: kerr_metric(params, _point(params, q))
+    nabla = cov_deriv_fd(F_field, p.coords, metric, step, order=order)
     ginv = _eval("ginv", params, p)
     div = np.einsum("ca,cab->b", ginv, nabla.components)
     return float(np.max(np.abs(div)))
@@ -161,6 +163,12 @@ def stress_tensor(sample: MaxwellSample) -> TensorValue:
     return TensorValue((DOWN, DOWN), T)
 
 
+def _Z(starF, ginv, Y):
+    """Z_ab = -(4/3) (*F)_[a^c Y_b]c over leading point axes."""
+    M = np.einsum("...ad,...dc,...bc->...ab", starF, ginv, Y)  # (*F)_a{}^c Y_bc
+    return -(2.0 / 3.0) * (M - np.swapaxes(M, -1, -2))
+
+
 def Z_form(sample: MaxwellSample, metric=None) -> TensorValue:
     """Z_ab = -(4/3) (*F)_[a^c Y_b]c with the calibrated Killing-Yano form.
 
@@ -169,57 +177,68 @@ def Z_form(sample: MaxwellSample, metric=None) -> TensorValue:
     if metric is None:
         metric = kerr_metric(params, sample.point)
     starF = hodge_dual2(sample.F, metric).components
-    ginv = metric.g_inv.components.real
     Y = killing_yano(params, sample.point).components.real
-    M = np.einsum("ad,dc,bc->ab", starF, ginv, Y)  # (*F)_a{}^c Y_bc
-    Z = -(2.0 / 3.0) * (M - M.T)
-    return TensorValue((DOWN, DOWN), Z)
+    return TensorValue((DOWN, DOWN), _Z(starF, metric.g_inv.components.real, Y))
 
 
-def _mixed_W_field(params, F_field):
-    """coords -> W_a{}^b = (Z + i *Z)_a{}^b, the combination whose divergence is eta."""
+def _leading(eta, g, ginv):
+    """eta_(a etabar_b) - 1/2 g_ab eta.etabar over leading point axes."""
+    outer = eta[..., :, None] * eta.conj()[..., None, :]
+    norm = np.einsum("...a,...ab,...b->...", eta, ginv, eta.conj())
+    return 0.5 * (outer + np.swapaxes(outer, -1, -2)) - 0.5 * g * norm[..., None, None]
 
-    def field(coords):
-        p = _point(params, coords)
-        metric = kerr_metric(params, p)
-        Z = Z_form(MaxwellSample(F_field(coords), p), metric)
-        starZ = hodge_dual2(Z, metric)
-        ginv = metric.g_inv.components.real
-        W = (Z.components + 1j * starZ.components) @ ginv
-        return TensorValue((DOWN, UP), W)
 
-    return field
+def _sample(params, F_field, pts):
+    """F and the geometry on chart points pts[..., 4].
+
+    Each point is validated as a BLPoint and each field value as a
+    MaxwellSample; g, ginv, sqrtg, gamma, Y and xi come from one broadcasting
+    closed-form call each.  Returns (F, {name: array}), point axes leading.
+    """
+    flat = pts.reshape(-1, 4)
+    F = np.array([MaxwellSample(F_field(q), _point(params, q)).F.components for q in flat])
+    forms = _forms()
+    r, th = pts[..., 1], pts[..., 2]
+    geo = {name: forms[name](params.m, params.a, r, th)
+           for name in ("g", "ginv", "sqrtg", "gamma", "Y", "xi")}
+    geo["Y"] = _ky_calibration(params) * geo["Y"]
+    return F.reshape(pts.shape[:-1] + (4, 4)), geo
+
+
+def _eta(F, geo, step, weights):
+    """Z, *F and eta_a = nabla_b (Z + i *Z)_a^b from samples on a stencil
+    (stencil axis just before the slot axes); eta at the stencil centres."""
+    ginv, sqrtg = geo["ginv"], geo["sqrtg"]
+    starF = _hodge(F, ginv, sqrtg)
+    Z = _Z(starF, ginv, geo["Y"])
+    W = np.einsum("...ac,...cb->...ab", Z + 1j * _hodge(Z, ginv, sqrtg), ginv)  # W_a{}^b
+    nabla = _cov_fd(W, geo["gamma"][..., 0, :, :, :], (DOWN, UP), step, weights)
+    return Z, starF, np.einsum("...bab->...a", nabla)
 
 
 def eta_oneform(params: KerrParams, F_field, p: BLPoint, step=1e-3, order=2) -> TensorValue:
     """eta_a = nabla_b Z_a^b + i nabla_b (*Z)_a^b by covariant finite differences."""
-    W = _mixed_W_field(params, F_field)
-    nabla = cov_deriv_fd(W, p.coords, _metric_provider(params), step, order=order)
-    eta = np.einsum("bab->a", nabla.components)
-    return TensorValue((DOWN,), eta)
+    offsets, weights = _fd_rule(order)
+    F, geo = _sample(params, F_field, _stencil(p.coords, step, offsets))
+    return TensorValue((DOWN,), _eta(F, geo, step, weights)[2])
 
 
-def _lie_2form(params, X_field, F_field, coords, step):
-    """Coordinate Lie derivative (L_X F)_ab = X^c d_c F_ab + F_cb d_a X^c + F_ac d_b X^c."""
-    coords = np.asarray(coords, dtype=float)
-    F0 = F_field(coords).components
+def _lie(X, F, step, weights):
+    """(L_X F)_ab = X^c d_c F_ab + F_cb d_a X^c + F_ac d_b X^c at the stencil
+    centres, from samples X[..., s, a] and F[..., s, a, b] on a stencil."""
+    dX = _partial_fd(X, step, weights, 1)  # [..., c, a] = d_c X^a
+    dF = _partial_fd(F, step, weights, 2)
+    X0, F0 = X[..., 0, :], F[..., 0, :, :]
+    return (np.einsum("...c,...cab->...ab", X0, dF)
+            + np.einsum("...ac,...cb->...ab", dX, F0)
+            + np.einsum("...bc,...ac->...ab", dX, F0))
 
-    def partial(f, shape):
-        out = np.zeros((4,) + shape, dtype=complex)
-        for c in range(4):
-            qp, qm = coords.copy(), coords.copy()
-            qp[c] += step
-            qm[c] -= step
-            out[c] = (f(qp) - f(qm)) / (2 * step)
-        return out
 
-    dF = partial(lambda q: F_field(q).components, (4, 4))
-    X0 = X_field(coords)
-    dX = partial(X_field, (4,))
-    lie = np.einsum("c,cab->ab", X0, dF)
-    lie += np.einsum("ac,cb->ab", dX, F0)
-    lie += np.einsum("bc,ac->ab", dX, F0)
-    return lie
+def _coupling(L, Z, g, ginv):
+    """(1/3) L_(a^c Z_b)c - (1/12) g_ab L^{cd} Z_cd over leading point axes."""
+    M = np.einsum("...ad,...dc,...bc->...ab", L, ginv, Z)
+    scalar = np.einsum("...ab,...ac,...bd,...cd->...", L, ginv, ginv, Z)
+    return 0.5 * (M + np.swapaxes(M, -1, -2)) / 3.0 - g * scalar[..., None, None] / 12.0
 
 
 def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentReport:
@@ -231,94 +250,43 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
 
     The divergence max_b |nabla^a V_ab| uses Richardson-extrapolated central
     differences at the outer layer; the nested eta layer uses the same step.
+    All 17 x 9 points of the nested stencil are sampled in one pass and the
+    rest is array arithmetic over the (outer, inner) point axes.
     """
-    # point -> xi^a = g^ab xi_b, shared by the Lie derivatives along Re xi and Im xi
-    xi_up_at = {}
-
-    def xi_up(coords):
-        key = tuple(coords)
-        if key not in xi_up_at:
-            q = _point(params, coords)
-            xi_up_at[key] = _eval("ginv", params, q) @ _eval("xi", params, q)
-        return xi_up_at[key]
-
-    # point -> (V, Z, eta): the centre serves V0, both outer stencils and the report
-    evaluated = {}
-
-    def V_Z_eta(coords):
-        key = tuple(coords)
-        if key in evaluated:
-            return evaluated[key]
-        q = _point(params, coords)
-        metric = kerr_metric(params, q)
-        g = metric.g.components.real
-        ginv = metric.g_inv.components.real
-        eta_tv = eta_oneform(params, F_field, q, step=step)
-        eta = eta_tv.components
-        V = 0.5 * (np.outer(eta, eta.conj()) + np.outer(eta.conj(), eta))
-        V -= 0.5 * g * (eta @ ginv @ eta.conj())
-
-        Z_tv = Z_form(MaxwellSample(F_field(coords), q), metric)
-        Z = Z_tv.components
-        lieF = _lie_2form(params, lambda c: xi_up(c).real, F_field, coords, step)
-
-        def star_field(coords2):
-            q2 = _point(params, coords2)
-            return hodge_dual2(F_field(coords2), kerr_metric(params, q2))
-
-        lieStarF = _lie_2form(params, lambda c: xi_up(c).imag, star_field, coords, step)
-
-        def coupling(L, sign):
-            # sign * [ (1/3) L_(a^c Z_b)c - (1/12) g_ab L^{cd} Z_cd ]
-            Lmix = L @ ginv  # L_a{}^c
-            M = np.einsum("ac,bc->ab", Lmix, Z)
-            sym = 0.5 * (M + M.T)
-            scalar = np.einsum("ab,ac,bd,cd->", L, ginv, ginv, Z)
-            return sign * (sym / 3.0 - g * scalar / 12.0)
-
-        V -= coupling(lieF, 1.0)
-        V += coupling(lieStarF, 1.0)
-        evaluated[key] = (TensorValue((DOWN, DOWN), V), Z_tv, eta_tv)
-        return evaluated[key]
-
-    def V_field(coords):
-        return V_Z_eta(coords)[0]
-
-    V0, Z0, eta0 = V_Z_eta(p.coords)
-    if np.max(np.abs(V0.components.imag)) > 1e-11 * max(1.0, np.max(np.abs(V0.components))):
-        raise CalibrationError("V has a non-negligible imaginary part")
-
-    mp = _metric_provider(params)
-
-    def div_norm(h):
-        nabla = cov_deriv_fd(V_field, p.coords, mp, h, order=2).components
-        ginv = _eval("ginv", params, p)
-        return np.einsum("ca,cab->b", ginv, nabla)
-
     # The outer layer differentiates a field that itself carries O(step^2)
     # inner truncation error plus roundoff amplified by 1/step.  A wider
-    # outer step (~ sqrt of the inner one) keeps the overall error O(step^2)
-    # while avoiding roundoff blow-up; Richardson removes the outer O(h^2).
-    h_out = math.sqrt(step)
-    d1 = div_norm(h_out)
-    d2 = div_norm(h_out / 2.0)
-    div = (4.0 * d2 - d1) / 3.0
-    residual = float(np.max(np.abs(div)))
+    # outer step h (~ sqrt of the inner one) keeps the overall error O(step^2)
+    # while avoiding roundoff blow-up.  Richardson extrapolation of the
+    # central differences at h and h/2 is the fourth-order stencil at h/2.
+    h = math.sqrt(step) / 2.0
+    offsets, weights = _fd_rule(2)
+    out_offsets, out_weights = _fd_rule(4)
+    pts = _stencil(_stencil(p.coords, h, out_offsets), step, offsets)  # (17, 9, 4)
+    F, geo = _sample(params, F_field, pts)
+    Z, starF, eta = _eta(F, geo, step, weights)
+    xi_up = np.einsum("...ab,...b->...a", geo["ginv"], geo["xi"])
+    g, ginv = geo["g"][:, 0], geo["ginv"][:, 0]
+    Z0 = Z[:, 0]
+    V = (_leading(eta, g, ginv)
+         - _coupling(_lie(xi_up.real, F, step, weights), Z0, g, ginv)
+         + _coupling(_lie(xi_up.imag, starF, step, weights), Z0, g, ginv))
+    if np.max(np.abs(V[0].imag)) > 1e-11 * max(1.0, np.max(np.abs(V[0]))):
+        raise CalibrationError("V has a non-negligible imaginary part")
+
+    nabla = _cov_fd(V, geo["gamma"][0, 0], (DOWN, DOWN), h, out_weights)
+    div = np.einsum("ca,cab->b", ginv[0], nabla)
 
     return CurrentReport(
-        Z=Z0,
-        eta=eta0,
-        V=TensorValue((DOWN, DOWN), V0.components.real),
-        div_V_residual=residual,
+        Z=TensorValue((DOWN, DOWN), Z0[0]),
+        eta=TensorValue((DOWN,), eta[0]),
+        V=TensorValue((DOWN, DOWN), V[0].real),
+        div_V_residual=float(np.max(np.abs(div))),
         fd_step=step,
     )
 
 
 def dominant_energy_value(params: KerrParams, eta: TensorValue, p: BLPoint, v1, v2) -> float:
     """(eta_(a etabar_b) - 1/2 g_ab eta.etabar) v1^a v2^b for the leading part of V."""
-    g = _eval("g", params, p)
-    ginv = _eval("ginv", params, p)
-    e = eta.components
-    W = 0.5 * (np.outer(e, e.conj()) + np.outer(e.conj(), e)) - 0.5 * g * (e @ ginv @ e.conj())
+    W = _leading(eta.components, _eval("g", params, p), _eval("ginv", params, p))
     val = np.asarray(v1) @ W @ np.asarray(v2)
     return float(val.real)

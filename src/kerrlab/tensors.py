@@ -4,6 +4,11 @@ Tensors are small dense arrays of complex components together with an
 explicit up/down flag per slot.  The orientation convention used by the
 Hodge dual is eps_{t r theta phi} = +sqrt|g| (coordinate order of the
 chart is positively oriented).
+
+The finite-difference helpers (stencil points, coordinate derivatives and
+covariant derivatives over a stencil) and the Hodge formula act on plain
+arrays and broadcast over leading point axes, so a caller can evaluate a
+whole nested stencil at once; cov_deriv_fd is the one-point form.
 """
 
 from __future__ import annotations
@@ -21,16 +26,21 @@ DIM = 4
 UP = "u"
 DOWN = "d"
 
+
+def _permutation_sign(perm):
+    sign = 1
+    p = list(perm)
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            if p[i] > p[j]:
+                sign = -sign
+    return sign
+
+
 # Levi-Civita symbol, eps[0,1,2,3] = +1.
 _LEVI_CIVITA = np.zeros((DIM,) * 4)
 for _perm in itertools.permutations(range(DIM)):
-    _sign = 1.0
-    _p = list(_perm)
-    for _i in range(DIM):
-        for _j in range(_i + 1, DIM):
-            if _p[_i] > _p[_j]:
-                _sign = -_sign
-    _LEVI_CIVITA[_perm] = _sign
+    _LEVI_CIVITA[_perm] = _permutation_sign(_perm)
 
 
 @dataclass(frozen=True)
@@ -105,16 +115,6 @@ def _contract_slot(comp, matrix, slot):
     return np.moveaxis(out, 0, slot)
 
 
-def _permutation_sign(perm):
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
 def _projector(comp, slots, antisym):
     slots = list(slots)
     out = np.zeros_like(comp)
@@ -168,6 +168,14 @@ def index_ops(t: TensorValue, metric: MetricData, action: str, slots) -> TensorV
     return TensorValue(tuple(variance), comp, t.basis)
 
 
+def _hodge(F, ginv, sqrtg):
+    """(*F)_ab = 1/2 sqrt|g| eps_abcd F^cd for 2-forms F[..., a, b], broadcasting
+    over leading point axes of F, ginv[..., a, b] and sqrtg[...]."""
+    F_up = np.einsum("...ce,...df,...ef->...cd", ginv, ginv, F)
+    eps_F = np.einsum("abcd,...cd->...ab", _LEVI_CIVITA, F_up)
+    return 0.5 * np.asarray(sqrtg)[..., None, None] * eps_F
+
+
 def hodge_dual2(F: TensorValue, metric: MetricData, antisym_tol=1e-10) -> TensorValue:
     """Hodge dual of an antisymmetric rank-2 down-down tensor.
 
@@ -181,18 +189,57 @@ def hodge_dual2(F: TensorValue, metric: MetricData, antisym_tol=1e-10) -> Tensor
     scale = max(1.0, np.max(np.abs(comp)))
     if np.max(np.abs(comp + comp.T)) > antisym_tol * scale:
         raise ValueError("input 2-form is not antisymmetric within tolerance")
-    ginv = metric.g_inv.components.real
-    eps = _LEVI_CIVITA * metric.sqrt_abs_det
-    # eps_{ab}{}^{ef} = eps_{abcd} g^{ce} g^{df}
-    eps_mixed = np.einsum("abcd,ce,df->abef", eps, ginv, ginv)
-    dual = 0.5 * np.einsum("abcd,cd->ab", eps_mixed, comp)
+    dual = _hodge(comp, metric.g_inv.components.real, metric.sqrt_abs_det)
     return TensorValue((DOWN, DOWN), dual, F.basis)
 
 
-_FD4_OFFSETS = (-2, -1, 1, 2)
-_FD4_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
-_FD2_OFFSETS = (-1, 1)
-_FD2_WEIGHTS = (-0.5, 0.5)
+# order -> (offsets, weights) of the central first-derivative stencils
+_FD_RULES = {
+    2: ((-1, 1), (-0.5, 0.5)),
+    4: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
+}
+
+
+def _fd_rule(order):
+    if order not in _FD_RULES:
+        raise ValueError("order must be 2 or 4")
+    return _FD_RULES[order]
+
+
+def _stencil(p, step, offsets):
+    """Stencil points [..., s, 4] around chart points p[..., 4]: the centre
+    (s = 0), then p + k step e_c for each axis c and, within it, each offset k."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    shifts = np.zeros((1 + DIM * len(offsets), DIM))
+    for c in range(DIM):
+        shifts[1 + c * len(offsets): 1 + (c + 1) * len(offsets), c] = np.multiply(offsets, step)
+    return np.asarray(p, dtype=float)[..., None, :] + shifts
+
+
+def _partial_fd(samples, step, weights, rank):
+    """d_c T[..., c, slots] from rank-`rank` samples T[..., s, slots] on a _stencil."""
+    axis = samples.ndim - rank - 1
+    moved = np.moveaxis(samples, axis, -1)[..., 1:]
+    moved = moved.reshape(moved.shape[:-1] + (DIM, len(weights)))
+    partial = sum(w * moved[..., j] for j, w in enumerate(weights)) / step
+    return np.moveaxis(partial, -1, axis)
+
+
+def _cov_fd(samples, gamma, variance, step, weights):
+    """nabla_c T[..., c, slots] from samples T[..., s, slots] on a _stencil and
+    the Christoffel symbols gamma[..., e, a, b] = Gamma^e_ab at the centre."""
+    rank = len(variance)
+    t0 = np.take(samples, 0, axis=samples.ndim - rank - 1)
+    out = _partial_fd(samples, step, weights, rank)
+    slots = "pqrs"[:rank]
+    for s, var in enumerate(variance):
+        summed = slots[:s] + "e" + slots[s + 1:]
+        if var == UP:
+            out = out + np.einsum(f"...{slots[s]}ce,...{summed}->...c{slots}", gamma, t0)
+        else:
+            out = out - np.einsum(f"...ec{slots[s]},...{summed}->...c{slots}", gamma, t0)
+    return out
 
 
 def cov_deriv_fd(field, p, metric_provider, step, order=4) -> TensorValue:
@@ -203,43 +250,12 @@ def cov_deriv_fd(field, p, metric_provider, step, order=4) -> TensorValue:
     slot (down) is prepended: result_{c a...} = (nabla_c T)_{a...}.
     Central differences of the stated order plus analytic Christoffel terms.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if order == 4:
-        offsets, weights = _FD4_OFFSETS, _FD4_WEIGHTS
-    elif order == 2:
-        offsets, weights = _FD2_OFFSETS, _FD2_WEIGHTS
-    else:
-        raise ValueError("order must be 2 or 4")
-
+    offsets, weights = _fd_rule(order)
     p = np.asarray(p, dtype=float)
-    t0 = field(p)
+    samples = [field(q) for q in _stencil(p, step, offsets)]
+    t0 = samples[0]
     metric = metric_provider(p)
     _check_chart(t0, metric)
-    gamma = metric.christoffel
-    rank = t0.rank
-
-    partial = np.zeros((DIM,) + (DIM,) * rank, dtype=complex)
-    for c in range(DIM):
-        acc = np.zeros((DIM,) * rank, dtype=complex)
-        for off, w in zip(offsets, weights):
-            q = p.copy()
-            q[c] += off * step
-            acc += w * field(q).components
-        partial[c] = acc / step
-
-    result = partial.copy()
-    for slot, var in enumerate(t0.variance):
-        # contract Gamma with the tensor's slot, broadcast over the new c slot
-        moved = np.moveaxis(t0.components, slot, 0)
-        if var == UP:
-            corr = np.tensordot(gamma, moved, axes=(2, 0))  # [a, c, rest]
-            corr = np.moveaxis(corr, 0, 1)  # [c, a, rest]
-            corr = np.moveaxis(corr, 1, slot + 1)
-            result += corr
-        else:
-            corr = np.tensordot(gamma, moved, axes=(0, 0))  # [c, b, rest]
-            corr = np.moveaxis(corr, 1, slot + 1)
-            result -= corr
-
-    return TensorValue((DOWN,) + t0.variance, result, t0.basis)
+    comps = np.array([t.components for t in samples])
+    nabla = _cov_fd(comps, metric.christoffel, t0.variance, step, weights)
+    return TensorValue((DOWN,) + t0.variance, nabla, t0.basis)

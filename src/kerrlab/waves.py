@@ -459,9 +459,8 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
 
     def emit(center_index, t_center):
         nonlocal bulk_cum, e0, last_bulk_t, last_bulk_val
-        stack = np.array(levels[center_index - 3: center_index + 4])
-        e = energy_model3(grid, stack, dt)
-        b = morawetz_bulk(grid, stack, dt)
+        energy, bulk = _densities(grid, np.array(levels[center_index - 3: center_index + 4]), dt)
+        e, b = _slice_integral(grid, energy), _slice_integral(grid, bulk)
         if e0 is None:
             e0 = e if e > 0 else 1.0
         if last_bulk_t is not None:
@@ -600,23 +599,39 @@ def _word_derivatives(grid: WaveGrid, stack, dt):
         yield f, f_t, to_r * d_rstar(grid, f), d_theta(grid, f)
 
 
-def energy_model3(grid: WaveGrid, stack, dt) -> float:
-    """E_model,3: integral of
-    ((r^2+a^2)^2/Delta)|d_t psi|_2^2 + Delta |d_r psi|_2^2 + |d_theta psi|_2^2
-    + (1/sin^2)|d_phi psi|_2^2 over the slice (word-first ordering, see
-    _word_derivatives)."""
+def _densities(grid: WaveGrid, stack, dt):
+    """The E_model,3 and Morawetz bulk densities on the grid, from one pass of
+    _word_derivatives (see energy_model3 and morawetz_bulk)."""
     a = grid.params.a
+    r = grid.r[:, None]
     w_t = ((grid.r**2 + a**2) ** 2 / grid.delta)[:, None]
+    chi = cutoff_bump(grid.r, grid.params.m)[:, None]
     w_phi = grid.m_phi**2 / grid.sin_theta[None, :] ** 2
-    density = np.zeros((grid.n_r, grid.n_theta))
+    energy = np.zeros((grid.n_r, grid.n_theta))
+    bulk = np.zeros((grid.n_r, grid.n_theta))
     for f, f_t, f_r, f_th in _word_derivatives(grid, stack, dt):
-        density += (
+        energy += (
             w_t * np.abs(f_t) ** 2
             + grid.delta[:, None] * np.abs(f_r) ** 2
             + np.abs(f_th) ** 2
             + w_phi * np.abs(f) ** 2
         )
-    return _slice_integral(grid, density)
+        f2 = np.abs(f) ** 2
+        angular = (np.abs(f_th) ** 2 + w_phi * f2) / r**2
+        bulk += (
+            (grid.delta[:, None] ** 2 / r**4) * np.abs(f_r) ** 2
+            + f2 / r**2
+            + chi / r * (np.abs(f_t) ** 2 + angular)
+        )
+    return energy, bulk
+
+
+def energy_model3(grid: WaveGrid, stack, dt) -> float:
+    """E_model,3: integral of
+    ((r^2+a^2)^2/Delta)|d_t psi|_2^2 + Delta |d_r psi|_2^2 + |d_theta psi|_2^2
+    + (1/sin^2)|d_phi psi|_2^2 over the slice (word-first ordering, see
+    _word_derivatives)."""
+    return _slice_integral(grid, _densities(grid, stack, dt)[0])
 
 
 def morawetz_bulk(grid: WaveGrid, stack, dt) -> float:
@@ -625,19 +640,7 @@ def morawetz_bulk(grid: WaveGrid, stack, dt) -> float:
     + cutoff(r) r^-1 (|d_t psi|_2^2 + |angular gradient psi|_2^2),
     with |angular gradient f|^2 = r^-2 (|d_theta f|^2 + m^2/sin^2 |f|^2)
     and the word-first ordering of _word_derivatives."""
-    r = grid.r[:, None]
-    chi = cutoff_bump(grid.r, grid.params.m)[:, None]
-    w_phi = grid.m_phi**2 / grid.sin_theta[None, :] ** 2
-    density = np.zeros((grid.n_r, grid.n_theta))
-    for f, f_t, f_r, f_th in _word_derivatives(grid, stack, dt):
-        f2 = np.abs(f) ** 2
-        angular = (np.abs(f_th) ** 2 + w_phi * f2) / r**2
-        density += (
-            (grid.delta[:, None] ** 2 / r**4) * np.abs(f_r) ** 2
-            + f2 / r**2
-            + chi / r * (np.abs(f_t) ** 2 + angular)
-        )
-    return _slice_integral(grid, density)
+    return _slice_integral(grid, _densities(grid, stack, dt)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kerrlab import (BLPoint, KerrParams, V_tensor, Z_form, coulomb_field,
-                     dominant_energy_value, eta_oneform, hodge_dual2,
-                     kerr_metric, killing_yano, maxwell_divergence_residual,
-                     np_scalars, principal_tetrad, random_exterior_points,
-                     stress_tensor, uniform_field)
+from kerrlab import (BLPoint, DomainError, KerrParams, TensorValue, V_tensor,
+                     Z_form, coulomb_field, dominant_energy_value, eta_oneform,
+                     hodge_dual2, kerr_metric, killing_yano,
+                     maxwell_divergence_residual, np_scalars, principal_tetrad,
+                     random_exterior_points, stress_tensor, uniform_field)
 from kerrlab.maxwell import _coulomb_F, _uniform_F
 
 PARAMS = KerrParams(1.0, 0.5)
@@ -103,49 +103,64 @@ def test_hodge_dual_of_coulomb_antisymmetric():
     assert np.max(np.abs(c + c.T)) < 1e-10 * max(1.0, np.max(np.abs(c)))
 
 
-def test_V_tensor_evaluates_each_point_once(monkeypatch):
-    # 16 outer-stencil points (two steps x four directions x two sides) plus
-    # the centre, which also supplies V0 and the reported eta
-    import kerrlab.maxwell as maxwell
-
-    calls = []
-    inner = maxwell.eta_oneform
-
-    def counted(params, F_field, p, *args, **kwargs):
-        calls.append(tuple(p.coords))
-        return inner(params, F_field, p, *args, **kwargs)
-
-    monkeypatch.setattr(maxwell, "eta_oneform", counted)
-    p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
-    F = lambda q: _uniform_F(PARAMS, q)
-    rep = V_tensor(PARAMS, F, p, step=1e-3)
-    assert len(calls) == 17 and len(set(calls)) == 17
-    assert np.array_equal(rep.eta.components, inner(PARAMS, F, p, step=1e-3).components)
-
-
-def test_V_tensor_geometry_evaluation_counts(monkeypatch):
-    # W evaluates the metric once for itself and its Z, and xi^a is evaluated
-    # once for the Lie derivatives along both Re xi and Im xi.  kerr_metric:
-    # 17 points x (centre + 9 W points + eta's connection + 9 *F points) + the
-    # 2 outer connections; xi: 17 points x 9 Lie-derivative points
+def test_V_tensor_samples_each_stencil_point_once(monkeypatch):
+    # the 17-point outer stencil times the 9-point inner one: the field is
+    # called once at each of the 153 points, the geometry is one broadcasting
+    # closed-form call per quantity, and no per-point metric is built
     import kerrlab.kerr as kerr
     import kerrlab.maxwell as maxwell
 
     p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
     killing_yano(PARAMS, p)  # the cached Killing-Yano calibration evaluates xi once
-    counts = {"kerr_metric": 0, "xi": 0}
-    metric, evaluate = maxwell.kerr_metric, kerr._eval
+    forms = kerr._forms()
+    counts = {}
 
-    def counted_metric(*args):
-        counts["kerr_metric"] += 1
-        return metric(*args)
+    def counted_form(name):
+        def form(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return forms[name](*args)
+        return form
 
-    def counted_eval(name, *args):
-        counts["xi"] += name == "xi"
-        return evaluate(name, *args)
+    def no_metric(*args):
+        raise AssertionError("V_tensor called kerr_metric")
 
-    monkeypatch.setattr(maxwell, "kerr_metric", counted_metric)
-    monkeypatch.setattr(maxwell, "_eval", counted_eval)
-    monkeypatch.setattr(kerr, "_eval", counted_eval)
-    V_tensor(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
-    assert counts == {"kerr_metric": 342, "xi": 153}
+    points = []
+
+    def F(q):
+        points.append(tuple(q))
+        return _uniform_F(PARAMS, q)
+
+    counted = {name: counted_form(name) for name in forms}
+    monkeypatch.setattr(maxwell, "_forms", lambda: counted)
+    monkeypatch.setattr(maxwell, "kerr_metric", no_metric)
+    monkeypatch.setattr(kerr, "kerr_metric", no_metric)
+    rep = V_tensor(PARAMS, F, p, step=1e-3)
+    assert len(points) == 153 and len(set(points)) == 153
+    assert counts == {name: 1 for name in ("g", "ginv", "sqrtg", "gamma", "Y", "xi")}
+    monkeypatch.undo()
+    eta = eta_oneform(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
+    assert np.array_equal(rep.eta.components, eta.components)
+
+
+def test_V_tensor_rejects_stencil_across_the_axis():
+    # the centre is a valid point, but the outer stencil (step sqrt(1e-3))
+    # reaches theta < 0; the field evaluates the closed form without
+    # checking its point, so the check must be V_tensor's own
+    from kerrlab.kerr import _forms
+
+    F_unit = _forms()["F_uniform"]
+    p = BLPoint(0.0, 5.0, 0.02, 0.4, PARAMS)
+    with pytest.raises(DomainError):
+        V_tensor(PARAMS, lambda q: TensorValue(("d", "d"), F_unit(1.0, 0.5, q[1], q[2])),
+                 p, step=1e-3)
+
+
+def test_V_tensor_rejects_a_non_antisymmetric_field():
+    p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
+
+    def F(q):
+        F0 = _uniform_F(PARAMS, q)
+        return TensorValue(F0.variance, F0.components + 1e-3 * np.eye(4))
+
+    with pytest.raises(ValueError, match="antisymmetric"):
+        V_tensor(PARAMS, F, p, step=1e-3)

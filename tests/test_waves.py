@@ -165,6 +165,29 @@ def test_energy_and_bulk_positive_and_scale_quadratically():
     assert abs(e9 - 9.0 * e) < 1e-9 * e9
 
 
+def test_evolve_reports_from_one_diagnostics_pass(monkeypatch):
+    # each report applies the Q word once (one carter_q_stack call) for the
+    # energy and the bulk together, and gives the public functions' values
+    import kerrlab.waves as waves
+
+    calls = []
+    inner = waves.carter_q_stack
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(waves, "carter_q_stack", counted)
+    grid = make_grid(a=0.1, m_phi=1, n_r=60, n_theta=8)
+    psi, psi_t = initial_data(grid, family="gaussian-wide", center=5.0, width=3.0)
+    field, reports = evolve(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t), t_end=1.0)
+    assert len(calls) == len(reports) > 1
+    # the last report is centred on the final 7-level history
+    stack, dt = field.history
+    assert reports[-1].e_model3 == energy_model3(grid, stack, dt)
+    assert reports[-1].bulk_increment == morawetz_bulk(grid, stack, dt)
+
+
 def test_morawetz_ratio_scaling_invariant():
     grid = make_grid(a=0.1, m_phi=0, n_r=100, n_theta=12)
     psi, psi_t = initial_data(grid, family="gaussian-static", center=5.0, width=3.0)
