@@ -103,10 +103,26 @@ def test_hodge_dual_of_coulomb_antisymmetric():
     assert np.max(np.abs(c + c.T)) < 1e-10 * max(1.0, np.max(np.abs(c)))
 
 
-def test_V_tensor_samples_each_stencil_point_once(monkeypatch):
+def test_V_tensor_evaluates_each_point_once(monkeypatch):
     # the 17-point outer stencil times the 9-point inner one: the field is
-    # called once at each of the 153 points, the geometry is one broadcasting
-    # closed-form call per quantity, and no per-point metric is built
+    # called once at each of the 153 points, and the reported eta is the one
+    # eta_oneform gives at the centre
+    p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
+    points = []
+
+    def F(q):
+        points.append(tuple(q))
+        return _uniform_F(PARAMS, q)
+
+    rep = V_tensor(PARAMS, F, p, step=1e-3)
+    assert len(points) == 153 and len(set(points)) == 153
+    eta = eta_oneform(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
+    assert np.array_equal(rep.eta.components, eta.components)
+
+
+def test_V_tensor_geometry_evaluation_counts(monkeypatch):
+    # the geometry at all 153 stencil points is one broadcasting closed-form
+    # call per quantity, and no per-point metric is built
     import kerrlab.kerr as kerr
     import kerrlab.maxwell as maxwell
 
@@ -124,22 +140,12 @@ def test_V_tensor_samples_each_stencil_point_once(monkeypatch):
     def no_metric(*args):
         raise AssertionError("V_tensor called kerr_metric")
 
-    points = []
-
-    def F(q):
-        points.append(tuple(q))
-        return _uniform_F(PARAMS, q)
-
     counted = {name: counted_form(name) for name in forms}
     monkeypatch.setattr(maxwell, "_forms", lambda: counted)
     monkeypatch.setattr(maxwell, "kerr_metric", no_metric)
     monkeypatch.setattr(kerr, "kerr_metric", no_metric)
-    rep = V_tensor(PARAMS, F, p, step=1e-3)
-    assert len(points) == 153 and len(set(points)) == 153
+    V_tensor(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
     assert counts == {name: 1 for name in ("g", "ginv", "sqrtg", "gamma", "Y", "xi")}
-    monkeypatch.undo()
-    eta = eta_oneform(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
-    assert np.array_equal(rep.eta.components, eta.components)
 
 
 def test_V_tensor_rejects_stencil_across_the_axis():
