@@ -197,10 +197,11 @@ SCHEMAS = {
 }
 
 # Keys that must be positive: tolerances and steps, sample counts, and the
-# time extents and pulse shape that set a run's step size.
+# time extents, report cadence and pulse shape that set a run's step size.
+# Every float value must also be finite.
 POSITIVE_KEYS = ("tol", "drift_tol", "stability_tol", "order_min", "order_max",
                  "fd_step", "step", "n_points", "n_samples", "n_x", "t_end", "t_max",
-                 "cfl", "width")
+                 "cfl", "width", "report_dt")
 
 
 def parse_config(argv):
@@ -246,7 +247,10 @@ def parse_config(argv):
             raise DomainError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in file_cfg.items():
             if key in schema and value is not None:
-                cfg[key] = schema[key][0](value)
+                try:
+                    cfg[key] = schema[key][0](value)
+                except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+                    raise DomainError(f"config value for {key} is invalid: {exc}")
             elif key in ("out", "threads"):
                 cfg[key] = value
 
@@ -264,8 +268,10 @@ def parse_config(argv):
     cfg["out"] = out
     cfg["threads"] = int(threads)
 
-    for key in POSITIVE_KEYS:
-        if key in cfg and cfg[key] is not None and cfg[key] <= 0:
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{key} must be finite")
+        if key in POSITIVE_KEYS and value is not None and value <= 0:
             raise DomainError(f"{key} must be positive")
     return ns.subcommand, cfg
 
@@ -282,32 +288,30 @@ def _order(coarse, fine):
 
 
 def _run_kerr_check(cfg):
-    from .kerr import (KerrParams, conformal_ky_residual, killing_tensor_residual,
-                       killing_tensor_residual_fd, killing_yano_residual,
-                       killing_yano_residual_fd, random_exterior_points,
-                       tetrad_reconstruction_residual, xi_oneform, kerr_metric)
+    from .kerr import (KerrParams, _analytic_nabla, _at, _conformal_ky, _fd_nabla,
+                       _ky_calibration, _symmetrized_max, _tetrad, random_exterior_points)
 
     params = KerrParams(m=cfg["m"], a=cfg["a"])
     rng = np.random.default_rng(cfg["seed"])
     points = random_exterior_points(params, cfg["n_points"], rng)
-    res = {"ky": [], "conformal_ky": [], "killing_tensor": [], "tetrad": [], "xi": []}
-    for p in points:
-        res["ky"].append(killing_yano_residual(params, p))
-        res["conformal_ky"].append(conformal_ky_residual(params, p))
-        res["killing_tensor"].append(killing_tensor_residual(params, p))
-        res["tetrad"].append(tetrad_reconstruction_residual(params, p))
-        ginv = kerr_metric(params, p).g_inv.components
-        xi_up = ginv @ xi_oneform(params, p).components
-        res["xi"].append(float(np.max(np.abs(xi_up - np.array([1, 0, 0, 0])))))
+    r = np.array([p.r for p in points])
+    th = np.array([p.theta for p in points])
+    ginv, xi = _at(params, r, th, "ginv", "xi")
+    xi_up = np.einsum("...ab,...b->...a", ginv, _ky_calibration(params) * xi)
+    res = {
+        "ky": _symmetrized_max(_analytic_nabla(params, r, th, "Y"), (-3, -2)),
+        "conformal_ky": _conformal_ky(params, r, th),
+        "killing_tensor": _symmetrized_max(_analytic_nabla(params, r, th, "K"), (-3, -2, -1)),
+        "tetrad": _tetrad(params, r, th)[2],
+        "xi": np.max(np.abs(xi_up - np.array([1, 0, 0, 0])), axis=-1),
+    }
 
     h = cfg["fd_step"]
-    orders = {"ky_fd": [], "killing_tensor_fd": []}
-    for p in points[:3]:
-        orders["ky_fd"].append(_order(killing_yano_residual_fd(params, p, 2 * h),
-                                      killing_yano_residual_fd(params, p, h)))
-        orders["killing_tensor_fd"].append(
-            _order(killing_tensor_residual_fd(params, p, 2 * h),
-                   killing_tensor_residual_fd(params, p, h)))
+    orders = {}
+    for name, form, slots in (("ky_fd", "Y", (-3, -2)), ("killing_tensor_fd", "K", (-3, -2, -1))):
+        coarse, fine = (_symmetrized_max(_fd_nabla(params, r[:3], th[:3], form, step), slots)
+                        for step in (2 * h, h))
+        orders[name] = [_order(c, f) for c, f in zip(coarse, fine)]
 
     failures = []
     maxima = {k: float(np.max(v)) for k, v in res.items()}
@@ -610,6 +614,8 @@ def _load_profile(cfg):
             a0, a1 = float(parts[1]), float(parts[2])
         except ValueError:
             raise DomainError("ramp endpoints must be numbers")
+        if not (math.isfinite(a0) and math.isfinite(a1)):
+            raise DomainError("ramp endpoints must be finite")
         return ramp_profile(a0, a1, T)
     try:
         with open(spec, "r") as fh:
@@ -620,10 +626,14 @@ def _load_profile(cfg):
         raise DomainError(f"profile file is not valid JSON: {exc}")
     if not isinstance(data, dict) or "t" not in data or "a" not in data:
         raise DomainError("profile file must contain 't' and 'a' arrays")
-    ts = np.asarray(data["t"], dtype=float)
-    avals = np.asarray(data["a"], dtype=float)
+    try:
+        ts, avals = (np.asarray(data[key], dtype=float) for key in ("t", "a"))
+    except (ValueError, TypeError):
+        raise DomainError("profile samples must be numbers")
     if ts.shape != avals.shape or ts.ndim != 1 or ts.size < 2:
         raise DomainError("profile arrays must be equal-length 1D with >= 2 samples")
+    if not np.all(np.isfinite([ts, avals])):
+        raise DomainError("profile samples must be finite")
     if not np.all(np.diff(ts) > 0):
         raise DomainError("profile times must be strictly increasing")
     return ConnectionProfile(a=lambda t: float(np.interp(t, ts, avals)), T=T,

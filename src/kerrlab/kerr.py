@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError, DomainError
-from .tensors import DOWN, UP, MetricData, TensorValue, _projector, cov_deriv_fd
+from .tensors import DOWN, UP, MetricData, TensorValue, _cov_fd, _fd_rule, _projector, _stencil
 
 THETA_GUARD = 1e-6
 
@@ -93,18 +93,6 @@ class BLPoint:
 # compiled closed forms (generated ahead of time, scattered at first use)
 # ---------------------------------------------------------------------------
 
-
-def _exprs():
-    """Symbolic closed forms: ((m, a, r, th), {name: sympy expression}).
-
-    Derived in `_derive`, which needs sympy.  Only the tests, which check
-    the compiled forms against plain sympy, call this.
-    """
-    from ._derive import _exprs
-
-    return _exprs()
-
-
 # Forms with genuinely complex values; every other form is real.
 COMPLEX_FORMS = frozenset({"xi", "U", "kappa1", "m_vec"})
 
@@ -147,6 +135,12 @@ def _forms():
 
 def _eval(name, params: KerrParams, p: BLPoint):
     return _forms()[name](params.m, params.a, p.r, p.theta)
+
+
+def _at(params: KerrParams, r, th, *names):
+    """The named forms at the points (r, th), point axes leading."""
+    forms = _forms()
+    return [forms[name](params.m, params.a, r, th) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -201,68 +195,80 @@ def killing_yano(params: KerrParams, p: BLPoint) -> TensorValue:
     return TensorValue((DOWN, DOWN), sign * _eval("Y", params, p))
 
 
-def _analytic_nabla(params: KerrParams, p: BLPoint, name: str):
-    """nabla_c T_ab of the named all-down closed form from its analytic partials 'd<name>'."""
-    T = _eval(name, params, p)
-    gamma = _eval("gamma", params, p)
+def _analytic_nabla(params: KerrParams, r, th, name: str):
+    """nabla_c T_ab of the named all-down closed form from its analytic
+    partials 'd<name>', at the points (r, th), point axes leading."""
+    T, gamma, dT = _at(params, r, th, name, "gamma", "d" + name)
     # nabla_c T_ab = d_c T_ab - Gamma^e_ca T_eb - Gamma^e_cb T_ae
-    return (_eval("d" + name, params, p)
-            - np.einsum("eca,eb->cab", gamma, T)
-            - np.einsum("ecb,ae->cab", gamma, T))
+    return (dT - np.einsum("...eca,...eb->...cab", gamma, T)
+            - np.einsum("...ecb,...ae->...cab", gamma, T))
 
 
-def _fd_nabla(params: KerrParams, p: BLPoint, name: str, step: float):
-    """nabla_c T_ab of the named all-down closed form by finite differences."""
+def _fd_nabla(params: KerrParams, r, th, name: str, step: float):
+    """nabla_c T_ab of the named all-down closed form by second-order central
+    differences at the points (r, th), arrays of one shape: the form is
+    sampled on the whole stencil in one call, every stencil point validated
+    as a BLPoint."""
+    offsets, weights = _fd_rule(2)
+    zero = np.zeros_like(r)
+    pts = _stencil(np.stack([zero, r, th, zero], axis=-1), step, offsets)
+    for q in pts.reshape(-1, 4):
+        BLPoint(q[0], q[1], q[2], q[3], params)
+    [samples] = _at(params, pts[..., 1], pts[..., 2], name)
+    [gamma] = _at(params, r, th, "gamma")
+    return _cov_fd(samples, gamma, (DOWN, DOWN), step, weights)
 
-    def field(coords):
-        q = BLPoint(coords[0], coords[1], coords[2], coords[3], params)
-        return TensorValue((DOWN, DOWN), _eval(name, params, q))
 
-    def mp(coords):
-        q = BLPoint(coords[0], coords[1], coords[2], coords[3], params)
-        return kerr_metric(params, q)
-
-    return cov_deriv_fd(field, p.coords, mp, step, order=2).components.real
+def _symmetrized_max(nabla, slots):
+    """max |nabla_(a T_b)c| (slots -3, -2) or max |nabla_(a T_bc)| (slots -3,
+    -2, -1) at each point of the leading axes."""
+    return np.max(np.abs(_projector(nabla, slots, antisym=False)), axis=(-3, -2, -1))
 
 
-def _symmetrized_max(nabla, slots) -> float:
-    """max |nabla_(a T_b)c| (slots 0, 1) or max |nabla_(a T_bc)| (slots 0, 1, 2)."""
-    return float(np.max(np.abs(_projector(nabla, slots, antisym=False))))
+def _conformal_ky(params: KerrParams, r, th):
+    """Conformal Killing-Yano residual of Y at the points (r, th)."""
+    g, ginv = _at(params, r, th, "g", "ginv")
+    nabla = _analytic_nabla(params, r, th, "Y")  # [..., c, a, b]
+    # div_a = nabla_d Y_a{}^d = nabla_d Y_ac g^{cd}
+    div = np.einsum("...dac,...cd->...a", nabla, ginv)
+    lhs = _projector(nabla, (-3, -2), antisym=False)
+    # lhs[a,b,c] = nabla_(a Y_b)c; rhs from the conformal Killing-Yano equation
+    rhs = (
+        -np.einsum("...ab,...c->...abc", g, div) / 3.0
+        + (np.einsum("...ac,...b->...abc", g, div) + np.einsum("...bc,...a->...abc", g, div)) / 6.0
+    )
+    return np.max(np.abs(lhs - rhs), axis=(-3, -2, -1))
+
+
+def _one(p: BLPoint):
+    """p as one-element (r, theta) arrays: a residual at one point then runs
+    the arithmetic of a sweep over many points, bit for bit."""
+    return np.array([p.r]), np.array([p.theta])
 
 
 def killing_yano_residual(params: KerrParams, p: BLPoint) -> float:
     """max |nabla_(a Y_b)c| with analytic derivatives."""
-    return _symmetrized_max(_analytic_nabla(params, p, "Y"), (0, 1))
+    return _symmetrized_max(_analytic_nabla(params, *_one(p), "Y"), (-3, -2)).item()
 
 
 def conformal_ky_residual(params: KerrParams, p: BLPoint) -> float:
     """Residual of the conformal Killing-Yano equation for Y (analytic derivatives)."""
-    g = _eval("g", params, p)
-    nabla = _analytic_nabla(params, p, "Y")  # [c,a,b]
-    # div_a = nabla_d Y_a{}^d = nabla_d Y_ac g^{cd}
-    div = np.einsum("dac,cd->a", nabla, _eval("ginv", params, p))
-    lhs = _projector(nabla, (0, 1), antisym=False)
-    # lhs[a,b,c] = nabla_(a Y_b)c; rhs from the conformal Killing-Yano equation
-    rhs = (
-        -np.einsum("ab,c->abc", g, div) / 3.0
-        + (np.einsum("ac,b->abc", g, div) + np.einsum("bc,a->abc", g, div)) / 6.0
-    )
-    return float(np.max(np.abs(lhs - rhs)))
+    return _conformal_ky(params, *_one(p)).item()
 
 
 def killing_tensor_residual(params: KerrParams, p: BLPoint) -> float:
     """max |nabla_(a K_bc)| with analytic derivatives."""
-    return _symmetrized_max(_analytic_nabla(params, p, "K"), (0, 1, 2))
+    return _symmetrized_max(_analytic_nabla(params, *_one(p), "K"), (-3, -2, -1)).item()
 
 
 def killing_yano_residual_fd(params: KerrParams, p: BLPoint, step=1e-3) -> float:
     """max |nabla_(a Y_b)c| with second-order central differences."""
-    return _symmetrized_max(_fd_nabla(params, p, "Y", step), (0, 1))
+    return _symmetrized_max(_fd_nabla(params, *_one(p), "Y", step), (-3, -2)).item()
 
 
 def killing_tensor_residual_fd(params: KerrParams, p: BLPoint, step=1e-3) -> float:
     """max |nabla_(a K_bc)| with second-order central differences."""
-    return _symmetrized_max(_fd_nabla(params, p, "K", step), (0, 1, 2))
+    return _symmetrized_max(_fd_nabla(params, *_one(p), "K", step), (-3, -2, -1)).item()
 
 
 def carter_tensor(params: KerrParams, p: BLPoint) -> TensorValue:
@@ -288,30 +294,29 @@ def kappa_scalars(params: KerrParams, p: BLPoint):
     return k1, U
 
 
-def _tetrad(params: KerrParams, p: BLPoint):
+def _tetrad(params: KerrParams, r, th):
     """Tetrad legs (l, n, m, mbar), the worst of their normalization
-    residuals, and the reconstruction residual max |ghat - 2(l_(a n_b) - m_(a mbar_b))|."""
-    l = _eval("l", params, p)
-    n = _eval("n", params, p)
-    mv = _eval("m_vec", params, p)
+    residuals, and the reconstruction residual max |ghat - 2(l_(a n_b) - m_(a mbar_b))|,
+    at the points (r, th), point axes leading."""
+    l, n, mv, g = _at(params, r, th, "l", "n", "m_vec", "g")
     mb = mv.conjugate()
-    g = _eval("g", params, p)
 
     def ip(u, v):
-        return u @ g @ v
+        return np.einsum("...a,...ab,...b->...", u, g, v)
 
-    normalization = max(
+    normalization = np.max([
         abs(ip(l, l)),
         abs(ip(n, n)),
         abs(ip(mv, mv)),
         abs(ip(l, n) + 1.0),  # ghat(l,n) = 1
         abs(ip(mv, mb) - 1.0),  # ghat(m,mbar) = -1
-    )
+    ], axis=0)
     # reconstruction against ghat = -g: lowered legs use ghat
     gh = -g
-    l_d, n_d, m_d, mb_d = gh @ l, gh @ n, gh @ mv, gh @ mb
-    recon = np.outer(l_d, n_d) + np.outer(n_d, l_d) - np.outer(m_d, mb_d) - np.outer(mb_d, m_d)
-    return (l, n, mv, mb), normalization, float(np.max(np.abs(recon - gh)))
+    l_d, n_d, m_d, mb_d = (np.einsum("...ab,...b->...a", gh, v) for v in (l, n, mv, mb))
+    outer = lambda u, v: u[..., :, None] * v[..., None, :]
+    recon = outer(l_d, n_d) + outer(n_d, l_d) - outer(m_d, mb_d) - outer(mb_d, m_d)
+    return (l, n, mv, mb), normalization, np.max(np.abs(recon - gh), axis=(-2, -1))
 
 
 def principal_tetrad(params: KerrParams, p: BLPoint, tol=1e-11):
@@ -321,7 +326,7 @@ def principal_tetrad(params: KerrParams, p: BLPoint, tol=1e-11):
     ghat_ab = 2(l_(a n_b) - m_(a mbar_b)); verified before returning.
     """
     _check_point(params, p)
-    legs, normalization, reconstruction = _tetrad(params, p)
+    legs, normalization, reconstruction = _tetrad(params, p.r, p.theta)
     worst = max(normalization, reconstruction)
     if worst > tol:
         raise CalibrationError(f"tetrad normalization residual {worst} above {tol}")
@@ -331,7 +336,7 @@ def principal_tetrad(params: KerrParams, p: BLPoint, tol=1e-11):
 def tetrad_reconstruction_residual(params: KerrParams, p: BLPoint) -> float:
     """max |ghat_ab - 2(l_(a n_b) - m_(a mbar_b))| with ghat = -g."""
     _check_point(params, p)
-    return _tetrad(params, p)[2]
+    return _tetrad(params, *_one(p))[2].item()
 
 
 def coulomb_F_unit(params: KerrParams, p: BLPoint) -> np.ndarray:

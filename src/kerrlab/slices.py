@@ -3,8 +3,12 @@
 A slice is given by samplers for the Riemannian 3-metric h and the second
 fundamental form k.  The Hamiltonian residual scal_h + (tr_h k)^2 - |k|^2
 and the momentum residual div(k) - d(tr_h k) are evaluated with nested
-central finite differences of the samplers (no closed-form curvature is
-assumed).
+fourth-order central finite differences of the samplers (no closed-form
+curvature is assumed).  The differences come from the array layer of
+`tensors`: h is sampled once on the nested 13 x 13 stencil of every point
+and k once on the outer 13 points, and the Christoffel symbols, their
+derivatives, Ricci, tr k, div k and d(tr k) are array arithmetic over the
+leading point axes.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .tensors import _fd_rule, _partial_fd, _stencil
 
 _D3 = 3
-
-_FD4 = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
 
 
 @dataclass(frozen=True)
@@ -52,52 +55,37 @@ def _k_at(data, p):
     return k
 
 
-def _fd_grad(f, p, step):
-    """4th-order central gradient of an array-valued function; prepends the axis."""
-    p = np.asarray(p, dtype=float)
-    f0 = f(p)
-    out = np.zeros((_D3,) + np.shape(f0))
-    for c in range(_D3):
-        acc = np.zeros_like(np.asarray(f0, dtype=float))
-        for off, w in _FD4:
-            q = p.copy()
-            q[c] += off * step
-            acc += w * np.asarray(f(q), dtype=float)
-        out[c] = acc / step
-    return out
+def _sample(data, at, pts):
+    """Checked sampler values [..., 3, 3] at the points pts[..., 3]."""
+    vals = [at(data, q) for q in pts.reshape(-1, _D3)]
+    return np.array(vals, dtype=float).reshape(pts.shape[:-1] + (_D3, _D3))
 
 
-def _christoffel(data, p, step):
-    """Gamma^c_{ab} of the 3-metric at p via finite differences of h."""
-    h = _h_at(data, p)
-    hinv = np.linalg.inv(h)
-    dh = _fd_grad(lambda q: _h_at(data, q), p, step)  # dh[c, a, b] = partial_c h_ab
+def _curvature(data, points, step):
+    """Ricci scalar at each point, plus the outer stencil points, h^{-1} on
+    them and Gamma^c_ab at the centres, from h on the nested stencil."""
+    offsets, weights = _fd_rule(4)
+    outer = _stencil(np.asarray(points, dtype=float).reshape(len(points), _D3), step, offsets)
+    h = _sample(data, _h_at, _stencil(outer, step, offsets))  # [n, 13, 13, a, b]
+    hinv = np.linalg.inv(h[:, :, 0])
+    dh = _partial_fd(h, step, weights, 2)  # [n, 13, c, a, b] = partial_c h_ab
     gamma = 0.5 * (
-        np.einsum("cd,adb->cab", hinv, dh)
-        + np.einsum("cd,bda->cab", hinv, dh)
-        - np.einsum("cd,dab->cab", hinv, dh)
+        np.einsum("...cd,...adb->...cab", hinv, dh)
+        + np.einsum("...cd,...bda->...cab", hinv, dh)
+        - np.einsum("...cd,...dab->...cab", hinv, dh)
     )
-    return gamma
+    dgamma = _partial_fd(gamma, step, weights, 3)  # [n, e, c, a, b] = partial_e Gamma^c_ab
+    g0 = gamma[:, 0]
+    # R_ab = partial_c Gamma^c_ab - partial_a Gamma^c_cb + Gamma^c_cd Gamma^d_ab
+    #        - Gamma^c_ad Gamma^d_cb
+    ricci = (np.einsum("...ccab->...ab", dgamma) - np.einsum("...accb->...ab", dgamma)
+             + np.einsum("...ccd,...dab->...ab", g0, g0) - np.einsum("...cad,...dcb->...ab", g0, g0))
+    return np.einsum("...ab,...ab->...", hinv[:, 0], ricci), outer, hinv, g0
 
 
 def scalar_curvature(data: SliceData, p, step=1e-3) -> float:
     """Ricci scalar of h at p by nested finite differences."""
-    h = _h_at(data, p)
-    hinv = np.linalg.inv(h)
-    gamma = _christoffel(data, p, step)
-    dgamma = _fd_grad(lambda q: _christoffel(data, q, step), p, step)
-    # R_ab = partial_c Gamma^c_ab - partial_a Gamma^c_cb + Gamma^c_cd Gamma^d_ab
-    #        - Gamma^c_ad Gamma^d_cb
-    ricci = np.zeros((_D3, _D3))
-    for a in range(_D3):
-        for b in range(_D3):
-            s = 0.0
-            for c in range(_D3):
-                s += dgamma[c, c, a, b] - dgamma[a, c, c, b]
-                for d in range(_D3):
-                    s += gamma[c, c, d] * gamma[d, a, b] - gamma[c, a, d] * gamma[d, c, b]
-            ricci[a, b] = s
-    return float(np.einsum("ab,ab->", hinv, ricci))
+    return float(_curvature(data, [p], step)[0][0])
 
 
 def constraint_residual(data: SliceData, points, step=1e-3):
@@ -105,28 +93,19 @@ def constraint_residual(data: SliceData, points, step=1e-3):
 
     Returns (hamiltonian: array of scalars, momentum: array of covectors).
     """
-    hams, moms = [], []
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        h = _h_at(data, p)
-        hinv = np.linalg.inv(h)
-        k = _k_at(data, p)
-        scal = scalar_curvature(data, p, step)
-        trk = float(np.einsum("ab,ab->", hinv, k))
-        ksq = float(np.einsum("ab,cd,ac,bd->", k, k, hinv, hinv))
-        hams.append(scal + trk**2 - ksq)
-
-        gamma = _christoffel(data, p, step)
-        dk = _fd_grad(lambda q: _k_at(data, q), p, step)  # dk[c, a, b]
-        # (div k)_a = h^{bc} nabla_b k_{ca} with
-        # nabla_b k_{ca} = partial_b k_ca - Gamma^d_bc k_da - Gamma^d_ba k_cd
-        nk = dk.copy()
-        nk -= np.einsum("dbc,da->bca", gamma, k)
-        nk -= np.einsum("dba,cd->bca", gamma, k)
-        div_k = np.einsum("bc,bca->a", hinv, nk)
-        dtrk = _fd_grad(lambda q: float(np.einsum("ab,ab->", np.linalg.inv(_h_at(data, q)), _k_at(data, q))), p, step)
-        moms.append(div_k - dtrk)
-    return np.array(hams), np.array(moms)
+    scal, outer, hinv, gamma = _curvature(data, points, step)
+    _, weights = _fd_rule(4)
+    k = _sample(data, _k_at, outer)  # [n, 13, a, b]
+    trk = np.einsum("...ab,...ab->...", hinv, k)
+    hinv0, k0 = hinv[:, 0], k[:, 0]
+    ksq = np.einsum("...ab,...cd,...ac,...bd->...", k0, k0, hinv0, hinv0)
+    # (div k)_a = h^{bc} nabla_b k_{ca} with
+    # nabla_b k_{ca} = partial_b k_ca - Gamma^d_bc k_da - Gamma^d_ba k_cd
+    nk = (_partial_fd(k, step, weights, 2)
+          - np.einsum("...dbc,...da->...bca", gamma, k0)
+          - np.einsum("...dba,...cd->...bca", gamma, k0))
+    div_k = np.einsum("...bc,...bca->...a", hinv0, nk)
+    return scal + trk[:, 0] ** 2 - ksq, div_k - _partial_fd(trk, step, weights, 0)
 
 
 def flat_slice() -> SliceData:

@@ -8,7 +8,9 @@ chart is positively oriented).
 The finite-difference helpers (stencil points, coordinate derivatives and
 covariant derivatives over a stencil) and the Hodge formula act on plain
 arrays and broadcast over leading point axes, so a caller can evaluate a
-whole nested stencil at once; cov_deriv_fd is the one-point form.
+whole nested stencil at once; cov_deriv_fd is the one-point form.  The
+stencil helpers take the chart dimension from the points, so the same
+layer serves the 4D spacetime chart and the 3D slices.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def _contract_slot(comp, matrix, slot):
 
 
 def _projector(comp, slots, antisym):
-    slots = list(slots)
+    # negative slots count from the last axis, leaving leading point axes alone
+    slots = [s % comp.ndim for s in slots]
     out = np.zeros_like(comp)
     axes_base = list(range(comp.ndim))
     for perm in itertools.permutations(range(len(slots))):
@@ -207,21 +210,23 @@ def _fd_rule(order):
 
 
 def _stencil(p, step, offsets):
-    """Stencil points [..., s, 4] around chart points p[..., 4]: the centre
+    """Stencil points [..., s, dim] around chart points p[..., dim]: the centre
     (s = 0), then p + k step e_c for each axis c and, within it, each offset k."""
     if step <= 0:
         raise ValueError("step must be positive")
-    shifts = np.zeros((1 + DIM * len(offsets), DIM))
-    for c in range(DIM):
+    p = np.asarray(p, dtype=float)
+    dim = p.shape[-1]
+    shifts = np.zeros((1 + dim * len(offsets), dim))
+    for c in range(dim):
         shifts[1 + c * len(offsets): 1 + (c + 1) * len(offsets), c] = np.multiply(offsets, step)
-    return np.asarray(p, dtype=float)[..., None, :] + shifts
+    return p[..., None, :] + shifts
 
 
 def _partial_fd(samples, step, weights, rank):
     """d_c T[..., c, slots] from rank-`rank` samples T[..., s, slots] on a _stencil."""
     axis = samples.ndim - rank - 1
     moved = np.moveaxis(samples, axis, -1)[..., 1:]
-    moved = moved.reshape(moved.shape[:-1] + (DIM, len(weights)))
+    moved = moved.reshape(moved.shape[:-1] + (moved.shape[-1] // len(weights), len(weights)))
     partial = sum(w * moved[..., j] for j, w in enumerate(weights)) / step
     return np.moveaxis(partial, -1, axis)
 

@@ -112,6 +112,7 @@ def test_criterion_3_carter_commutation():
         assert res[("plain", 520)] > 100.0 * res[("sigma", 520)]
 
 
+@pytest.mark.slow
 def test_criterion_4_morawetz_surrogate():
     # bulk_cumulative(150m) / E_model,3(0): exactly scale invariant, stable
     # to <= 10% between 400x32 and 800x64 grids, finite with the cutoff on

@@ -4,10 +4,17 @@ import os
 import subprocess
 import sys
 
+import math
+
+import numpy as np
 import pytest
 
 import kerrlab
-from kerrlab.cli import main
+from kerrlab import (DomainError, KerrParams, conformal_ky_residual, kerr_metric,
+                     killing_tensor_residual, killing_tensor_residual_fd,
+                     killing_yano_residual, killing_yano_residual_fd,
+                     random_exterior_points, tetrad_reconstruction_residual, xi_oneform)
+from kerrlab.cli import main, parse_config
 
 
 def run_json(tmp_path, args, name="report.json"):
@@ -136,6 +143,13 @@ def test_index_profile_file(tmp_path):
     assert rep["results"]["report"]["index_lhs"] == 1
 
 
+@pytest.mark.parametrize("samples", [[0.3, float("nan"), 1.3, 1.3], [0.3, "x", 1.3, 1.3]])
+def test_index_profile_with_bad_samples_is_an_input_error(tmp_path, samples):
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps({"t": [0.0, 0.5, 9.5, 10.0], "a": samples}))
+    assert main(["index", "--T", "10", "--profile", str(prof)]) == 2
+
+
 def test_invariant_violation_exits_one(tmp_path):
     # an impossible drift tolerance cannot be met: exit code 1, report written
     out = tmp_path / "geo.json"
@@ -154,10 +168,63 @@ def test_invariant_violation_exits_one(tmp_path):
     ["maxwell-currents", "--n-points", "0"],
     ["geodesic", "--n-samples", "0"],
     ["wave-evolve", "--t-end", "-1"],
+    ["kerr-check", "--tol", "inf"],
+    ["kerr-check", "--m", "nan"],
+    ["goursat", "--extent", "nan"],
+    ["index", "--profile", "ramp:inf:1"],
 ])
 def test_degenerate_counts_and_extents_are_input_errors(args, capsys):
     assert main(args) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["geodesic", "--tol", "nan"],
+    ["wave-evolve", "--report-dt", "0"],
+    ["morawetz", "--report-dt", "-1"],
+])
+def test_non_finite_and_non_positive_values_rejected_before_running(args):
+    # resolving the config must refuse these; run() would hang or report every step
+    with pytest.raises(DomainError):
+        parse_config(args)
+
+
+def test_uncastable_config_file_value_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": "abc"}))
+    assert main(["kerr-check", "--config", str(cfg)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_kerr_check_maxima_match_the_one_point_residuals(tmp_path):
+    # the sweep evaluates every residual over all points at once; its maxima
+    # and FD orders are those of the one-point public functions
+    a, n, seed, h = 0.7, 12, 5, 1e-3
+    code, rep = run_json(tmp_path, ["kerr-check", "--a", str(a), "--n-points", str(n),
+                                    "--seed", str(seed), "--fd-step", str(h)])
+    assert code == 0 and rep["results"]["n_points"] == n
+    params = KerrParams(1.0, a)
+    pts = random_exterior_points(params, n, np.random.default_rng(seed))
+    xi = lambda p: np.max(np.abs(kerr_metric(params, p).g_inv.components
+                                 @ xi_oneform(params, p).components - np.array([1, 0, 0, 0])))
+    expected = {
+        "ky": max(killing_yano_residual(params, p) for p in pts),
+        "conformal_ky": max(conformal_ky_residual(params, p) for p in pts),
+        "killing_tensor": max(killing_tensor_residual(params, p) for p in pts),
+        "tetrad": max(tetrad_reconstruction_residual(params, p) for p in pts),
+        "xi": max(xi(p) for p in pts),
+    }
+    order = lambda f, p: math.log2(f(params, p, 2 * h) / f(params, p, h))
+    expected_orders = {
+        "ky_fd": [order(killing_yano_residual_fd, p) for p in pts[:3]],
+        "killing_tensor_fd": [order(killing_tensor_residual_fd, p) for p in pts[:3]],
+    }
+    close = lambda got, ref: abs(got - ref) <= max(1e-13 * abs(ref), 1e-15)
+    got = rep["results"]["max_residuals"]
+    assert set(got) == set(expected)
+    assert all(close(got[k], v) for k, v in expected.items()), (got, expected)
+    for k, v in expected_orders.items():
+        assert all(map(close, rep["results"]["observed_orders"][k], v)), k
 
 
 def test_geometry_subcommands_run_without_sympy(tmp_path):

@@ -52,6 +52,13 @@ def test_fd_residual_orders(params):
         assert o1 > 1.9 and o2 > 1.9
 
 
+def test_fd_residual_rejects_a_stencil_across_the_axis():
+    # theta = 0.3 with step 0.5 puts stencil points at theta = -0.2
+    params = KerrParams(1.0, 0.5)
+    with pytest.raises(DomainError):
+        killing_yano_residual_fd(params, BLPoint(0.0, 6.0, 0.3, 0.0, params), step=0.5)
+
+
 def test_carter_tensor_is_square_of_ky():
     params = KerrParams(1.0, 0.7)
     pt = BLPoint(0.0, 6.0, 0.9, 1.2, params)
@@ -102,7 +109,8 @@ FORM_POINTS = [(0.0, 4.0, 1.1), (0.0, 7.5, 2.0e-6), (0.5, 3.0, 0.7),
 def test_compiled_forms_match_plain_lambdify():
     import sympy as sp
 
-    from kerrlab.kerr import COMPLEX_FORMS, _exprs, _forms
+    from kerrlab._derive import _exprs
+    from kerrlab.kerr import COMPLEX_FORMS, _forms
 
     args, exprs = _exprs()
     forms = _forms()

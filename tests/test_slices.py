@@ -58,3 +58,27 @@ def test_non_symmetric_sampler_rejected():
                     k_sampler=lambda p: np.zeros((3, 3)))
     with pytest.raises(DomainError):
         constraint_residual(bad, [np.zeros(3)])
+
+
+def test_constraint_residual_samples_each_stencil_point_once():
+    # one pass per point: h on the nested 13 x 13 fourth-order stencil, k on
+    # the outer 13 points
+    base = schwarzschild_slice(1.0)
+    calls = {"h": 0, "k": 0}
+
+    def counted(name, sampler):
+        def wrapped(p):
+            calls[name] += 1
+            return sampler(p)
+        return wrapped
+
+    data = SliceData(counted("h", base.h_sampler), counted("k", base.k_sampler), base.chart)
+    hams, moms = constraint_residual(data, SCHW_POINTS[:2], step=1e-2)
+    assert calls == {"h": 2 * 169, "k": 2 * 13}
+    ref_hams, ref_moms = constraint_residual(base, SCHW_POINTS[:2], step=1e-2)
+    assert np.array_equal(hams, ref_hams) and np.array_equal(moms, ref_moms)
+
+
+def test_constraint_residual_of_no_points_is_empty():
+    hams, moms = constraint_residual(flat_slice(), [])
+    assert hams.size == 0 and moms.size == 0
