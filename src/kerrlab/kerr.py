@@ -353,12 +353,14 @@ def horizon_radius(params: KerrParams) -> float:
     return params.r_plus
 
 
-def random_exterior_points(params: KerrParams, n, rng, r_range=(None, 12.0), t_range=(0.0, 0.0)):
-    """Sample points uniformly in r, theta, phi over a safe exterior box."""
+def random_exterior_points(params: KerrParams, n, rng, r_range=(None, None), t_range=(0.0, 0.0)):
+    """Sample points uniformly in r, theta, phi over a safe exterior box
+    (by default r_plus + 0.3 m < r < 12 m)."""
     r_lo = r_range[0] if r_range[0] is not None else params.r_plus + 0.3 * params.m
+    r_hi = r_range[1] if r_range[1] is not None else 12.0 * params.m
     pts = []
     for _ in range(n):
-        r = rng.uniform(r_lo, r_range[1])
+        r = rng.uniform(r_lo, r_hi)
         th = rng.uniform(0.3, math.pi - 0.3)
         ph = rng.uniform(0.0, 2 * math.pi)
         t = rng.uniform(*t_range)

@@ -92,7 +92,7 @@ def _calibration(params: KerrParams, field: str):
     label, F, seed, tol, floor = _CALIBRATIONS[field]
     F_field = partial(F, params)
     rng = np.random.default_rng(seed)
-    pts = random_exterior_points(params, 5, rng, r_range=(None, 10.0))
+    pts = random_exterior_points(params, 5, rng, r_range=(None, 10.0 * params.m))
     for p in pts:
         res_h = maxwell_divergence_residual(params, F_field, p, step=1e-2)
         res_h2 = maxwell_divergence_residual(params, F_field, p, step=5e-3)

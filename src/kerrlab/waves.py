@@ -22,6 +22,10 @@ genuine O(h^2) quantity instead of an exact zero.
 All stencils act on the last two axes (r*, theta), so a stack of time
 levels, or any other leading batch axes, is differentiated in one call.
 
+The leapfrog step applies `_spatial` as a sparse matrix read off it once
+per grid (`_operator`).  Without the rotation term (m_phi = 0 or a = 0)
+real data stay real, and the evolver then steps in float64.
+
 Time derivatives in diagnostics are always taken from a centered stack of
 consecutive time levels; the evolver bootstraps levels on both sides of the
 report time (leapfrog is time-reversible) so that t = 0 reports are exact
@@ -172,6 +176,10 @@ class WaveGrid:
         theta_pad = np.concatenate([[-self.theta[0]], self.theta, [math.pi + self.theta[0]]])
         self.sin_face_trap = 0.5 * (np.sin(theta_pad[:-1]) + np.sin(theta_pad[1:]))
         self.parity = (-1.0) ** self.m_phi
+        self.rotates = self.m_phi != 0 and a != 0
+        self.imc = 1j * self.m_phi * self.c5 if self.rotates else 0.0  # coefficient of d_t psi
+        self.edge_speed = [math.sqrt(float(np.max(self.c1[side]))) for side in (0, -1)]  # r* ends
+        self._csr = None  # _operator's matrix, built on first use
 
     def max_wave_speed_sq(self):
         """Explicit-stability estimate: largest eigenvalue of the spatial operator."""
@@ -256,13 +264,41 @@ def _spatial(grid: WaveGrid, psi):
     )
 
 
+def _operator(grid: WaveGrid):
+    """`_spatial` as a CSR matrix on the flattened grid, cached on the grid.
+
+    Read off `_spatial` with 15 0/1 probes, cell (i, j) having color (i mod 5,
+    j mod 3).  Row (i, j) reaches at most 4 consecutive r and 3 theta cells
+    (the one-sided ends; the parity ghosts fold back onto its own cells), all
+    in the 5 x 3 window at (s, t), which holds one cell of each color: a
+    probe's value at the row is the entry of the window's cell of its color.
+    """
+    if grid._csr is None:
+        from scipy.sparse import csr_array
+
+        n_r, n_th = grid.n_r, grid.n_theta
+        i, j = np.arange(n_r, dtype=np.int32)[:, None], np.arange(n_th, dtype=np.int32)
+        s, t = np.clip(i - 2, 0, n_r - 5), np.clip(j - 1, 0, n_th - 3)
+        ci, cj = (c[:, None, None] for c in np.divmod(np.arange(15, dtype=np.int32), 3))
+        # one probe per call: a stacked call's temporaries raise the peak memory
+        values = np.array([_spatial(grid, ((i % 5 == a) & (j % 3 == b)).astype(float))
+                           for a, b in zip(ci.flat, cj.flat)])
+        cols = (s + (ci - s) % 5) * n_th + t + (cj - t) % 3
+        rows = np.broadcast_to(i * n_th + j, cols.shape)
+        grid._csr = csr_array((values.ravel(), (rows.ravel(), cols.ravel())),
+                              shape=(n_r * n_th,) * 2)
+        grid._csr.eliminate_zeros()
+    return grid._csr
+
+
 @dataclass
 class ModeField2p1:
     """Field state: psi and psi_t on the grid at a given time.
 
     history, when present, is a (levels, dt) pair of consecutive psi levels
     maintained by the evolver for time-derivative diagnostics; `psi` sits at
-    levels[-4], i.e. the levels extend three steps past `time`.
+    levels[-4], i.e. the levels extend three steps past `time`; they are
+    float64 when `evolve` stepped in real arithmetic.
     """
 
     grid: WaveGrid
@@ -316,7 +352,7 @@ def sigma_box_stack(grid: WaveGrid, stack, dt):
     """
     stack, dtt = _centered_dtt(stack, dt, "sigma_box_stack")
     dt1 = (stack[2:] - stack[:-2]) / (2.0 * dt)
-    residual = _spatial(grid, stack[1:-1]) - dtt - 1j * grid.m_phi * grid.c5 * dt1
+    residual = _spatial(grid, stack[1:-1]) - dtt - grid.imc * dt1
     return (grid.Pi / grid.delta[:, None]) * residual
 
 
@@ -370,21 +406,24 @@ def reduced_wave_apply(field: ModeField2p1):
 
 
 def _step(grid: WaveGrid, psi_prev, psi, dt):
-    """One leapfrog step: returns psi at t + dt.
+    """One leapfrog step: returns psi at t + dt, in the dtype of psi.
 
-    The first-order rotation term is treated with a centered implicit
-    average, which for the diagonal i*m*c5 coefficient is a scalar solve.
+    The spatial operator is one sparse product with `_operator`, complex
+    data as (real, imaginary) column pairs; the first-order rotation term,
+    if any, is treated with a centered implicit average, which for the
+    diagonal i*m*c5 coefficient is a scalar solve.
     """
-    rhs = _spatial(grid, psi)
-    imc = 1j * grid.m_phi * grid.c5
-    denom = 1.0 + 0.5 * dt * imc
-    new = (2.0 * psi - psi_prev + dt**2 * rhs + 0.5 * dt * imc * psi_prev) / denom
+    columns = psi.view(float).reshape(psi.size, -1)  # no complex copy of the matrix
+    rhs = (_operator(grid) @ columns).view(psi.dtype).reshape(psi.shape)
+    new = 2.0 * psi - psi_prev + dt**2 * rhs
+    if grid.rotates:
+        half = 0.5 * dt * grid.imc
+        new = (new + half * psi_prev) / (1.0 + half)
 
     # Sommerfeld boundaries: outgoing d_t psi = +/- sqrt(c1) d_rs psi,
     # discretized with a trapezoidal one-sided update.
     h = grid.h_r
-    for side, sgn in ((0, 1.0), (-1, -1.0)):
-        c = math.sqrt(float(np.max(grid.c1[side])))
+    for side, c in zip((0, -1), grid.edge_speed):
         if side == 0:
             d_new = (4.0 * new[1] - new[2]) / (2 * h)
             d_old = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2 * h)
@@ -402,7 +441,7 @@ def _step(grid: WaveGrid, psi_prev, psi, dt):
 
 def _bootstrap_prev(grid, psi, psi_t, dt):
     """Second-order accurate psi(t - dt) from Cauchy data via a Taylor start."""
-    rhs = _spatial(grid, psi) - 1j * grid.m_phi * grid.c5 * psi_t
+    rhs = _spatial(grid, psi) - grid.imc * psi_t
     return psi - dt * psi_t + 0.5 * dt**2 * rhs
 
 
@@ -430,6 +469,10 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
     every report_dt of coordinate time (default: 8 report times total),
     computed from centered 5-level stacks; the ratio column is
     bulk_cumulative / e_model3(t=0).
+
+    Without the rotation term (grid.rotates false) and with real data, the
+    levels and the returned history are float64, otherwise complex; the
+    returned field is complex either way.
     """
     if not (0.0 < cfl < 1.0):
         raise DomainError("cfl must lie in (0, 1)")
@@ -443,9 +486,10 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
 
     # build levels at t = -3dt .. +3dt around t=0 (leapfrog is reversible);
     # diagnostics need 3 extra levels on each side of a report time
-    psi0 = field.psi.copy()
-    prev = _bootstrap_prev(grid, psi0, field.psi_t, dt)
-    nxt = _bootstrap_prev(grid, psi0, field.psi_t, -dt)
+    real = not grid.rotates and not (field.psi.imag.any() or field.psi_t.imag.any())
+    psi0, psi_t = ((x.real if real else x).copy() for x in (field.psi, field.psi_t))
+    prev = _bootstrap_prev(grid, psi0, psi_t, dt)
+    nxt = _bootstrap_prev(grid, psi0, psi_t, -dt)
     levels = [prev, psi0, nxt]
     for _ in range(2):
         levels.insert(0, _step(grid, levels[1], levels[0], -dt))
@@ -459,7 +503,8 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
 
     def emit(center_index, t_center):
         nonlocal bulk_cum, e0, last_bulk_t, last_bulk_val
-        energy, bulk = _densities(grid, np.array(levels[center_index - 3: center_index + 4]), dt)
+        stack = levels[center_index - 3: center_index + 4]
+        energy, bulk = _densities(grid, np.array(stack, dtype=complex), dt)
         e, b = _slice_integral(grid, energy), _slice_integral(grid, bulk)
         if e0 is None:
             e0 = e if e > 0 else 1.0

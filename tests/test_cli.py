@@ -196,6 +196,61 @@ def test_uncastable_config_file_value_is_an_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [{"threads": "2"}, {"out": 5}])
+def test_threads_and_out_in_a_config_file_are_type_checked(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    assert main(["goursat", "--data", "linear", "--config", str(cfg)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_non_integer_threads_env_is_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BHL_THREADS", "abc")
+    code, rep = run_json(tmp_path, ["goursat", "--data", "linear"])
+    assert code == 2 and rep is None
+    assert "input error" in capsys.readouterr().err
+
+
+def test_default_sample_radii_scale_with_the_mass():
+    # the default box is [r_plus + 0.3 m, 12 m]; at m = 1 it is the former
+    # fixed [r_plus + 0.3, 12] draw for draw
+    for m in (1.0, 6.0, 1e10):
+        params = KerrParams(m, 0.5)
+        r = [p.r for p in random_exterior_points(params, 50, np.random.default_rng(3))]
+        assert params.r_plus + 0.3 * m <= min(r) and max(r) <= 12.0 * m
+    one = KerrParams(1.0, 0.5)
+    fixed = random_exterior_points(one, 20, np.random.default_rng(3), r_range=(None, 12.0))
+    default = random_exterior_points(one, 20, np.random.default_rng(3))
+    assert np.array_equal([p.coords for p in default], [p.coords for p in fixed])
+
+
+@pytest.mark.parametrize("args", [
+    ["kerr-check", "--m", "6", "--n-points", "5"],
+    ["maxwell-currents", "--m", "5", "--n-points", "1"],
+    ["kerr-check", "--m", "1e300"],
+])
+def test_large_masses_end_in_an_exit_code(tmp_path, args):
+    # main returns an exit code; a raw traceback would raise out of it here
+    assert main(args + ["--out", str(tmp_path / "r.json")]) in (0, 1, 2)
+
+
+def test_morawetz_builds_each_grid_once(tmp_path, monkeypatch):
+    # the x3-scaled run reuses the coarse run's grid
+    import kerrlab.waves as waves
+
+    grids = []
+    inner = waves.WaveGrid
+
+    def counted(*args, **kwargs):
+        grids.append(kwargs["n_r"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(waves, "WaveGrid", counted)
+    assert main(["morawetz", "--t-end", "1", "--n-r", "32", "--n-theta", "8",
+                 "--out", str(tmp_path / "m.json")]) == 0
+    assert grids == [32, 64]
+
+
 def test_kerr_check_maxima_match_the_one_point_residuals(tmp_path):
     # the sweep evaluates every residual over all points at once; its maxima
     # and FD orders are those of the one-point public functions

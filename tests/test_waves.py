@@ -8,7 +8,7 @@ from kerrlab import (DomainError, EnergyReport, KerrParams, ModeField2p1,
                      initial_data, morawetz_bulk, pointwise_norm,
                      radius_from_tortoise, reduced_wave_apply, symmetry_apply,
                      tortoise_from_radius)
-from kerrlab.waves import (_metric_on_grid, assemble_current, box_stack,
+from kerrlab.waves import (_metric_on_grid, _operator, _spatial, assemble_current, box_stack,
                            carter_q_stack, d2_rstar, d_rstar, d_theta,
                            horizon_gap_from_tortoise, lambda_theta_conservative,
                            lambda_theta_trapezoid, polarized_stress,
@@ -270,3 +270,47 @@ def test_energy_report_rejects_small_negative_values():
     EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(StabilityError):
         EnergyReport(0.0, -1e-13, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("m_phi", [0, 1, 2])
+def test_compiled_operator_is_the_spatial_operator(a, m_phi):
+    # the CSR matrix read off _spatial by the colored probes applies it on
+    # every grid: the 16 x 8 minimum (both windows clipped at each end),
+    # sizes that are not multiples of the 5 x 3 colors, and the criterion-4
+    # coarse grid; even and odd m_phi give both ghost parities
+    rng = np.random.default_rng(5)
+    for n_r, n_theta in ((16, 8), (17, 9), (23, 13), (200, 16), (400, 32)):
+        grid = make_grid(a=a, m_phi=m_phi, n_r=n_r, n_theta=n_theta, lo=-40.0, hi=80.0)
+        psi = rng.normal(size=(n_r, n_theta)) + 1j * rng.normal(size=(n_r, n_theta))
+        expected = _spatial(grid, psi)
+        got = (_operator(grid) @ psi.ravel()).reshape(psi.shape)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected)), (n_r, n_theta)
+        assert _operator(grid) is _operator(grid)  # built once per grid
+
+
+@pytest.mark.parametrize("a, m_phi, real", [(0.5, 0, True), (0.0, 1, True), (0.5, 1, False)])
+def test_real_data_without_rotation_evolve_in_float64(a, m_phi, real):
+    grid = make_grid(a=a, m_phi=m_phi, n_r=40, n_theta=8)
+    psi, psi_t = initial_data(grid, family="gaussian-ingoing", center=5.0, width=3.0)
+    field, _ = evolve(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t), t_end=1.0)
+    assert field.history[0].dtype == (np.float64 if real else np.complex128)
+    assert field.psi.dtype == np.complex128  # the field keeps its complex interface
+
+
+@pytest.mark.parametrize("a, m_phi", [(0.5, 0), (0.0, 1)])
+def test_real_and_complex_paths_agree(a, m_phi):
+    # psi is real, so it takes the float64 path; i psi is not, so it takes
+    # the complex one; the energies are quadratic, so every report agrees
+    grid = make_grid(a=a, m_phi=m_phi, n_r=80, n_theta=12)
+    psi, psi_t = initial_data(grid, family="gaussian-ingoing", center=5.0, width=3.0)
+    real, r1 = evolve(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t), t_end=3.0, report_dt=0.5)
+    cplx, r2 = evolve(ModeField2p1(grid=grid, psi=1j * psi, psi_t=1j * psi_t), t_end=3.0,
+                      report_dt=0.5)
+    assert real.history[0].dtype == np.float64 and cplx.history[0].dtype == np.complex128
+    assert len(r1) == len(r2) > 2
+    for x, y in zip(r1, r2):
+        for name in ("e_model3", "bulk_increment", "bulk_cumulative", "ratio"):
+            u, v = getattr(x, name), getattr(y, name)
+            assert abs(u - v) <= 1e-12 * max(abs(u), 1e-300), (x.time, name)
+    assert np.max(np.abs(cplx.psi - 1j * real.psi)) <= 1e-12 * np.max(np.abs(real.psi))
