@@ -8,6 +8,9 @@ and the quadratic Carter invariant k) rather than by quadratures.
 Sign conventions: e = -g(u, d/dt) (positive for future-directed orbits at
 infinity), l_z = +g(u, d/dphi).  The Carter invariant uses K_ab = Y_ac Y^c_b,
 under which k = -l_z^2 for equatorial Schwarzschild orbits.
+
+scipy is imported on first use.  integrate_geodesic calls the module-level
+solve_ivp by name, so replacing it there observes every RHS evaluation.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .kerr import BLPoint, KerrParams, _eval, _forms, carter_tensor
@@ -28,6 +29,15 @@ from .tensors import UP, TensorValue
 # grow like 1/delta and quadratic invariants lose ~delta^-2 digits to
 # cancellation, so the guard stays at a coordinate-healthy distance.
 PLUNGE_GUARD = 1e-2
+
+NORM_TOL = 1e-10  # largest |g(u, u) - target| a state may have
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,7 @@ class GeodesicState:
         g = _eval("g", self.x.params, self.x)
         norm = uc @ g @ uc
         target = -1.0 if self.causal_type == "timelike" else 0.0
-        if abs(norm - target) > 1e-10:
+        if abs(norm - target) > NORM_TOL:
             raise ValueError(
                 f"4-velocity norm {norm} does not match {self.causal_type} target {target}"
             )
@@ -259,13 +269,16 @@ def photon_orbit_radius(params: KerrParams, bracket, prograde=True, tol=1e-14) -
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo * f_hi > 0:
         raise DomainError(f"no photon-orbit root in bracket {bracket}")
+    from scipy.optimize import brentq
+
     return float(brentq(residual, lo, hi, xtol=tol))
 
 
 def normalize_velocity(params: KerrParams, p: BLPoint, u_spatial, causal_type="timelike"):
     """Complete (u^r, u^theta, u^phi) to a future-directed 4-velocity.
 
-    Solves the quadratic normalization condition for u^t > 0.
+    Solves the quadratic normalization condition for u^t > 0.  DomainError
+    if float64 rounding of g_ab u^a u^b (large speeds) exceeds NORM_TOL.
     """
     g = _eval("g", params, p)
     ur, uth, uph = u_spatial
@@ -282,4 +295,8 @@ def normalize_velocity(params: KerrParams, p: BLPoint, u_spatial, causal_type="t
         ut = (-B + math.sqrt(disc)) / (2 * A)
     if ut <= 0:
         raise DomainError("no future-directed completion exists")
-    return GeodesicState(p, TensorValue((UP,), np.array([ut, ur, uth, uph])), causal_type)
+    u = TensorValue((UP,), np.array([ut, ur, uth, uph]))
+    norm = u.real_part() @ g @ u.real_part()  # as GeodesicState computes it
+    if abs(norm - target) > NORM_TOL:
+        raise DomainError(f"4-velocity norm {norm} misses target {target}: speed too large")
+    return GeodesicState(p, u, causal_type)

@@ -29,6 +29,8 @@ snapped to exact zero and handled by the half-open conventions.
 Complementarity dim_ker_APS(profile) = dim_ker_aAPS(time reflection) holds
 whenever both boundary operators are invertible (no integer endpoint); with
 a zero boundary eigenvalue the half-open conventions break the naive swap.
+
+scipy.integrate is imported on first use, so importing kerrlab skips it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, GuardBandError
 
@@ -100,6 +101,8 @@ def _snap(value):
 
 def _mode_solution_modulus(profile: ConnectionProfile, k: int) -> float:
     """|c(T)/c(0)| for the mode ODE c' = -i (k + a(t)) c (should be 1)."""
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         lambda t, y: [-(k + profile.a(t)) * y[1], (k + profile.a(t)) * y[0]],
         (0.0, profile.T),

@@ -299,3 +299,44 @@ assert "sympy" not in sys.modules, "sympy was imported"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_subcommands_import_only_the_scipy_they_call(tmp_path):
+    # scipy is imported inside the functions that call it: importing the CLI
+    # loads none of it, the 1+1 solvers and the geometry checks never need it,
+    # and the wave subcommands load only scipy.sparse
+    code = f"""
+import sys
+from kerrlab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(argv):
+    sub, cfg = cli.parse_config(argv + ["--out", {str(tmp_path / "r.json")!r}])
+    assert cli.run(sub, cfg) == 0, sub
+
+assert not scipy_modules(), scipy_modules()
+for argv in (["green"], ["goursat", "--data", "linear"], ["dirac"],
+             ["kerr-check", "--n-points", "2"], ["maxwell-currents", "--n-points", "1"]):
+    run(argv)
+    assert not scipy_modules(), (argv, scipy_modules())
+for argv in (["wave-evolve", "--t-end", "1", "--n-r", "16", "--n-theta", "8"],
+             ["morawetz", "--t-end", "1", "--n-r", "32", "--n-theta", "8"]):
+    run(argv)
+    assert "scipy.integrate" not in sys.modules, argv
+    assert "scipy.optimize" not in sys.modules, argv
+"""
+    src = os.path.dirname(os.path.dirname(kerrlab.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--uphi0", "--ur0"])
+def test_velocity_beyond_the_norm_resolution_is_an_input_error(tmp_path, flag):
+    # at |u| ~ 1e3 the rounding of g_ab u^a u^b (~1e-8) exceeds the 1e-10 norm
+    # bound, so no completion meets it
+    assert main(["geodesic", flag, "1e3", "--out", str(tmp_path / "g.json")]) == 2
+    assert main(["geodesic", flag, "10", "--out", str(tmp_path / "g.json")]) == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kerrlab.geodesics as geodesics
 from kerrlab import (BLPoint, KerrParams, circular_orbit_state,
                      conserved_drift, conserved_quantities, integrate_geodesic,
                      normalize_velocity, photon_orbit_radius)
@@ -84,3 +85,26 @@ def test_conserved_series_matches_pointwise_integrals():
         c = conserved_quantities(params, traj.state(i, "timelike"))
         assert np.allclose(series[i, :3], [c.e, c.lz, c.k], rtol=1e-13, atol=1e-13)
     assert np.allclose(series[:, 3], -1.0, atol=1e-10)
+
+
+def test_integrate_geodesic_calls_the_module_solve_ivp(monkeypatch):
+    # integrate_geodesic reaches scipy through the module attribute, so a
+    # replacement there sees every right-hand side evaluation
+    params = KerrParams(1.0, 0.5)
+    s0 = circular_orbit_state(params, 8.0)
+    plain = integrate_geodesic(params, s0, 20.0)
+    inner = geodesics.solve_ivp
+    calls = []
+
+    def counted(fun, *args, **kwargs):
+        def rhs(tau, y):
+            calls.append(tau)
+            return fun(tau, y)
+
+        return inner(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "solve_ivp", counted)
+    traj = integrate_geodesic(params, s0, 20.0)
+    assert calls
+    assert np.array_equal(traj.x, plain.x) and np.array_equal(traj.u, plain.u)
+    assert np.array_equal(traj.tau, plain.tau)
