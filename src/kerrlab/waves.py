@@ -30,6 +30,13 @@ Time derivatives in diagnostics are always taken from a centered stack of
 consecutive time levels; the evolver bootstraps levels on both sides of the
 report time (leapfrog is time-reversible) so that t = 0 reports are exact
 to the scheme's order.
+
+The energy and bulk densities apply each symmetry word of S_0..S_2 before
+the first derivatives (word-first ordering, see `_densities`).  On a fixed
+mode d_phi is multiplication by i m_phi, so the seven words reduce to four
+base fields, psi, D psi, D^2 psi and Q psi (D the centered d_t), weighted
+1 + m_phi^2 + m_phi^4, 1 + m_phi^2, 1 and 1 (`_base_weights`).  Real stacks
+stay float64.
 """
 
 from __future__ import annotations
@@ -180,6 +187,7 @@ class WaveGrid:
         self.imc = 1j * self.m_phi * self.c5 if self.rotates else 0.0  # coefficient of d_t psi
         self.edge_speed = [math.sqrt(float(np.max(self.c1[side]))) for side in (0, -1)]  # r* ends
         self._csr = None  # _operator's matrix, built on first use
+        self._rotation = {}  # _step's rotation factors by step value
 
     def max_wave_speed_sq(self):
         """Explicit-stability estimate: largest eigenvalue of the spatial operator."""
@@ -333,12 +341,20 @@ class ModeField2p1:
 # ---------------------------------------------------------------------------
 
 
+def _centered_dt(stack, dt):
+    """D: the centered d_t of the interior levels, as a product with 1/(2 dt),
+    which numpy's complex division by a real also forms (real data round alike)."""
+    return (stack[2:] - stack[:-2]) * (1.0 / (2.0 * dt))
+
+
 def _centered_dtt(stack, dt, who):
-    """The stack as complex levels, and the centered d_t^2 of its interior levels."""
-    stack = np.asarray(stack, dtype=complex)
+    """The stack as float (real data) or complex levels, and the centered
+    d_t^2 of its interior levels."""
+    stack = np.asarray(stack)
+    stack = np.asarray(stack, dtype=np.result_type(stack, float))
     if stack.shape[0] < 3:
         raise DomainError(f"{who} needs at least 3 time levels")
-    return stack, (stack[2:] - 2.0 * stack[1:-1] + stack[:-2]) / dt**2
+    return stack, (stack[2:] - 2.0 * stack[1:-1] + stack[:-2]) * (1.0 / dt**2)
 
 
 def sigma_box_stack(grid: WaveGrid, stack, dt):
@@ -351,8 +367,7 @@ def sigma_box_stack(grid: WaveGrid, stack, dt):
     of the evolved equation in the normalization of Sigma Box.
     """
     stack, dtt = _centered_dtt(stack, dt, "sigma_box_stack")
-    dt1 = (stack[2:] - stack[:-2]) / (2.0 * dt)
-    residual = _spatial(grid, stack[1:-1]) - dtt - grid.imc * dt1
+    residual = _spatial(grid, stack[1:-1]) - dtt - grid.imc * _centered_dt(stack, dt)
     return (grid.Pi / grid.delta[:, None]) * residual
 
 
@@ -417,8 +432,18 @@ def _step(grid: WaveGrid, psi_prev, psi, dt):
     rhs = (_operator(grid) @ columns).view(psi.dtype).reshape(psi.shape)
     new = 2.0 * psi - psi_prev + dt**2 * rhs
     if grid.rotates:
-        half = 0.5 * dt * grid.imc
-        new = (new + half * psi_prev) / (1.0 + half)
+        # x / (1 + h), x = new + h psi_prev, h = dt imc / 2 = i beta, formed as
+        # numpy's complex division does: (x - h x) / (1 + beta^2); the factors
+        # are kept for two step values, the +dt and -dt of an evolve
+        if dt not in grid._rotation:
+            if len(grid._rotation) == 2:
+                grid._rotation.clear()
+            half = 0.5 * dt * grid.imc
+            grid._rotation[dt] = (half, 1.0 / (1.0 + half.imag**2))
+        half, scale = grid._rotation[dt]
+        new += half * psi_prev
+        new -= half * new
+        new *= scale
 
     # Sommerfeld boundaries: outgoing d_t psi = +/- sqrt(c1) d_rs psi,
     # discretized with a trapezoidal one-sided update.
@@ -504,7 +529,7 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
     def emit(center_index, t_center):
         nonlocal bulk_cum, e0, last_bulk_t, last_bulk_val
         stack = levels[center_index - 3: center_index + 4]
-        energy, bulk = _densities(grid, np.array(stack, dtype=complex), dt)
+        energy, bulk = _densities(grid, np.array(stack), dt)
         e, b = _slice_integral(grid, energy), _slice_integral(grid, bulk)
         if e0 is None:
             e0 = e if e > 0 else 1.0
@@ -570,30 +595,47 @@ def symmetry_apply(grid: WaveGrid, stack, dt, word):
     for _ in range(n_t):
         if stack.shape[0] < 3:
             raise DomainError("stack too short for the requested time derivatives")
-        stack = (stack[2:] - stack[:-2]) / (2.0 * dt)
+        stack = _centered_dt(stack, dt)
     stack = stack * (1j * grid.m_phi) ** n_phi
     for _ in range(n_q):
         stack = carter_q_stack(grid, stack, dt)
     return stack
 
 
+def _base_weights(m_phi, n=2):
+    """Weights of psi, D psi, D^2 psi and Q psi in sum_S |S f|^2 over S_0..S_n:
+    d_phi is i m_phi, so psi stands for the words 1, d_phi and d_phi^2, D psi
+    for d_t and d_t d_phi, D^2 psi for d_t^2 and Q psi for Q, by order."""
+    m2 = float(m_phi) ** 2
+    by_order = ((1.0, m2, m2 * m2), (0.0, 1.0, m2), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+    return [sum(w[:n + 1]) for w in by_order]
+
+
+def _sq(x):
+    """|x|^2 elementwise: x*x for real x, re^2 + im^2 (no square root) for complex x."""
+    return x.real**2 + x.imag**2 if np.iscomplexobj(x) else x * x
+
+
 def pointwise_norm(grid: WaveGrid, stack, dt, n: int):
-    """|psi|_n^2 on the grid at the central level of the stack.
+    """|psi|_n^2 = sum over the words S of S_0..S_n of |S psi|^2 on the grid at
+    the central level of the stack, from the base fields of `_base_weights`.
 
     Requires a stack of at least 2n+1 levels (5 for n = 2).
     """
-    if n > 3:
-        raise DomainError("pointwise norms above order 3 are unsupported")
-    if n == 3:
-        raise DomainError("order-3 word enumeration is not implemented")
-    words_by_order = {0: S0_WORDS, 1: S1_WORDS, 2: S2_WORDS}
-    stack = np.asarray(stack, dtype=complex)
-    total = np.zeros_like(stack[0], dtype=float)
-    for j in range(n + 1):
-        for word in words_by_order[j]:
-            res = symmetry_apply(grid, stack, dt, word)
-            total += np.abs(res[res.shape[0] // 2]) ** 2
-    return total
+    if not 0 <= n <= 2:
+        raise DomainError(f"pointwise norms of order {n} are not implemented")
+    stack = np.asarray(stack)
+    mid = stack.shape[0] // 2
+    if stack.shape[0] < 2 * n + 1:
+        raise DomainError(f"a pointwise norm of order {n} needs {2 * n + 1} time levels")
+    levels = stack[mid - n: mid + n + 1]
+    fields = [levels[n]]
+    if n >= 1:
+        d1 = _centered_dt(levels, dt)
+        fields.append(d1[n - 1])
+    if n == 2:
+        fields += [_centered_dt(d1, dt)[0], carter_q_stack(grid, levels[1:4], dt)[0]]
+    return sum(w * _sq(f) for w, f in zip(_base_weights(grid.m_phi, n), fields))
 
 
 # ---------------------------------------------------------------------------
@@ -614,68 +656,55 @@ def _slice_integral(grid: WaveGrid, density):
     return 2.0 * math.pi * float(np.trapezoid(theta_sum, dx=grid.h_r))
 
 
-def _word_derivatives(grid: WaveGrid, stack, dt):
-    """First derivatives of every symmetry-differentiated field S psi, S in S_0..S_2.
+def _densities(grid: WaveGrid, stack, dt):
+    """The E_model,3 and Morawetz bulk densities on the grid (see energy_model3
+    and morawetz_bulk), at the central level of a stack of >= 7 levels.
 
-    The composite quantities |d psi|_2^2 in the energy and bulk densities are
-    evaluated with the symmetry word applied first: |d_x psi|_2^2 means
-    sum_S |d_x (S psi)|^2.  The two orderings agree for the d_t / d_phi words
-    and wherever Q commutes with the derivative; the derivative-first ordering
-    is non-integrable at the poles for m_phi != 0 (Q hits the 1/sin^2 factor
-    on a field that no longer vanishes there), so the word-first ordering is
-    the one that keeps the continuum quantities finite.
+    The composite quantities |d_x psi|_2^2 are evaluated with the symmetry
+    word applied first: |d_x psi|_2^2 means sum_S |d_x (S psi)|^2 over the
+    words S of S_0..S_2.  The two orderings agree for the d_t / d_phi words
+    and wherever Q commutes with the derivative; the derivative-first
+    ordering is non-integrable at the poles for m_phi != 0 (Q hits the
+    1/sin^2 factor on a field that no longer vanishes there), so the
+    word-first ordering is the one that keeps the continuum quantities finite.
 
-    Yields (f, f_t, f_r, f_theta) at the central time level for each word;
-    needs a stack of >= 7 levels.
+    The sums run over the four base fields of `_base_weights`.  A field's d_t
+    is its D, so only D^3 psi and D Q psi are new differences.
     """
-    stack = np.asarray(stack, dtype=complex)
+    stack = np.asarray(stack)
     if stack.shape[0] < 7:
         raise DomainError("energy diagnostics need a 7-level stack")
     mid = stack.shape[0] // 2
-    a = grid.params.a
-    to_r = ((grid.r**2 + a**2) / grid.delta)[:, None]
-    for word in S0_WORDS + S1_WORDS + S2_WORDS:
-        # the levels each d_t or Q consumes per side, plus one for f_t
-        k = word[0] + word[2] + 1
-        ws = symmetry_apply(grid, stack[mid - k: mid + k + 1], dt, word)
-        c = ws.shape[0] // 2
-        f = ws[c]
-        f_t = (ws[c + 1] - ws[c - 1]) / (2.0 * dt)
-        yield f, f_t, to_r * d_rstar(grid, f), d_theta(grid, f)
+    d1 = _centered_dt(stack[mid - 3: mid + 4], dt)  # D psi on 5 levels
+    d2 = _centered_dt(d1, dt)  # D^2 psi on 3 levels
+    q = carter_q_stack(grid, stack[mid - 2: mid + 3], dt)  # Q psi on 3 levels
+    base = ((stack[mid], d1[2]), (d1[2], d2[1]),
+            (d2[1], _centered_dt(d2, dt)[0]), (q[1], _centered_dt(q, dt)[0]))
+    # sums over words of |f|^2, |d_t f|^2, |d_r* f|^2 and |d_theta f|^2, one
+    # base field at a time (stacking the four fields raises the peak memory)
+    f2, ft2, fr2, fth2 = (np.zeros((grid.n_r, grid.n_theta)) for _ in range(4))
+    for w, (f, f_t) in zip(_base_weights(grid.m_phi), base):
+        f2 += w * _sq(f)
+        ft2 += w * _sq(f_t)
+        fr2 += w * _sq(d_rstar(grid, f))
+        fth2 += w * _sq(d_theta(grid, f))
 
-
-def _densities(grid: WaveGrid, stack, dt):
-    """The E_model,3 and Morawetz bulk densities on the grid, from one pass of
-    _word_derivatives (see energy_model3 and morawetz_bulk)."""
     a = grid.params.a
     r = grid.r[:, None]
+    # d_r = ((r^2+a^2)/Delta) d_r*, so Delta |d_r f|^2 = w_t |d_r* f|^2
     w_t = ((grid.r**2 + a**2) ** 2 / grid.delta)[:, None]
     chi = cutoff_bump(grid.r, grid.params.m)[:, None]
-    w_phi = grid.m_phi**2 / grid.sin_theta[None, :] ** 2
-    energy = np.zeros((grid.n_r, grid.n_theta))
-    bulk = np.zeros((grid.n_r, grid.n_theta))
-    for f, f_t, f_r, f_th in _word_derivatives(grid, stack, dt):
-        energy += (
-            w_t * np.abs(f_t) ** 2
-            + grid.delta[:, None] * np.abs(f_r) ** 2
-            + np.abs(f_th) ** 2
-            + w_phi * np.abs(f) ** 2
-        )
-        f2 = np.abs(f) ** 2
-        angular = (np.abs(f_th) ** 2 + w_phi * f2) / r**2
-        bulk += (
-            (grid.delta[:, None] ** 2 / r**4) * np.abs(f_r) ** 2
-            + f2 / r**2
-            + chi / r * (np.abs(f_t) ** 2 + angular)
-        )
+    angular = fth2 + grid.m_phi**2 / grid.sin_theta**2 * f2
+    energy = w_t * (ft2 + fr2) + angular
+    bulk = ((r**2 + a**2) / r**2) ** 2 * fr2 + f2 / r**2 + chi / r * (ft2 + angular / r**2)
     return energy, bulk
 
 
 def energy_model3(grid: WaveGrid, stack, dt) -> float:
     """E_model,3: integral of
     ((r^2+a^2)^2/Delta)|d_t psi|_2^2 + Delta |d_r psi|_2^2 + |d_theta psi|_2^2
-    + (1/sin^2)|d_phi psi|_2^2 over the slice (word-first ordering, see
-    _word_derivatives)."""
+    + (1/sin^2)|d_phi psi|_2^2 over the slice, in the word-first ordering,
+    from the four base fields psi, D psi, D^2 psi, Q psi (see _densities)."""
     return _slice_integral(grid, _densities(grid, stack, dt)[0])
 
 
@@ -683,8 +712,9 @@ def morawetz_bulk(grid: WaveGrid, stack, dt) -> float:
     """Morawetz bulk density integrated over the slice:
     (Delta^2/r^4)|d_r psi|_2^2 + r^-2 |psi|_2^2
     + cutoff(r) r^-1 (|d_t psi|_2^2 + |angular gradient psi|_2^2),
-    with |angular gradient f|^2 = r^-2 (|d_theta f|^2 + m^2/sin^2 |f|^2)
-    and the word-first ordering of _word_derivatives."""
+    with |angular gradient f|^2 = r^-2 (|d_theta f|^2 + m^2/sin^2 |f|^2),
+    in the word-first ordering, from the four base fields psi, D psi,
+    D^2 psi, Q psi (see _densities)."""
     return _slice_integral(grid, _densities(grid, stack, dt)[1])
 
 

@@ -8,8 +8,9 @@ from kerrlab import (DomainError, EnergyReport, KerrParams, ModeField2p1,
                      initial_data, morawetz_bulk, pointwise_norm,
                      radius_from_tortoise, reduced_wave_apply, symmetry_apply,
                      tortoise_from_radius)
-from kerrlab.waves import (_metric_on_grid, _operator, _spatial, assemble_current, box_stack,
-                           carter_q_stack, d2_rstar, d_rstar, d_theta,
+from kerrlab.waves import (S0_WORDS, S1_WORDS, S2_WORDS, _densities, _metric_on_grid,
+                           _operator, _spatial, _step, assemble_current, box_stack,
+                           carter_q_stack, cutoff_bump, d2_rstar, d_rstar, d_theta,
                            horizon_gap_from_tortoise, lambda_theta_conservative,
                            lambda_theta_trapezoid, polarized_stress,
                            sigma_box_stack)
@@ -314,3 +315,95 @@ def test_real_and_complex_paths_agree(a, m_phi):
             u, v = getattr(x, name), getattr(y, name)
             assert abs(u - v) <= 1e-12 * max(abs(u), 1e-300), (x.time, name)
     assert np.max(np.abs(cplx.psi - 1j * real.psi)) <= 1e-12 * np.max(np.abs(real.psi))
+
+
+def _random_stack(grid, levels, rng, real):
+    shape = (levels, grid.n_r, grid.n_theta)
+    stack = rng.normal(size=shape)
+    return stack if real else stack + 1j * rng.normal(size=shape)
+
+
+def _word_by_word_densities(grid, stack, dt):
+    # the energy and bulk densities summed over the seven words of S_0..S_2,
+    # each word applied to the stack before d_t, d_r and d_theta
+    a = grid.params.a
+    r, delta = grid.r[:, None], grid.delta[:, None]
+    to_r = (r**2 + a**2) / delta
+    w_t = (r**2 + a**2) ** 2 / delta
+    chi = cutoff_bump(grid.r, grid.params.m)[:, None]
+    w_phi = grid.m_phi**2 / grid.sin_theta**2
+    energy = bulk = 0.0
+    for word in S0_WORDS + S1_WORDS + S2_WORDS:
+        k = word[0] + word[2] + 1
+        ws = symmetry_apply(grid, stack[3 - k: 4 + k], dt, word)
+        f, f_t = np.abs(ws[1]) ** 2, np.abs((ws[2] - ws[0]) / (2.0 * dt)) ** 2
+        f_r = np.abs(to_r * d_rstar(grid, ws[1])) ** 2
+        f_th = np.abs(d_theta(grid, ws[1])) ** 2
+        energy = energy + w_t * f_t + delta * f_r + f_th + w_phi * f
+        bulk = bulk + (delta**2 / r**4 * f_r + f / r**2
+                       + chi / r * (f_t + (f_th + w_phi * f) / r**2))
+    return energy, bulk
+
+
+@pytest.mark.parametrize("a, m_phi", [(0.0, 0), (0.1, 1), (0.5, 2), (0.9, 1)])
+@pytest.mark.parametrize("real", [True, False])
+def test_densities_are_the_word_by_word_sum(a, m_phi, real):
+    # the four base fields with their weights give the seven-word sum
+    grid = make_grid(a=a, m_phi=m_phi, n_r=60, n_theta=12)
+    stack = _random_stack(grid, 7, np.random.default_rng(17), real)
+    for got, ref in zip(_densities(grid, stack, 0.05), _word_by_word_densities(grid, stack, 0.05)):
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
+
+
+@pytest.mark.parametrize("m_phi", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_pointwise_norm_is_the_word_by_word_sum(m_phi, n):
+    grid = make_grid(a=0.5, m_phi=m_phi, n_r=40, n_theta=12)
+    stack = _random_stack(grid, 5, np.random.default_rng(23), real=False)
+    words = (S0_WORDS + S1_WORDS + S2_WORDS)[: (1, 3, 7)[n]]
+    ref = 0.0
+    for word in words:
+        res = symmetry_apply(grid, stack, 0.05, word)
+        ref = ref + np.abs(res[res.shape[0] // 2]) ** 2
+    got = pointwise_norm(grid, stack, 0.05, n)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
+
+
+def test_stack_operators_keep_real_data_real():
+    # float64 levels give float64 results, the complex path's to rounding
+    rng = np.random.default_rng(29)
+    for m_phi, op in ((1, carter_q_stack), (0, sigma_box_stack)):
+        grid = make_grid(a=0.5, m_phi=m_phi, n_r=40, n_theta=12)
+        stack = _random_stack(grid, 5, rng, real=True)
+        got, cplx = op(grid, stack, 0.05), op(grid, stack.astype(complex), 0.05)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - cplx)) <= 1e-14 * np.max(np.abs(cplx))
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(200, 16), (260, 32)])
+def test_rotating_step_is_the_centered_implicit_average(n_r, n_theta):
+    grid = make_grid(a=0.9, m_phi=1, n_r=n_r, n_theta=n_theta, lo=-40.0, hi=80.0)
+    rng = np.random.default_rng(31)
+    psi_prev, psi = _random_stack(grid, 2, rng, real=False)
+    for dt in (0.05, -0.05):
+        new = 2.0 * psi - psi_prev + dt**2 * (_operator(grid) @ psi.ravel()).reshape(psi.shape)
+        half = 0.5 * dt * grid.imc
+        expected = (new + half * psi_prev) / (1.0 + half)
+        got = _step(grid, psi_prev, psi, dt)
+        # rows 0 and -1 take the Sommerfeld update instead
+        assert np.max(np.abs(got - expected)[1:-1]) <= 1e-14 * np.max(np.abs(psi)), dt
+
+
+def test_evolving_a_grid_again_with_another_cfl_matches_a_fresh_grid():
+    # the step's rotation factors depend on dt, so a second evolve of one
+    # grid at another cfl must not reuse the first run's factors
+    def run(grid, cfl):
+        psi, psi_t = initial_data(grid, family="gaussian-ingoing", center=5.0, width=3.0)
+        return evolve(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t), t_end=1.0, cfl=cfl)[1]
+
+    grid = make_grid(a=0.5, m_phi=1, n_r=60, n_theta=8)
+    first, second = run(grid, 0.5), run(grid, 0.4)
+    assert len(grid._rotation) == 2  # the factors of +dt and -dt of the last run only
+    assert first == run(make_grid(a=0.5, m_phi=1, n_r=60, n_theta=8), 0.5)
+    assert second == run(make_grid(a=0.5, m_phi=1, n_r=60, n_theta=8), 0.4)
