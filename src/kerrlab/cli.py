@@ -564,7 +564,7 @@ def _run_goursat(cfg):
     elif cfg["data"] == "trig":
         # phi = sin(u) sin(v): d_u d_v phi = cos(u) cos(v), so the wave
         # source is f = 4 cos(t - x) cos(t + x); vanishing null-ray data
-        f = lambda t, x: 4.0 * math.cos(t - x) * math.cos(t + x)
+        f = lambda t, x: 4.0 * np.cos(t - x) * np.cos(t + x)
         errs = []
         for n in (cfg["n"], 2 * cfg["n"]):
             field = goursat_solve(lambda u: 0.0, lambda v: 0.0, cfg["extent"], n, f=f)

@@ -18,7 +18,8 @@ class CalibrationError(KerrlabError):
 
 
 class StabilityError(KerrlabError):
-    """A CFL bound was violated or NaN/Inf appeared during evolution."""
+    """A numerical integration failed: a CFL bound was violated, NaN/Inf
+    appeared, an ODE solver stopped, or an integrated mode degenerated."""
 
 
 class GuardBandError(KerrlabError):

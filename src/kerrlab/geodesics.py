@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StabilityError
 from .kerr import BLPoint, KerrParams, _eval, _forms, carter_tensor
 from .tensors import UP, TensorValue
 
@@ -174,7 +174,7 @@ def integrate_geodesic(
         events=(hit_time, hit_horizon),
     )
     if not sol.success:
-        raise RuntimeError(f"geodesic integration failed: {sol.message}")
+        raise StabilityError(f"geodesic integration failed: {sol.message}")
     plunged = len(sol.t_events[1]) > 0
     tau_end = sol.t[-1]
     taus = np.linspace(0.0, tau_end, n_samples)

@@ -230,12 +230,29 @@ class GoursatField:
         return 0.5 * (self.uu[i] + self.vv[j]), 0.5 * (self.vv[j] - self.uu[i])
 
 
+def _midpoint_source(f, um):
+    """f/4 at the cell midpoints (um[i], um[j]) in (u, v), shape (n, n).
+
+    One call on the (t, x) arrays of the midpoints when f accepts arrays;
+    otherwise (TypeError/ValueError, or a result that does not broadcast to
+    (n, n)) one scalar call per cell.
+    """
+    uu, vv = um[:, None], um[None, :]
+    try:
+        return np.broadcast_to(np.asarray(f(0.5 * (uu + vv), 0.5 * (vv - uu))),
+                               (um.size, um.size)) / 4.0
+    except (TypeError, ValueError):
+        um = um.tolist()
+        return np.array([[f(0.5 * (u + v), 0.5 * (v - u)) / 4.0 for v in um] for u in um])
+
+
 def goursat_solve(p, q, extent, n, f=None, initial_fill=0.0) -> GoursatField:
     """Solve d_u d_v phi = f/4 on [0,extent]^2 with phi(u,0) = p(u), phi(0,v) = q(v).
 
     p, q are callables on the two null rays from the vertex and must agree at
-    the vertex.  f, when given, is a callable f(t, x) (the wave-operator
-    source; the double-null right-hand side is f/4).  No derivative data is
+    the vertex.  f, when given, is the wave-operator source f(t, x) (the
+    double-null right-hand side is f/4): a callable on numpy arrays, which is
+    sampled in one call, or on floats only.  No derivative data is
     accepted along the rays.  `initial_fill` is accepted and ignored: the
     scheme is explicit, so the solution on the future of the rays is fixed
     by the ray data and the source alone (uniqueness).
@@ -252,17 +269,14 @@ def goursat_solve(p, q, extent, n, f=None, initial_fill=0.0) -> GoursatField:
     if abs(pv[0] - qv[0]) > 1e-12 * max(1.0, abs(pv[0])):
         raise DomainError("null data disagree at the vertex")
     # the scheme phi[i+1,j+1] = phi[i+1,j] + phi[i,j+1] - phi[i,j] + h^2 mid[i,j]
-    # telescopes to the ray data plus a double cumulative sum of the source,
-    # accumulated here one row of midpoints at a time
+    # telescopes to the ray data plus a double cumulative sum of the source
+    # (both sums sequential, so the order of the additions is the row loop's)
     phi = pv[:, None] + qv[None, :]
     phi -= qv[0]
     phi[:, 0], phi[0, :] = pv, qv
     if f is not None:
-        um = (uu[:-1] + 0.5 * h).tolist()
-        column_sums = np.zeros(n, dtype=complex)
-        for i, u in enumerate(um):
-            column_sums += [f(0.5 * (u + v), 0.5 * (v - u)) / 4.0 for v in um]
-            phi[i + 1, 1:] += h * h * np.cumsum(column_sums)
+        mid = _midpoint_source(f, uu[:-1] + 0.5 * h)
+        phi[1:, 1:] += h * h * np.cumsum(np.cumsum(mid, axis=0), axis=1)
     return GoursatField(uu=uu, vv=vv, phi=phi)
 
 

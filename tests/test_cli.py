@@ -150,6 +150,37 @@ def test_index_profile_with_bad_samples_is_an_input_error(tmp_path, samples):
     assert main(["index", "--T", "10", "--profile", str(prof)]) == 2
 
 
+def test_index_profile_spike_is_resolved(tmp_path):
+    # a between constant collars spikes to 50, so the 1000-step RK4 of the mode
+    # check (h |k + a| up to 2.45) would let the counted mode decay to |c| ~ 5e-12;
+    # the step-count rule resamples with h |k + a| <= 0.1
+    prof = tmp_path / "profile.json"
+    prof.write_text(json.dumps({"t": [0.0, 20.0, 25.0, 30.0, 50.0],
+                                "a": [0.3, 0.3, 50.0, 1.3, 1.3]}))
+    code, rep = run_json(tmp_path, ["index", "--T", "50", "--profile", str(prof)])
+    assert code == 0
+    report = rep["results"]["report"]
+    assert (report["dim_ker_aps"], report["dim_ker_aaps"]) == (1, 0)
+
+
+class _FailedSolution:
+    success = False
+    message = "step size fell below the spacing of floats"
+
+
+@pytest.mark.parametrize("args, module, name, fake", [
+    (["index"], "index2d", "_mode_solution_moduli", lambda profile, ks: np.zeros(len(ks))),
+    (["geodesic", "--t-max", "5"], "geodesics", "solve_ivp", lambda *a, **k: _FailedSolution()),
+], ids=["index", "geodesic"])
+def test_numeric_failures_exit_one_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                       args, module, name, fake):
+    # a degenerated mode or a failed ODE solve is an invariant violation
+    monkeypatch.setattr(f"kerrlab.{module}.{name}", fake)
+    assert main(args + ["--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "invariant violation" in err and "Traceback" not in err
+
+
 def test_invariant_violation_exits_one(tmp_path):
     # an impossible drift tolerance cannot be met: exit code 1, report written
     out = tmp_path / "geo.json"
@@ -303,8 +334,8 @@ assert "sympy" not in sys.modules, "sympy was imported"
 
 def test_subcommands_import_only_the_scipy_they_call(tmp_path):
     # scipy is imported inside the functions that call it: importing the CLI
-    # loads none of it, the 1+1 solvers and the geometry checks never need it,
-    # and the wave subcommands load only scipy.sparse
+    # loads none of it, the 1+1 solvers, the index theorem and the geometry
+    # checks never need it, and the wave subcommands load only scipy.sparse
     code = f"""
 import sys
 from kerrlab import cli
@@ -317,8 +348,9 @@ def run(argv):
     assert cli.run(sub, cfg) == 0, sub
 
 assert not scipy_modules(), scipy_modules()
-for argv in (["green"], ["goursat", "--data", "linear"], ["dirac"],
-             ["kerr-check", "--n-points", "2"], ["maxwell-currents", "--n-points", "1"]):
+for argv in (["green"], ["goursat", "--data", "linear"], ["goursat", "--data", "trig"],
+             ["dirac"], ["index"], ["kerr-check", "--n-points", "2"],
+             ["maxwell-currents", "--n-points", "1"]):
     run(argv)
     assert not scipy_modules(), (argv, scipy_modules())
 for argv in (["wave-evolve", "--t-end", "1", "--n-r", "16", "--n-theta", "8"],

@@ -79,6 +79,30 @@ def test_goursat_order_and_vertex_check():
         goursat_solve(lambda u: 1.0, lambda v: 0.0, 1.0, 32)
 
 
+def _goursat_per_cell(f, extent, n):
+    # the row loop with one scalar source call per cell, vanishing ray data
+    h = extent / n
+    um = ((np.arange(n + 1) * h)[:-1] + 0.5 * h).tolist()
+    phi = np.zeros((n + 1, n + 1), dtype=complex)
+    column_sums = np.zeros(n, dtype=complex)
+    for i, u in enumerate(um):
+        column_sums += [f(0.5 * (u + v), 0.5 * (v - u)) / 4.0 for v in um]
+        phi[i + 1, 1:] += h * h * np.cumsum(column_sums)
+    return phi
+
+
+@pytest.mark.parametrize("f", [
+    lambda t, x: t * t - 3.0 * x + 0.5j * t * x,  # takes arrays: one call
+    lambda t, x: 4.0 * math.cos(t - x) * math.cos(t + x),  # floats only
+    lambda t, x: 0.0,  # a scalar for any input
+    lambda t, x: 1.0 if t > 0.5 else 0.0,  # branches on a float
+], ids=["array", "math", "constant", "branching"])
+def test_goursat_source_forms_match_the_per_cell_loop(f):
+    for extent, n in ((1.0, 32), (0.937, 57)):
+        field = goursat_solve(lambda u: 0.0, lambda v: 0.0, extent, n, f=f)
+        assert np.array_equal(field.phi, _goursat_per_cell(f, extent, n))
+
+
 def test_goursat_initial_fill_irrelevant():
     a = goursat_solve(lambda u: u**2, lambda v: v, 1.0, 16, initial_fill=0.0)
     b = goursat_solve(lambda u: u**2, lambda v: v, 1.0, 16, initial_fill=123.0)

@@ -7,6 +7,7 @@ from kerrlab import (ConnectionProfile, DomainError, GuardBandError,
                      charge_report, chern_integral, eta_abel_oracle,
                      eta_h_circle, index_rhs_components, mode_kernel_count,
                      ramp_profile, reversed_profile)
+from kerrlab.index2d import _mode_solution_moduli
 
 
 def test_example_ramp_03_to_13():
@@ -75,17 +76,17 @@ def test_chern_integral_matches_endpoints():
     assert abs(chern_integral(p) - 2.0) < 1e-8
 
 
+def wiggly(t):
+    s = (t - 0.5) / 9.0
+    s = min(max(s, 0.0), 1.0)
+    ease = s**3 * (10 - 15 * s + 6 * s**2)
+    return 0.3 + 2.0 * ease + 0.4 * math.sin(math.pi * ease) * ease * (1 - ease)
+
+
 def test_homotopy_invariance():
     # two different interior paths with identical endpoints give the same
     # index data
     base = ramp_profile(0.3, 2.3)
-
-    def wiggly(t):
-        s = (t - 0.5) / 9.0
-        s = min(max(s, 0.0), 1.0)
-        ease = s**3 * (10 - 15 * s + 6 * s**2)
-        return 0.3 + 2.0 * ease + 0.4 * math.sin(math.pi * ease) * ease * (1 - ease)
-
     other = ConnectionProfile(a=wiggly, T=10.0, collar=True)
     ra, rb = charge_report(base), charge_report(other)
     assert ra.as_dict() == pytest.approx(rb.as_dict(), abs=1e-9)
@@ -105,3 +106,13 @@ def test_mode_counts_match_closed_form():
     p = ramp_profile(0.25, 3.25)
     assert mode_kernel_count(p, 8, "APS") == 3
     assert mode_kernel_count(p, 8, "aAPS") == 0
+
+
+@pytest.mark.parametrize("profile", [ramp_profile(0.3, -2.6),
+                                     ConnectionProfile(a=wiggly, T=10.0, collar=True)],
+                         ids=["ramp", "wiggly"])
+def test_batched_mode_moduli_stay_one(profile):
+    # c' = -i (k + a) c is a pure phase, so |c(T)/c(0)| = 1 up to the RK4 error
+    moduli = _mode_solution_moduli(profile, range(-6, 7))
+    assert moduli.shape == (13,)
+    assert np.max(np.abs(moduli - 1.0)) < 1e-5
