@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .errors import DomainError, GuardBandError, StabilityError
 
 GUARD_LOW = 1e-12
 GUARD_HIGH = 1e-9
+_BASE_STEPS = 1000  # RK4 steps of the mode check, unless a moves too fast
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,17 @@ class ConnectionProfile:
     @property
     def endpoints(self):
         return float(self.a(0.0)), float(self.a(self.T))
+
+    @cached_property
+    def _samples(self):
+        """a on linspace(0, T, 2 _BASE_STEPS + 1), sampled once per profile:
+        the nodes of chern_integral and of the mode check at its base n."""
+        return _sample_a(self, 2 * _BASE_STEPS + 1)
+
+
+def _sample_a(profile: ConnectionProfile, count: int) -> np.ndarray:
+    """a on linspace(0, T, count), by scalar calls on Python floats."""
+    return np.array([profile.a(t) for t in np.linspace(0.0, profile.T, count).tolist()])
 
 
 def _smootherstep(s):
@@ -105,19 +118,20 @@ def _mode_solution_moduli(profile: ConnectionProfile, ks) -> np.ndarray:
 
     Classical RK4 with n steps of h = T/n, all modes at once.  a is sampled
     once, by scalar calls, on the nodes linspace(0, T, 2n + 1) (step ends and
-    midpoints); with z = -i h (k + a) on those nodes, one step multiplies c by
+    midpoints; at the base n these are the profile's shared samples); with
+    z = -i h (k + a) on those nodes, one step multiplies c by
     R = 1 + (z0 + 2 zm s1 + 2 zm s2 + z1 s3) / 6, where s1 = 1 + z0/2,
-    s2 = 1 + zm s1/2 and s3 = 1 + zm s2.  Step count: n = 1000 unless
+    s2 = 1 + zm s1/2 and s3 = 1 + zm s2.  Step count: n = _BASE_STEPS unless
     h max|k + a| exceeds 0.1 on those samples; then n = ceil(10 T max|k + a|)
     and a is resampled once at that n.
     """
     ks = np.asarray(ks, dtype=float)
 
     def sample(n):
-        ts = np.linspace(0.0, profile.T, 2 * n + 1).tolist()
-        return ks[None, :] + np.array([profile.a(t) for t in ts])[:, None]
+        avals = profile._samples if n == _BASE_STEPS else _sample_a(profile, 2 * n + 1)
+        return ks[None, :] + avals[:, None]
 
-    n = 1000
+    n = _BASE_STEPS
     rates = sample(n)
     fastest = float(np.max(np.abs(rates)))
     if profile.T / n * fastest > 0.1:
@@ -228,15 +242,14 @@ class IndexReport:
 def chern_integral(profile: ConnectionProfile) -> float:
     """ch = integral of a'(t) dt over [0, T], evaluated by quadrature of a'.
 
-    a' is sampled by central differences; the result must agree with the
+    a' is sampled by central differences on the profile's shared samples,
+    2 _BASE_STEPS + 1 nodes; the result must agree with the
     fundamental-theorem value a(T) - a(0), else the profile is rejected as
     too rough for the smooth-geometry setting.
     """
     a0, aT = profile.endpoints
-    ts = np.linspace(0.0, profile.T, 2001)
-    h = ts[1] - ts[0]
-    avals = np.array([profile.a(t) for t in ts])
-    aprime = np.gradient(avals, h)
+    h = profile.T / (2 * _BASE_STEPS)  # linspace's step, bit for bit
+    aprime = np.gradient(profile._samples, h)
     ch = float(np.trapezoid(aprime, dx=h))
     if abs(ch - (aT - a0)) > 1e-6 * max(1.0, abs(aT - a0)):
         raise DomainError("quadrature of a' disagrees with a(T) - a(0)")

@@ -22,8 +22,12 @@ genuine O(h^2) quantity instead of an exact zero.
 All stencils act on the last two axes (r*, theta), so a stack of time
 levels, or any other leading batch axes, is differentiated in one call.
 
-The leapfrog step applies `_spatial` as a sparse matrix read off it once
-per grid (`_operator`).  Without the rotation term (m_phi = 0 or a = 0)
+`_spatial` is read off once per grid into a sparse matrix L (`_operator`,
+with an exact complex copy for complex data).  A leapfrog step is one
+product L psi, scaled by dt^2 (times a diagonal f with the rotation term),
+plus the increment psi - psi_prev (times a diagonal g), psi itself and the
+two Sommerfeld rows; f = 1/(1 + dt i m_phi c5 / 2) is the centered implicit
+average (`_step_factors`).  Without the rotation term (m_phi = 0 or a = 0)
 real data stay real, and the evolver then steps in float64.
 
 Time derivatives in diagnostics are always taken from a centered stack of
@@ -186,8 +190,8 @@ class WaveGrid:
         self.rotates = self.m_phi != 0 and a != 0
         self.imc = 1j * self.m_phi * self.c5 if self.rotates else 0.0  # coefficient of d_t psi
         self.edge_speed = [math.sqrt(float(np.max(self.c1[side]))) for side in (0, -1)]  # r* ends
-        self._csr = None  # _operator's matrix, built on first use
-        self._rotation = {}  # _step's rotation factors by step value
+        self._csr = self._csr_complex = None  # _operator's matrices, built on first use
+        self._rotation = {}  # _step_factors by step value
 
     def max_wave_speed_sq(self):
         """Explicit-stability estimate: largest eigenvalue of the spatial operator."""
@@ -276,7 +280,7 @@ def _spatial(grid: WaveGrid, psi):
     )
 
 
-def _operator(grid: WaveGrid):
+def _operator(grid: WaveGrid, dtype=float):
     """`_spatial` as a CSR matrix on the flattened grid, cached on the grid.
 
     Read off `_spatial` with 15 0/1 probes, cell (i, j) having color (i mod 5,
@@ -284,6 +288,8 @@ def _operator(grid: WaveGrid):
     (the one-sided ends; the parity ghosts fold back onto its own cells), all
     in the 5 x 3 window at (s, t), which holds one cell of each color: a
     probe's value at the row is the entry of the window's cell of its color.
+    For a complex dtype, an exact complex copy sharing the index arrays (also
+    cached), so that scipy does not upcast the matrix on every product.
     """
     if grid._csr is None:
         from scipy.sparse import csr_array
@@ -300,7 +306,14 @@ def _operator(grid: WaveGrid):
         grid._csr = csr_array((values.ravel(), (rows.ravel(), cols.ravel())),
                               shape=(n_r * n_th,) * 2)
         grid._csr.eliminate_zeros()
-    return grid._csr
+    if np.dtype(dtype).kind != "c":
+        return grid._csr
+    if grid._csr_complex is None:
+        from scipy.sparse import csr_array
+
+        L = grid._csr
+        grid._csr_complex = csr_array((L.data.astype(complex), L.indices, L.indptr), shape=L.shape)
+    return grid._csr_complex
 
 
 @dataclass
@@ -424,47 +437,58 @@ def reduced_wave_apply(field: ModeField2p1):
 # ---------------------------------------------------------------------------
 
 
+def _step_factors(grid: WaveGrid, dt):
+    """(s, g, w) of one step value: psi + s (L psi) + g (psi - psi_prev) is
+    the leapfrog update, rotation term included, and w weighs the Sommerfeld
+    rows.
+
+    s = f dt^2 and g = f (1 - h), where f = 1/(1 + h) = (1 - h)/(1 + |h|^2)
+    and h = dt imc / 2 on a rotating grid; s = dt^2 and g = None (1) on any
+    other.  s scales the rows of the product, not the entries of L: a
+    rounded entry would no longer cancel its row's others on smooth data.
+    Kept for two step values, the +dt and -dt of an evolve.
+    """
+    if dt not in grid._rotation:
+        if len(grid._rotation) == 2:
+            grid._rotation.clear()
+        scale, g = dt**2, None
+        if grid.rotates:
+            half = 0.5 * dt * grid.imc
+            f = (1.0 - half) * (1.0 / (1.0 + half.imag**2))
+            scale, g = dt**2 * f, f * (1.0 - half)
+        # Sommerfeld rows, outgoing d_t psi = +/- sqrt(c1) d_rs psi with a
+        # trapezoidal one-sided update: at the edge row e with inner rows
+        # i1, i2, new_e = w0 psi_e + w1 (psi + new)_i1 - w2 (psi + new)_i2
+        k = 0.25 * dt / grid.h_r * np.array(grid.edge_speed)[:, None]
+        w = np.array([1.0 - 3.0 * k, 4.0 * k, k]) / (1.0 + 3.0 * k)
+        grid._rotation[dt] = (scale, g, w)
+    return grid._rotation[dt]
+
+
+_EDGE, _INNER = [0, -1], [1, -2, 2, -3]  # edge rows, then their first and second inner rows
+
+
 def _step(grid: WaveGrid, psi_prev, psi, dt):
     """One leapfrog step: returns psi at t + dt, in the dtype of psi.
 
-    The spatial operator is one sparse product with `_operator`, complex
-    data as (real, imaginary) column pairs; the first-order rotation term,
-    if any, is treated with a centered implicit average, which for the
-    diagonal i*m*c5 coefficient is a scalar solve.
+    One sparse product with `_operator`, in the dtype of psi; the
+    first-order rotation term, if any, is treated with a centered implicit
+    average, which for the diagonal i*m*c5 coefficient scales each row
+    (`_step_factors`).  The increment s (L psi) + g (psi - psi_prev) is
+    summed before psi is added, so that a step rounds once at the size of
+    psi (psi - psi_prev is exact where the levels lie within a factor 2 of
+    each other).
     """
-    columns = psi.view(float).reshape(psi.size, -1)  # no complex copy of the matrix
-    rhs = (_operator(grid) @ columns).view(psi.dtype).reshape(psi.shape)
-    new = 2.0 * psi - psi_prev + dt**2 * rhs
-    if grid.rotates:
-        # x / (1 + h), x = new + h psi_prev, h = dt imc / 2 = i beta, formed as
-        # numpy's complex division does: (x - h x) / (1 + beta^2); the factors
-        # are kept for two step values, the +dt and -dt of an evolve
-        if dt not in grid._rotation:
-            if len(grid._rotation) == 2:
-                grid._rotation.clear()
-            half = 0.5 * dt * grid.imc
-            grid._rotation[dt] = (half, 1.0 / (1.0 + half.imag**2))
-        half, scale = grid._rotation[dt]
-        new += half * psi_prev
-        new -= half * new
-        new *= scale
-
-    # Sommerfeld boundaries: outgoing d_t psi = +/- sqrt(c1) d_rs psi,
-    # discretized with a trapezoidal one-sided update.
-    h = grid.h_r
-    for side, c in zip((0, -1), grid.edge_speed):
-        if side == 0:
-            d_new = (4.0 * new[1] - new[2]) / (2 * h)
-            d_old = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2 * h)
-            coef = 3.0 / (2 * h)
-            # d psi/dt = +c d_rs psi  (left-moving radiation exits)
-            new[0] = (psi[0] + 0.5 * dt * c * (d_new + d_old)) / (1.0 + 0.5 * dt * c * coef)
-        else:
-            d_new = (-4.0 * new[-2] + new[-3]) / (2 * h)
-            d_old = (3.0 * psi[-1] - 4.0 * psi[-2] + psi[-3]) / (2 * h)
-            coef = 3.0 / (2 * h)
-            # d psi/dt = -c d_rs psi  (right-moving radiation exits)
-            new[-1] = (psi[-1] - 0.5 * dt * c * (d_new + d_old)) / (1.0 + 0.5 * dt * c * coef)
+    scale, g, w = _step_factors(grid, dt)
+    new = (_operator(grid, psi.dtype) @ psi.ravel()).reshape(psi.shape)
+    new *= scale
+    delta = psi - psi_prev
+    if g is not None:
+        delta *= g
+    new += delta
+    new += psi
+    near = psi[_INNER] + new[_INNER]
+    new[_EDGE] = w[0] * psi[_EDGE] + w[1] * near[:2] - w[2] * near[2:]
     return new
 
 

@@ -269,6 +269,7 @@ def test_morawetz_builds_each_grid_once(tmp_path, monkeypatch):
     # the x3-scaled run reuses the coarse run's grid
     import kerrlab.waves as waves
 
+    monkeypatch.delenv("BHL_THREADS", raising=False)  # serial: both grids built here
     grids = []
     inner = waves.WaveGrid
 
@@ -280,6 +281,94 @@ def test_morawetz_builds_each_grid_once(tmp_path, monkeypatch):
     assert main(["morawetz", "--t-end", "1", "--n-r", "32", "--n-theta", "8",
                  "--out", str(tmp_path / "m.json")]) == 0
     assert grids == [32, 64]
+
+
+# a rotating mode on a grid too coarse for the 10 % grid drift, hence the tolerance
+MORAWETZ_SMALL = ["morawetz", "--t-end", "1", "--n-r", "32", "--n-theta", "8",
+                  "--a", "0.1", "--m-phi", "1", "--stability-tol", "0.5"]
+
+
+def _count_forks(monkeypatch):
+    # the pids of the children this process forks
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _assert_no_child_left(pids):
+    import multiprocessing
+
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):  # exited and reaped
+            os.kill(pid, 0)
+
+
+def test_morawetz_threads_leave_the_report_identical(tmp_path, monkeypatch):
+    # --threads >= 2 runs the fine grid in one forked child; the results and
+    # CSV are those of the serial run, and no child outlives the call
+    pids = _count_forks(monkeypatch)
+    texts = {}
+    for threads in (1, 2, 64):
+        out, table = tmp_path / f"m{threads}.json", tmp_path / f"m{threads}.csv"
+        assert main(MORAWETZ_SMALL + ["--threads", str(threads), "--out", str(out),
+                                      "--csv", str(table)]) == 0
+        assert len(pids) == (0 if threads == 1 else 1), threads  # at most one child
+        pids_seen = list(pids)
+        pids.clear()
+        _assert_no_child_left(pids_seen)
+        results = json.dumps(json.loads(out.read_text())["results"], sort_keys=True)
+        texts[threads] = (results, table.read_bytes())
+    assert texts[1] == texts[2] == texts[64]
+
+    # where fork fails or the platform has none, --threads 2 runs serially
+    import multiprocessing
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    for target, name, fake in ((os, "fork", no_fork),
+                               (multiprocessing, "get_all_start_methods", lambda: ["spawn"])):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fake)
+            out, table = tmp_path / f"serial-{name}.json", tmp_path / f"serial-{name}.csv"
+            assert main(MORAWETZ_SMALL + ["--threads", "2", "--out", str(out),
+                                          "--csv", str(table)]) == 0
+        results = json.dumps(json.loads(out.read_text())["results"], sort_keys=True)
+        assert (results, table.read_bytes()) == texts[1], name
+    assert pids == []
+    _assert_no_child_left(pids)
+
+
+@pytest.mark.parametrize("failing_n_r", [64, 32])  # the forked fine run, the parent's coarse run
+def test_morawetz_failure_on_either_side_of_the_fork(tmp_path, capfd, monkeypatch, failing_n_r):
+    # a StabilityError in the child reaches the parent's exit code and
+    # message; one in the parent kills the child; no traceback either way
+    import kerrlab.waves as waves
+    from kerrlab import StabilityError
+
+    inner = waves.evolve
+
+    def failing(field, *args, **kwargs):
+        if field.grid.n_r == failing_n_r:
+            raise StabilityError(f"blew up on the {failing_n_r}-point grid")
+        return inner(field, *args, **kwargs)
+
+    monkeypatch.setattr(waves, "evolve", failing)
+    pids = _count_forks(monkeypatch)
+    assert main(MORAWETZ_SMALL + ["--threads", "2", "--out", str(tmp_path / "m.json")]) == 1
+    err = capfd.readouterr().err
+    assert f"invariant violation: blew up on the {failing_n_r}-point grid" in err
+    assert "Traceback" not in err
+    assert len(pids) == 1
+    _assert_no_child_left(pids)
 
 
 def test_kerr_check_maxima_match_the_one_point_residuals(tmp_path):

@@ -116,3 +116,22 @@ def test_batched_mode_moduli_stay_one(profile):
     moduli = _mode_solution_moduli(profile, range(-6, 7))
     assert moduli.shape == (13,)
     assert np.max(np.abs(moduli - 1.0)) < 1e-5
+
+
+def test_charge_report_samples_the_profile_once():
+    # chern_integral and both mode checks read one set of 2001 samples of a,
+    # taken on Python floats; the other calls are the endpoints and collars
+    ramp = ramp_profile(0.3, 1.3)
+    seen = []
+
+    def a(t):
+        seen.append(type(t))
+        return ramp.a(t)
+
+    profile = ConnectionProfile(a=a, T=ramp.T, collar=True)
+    seen.clear()
+    report = charge_report(profile, k_max=8)
+    assert report.dim_ker_aps == 1 and report.index_lhs == 1
+    assert 2001 <= len(seen) < 2001 + 20
+    assert set(seen) == {float}
+    assert report == charge_report(ramp, k_max=8)

@@ -9,8 +9,8 @@ from kerrlab import (DomainError, EnergyReport, KerrParams, ModeField2p1,
                      radius_from_tortoise, reduced_wave_apply, symmetry_apply,
                      tortoise_from_radius)
 from kerrlab.waves import (S0_WORDS, S1_WORDS, S2_WORDS, _densities, _metric_on_grid,
-                           _operator, _spatial, _step, assemble_current, box_stack,
-                           carter_q_stack, cutoff_bump, d2_rstar, d_rstar, d_theta,
+                           _operator, _spatial, _step, assemble_current,
+                           box_stack, carter_q_stack, cutoff_bump, d2_rstar, d_rstar, d_theta,
                            horizon_gap_from_tortoise, lambda_theta_conservative,
                            lambda_theta_trapezoid, polarized_stress,
                            sigma_box_stack)
@@ -407,3 +407,65 @@ def test_evolving_a_grid_again_with_another_cfl_matches_a_fresh_grid():
     assert len(grid._rotation) == 2  # the factors of +dt and -dt of the last run only
     assert first == run(make_grid(a=0.5, m_phi=1, n_r=60, n_theta=8), 0.5)
     assert second == run(make_grid(a=0.5, m_phi=1, n_r=60, n_theta=8), 0.4)
+
+
+@pytest.mark.parametrize("m_phi", [0, 1])
+def test_complex_step_without_rotation_is_two_real_steps(m_phi):
+    # at a = 0 the step is real-linear: a complex field steps as its real
+    # and imaginary parts do, with a complex copy of the operator that scipy
+    # need not upcast
+    grid = make_grid(a=0.0, m_phi=m_phi, n_r=200, n_theta=16, lo=-40.0, hi=80.0)
+    psi_prev, psi = _random_stack(grid, 2, np.random.default_rng(37), real=False)
+    for dt in (0.05, -0.05):
+        got = _step(grid, psi_prev, psi, dt)
+        parts = [_step(grid, np.ascontiguousarray(p.real), np.ascontiguousarray(x.real), dt)
+                 for p, x in ((psi_prev, psi), (psi_prev.imag, psi.imag))]
+        expected = parts[0] + 1j * parts[1]
+        assert got.dtype == np.complex128 and parts[0].dtype == np.float64
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)), dt
+    assert _operator(grid, complex).dtype == np.complex128
+    assert _operator(grid, complex) is _operator(grid, complex)  # copied once per grid
+
+
+@pytest.mark.parametrize("a, m_phi", [(0.0, 0), (0.9, 1)])
+def test_step_edges_are_the_trapezoidal_sommerfeld_update(a, m_phi):
+    # outgoing d_t psi = +/- c d_rs psi at the r* ends, with the one-sided
+    # second-order d_rs averaged over the old and new levels
+    grid = make_grid(a=a, m_phi=m_phi, n_r=60, n_theta=8)
+    psi_prev, psi = _random_stack(grid, 2, np.random.default_rng(41), real=False)
+    h = grid.h_r
+    for dt in (0.05, -0.05):
+        new = _step(grid, psi_prev, psi, dt)
+        for sign, e, i1, i2, c in ((1, 0, 1, 2, grid.edge_speed[0]),
+                                   (-1, -1, -2, -3, grid.edge_speed[1])):
+            d_new = sign * (-3.0 * new[e] + 4.0 * new[i1] - new[i2]) / (2 * h)
+            d_old = sign * (-3.0 * psi[e] + 4.0 * psi[i1] - psi[i2]) / (2 * h)
+            residual = (new[e] - psi[e]) / dt - sign * c * 0.5 * (d_new + d_old)
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(psi)) / abs(dt) / h, dt
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("a, m_phi, real", [(0.0, 0, True), (0.0, 1, False), (0.9, 1, False)])
+def test_step_rounds_about_once_at_the_size_of_psi(a, m_phi, real):
+    # against the same update evaluated in long double, a step misses by
+    # about half an ulp of psi: the increment is summed before psi is added,
+    # and dt^2 (times the rotation factor) scales the rows of L psi, not
+    # L's entries, whose rounding would break the cancellation within a row
+    grid = make_grid(a=a, m_phi=m_phi, n_r=60, n_theta=8, lo=-40.0, hi=80.0)
+    ld, cld = np.longdouble, np.clongdouble
+    L = _operator(grid)
+    for dt in (0.05, 2e-3, -2e-3):
+        rng = np.random.default_rng(43)
+        psi, velocity = _random_stack(grid, 2, rng, real)
+        psi_prev = psi - dt * velocity
+        x, x_prev = psi.astype(cld), psi_prev.astype(cld)
+        Lx = np.add.reduceat(L.data.astype(ld) * x.ravel()[L.indices], L.indptr[:-1])
+        exact = 2 * x - x_prev + ld(dt) * ld(dt) * Lx.reshape(x.shape)
+        if grid.rotates:
+            half = ld(0.5) * ld(dt) * grid.imc.astype(cld)
+            exact = (exact + half * x_prev) / (1 + half)
+        got = _step(grid, psi_prev, psi, dt)
+        # rows 0 and -1 take the Sommerfeld update instead
+        miss = np.abs(got.astype(cld) - exact)[1:-1].astype(float)
+        assert np.max(miss) <= 1.5e-16 * np.max(np.abs(psi)), dt
