@@ -585,12 +585,21 @@ def _space_bump(x, center, radius):
     return out
 
 
-def _run_green(cfg):
-    from .hyperbolic1d import Grid1p1, green_clause_residuals, sample
+def _cfl_grid(T, n_x, cfl):
+    """The 1+1 lattice with n_x points on the circle and the fewest time
+    steps whose CFL number is at most cfl."""
+    from .hyperbolic1d import Grid1p1
 
-    h_x = 2.0 * math.pi / cfg["n_x"]
-    n_t = int(math.ceil(cfg["T"] / (cfg["cfl"] * h_x)))
-    grid = Grid1p1(T=cfg["T"], n_x=cfg["n_x"], n_t=n_t)
+    h_x = 2.0 * math.pi / n_x
+    if cfl * h_x == 0.0:
+        raise DomainError("time step below double precision")
+    return Grid1p1(T=T, n_x=n_x, n_t=int(math.ceil(T / (cfl * h_x))))
+
+
+def _run_green(cfg):
+    from .hyperbolic1d import green_clause_residuals, sample
+
+    grid = _cfl_grid(cfg["T"], cfg["n_x"], cfg["cfl"])
 
     def source(t, x):
         t_c, t_r = 0.5 * cfg["T"], 0.18 * cfg["T"]
@@ -614,7 +623,7 @@ def _run_green(cfg):
                 failures.append({"check": name, "value": value, "tolerance": 0.0})
         elif value > cfg["tol"]:
             failures.append({"check": name, "value": value, "tolerance": cfg["tol"]})
-    results = {"clause_residuals": residuals, "n_t": n_t,
+    results = {"clause_residuals": residuals, "n_t": grid.n_t,
                "clause_residuals_with_potential": residuals_v}
     return results, failures, None
 
@@ -651,15 +660,13 @@ def _run_goursat(cfg):
 
 
 def _run_dirac(cfg):
-    from .hyperbolic1d import DiracData1p1, Grid1p1, dirac_solve_by_squaring, dirac_solve_direct
+    from .hyperbolic1d import DiracData1p1, dirac_solve_by_squaring, dirac_solve_direct
 
     a0, a1 = cfg["twist_a0"], cfg["twist_a1"]
     twist = (lambda t: a0 + a1 * math.sin(t)) if (a0 or a1) else None
     errs = []
     for n_x in (cfg["n_x"], 2 * cfg["n_x"]):
-        h_x = 2.0 * math.pi / n_x
-        n_t = int(math.ceil(cfg["T"] / (cfg["cfl"] * h_x)))
-        grid = Grid1p1(T=cfg["T"], n_x=n_x, n_t=n_t)
+        grid = _cfl_grid(cfg["T"], n_x, cfg["cfl"])
         u0 = np.array([np.sin(grid.x), np.cos(2.0 * grid.x)], dtype=complex)
         source = lambda t, x: np.array([np.cos(x + t), 0.2 * np.sin(2 * x - t)])
         data = DiracData1p1(u0=u0, f=source, connection=twist)
@@ -715,13 +722,13 @@ def _load_profile(cfg):
 
 
 def _run_index(cfg):
-    from .index2d import charge_report
+    from .index2d import IndexTheoremError, charge_report
 
     profile = _load_profile(cfg)
     failures = []
     try:
         report = charge_report(profile, k_max=cfg["kmax"])
-    except ValueError as exc:
+    except IndexTheoremError as exc:
         # IndexReport construction rejects any violated index-theorem
         # invariant; surface it as a numeric failure, not an input error
         return {"report": None}, [{"check": "index_theorem", "value": str(exc),

@@ -11,6 +11,11 @@ periodic strip [0, T] x S^1 (circumference 2 pi):
   causal propagator G = G_+ - G_-,
 * the formal-dual pairing residual <phi, P f> - <P phi, f>.
 
+P and D act on whole space-time slabs; only the solvers step level by level.
+Each call samples the twist a(t) once, on all the times it needs.  Lattices
+of more than MAX_LATTICE_POINTS nodes are rejected before anything is
+allocated.
+
 Clifford representation (fixed choice; any unitarily equivalent one works):
 gamma^0 = i sigma_1, gamma^1 = sigma_2, so (gamma^0)^2 = -1, (gamma^1)^2 = +1
 and the Dirac operator is D = gamma^0 (d_t + i a(t)) + gamma^1 d_x, with
@@ -32,6 +37,7 @@ GAMMA0 = np.array([[0.0, 1j], [1j, 0.0]])
 GAMMA1 = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA = -GAMMA0  # Clifford multiplication by the t = 0 unit normal
 SIGMA_INV = GAMMA0
+MAX_LATTICE_POINTS = 10**7  # nodes of one sampled field (160 MB complex)
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,8 @@ class Grid1p1:
             raise DomainError("need at least 2 time steps")
         if self.cfl > 0.9:
             raise DomainError(f"cfl = {self.cfl:.3f} exceeds 0.9")
+        if (self.n_t + 1) * self.n_x > MAX_LATTICE_POINTS:
+            raise DomainError(f"{self.n_t + 1:.3g} x {self.n_x:.3g} lattice exceeds {MAX_LATTICE_POINTS} nodes")
 
     @property
     def h_x(self):
@@ -106,14 +114,17 @@ def _dxx4(u, h):
     ) / (12.0 * h**2)
 
 
-def _twist_value(twist, t):
-    return 0.0 if twist is None else float(twist(t))
-
-
-def _twist_rate(twist, t, h):
+def _twist(twist, t, h):
+    """a(t) and its centered rate (a(t + h) - a(t - h)) / 2h on an array of
+    times; zeros without a twist.  One scalar call per value, on Python
+    floats, since a connection may accept floats only (math.sin)."""
+    t = np.asarray(t, dtype=float)
     if twist is None:
-        return 0.0
-    return (float(twist(t + h)) - float(twist(t - h))) / (2.0 * h)
+        return np.zeros(t.shape), np.zeros(t.shape)
+    times = t.ravel().tolist()
+    a = [float(twist(s)) for s in times]
+    rate = [(float(twist(s + h)) - float(twist(s - h))) / (2.0 * h) for s in times]
+    return np.reshape(a, t.shape), np.reshape(rate, t.shape)
 
 
 def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=None):
@@ -137,23 +148,20 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
 
     out = np.empty((n_t + 1, n_x), dtype=complex)
     out[0] = u0
+    a, ap = (v.tolist() for v in _twist(twist, np.arange(n_t) * h_t, h_t))
 
     # Taylor start: u_tt(0) = f - V u0 + u_xx(0) - 2 i a u1 - (i a' - a^2) u0
-    a0 = _twist_value(twist, 0.0)
-    ap0 = _twist_rate(twist, 0.0, h_t)
     f0 = f[0] if f is not None else 0.0
-    utt = f0 - V * u0 + _dxx(u0, h_x) - 2j * a0 * u1 - (1j * ap0 - a0**2) * u0
+    utt = f0 - V * u0 + _dxx(u0, h_x) - 2j * a[0] * u1 - (1j * ap[0] - a[0]**2) * u0
     out[1] = u0 + h_t * u1 + 0.5 * h_t**2 * utt
 
     for n in range(1, n_t):
-        a = _twist_value(twist, n * h_t)
-        ap = _twist_rate(twist, n * h_t, h_t)
         fn = f[n] if f is not None else 0.0
         u, up = out[n], out[n - 1]
-        rhs = fn - V * u + _dxx(u, h_x) - (1j * ap - a**2) * u
+        rhs = fn - V * u + _dxx(u, h_x) - (1j * ap[n] - a[n]**2) * u
         # centered implicit treatment of the 2 i a d_t term
-        denom = 1.0 + 1j * a * h_t
-        out[n + 1] = (2.0 * u - up + h_t**2 * rhs + 1j * a * h_t * up) / denom
+        denom = 1.0 + 1j * a[n] * h_t
+        out[n + 1] = (2.0 * u - up + h_t**2 * rhs + 1j * a[n] * h_t * up) / denom
     if not np.all(np.isfinite(out)):
         raise StabilityError("non-finite values in the Cauchy solution")
     return out
@@ -164,20 +172,15 @@ def apply_wave_operator(grid: Grid1p1, u, potential=None, twist=None):
     u = np.asarray(u, dtype=complex)
     h_t, h_x = grid.h_t, grid.h_x
     V = np.zeros(grid.n_x) if potential is None else np.asarray(potential(grid.x), dtype=float)
-    utt = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h_t**2
-    ut = (u[2:] - u[:-2]) / (2.0 * h_t)
-    out = np.empty((grid.n_t - 1, grid.n_x), dtype=complex)
-    for n in range(1, grid.n_t):
-        a = _twist_value(twist, n * h_t)
-        ap = _twist_rate(twist, n * h_t, h_t)
-        out[n - 1] = (
-            utt[n - 1]
-            + 2j * a * ut[n - 1]
-            + (1j * ap - a**2) * u[n]
-            - _dxx(u[n], h_x)
-            + V * u[n]
-        )
-    return out
+    a, ap = (v[:, None] for v in _twist(twist, np.arange(1, grid.n_t) * h_t, h_t))
+    mid = u[1:-1]
+    return (
+        (u[2:] - 2.0 * mid + u[:-2]) / h_t**2
+        + 2j * a * ((u[2:] - u[:-2]) / (2.0 * h_t))
+        + (1j * ap - a**2) * mid
+        - _dxx(mid, h_x)
+        + V * mid
+    )
 
 
 def support_radius(u_slice, x, center, threshold):
@@ -261,6 +264,8 @@ def goursat_solve(p, q, extent, n, f=None, initial_fill=0.0) -> GoursatField:
         raise DomainError("extent must be positive")
     if n < 8:
         raise DomainError("need at least 8 null cells")
+    if (n + 1) ** 2 > MAX_LATTICE_POINTS:
+        raise DomainError(f"{n + 1:.3g}^2 null lattice exceeds {MAX_LATTICE_POINTS} nodes")
     h = extent / n
     uu = np.arange(n + 1) * h
     vv = np.arange(n + 1) * h
@@ -326,8 +331,11 @@ def dirac_solve_direct(data: DiracData1p1, grid: Grid1p1):
     if data.u0.shape[1] != grid.n_x:
         raise DomainError("initial spinor does not match the grid")
     fs = data.source_samples(grid)
-    a_of = data.connection
     h_t, h_x = grid.h_t, grid.h_x
+    # a at the stage times t_n, t_n + h/2 and t_n + h of every step
+    t0 = np.arange(grid.n_t) * h_t
+    a_stages = _twist(data.connection, np.stack([t0, t0 + 0.5 * h_t, t0 + h_t], 1), h_t)[0]
+    speed = np.array([[1.0], [-1.0]])
 
     def f_at(time):
         if fs is None:
@@ -339,26 +347,22 @@ def dirac_solve_direct(data: DiracData1p1, grid: Grid1p1):
         w = s - n
         return (1.0 - w) * fs[n] + w * fs[n + 1]
 
-    def rhs(time, u):
-        a = _twist_value(a_of, time)
-        du = np.empty_like(u)
-        du[0] = -1j * a * u[0] - _dx4(u[0], h_x)
-        du[1] = -1j * a * u[1] + _dx4(u[1], h_x)
+    def rhs(time, a, u):
+        du = -1j * a * u - speed * _dx4(u, h_x)
         fv = f_at(time)
         if fv is not None:
-            g0f = np.einsum("ab,bx->ax", GAMMA0, fv)
-            du -= g0f
+            du -= np.einsum("ab,bx->ax", GAMMA0, fv)
         return du
 
     out = np.empty((grid.n_t + 1, 2, grid.n_x), dtype=complex)
     out[0] = data.u0
-    for n in range(grid.n_t):
+    for n, (a0, am, a1) in enumerate(a_stages.tolist()):
         t0 = n * h_t
         u = out[n]
-        k1 = rhs(t0, u)
-        k2 = rhs(t0 + 0.5 * h_t, u + 0.5 * h_t * k1)
-        k3 = rhs(t0 + 0.5 * h_t, u + 0.5 * h_t * k2)
-        k4 = rhs(t0 + h_t, u + h_t * k3)
+        k1 = rhs(t0, a0, u)
+        k2 = rhs(t0 + 0.5 * h_t, am, u + 0.5 * h_t * k1)
+        k3 = rhs(t0 + 0.5 * h_t, am, u + 0.5 * h_t * k2)
+        k4 = rhs(t0 + h_t, a1, u + h_t * k3)
         out[n + 1] = u + (h_t / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise StabilityError("non-finite values in the direct Dirac solution")
@@ -375,39 +379,36 @@ def dirac_solve_by_squaring(data: DiracData1p1, grid: Grid1p1):
     if data.u0.shape[1] != grid.n_x:
         raise DomainError("initial spinor does not match the grid")
     fs = data.source_samples(grid)
-    a_of = data.connection
 
     v1 = -np.einsum("ab,bx->ax", SIGMA_INV, data.u0)  # (d_t + ia) v at t=0; v=0 there
     v = np.empty((grid.n_t + 1, 2, grid.n_x), dtype=complex)
     for c in range(2):
         src = None if fs is None else -fs[:, c]
-        v[:, c] = cauchy_solve(grid, f=src, u0=None, u1=v1[c], twist=a_of)
+        v[:, c] = cauchy_solve(grid, f=src, u0=None, u1=v1[c], twist=data.connection)
 
-    # u = D v = gamma^0 (d_t + ia) v + gamma^1 d_x v, centered interior time
-    # stencil, one-sided second order at the temporal ends
-    h_t, h_x = grid.h_t, grid.h_x
+    # u = D v on every level: centered interior time stencil, one-sided
+    # second order at the temporal ends
+    h_t = grid.h_t
     vt = np.empty_like(v)
     vt[1:-1] = (v[2:] - v[:-2]) / (2.0 * h_t)
     vt[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h_t)
     vt[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h_t)
-    a_vals = np.array([_twist_value(a_of, t) for t in grid.t])
-    dt_twist = vt + 1j * a_vals[:, None, None] * v
-    u = np.einsum("ab,nbx->nax", GAMMA0, dt_twist) + np.einsum(
-        "ab,nbx->nax", GAMMA1, _dx(v, h_x)
+    return _dirac(_twist(data.connection, grid.t, h_t)[0], v, vt, grid.h_x)
+
+
+def _dirac(a, u, ut, h_x):
+    """D u = gamma^0 (d_t + i a) u + gamma^1 d_x u on a slab of levels, given
+    a and d_t u on those levels; d_x is second-order centered."""
+    return np.einsum("ab,nbx->nax", GAMMA0, ut + 1j * a[:, None, None] * u) + np.einsum(
+        "ab,nbx->nax", GAMMA1, _dx(u, h_x)
     )
-    return u
 
 
 def apply_dirac(data_connection, grid: Grid1p1, u):
     """Discrete D u at interior time levels 1..n_t-1 (second-order stencils)."""
     u = np.asarray(u, dtype=complex)
-    h_t, h_x = grid.h_t, grid.h_x
-    ut = (u[2:] - u[:-2]) / (2.0 * h_t)
-    a_vals = np.array([_twist_value(data_connection, t) for t in grid.t[1:-1]])
-    dt_twist = ut + 1j * a_vals[:, None, None] * u[1:-1]
-    return np.einsum("ab,nbx->nax", GAMMA0, dt_twist) + np.einsum(
-        "ab,nbx->nax", GAMMA1, _dx(u[1:-1], h_x)
-    )
+    a = _twist(data_connection, grid.t[1:-1], grid.h_t)[0]
+    return _dirac(a, u[1:-1], (u[2:] - u[:-2]) / (2.0 * grid.h_t), grid.h_x)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +440,7 @@ def green(grid: Grid1p1, direction: str, f, potential=None):
         return cauchy_solve(grid, f=f, potential=potential)
     # advanced: time-reflect, solve retarded, reflect back (the operator has
     # no first-order time term when twist is absent, so P is reflection-even)
-    rev = cauchy_solve(grid, f=f[::-1], potential=potential)
-    return rev[::-1]
+    return cauchy_solve(grid, f=f[::-1], potential=potential)[::-1]
 
 
 def causal_propagator(grid: Grid1p1, f, potential=None):
@@ -468,27 +468,25 @@ def green_clause_residuals(grid: Grid1p1, f, potential=None):
         support_radius(np.max(np.abs(f), axis=0), grid.x, center, 0.0), grid.h_x
     )
 
-    for direction, sgn in (("retarded", 1), ("advanced", -1)):
-        u = green(grid, direction, f, potential)
+    # P f computed discretely, once for both directions (padding by zero rows
+    # matches the compact support)
+    Pf = np.zeros_like(f)
+    Pf[1:-1] = apply_wave_operator(grid, f, potential=potential)
+    solutions = {}
+    for direction in ("retarded", "advanced"):
+        u = solutions[direction] = green(grid, direction, f, potential)
         # clause (ii): P G f = f at interior times
         Pu = apply_wave_operator(grid, u, potential=potential)
         out[f"PG_{direction}"] = float(np.max(np.abs(Pu - f[1:-1])) / scale)
-        # clause (i): G P f = f for compactly supported f; P f computed
-        # discretely (padding by zero rows matches the compact support)
-        Pf = apply_wave_operator(grid, f, potential=potential)
-        Pf_full = np.zeros_like(f)
-        Pf_full[1:-1] = Pf
-        gpf = green(grid, direction, Pf_full, potential)
+        # clause (i): G P f = f for compactly supported f
+        gpf = green(grid, direction, Pf, potential)
         out[f"GP_{direction}"] = float(np.max(np.abs(gpf - f)) / scale)
         # clause (iii): support containment in J^{+/-}(supp f) with a collar
         # (same numerical-support threshold as cone_containment)
         thr = 1e-3 * max(float(np.max(np.abs(u))), scale)
         worst = -np.inf
         for n in range(grid.n_t + 1):
-            if direction == "retarded":
-                gap = (n - supp[0]) * grid.h_t
-            else:
-                gap = (supp[1] - n) * grid.h_t
+            gap = ((n - supp[0]) if direction == "retarded" else (supp[1] - n)) * grid.h_t
             allowed = min(radius0 + max(gap, 0.0) + 2 * grid.h_x, math.pi)
             if gap < 0:
                 allowed = 0.0 if np.max(np.abs(u[n])) > thr else math.pi
@@ -496,7 +494,8 @@ def green_clause_residuals(grid: Grid1p1, f, potential=None):
             worst = max(worst, (rad - allowed) / grid.h_x)
         out[f"support_{direction}"] = float(worst)
 
-    g = causal_propagator(grid, f, potential)
+    # the causal propagator G f = G_+ f - G_- f from the solutions above
+    g = solutions["retarded"] - solutions["advanced"]
     Pg = apply_wave_operator(grid, g, potential=potential)
     out["propagator_kernel"] = float(np.max(np.abs(Pg)) / scale)
     return out

@@ -47,6 +47,8 @@ from .errors import DomainError, GuardBandError, StabilityError
 GUARD_LOW = 1e-12
 GUARD_HIGH = 1e-9
 _BASE_STEPS = 1000  # RK4 steps of the mode check, unless a moves too fast
+MAX_K = 10**5  # largest mode cutoff k_max
+MAX_MODE_SAMPLES = 2 * 10**6  # RK4 nodes times counted modes in the mode check
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,15 @@ def _mode_solution_moduli(profile: ConnectionProfile, ks) -> np.ndarray:
     R = 1 + (z0 + 2 zm s1 + 2 zm s2 + z1 s3) / 6, where s1 = 1 + z0/2,
     s2 = 1 + zm s1/2 and s3 = 1 + zm s2.  Step count: n = _BASE_STEPS unless
     h max|k + a| exceeds 0.1 on those samples; then n = ceil(10 T max|k + a|)
-    and a is resampled once at that n.
+    and a is resampled once at that n.  More than MAX_MODE_SAMPLES nodes times
+    modes is a DomainError, raised before sampling.
     """
     ks = np.asarray(ks, dtype=float)
 
     def sample(n):
+        if (2 * n + 1) * ks.size > MAX_MODE_SAMPLES:
+            raise DomainError(f"mode check of {ks.size} modes needs {n:.3g} RK4 steps, "
+                              f"above {MAX_MODE_SAMPLES} samples")
         avals = profile._samples if n == _BASE_STEPS else _sample_a(profile, 2 * n + 1)
         return ks[None, :] + avals[:, None]
 
@@ -158,6 +164,8 @@ def mode_kernel_count(profile: ConnectionProfile, k_max: int, conditions: str) -
     needed = int(math.ceil(max(abs(a0), abs(aT)))) + 1
     if k_max < needed:
         raise DomainError(f"k_max={k_max} too small; need at least {needed}")
+    if k_max > MAX_K:
+        raise DomainError(f"mode cutoff k_max above {MAX_K} (endpoints {a0:g}, {aT:g})")
     ks = []
     for k in range(-k_max, k_max + 1):
         lam1 = _snap(k + a0)
@@ -206,6 +214,10 @@ def eta_abel_oracle(a_value: float, s: float = 1e-4) -> float:
     return pos - neg
 
 
+class IndexTheoremError(ValueError):
+    """An IndexReport whose fields violate an index-theorem invariant."""
+
+
 @dataclass(frozen=True)
 class IndexReport:
     """Index-theorem bookkeeping for one connection profile."""
@@ -225,15 +237,15 @@ class IndexReport:
 
     def __post_init__(self):
         if self.dim_ker_aps < 0 or self.dim_ker_aaps < 0:
-            raise ValueError("kernel dimensions must be nonnegative")
+            raise IndexTheoremError("kernel dimensions must be nonnegative")
         if self.index_lhs != self.dim_ker_aps - self.dim_ker_aaps:
-            raise ValueError("index_lhs must equal dim_ker_aps - dim_ker_aaps")
+            raise IndexTheoremError("index_lhs must equal dim_ker_aps - dim_ker_aaps")
         if abs(self.index_rhs - round(self.index_rhs)) > 1e-9:
-            raise ValueError(f"index_rhs = {self.index_rhs} is not integral")
+            raise IndexTheoremError(f"index_rhs = {self.index_rhs} is not integral")
         if round(self.index_rhs) != self.index_lhs:
-            raise ValueError("index theorem violated: lhs != round(rhs)")
+            raise IndexTheoremError("index theorem violated: lhs != round(rhs)")
         if abs(self.q_left + self.q_right) > 1e-12:
-            raise ValueError("total relative charge must vanish")
+            raise IndexTheoremError("total relative charge must vanish")
 
     def as_dict(self):
         return asdict(self)

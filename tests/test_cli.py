@@ -14,7 +14,14 @@ from kerrlab import (DomainError, KerrParams, conformal_ky_residual, kerr_metric
                      killing_tensor_residual, killing_tensor_residual_fd,
                      killing_yano_residual, killing_yano_residual_fd,
                      random_exterior_points, tetrad_reconstruction_residual, xi_oneform)
-from kerrlab.cli import main, parse_config
+from kerrlab.cli import SCHEMAS, main, parse_config
+
+
+def subprocess_env():
+    """The environment of a fresh interpreter that imports this kerrlab."""
+    src = os.path.dirname(os.path.dirname(kerrlab.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def run_json(tmp_path, args, name="report.json"):
@@ -181,6 +188,15 @@ def test_numeric_failures_exit_one_without_a_traceback(tmp_path, capsys, monkeyp
     assert "invariant violation" in err and "Traceback" not in err
 
 
+def test_violated_index_theorem_is_a_reported_failure(tmp_path, monkeypatch):
+    # a report whose sides disagree is a failed check, not an input error
+    monkeypatch.setattr("kerrlab.index2d.chern_integral", lambda profile: 0.5)
+    code, rep = run_json(tmp_path, ["index"])
+    assert code == 1
+    assert [f["check"] for f in rep["failures"]] == ["index_theorem"]
+    assert "not integral" in rep["failures"][0]["value"]
+
+
 def test_invariant_violation_exits_one(tmp_path):
     # an impossible drift tolerance cannot be met: exit code 1, report written
     out = tmp_path / "geo.json"
@@ -207,6 +223,67 @@ def test_invariant_violation_exits_one(tmp_path):
 def test_degenerate_counts_and_extents_are_input_errors(args, capsys):
     assert main(args) == 2
     assert "input error" in capsys.readouterr().err
+
+
+# Lattices, mode ranges and RK4 grids too large to allocate or loop over:
+# each must be refused as an input error before any work starts.
+OVERSIZE_1P1 = [
+    ["green", "--cfl=1e-300"], ["dirac", "--cfl=1e-300"],
+    ["green", f"--n-x={10**18}"], ["dirac", f"--n-x={10**18}"], ["goursat", f"--n={10**18}"],
+    ["index", f"--kmax={10**18}"], ["index", "--profile=ramp:1e300:0"], ["index", "--T=1e300"],
+    ["green", "--cfl=1e-300", f"--n-x={10**30}"],  # a time step that underflows to 0
+]
+# every numeric key of the 1+1 subcommands at 0, -1 and a value far too large
+EDGE_1P1 = [[sub, f"--{key.replace('_', '-')}={value}"]
+            for sub in ("green", "goursat", "dirac", "index")
+            for key, (caster, _default, _help) in SCHEMAS[sub].items() if caster in (int, float)
+            for value in ("0", "-1", "1e300" if caster is float else str(10**18))]
+EDGE_1P1 += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_1P1]
+
+EDGE_DRIVER = """
+import contextlib, io, json, signal, sys, traceback
+from kerrlab.cli import main
+
+def hung(signum, frame):
+    raise TimeoutError("no exit code within 5 s")
+
+signal.signal(signal.SIGALRM, hung)
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", sys.argv[2]])
+    except SystemExit as exc:  # argparse's exit
+        code = exc.code
+    except Exception:
+        code = None
+        err.write(traceback.format_exc())
+    signal.alarm(0)
+    print(json.dumps([code, err.getvalue()]), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def edge_1p1_outcomes(tmp_path_factory):
+    # one fresh interpreter runs every case, so that a case that hangs ends in
+    # its alarm, or the whole run in the subprocess timeout, not in the suite
+    out = str(tmp_path_factory.mktemp("edge") / "r.json")
+    argv = [sys.executable, "-c", EDGE_DRIVER, json.dumps(EDGE_1P1), out]
+    try:
+        stdout = subprocess.run(argv, env=subprocess_env(), capture_output=True, text=True,
+                                timeout=120).stdout
+    except subprocess.TimeoutExpired as exc:
+        stdout = (exc.stdout or b"").decode()
+    outcomes = [json.loads(line) for line in stdout.splitlines()]
+    return outcomes + [[None, "killed by the subprocess timeout"]] * (len(EDGE_1P1) - len(outcomes))
+
+
+@pytest.mark.parametrize("case", range(len(EDGE_1P1)), ids=[" ".join(a) for a in EDGE_1P1])
+def test_1p1_edge_values_end_in_an_exit_code(edge_1p1_outcomes, case):
+    code, err = edge_1p1_outcomes[case]
+    assert code in ((2,) if EDGE_1P1[case] in OVERSIZE_1P1 else (0, 1, 2)), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [
@@ -414,10 +491,8 @@ for argv in (["geodesic", "--t-max", "20", "--n-samples", "20"],
     assert cli.run(sub, cfg) == 0, sub
 assert "sympy" not in sys.modules, "sympy was imported"
 """
-    src = os.path.dirname(os.path.dirname(kerrlab.__file__))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -448,10 +523,8 @@ for argv in (["wave-evolve", "--t-end", "1", "--n-r", "16", "--n-theta", "8"],
     assert "scipy.integrate" not in sys.modules, argv
     assert "scipy.optimize" not in sys.modules, argv
 """
-    src = os.path.dirname(os.path.dirname(kerrlab.__file__))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

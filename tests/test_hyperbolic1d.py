@@ -30,6 +30,10 @@ def test_grid_validation():
         Grid1p1(T=1.0, n_x=8, n_t=100)
     with pytest.raises(DomainError):
         Grid1p1(T=1.0, n_x=64, n_t=3)  # cfl above 0.9
+    with pytest.raises(DomainError):
+        Grid1p1(T=1.0, n_x=64, n_t=10**18)  # refused before anything is allocated
+    with pytest.raises(DomainError):
+        goursat_solve(lambda u: 0.0, lambda v: 0.0, 1.0, 10**18)
 
 
 def test_cauchy_convergence_against_separable_solution():
@@ -170,6 +174,20 @@ def test_green_clauses_machine_level():
     assert res["support_advanced"] <= 0.0
 
 
+def test_green_clauses_solve_each_green_problem_once(monkeypatch):
+    # G_+ f, G_- f, G_+ P f and G_- P f; the propagator is G_+ f - G_- f
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cauchy_solve(*args, **kwargs)
+
+    monkeypatch.setattr("kerrlab.hyperbolic1d.cauchy_solve", counted)
+    g = make_grid(64, T=1.5, cfl=0.85)
+    green_clause_residuals(g, source_field(g))
+    assert len(calls) == 4
+
+
 def test_green_source_collar_enforced():
     g = make_grid(64, T=1.0)
     f = np.zeros((g.n_t + 1, g.n_x))
@@ -207,8 +225,11 @@ def test_formal_dual_residual_machine_level():
 
 
 def test_apply_wave_operator_inverts_cauchy_solve():
+    # the implicit twist step solves the centered stencil exactly, so P undoes
+    # the solve to rounding with or without a twist
     g = make_grid(64, T=1.0)
     f = source_field(g)
-    u = cauchy_solve(g, f=f)
-    Pu = apply_wave_operator(g, u)
-    assert np.max(np.abs(Pu - f[1:-1])) < 1e-11 * max(1.0, np.max(np.abs(f)))
+    for twist in (None, lambda t: 0.3 + 0.2 * math.sin(t)):
+        u = cauchy_solve(g, f=f, twist=twist)
+        Pu = apply_wave_operator(g, u, twist=twist)
+        assert np.max(np.abs(Pu - f[1:-1])) < 1e-11 * max(1.0, np.max(np.abs(f)))

@@ -63,6 +63,14 @@ def test_kmax_too_small_rejected():
         mode_kernel_count(ramp_profile(0.3, 3.3), 2, "APS")
 
 
+def test_mode_check_above_the_sample_limit_rejected(monkeypatch):
+    # refused before the (nodes x modes) rate array is built: one mode needs
+    # 2001 base nodes
+    monkeypatch.setattr("kerrlab.index2d.MAX_MODE_SAMPLES", 2000)
+    with pytest.raises(DomainError):
+        mode_kernel_count(ramp_profile(0.3, 1.3), 4, "APS")
+
+
 def test_collar_required():
     with pytest.raises(DomainError):
         ConnectionProfile(a=lambda t: t, T=10.0, collar=True)
