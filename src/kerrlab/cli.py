@@ -206,6 +206,11 @@ SCHEMAS = {
 POSITIVE_KEYS = ("tol", "drift_tol", "stability_tol", "order_min", "order_max",
                  "fd_step", "step", "n_points", "n_samples", "n_x", "t_end", "t_max",
                  "cfl", "width", "report_dt")
+# Largest counts of sample points and of trajectory samples: a sweep or a
+# trajectory is held whole in memory, so a larger count is refused before it
+# can exhaust the memory or run for hours.
+MAX_POINTS = 10**4
+MAX_SAMPLES = 10**5
 
 
 def parse_config(argv):
@@ -282,6 +287,11 @@ def parse_config(argv):
             raise DomainError(f"{key} must be finite")
         if key in POSITIVE_KEYS and value is not None and value <= 0:
             raise DomainError(f"{key} must be positive")
+    if cfg.get("seed") is not None and cfg["seed"] < 0:
+        raise DomainError("seed must be non-negative")
+    for key, bound in (("n_points", MAX_POINTS), ("n_samples", MAX_SAMPLES)):
+        if cfg.get(key) is not None and cfg[key] > bound:
+            raise DomainError(f"{key} = {cfg[key]:.3g} exceeds {bound}")
     return ns.subcommand, cfg
 
 

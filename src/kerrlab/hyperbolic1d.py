@@ -12,6 +12,8 @@ periodic strip [0, T] x S^1 (circumference 2 pi):
 * the formal-dual pairing residual <phi, P f> - <P phi, f>.
 
 P and D act on whole space-time slabs; only the solvers step level by level.
+Every finite difference, along x and along t, is an entry of the one table
+STENCILS of centered stencils, applied by one helper.
 Each call samples the twist a(t) once, on all the times it needs.  Lattices
 of more than MAX_LATTICE_POINTS nodes are rejected before anything is
 allocated.
@@ -87,31 +89,36 @@ def sample(grid: Grid1p1, func):
     return np.asarray(func(T, X), dtype=complex)
 
 
-def _dxx(u, h):
-    return (np.roll(u, -1, axis=-1) - 2.0 * u + np.roll(u, 1, axis=-1)) / h**2
+# Every centered difference of this module, in x and in t: the offsets k and
+# weights w in summation order, and the denominator c h^p, so that the stencil
+# is sum_k w_k u(. + k h) / (c h^p).
+STENCILS = {
+    "d1": ((1, -1), (1.0, -1.0), 2.0, 1),
+    "d2": ((1, 0, -1), (1.0, -2.0, 1.0), 1.0, 2),
+    "d1_4": ((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0), 12.0, 1),
+    "d2_4": ((2, 1, 0, -1, -2), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0, 2),
+}
 
 
-def _dx(u, h):
-    return (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2.0 * h)
-
-
-def _dx4(u, h):
-    return (
-        -np.roll(u, -2, axis=-1)
-        + 8.0 * np.roll(u, -1, axis=-1)
-        - 8.0 * np.roll(u, 1, axis=-1)
-        + np.roll(u, 2, axis=-1)
-    ) / (12.0 * h)
-
-
-def _dxx4(u, h):
-    return (
-        -np.roll(u, -2, axis=-1)
-        + 16.0 * np.roll(u, -1, axis=-1)
-        - 30.0 * u
-        + 16.0 * np.roll(u, 1, axis=-1)
-        - np.roll(u, 2, axis=-1)
-    ) / (12.0 * h**2)
+def _diff(u, name, h, axis=-1):
+    """Apply STENCILS[name] along x (axis -1), periodically, as slices of one
+    wrap-padded copy, or along t (axis 0) at the levels r .. n_t - r where a
+    stencil of reach r fits.  The sum accumulates in place in a copy of the
+    first term; a unit weight adds or subtracts its slice unscaled."""
+    offsets, weights, c, p = STENCILS[name]
+    r = max(offsets)
+    if axis == -1:
+        u = np.concatenate((u[..., -r:], u, u[..., :r]), axis=-1)
+    n, total = u.shape[axis], None
+    for k, w in zip(offsets, weights):
+        term = u[..., r + k:n - r + k] if axis == -1 else u[r + k:n - r + k]
+        term = term if abs(w) == 1.0 else abs(w) * term
+        if total is None:
+            total = term.copy() if w > 0 else -term
+        else:
+            (np.add if w > 0 else np.subtract)(total, term, out=total)
+    total /= c * h**p
+    return total
 
 
 def _twist(twist, t, h):
@@ -152,16 +159,18 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
 
     # Taylor start: u_tt(0) = f - V u0 + u_xx(0) - 2 i a u1 - (i a' - a^2) u0
     f0 = f[0] if f is not None else 0.0
-    utt = f0 - V * u0 + _dxx(u0, h_x) - 2j * a[0] * u1 - (1j * ap[0] - a[0]**2) * u0
+    utt = f0 - V * u0 + _diff(u0, "d2", h_x) - 2j * a[0] * u1 - (1j * ap[0] - a[0]**2) * u0
     out[1] = u0 + h_t * u1 + 0.5 * h_t**2 * utt
 
-    for n in range(1, n_t):
-        fn = f[n] if f is not None else 0.0
-        u, up = out[n], out[n - 1]
-        rhs = fn - V * u + _dxx(u, h_x) - (1j * ap[n] - a[n]**2) * u
-        # centered implicit treatment of the 2 i a d_t term
-        denom = 1.0 + 1j * a[n] * h_t
-        out[n + 1] = (2.0 * u - up + h_t**2 * rhs + 1j * a[n] * h_t * up) / denom
+    # a diverging solve overflows quietly: the finiteness check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_t):
+            fn = f[n] if f is not None else 0.0
+            u, up = out[n], out[n - 1]
+            rhs = fn - V * u + _diff(u, "d2", h_x) - (1j * ap[n] - a[n]**2) * u
+            # centered implicit treatment of the 2 i a d_t term
+            denom = 1.0 + 1j * a[n] * h_t
+            out[n + 1] = (2.0 * u - up + h_t**2 * rhs + 1j * a[n] * h_t * up) / denom
     if not np.all(np.isfinite(out)):
         raise StabilityError("non-finite values in the Cauchy solution")
     return out
@@ -175,21 +184,21 @@ def apply_wave_operator(grid: Grid1p1, u, potential=None, twist=None):
     a, ap = (v[:, None] for v in _twist(twist, np.arange(1, grid.n_t) * h_t, h_t))
     mid = u[1:-1]
     return (
-        (u[2:] - 2.0 * mid + u[:-2]) / h_t**2
-        + 2j * a * ((u[2:] - u[:-2]) / (2.0 * h_t))
+        _diff(u, "d2", h_t, axis=0)
+        + 2j * a * _diff(u, "d1", h_t, axis=0)
         + (1j * ap - a**2) * mid
-        - _dxx(mid, h_x)
+        - _diff(mid, "d2", h_x)
         + V * mid
     )
 
 
 def support_radius(u_slice, x, center, threshold):
-    """Largest circle distance from `center` at which |u| exceeds the threshold."""
-    mask = np.abs(u_slice) > threshold
-    if not np.any(mask):
-        return 0.0
-    d = np.abs((x[mask] - center + math.pi) % (2.0 * math.pi) - math.pi)
-    return float(np.max(d))
+    """Largest circle distance from `center` at which |u| exceeds the threshold
+    (0 where it nowhere does): a float for one slice, one value per level for
+    a slab."""
+    d = np.abs((x - center + math.pi) % (2.0 * math.pi) - math.pi)
+    rad = np.max(np.where(np.abs(u_slice) > threshold, d, 0.0), axis=-1)
+    return float(rad) if rad.ndim == 0 else rad
 
 
 def cone_containment(grid: Grid1p1, u, center, radius0, collar_cells=2, rel_threshold=1e-3):
@@ -206,13 +215,9 @@ def cone_containment(grid: Grid1p1, u, center, radius0, collar_cells=2, rel_thre
     (the hard discrete domain of dependence).
     """
     u = np.asarray(u)
-    thresh = rel_threshold * np.max(np.abs(u))
-    worst = -np.inf
-    for n in range(u.shape[0]):
-        rad = support_radius(u[n], grid.x, center, thresh)
-        allowed = min(radius0 + n * grid.h_t + collar_cells * grid.h_x, math.pi)
-        worst = max(worst, (rad - allowed) / grid.h_x)
-    return worst
+    rad = support_radius(u, grid.x, center, rel_threshold * np.max(np.abs(u)))
+    allowed = np.minimum(radius0 + np.arange(u.shape[0]) * grid.h_t + collar_cells * grid.h_x, math.pi)
+    return float(np.max((rad - allowed) / grid.h_x))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +232,6 @@ class GoursatField:
     uu: np.ndarray  # null coordinate u = t - x values
     vv: np.ndarray  # null coordinate v = t + x values
     phi: np.ndarray  # shape (len(uu), len(vv))
-
-    def on_tx(self, i, j):
-        """(t, x) of grid node (i, j)."""
-        return 0.5 * (self.uu[i] + self.vv[j]), 0.5 * (self.vv[j] - self.uu[i])
 
 
 def _midpoint_source(f, um):
@@ -348,7 +349,7 @@ def dirac_solve_direct(data: DiracData1p1, grid: Grid1p1):
         return (1.0 - w) * fs[n] + w * fs[n + 1]
 
     def rhs(time, a, u):
-        du = -1j * a * u - speed * _dx4(u, h_x)
+        du = -1j * a * u - speed * _diff(u, "d1_4", h_x)
         fv = f_at(time)
         if fv is not None:
             du -= np.einsum("ab,bx->ax", GAMMA0, fv)
@@ -390,7 +391,7 @@ def dirac_solve_by_squaring(data: DiracData1p1, grid: Grid1p1):
     # second order at the temporal ends
     h_t = grid.h_t
     vt = np.empty_like(v)
-    vt[1:-1] = (v[2:] - v[:-2]) / (2.0 * h_t)
+    vt[1:-1] = _diff(v, "d1", h_t, axis=0)
     vt[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h_t)
     vt[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h_t)
     return _dirac(_twist(data.connection, grid.t, h_t)[0], v, vt, grid.h_x)
@@ -400,7 +401,7 @@ def _dirac(a, u, ut, h_x):
     """D u = gamma^0 (d_t + i a) u + gamma^1 d_x u on a slab of levels, given
     a and d_t u on those levels; d_x is second-order centered."""
     return np.einsum("ab,nbx->nax", GAMMA0, ut + 1j * a[:, None, None] * u) + np.einsum(
-        "ab,nbx->nax", GAMMA1, _dx(u, h_x)
+        "ab,nbx->nax", GAMMA1, _diff(u, "d1", h_x)
     )
 
 
@@ -408,7 +409,7 @@ def apply_dirac(data_connection, grid: Grid1p1, u):
     """Discrete D u at interior time levels 1..n_t-1 (second-order stencils)."""
     u = np.asarray(u, dtype=complex)
     a = _twist(data_connection, grid.t[1:-1], grid.h_t)[0]
-    return _dirac(a, u[1:-1], (u[2:] - u[:-2]) / (2.0 * grid.h_t), grid.h_x)
+    return _dirac(a, u[1:-1], _diff(u, "d1", grid.h_t, axis=0), grid.h_x)
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +483,15 @@ def green_clause_residuals(grid: Grid1p1, f, potential=None):
         gpf = green(grid, direction, Pf, potential)
         out[f"GP_{direction}"] = float(np.max(np.abs(gpf - f)) / scale)
         # clause (iii): support containment in J^{+/-}(supp f) with a collar
-        # (same numerical-support threshold as cone_containment)
+        # (same numerical-support threshold as cone_containment); a level
+        # before the source in the direction's time is allowed no support
         thr = 1e-3 * max(float(np.max(np.abs(u))), scale)
-        worst = -np.inf
-        for n in range(grid.n_t + 1):
-            gap = ((n - supp[0]) if direction == "retarded" else (supp[1] - n)) * grid.h_t
-            allowed = min(radius0 + max(gap, 0.0) + 2 * grid.h_x, math.pi)
-            if gap < 0:
-                allowed = 0.0 if np.max(np.abs(u[n])) > thr else math.pi
-            rad = support_radius(u[n], grid.x, center, thr)
-            worst = max(worst, (rad - allowed) / grid.h_x)
-        out[f"support_{direction}"] = float(worst)
+        n = np.arange(grid.n_t + 1)
+        gap = ((n - supp[0]) if direction == "retarded" else (supp[1] - n)) * grid.h_t
+        allowed = np.where(gap < 0, np.where(np.max(np.abs(u), axis=1) > thr, 0.0, math.pi),
+                           np.minimum(radius0 + gap + 2 * grid.h_x, math.pi))
+        rad = support_radius(u, grid.x, center, thr)
+        out[f"support_{direction}"] = float(np.max((rad - allowed) / grid.h_x))
 
     # the causal propagator G f = G_+ f - G_- f from the solutions above
     g = solutions["retarded"] - solutions["advanced"]
@@ -526,10 +525,8 @@ def formal_dual_residual(grid: Grid1p1, f, phi, potential=None):
 
     def apply4(u):
         out = np.zeros_like(u)
-        out[2:-2] = (
-            -u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2] + 16.0 * u[1:-3] - u[:-4]
-        ) / (12.0 * grid.h_t**2)
-        return out - _dxx4(u, grid.h_x) + V[None, :] * u
+        out[2:-2] = _diff(u, "d2_4", grid.h_t, axis=0)
+        return out - _diff(u, "d2_4", grid.h_x) + V[None, :] * u
 
     w = grid.h_t * grid.h_x
     pair_a = w * np.sum(phi * apply4(f))

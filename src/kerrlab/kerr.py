@@ -80,14 +80,6 @@ class BLPoint:
     def coords(self):
         return np.array([self.t, self.r, self.theta, self.phi])
 
-    @property
-    def sigma(self):
-        return self.r**2 + self.params.a**2 * math.cos(self.theta) ** 2
-
-    @property
-    def delta(self):
-        return self.r**2 - 2 * self.params.m * self.r + self.params.a**2
-
 
 # ---------------------------------------------------------------------------
 # compiled closed forms (generated ahead of time, scattered at first use)

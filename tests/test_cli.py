@@ -240,9 +240,19 @@ EDGE_1P1 = [[sub, f"--{key.replace('_', '-')}={value}"]
             for value in ("0", "-1", "1e300" if caster is float else str(10**18))]
 EDGE_1P1 += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_1P1]
 
+# Seeds and counts the geometry subcommands cannot use: each must be refused
+# as an input error before any work starts.
+EDGE_GEOMETRY = [
+    ["kerr-check", "--seed=-1"], ["maxwell-currents", "--seed=-1"],
+    ["kerr-check", f"--n-points={10**18}"], ["maxwell-currents", f"--n-points={10**18}"],
+    ["geodesic", f"--n-samples={10**18}"],
+]
+
 EDGE_DRIVER = """
-import contextlib, io, json, signal, sys, traceback
+import contextlib, io, json, signal, sys, traceback, warnings
 from kerrlab.cli import main
+
+warnings.simplefilter("always")  # a warning shows in every case that raises it
 
 def hung(signum, frame):
     raise TimeoutError("no exit code within 5 s")
@@ -264,19 +274,23 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-@pytest.fixture(scope="module")
-def edge_1p1_outcomes(tmp_path_factory):
+def edge_outcomes(tmp_path_factory, cases):
     # one fresh interpreter runs every case, so that a case that hangs ends in
     # its alarm, or the whole run in the subprocess timeout, not in the suite
     out = str(tmp_path_factory.mktemp("edge") / "r.json")
-    argv = [sys.executable, "-c", EDGE_DRIVER, json.dumps(EDGE_1P1), out]
+    argv = [sys.executable, "-c", EDGE_DRIVER, json.dumps(cases), out]
     try:
         stdout = subprocess.run(argv, env=subprocess_env(), capture_output=True, text=True,
                                 timeout=120).stdout
     except subprocess.TimeoutExpired as exc:
         stdout = (exc.stdout or b"").decode()
     outcomes = [json.loads(line) for line in stdout.splitlines()]
-    return outcomes + [[None, "killed by the subprocess timeout"]] * (len(EDGE_1P1) - len(outcomes))
+    return outcomes + [[None, "killed by the subprocess timeout"]] * (len(cases) - len(outcomes))
+
+
+@pytest.fixture(scope="module")
+def edge_1p1_outcomes(tmp_path_factory):
+    return edge_outcomes(tmp_path_factory, EDGE_1P1)
 
 
 @pytest.mark.parametrize("case", range(len(EDGE_1P1)), ids=[" ".join(a) for a in EDGE_1P1])
@@ -284,6 +298,20 @@ def test_1p1_edge_values_end_in_an_exit_code(edge_1p1_outcomes, case):
     code, err = edge_1p1_outcomes[case]
     assert code in ((2,) if EDGE_1P1[case] in OVERSIZE_1P1 else (0, 1, 2)), err
     assert "Traceback" not in err
+    assert "Warning" not in err
+
+
+@pytest.fixture(scope="module")
+def edge_geometry_outcomes(tmp_path_factory):
+    return edge_outcomes(tmp_path_factory, EDGE_GEOMETRY)
+
+
+@pytest.mark.parametrize("case", range(len(EDGE_GEOMETRY)), ids=[" ".join(a) for a in EDGE_GEOMETRY])
+def test_geometry_seeds_and_counts_out_of_range_are_input_errors(edge_geometry_outcomes, case):
+    code, err = edge_geometry_outcomes[case]
+    assert code == 2, err
+    assert "input error" in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("args", [

@@ -7,7 +7,8 @@ from kerrlab import (DiracData1p1, DomainError, Grid1p1, apply_dirac,
                      apply_wave_operator, cauchy_solve, causal_propagator,
                      cone_containment, dirac_solve_by_squaring,
                      dirac_solve_direct, formal_dual_residual, goursat_solve,
-                     green, green_clause_residuals, sample)
+                     green, green_clause_residuals, hyperbolic1d, sample,
+                     support_radius)
 
 
 def make_grid(n_x, T=1.0, cfl=0.8):
@@ -233,3 +234,95 @@ def test_apply_wave_operator_inverts_cauchy_solve():
         u = cauchy_solve(g, f=f, twist=twist)
         Pu = apply_wave_operator(g, u, twist=twist)
         assert np.max(np.abs(Pu - f[1:-1])) < 1e-11 * max(1.0, np.max(np.abs(f)))
+
+
+# The formulas the stencil table replaced: np.roll along x (u at x + k h is
+# np.roll(u, -k)), slices at the interior levels along t.
+def _at(u, k):
+    return np.roll(u, -k, axis=-1)
+
+
+REFERENCE_X = {
+    "d1": lambda u, h: (_at(u, 1) - _at(u, -1)) / (2.0 * h),
+    "d2": lambda u, h: (_at(u, 1) - 2.0 * u + _at(u, -1)) / h**2,
+    "d1_4": lambda u, h: (-_at(u, 2) + 8.0 * _at(u, 1) - 8.0 * _at(u, -1) + _at(u, -2)) / (12.0 * h),
+    "d2_4": lambda u, h: (-_at(u, 2) + 16.0 * _at(u, 1) - 30.0 * u + 16.0 * _at(u, -1)
+                          - _at(u, -2)) / (12.0 * h**2),
+}
+REFERENCE_T = {
+    "d1": lambda u, h: (u[2:] - u[:-2]) / (2.0 * h),
+    "d2": lambda u, h: (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2,
+    "d1_4": lambda u, h: (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * h),
+    "d2_4": lambda u, h: (-u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2] + 16.0 * u[1:-3]
+                          - u[:-4]) / (12.0 * h**2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(hyperbolic1d.STENCILS))
+@pytest.mark.parametrize("shape", [(40,), (9, 40), (9, 2, 40)])
+def test_each_stencil_matches_its_formula_bit_for_bit(name, shape):
+    rng = np.random.default_rng(len(shape))
+    u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = 2.0 * math.pi / 40
+    assert np.array_equal(hyperbolic1d._diff(u, name, h), REFERENCE_X[name](u, h))
+    if len(shape) > 1:
+        assert np.array_equal(hyperbolic1d._diff(u, name, 0.037, axis=0), REFERENCE_T[name](u, 0.037))
+
+
+def support_radius_reference(u_slice, x, center, threshold):
+    mask = np.abs(u_slice) > threshold
+    if not np.any(mask):
+        return 0.0
+    return float(np.max(np.abs((x[mask] - center + math.pi) % (2.0 * math.pi) - math.pi)))
+
+
+def test_support_radius_of_a_slab_is_the_radius_of_each_level():
+    rng = np.random.default_rng(3)
+    x = make_grid(64).x
+    u = rng.normal(size=(30, 64)) * (rng.random((30, 64)) < 0.2)
+    u[[0, 7]] = 0.0  # levels with no support
+    rad = support_radius(u, x, 1.3, 0.5)
+    assert rad.shape == (30,)
+    assert np.array_equal(rad, [support_radius_reference(row, x, 1.3, 0.5) for row in u])
+    assert all(type(support_radius(row, x, 1.3, 0.5)) is float for row in u)
+
+
+def test_cone_containment_matches_the_loop_over_levels():
+    g = make_grid(128, T=1.5, cfl=0.9)
+    u = cauchy_solve(g, u0=bump(g.x, 2.0, 0.4).astype(complex), u1=np.zeros(g.n_x))
+    for collar_cells, rel in ((2, 1e-3), (0, 1e-9)):
+        thresh = rel * np.max(np.abs(u))
+        worst = max((support_radius_reference(u[n], g.x, 2.0, thresh)
+                     - min(0.4 + n * g.h_t + collar_cells * g.h_x, math.pi)) / g.h_x
+                    for n in range(g.n_t + 1))
+        assert cone_containment(g, u, 2.0, 0.4, collar_cells, rel) == worst
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-2])
+def test_support_clauses_match_the_loop_over_levels(monkeypatch, noise):
+    # with noise, G f has support before the source and outside the cone
+    g = make_grid(64, T=1.5, cfl=0.85)
+    f = source_field(g)
+    rng = np.random.default_rng(5)
+    jitter = noise * rng.normal(size=f.shape) * (rng.random(f.shape) < 0.05)
+    exact = hyperbolic1d.green
+    monkeypatch.setattr(hyperbolic1d, "green", lambda *args: exact(*args) + jitter)
+    res = green_clause_residuals(g, f)
+
+    scale = np.max(np.abs(f))
+    nz_t = np.where(np.max(np.abs(f), axis=1) > 0)[0]
+    xs = g.x[np.max(np.abs(f), axis=0) > 0]
+    center = float(np.angle(np.mean(np.exp(1j * xs))) % (2.0 * math.pi))
+    radius0 = max(support_radius_reference(np.max(np.abs(f), axis=0), g.x, center, 0.0), g.h_x)
+    for direction in ("retarded", "advanced"):
+        u = exact(g, direction, f) + jitter
+        thr = 1e-3 * max(float(np.max(np.abs(u))), scale)
+        worst = -np.inf
+        for n in range(g.n_t + 1):
+            gap = ((n - nz_t[0]) if direction == "retarded" else (nz_t[-1] - n)) * g.h_t
+            allowed = min(radius0 + max(gap, 0.0) + 2 * g.h_x, math.pi)
+            if gap < 0:
+                allowed = 0.0 if np.max(np.abs(u[n])) > thr else math.pi
+            worst = max(worst, (support_radius_reference(u[n], g.x, center, thr) - allowed) / g.h_x)
+        assert res[f"support_{direction}"] == worst
+        assert (worst > 0.0) == (noise > 0.0)
