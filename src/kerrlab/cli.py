@@ -536,20 +536,25 @@ def _run_maxwell_currents(cfg):
         make = lambda p: uniform_field(params, cfg["strength"], p)
     else:
         raise DomainError("field must be 'coulomb' or 'uniform'")
-    from .tensors import DOWN, TensorValue
-    F_field = lambda coords: TensorValue(
-        (DOWN, DOWN), cfg["strength"] * F_raw(params, coords).components)
+
+    def F_field(pts):
+        F = F_raw(params, pts)
+        if not math.isfinite(cfg["strength"] * float(np.max(np.abs(F)))):
+            raise DomainError(f"a field of strength {cfg['strength']} overflows double precision")
+        return cfg["strength"] * F
 
     rng = np.random.default_rng(cfg["seed"])
     points = random_exterior_points(params, cfg["n_points"], rng)
     step = cfg["step"]
     per_point, failures = [], []
     for i, p in enumerate(points):
+        # V_tensor samples the field first, so an overflowing strength is
+        # refused before make() builds a sample of it
+        rep = V_tensor(params, F_field, p, step=step)
+        rep2 = V_tensor(params, F_field, p, step=2 * step)
         sample = make(p)
         tetrad = principal_tetrad(params, p)
         phi0, phi1, phi2, upsilon = np_scalars(sample, tetrad)
-        rep = V_tensor(params, F_field, p, step=step)
-        rep2 = V_tensor(params, F_field, p, step=2 * step)
         order = _order(rep2.div_V_residual, rep.div_V_residual)
         maxwell_res = maxwell_divergence_residual(params, F_field, p, step=step)
         # future unit timelike vector along d_t for the leading-part check

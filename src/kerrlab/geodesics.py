@@ -31,6 +31,10 @@ from .tensors import UP, TensorValue
 PLUNGE_GUARD = 1e-2
 
 NORM_TOL = 1e-10  # largest |g(u, u) - target| a state may have
+# Largest integrator tolerance.  DOP853's step control needs a tolerance well
+# below 1: at 0.1 the default orbit already steps where the right-hand side
+# is not finite, and at 1 the solver stops on a NaN.
+MAX_TOL = 1e-3
 
 
 def solve_ivp(*args, **kwargs):
@@ -143,6 +147,8 @@ def integrate_geodesic(
     """
     if t_max <= 0:
         raise DomainError("t_max must be positive")
+    if not 0 < tol <= MAX_TOL:
+        raise DomainError(f"tol must be positive and at most {MAX_TOL}")
     y0 = np.concatenate([s0.x.coords, s0.u.real_part()])
     r_stop = params.r_plus + PLUNGE_GUARD * params.m
     if max_tau is None:

@@ -81,6 +81,15 @@ class BLPoint:
         return np.array([self.t, self.r, self.theta, self.phi])
 
 
+def _check_exterior(params: KerrParams, r, th):
+    """Raise DomainError, as BLPoint does, unless every point (r, th) of two
+    arrays of one shape lies outside the horizon and inside the axis guard
+    band.  The points with the smallest r and the extreme thetas decide."""
+    if r.size:
+        BLPoint(0.0, r.min(), th.min(), 0.0, params)
+        BLPoint(0.0, r.min(), th.max(), 0.0, params)
+
+
 # ---------------------------------------------------------------------------
 # compiled closed forms (generated ahead of time, scattered at first use)
 # ---------------------------------------------------------------------------
@@ -199,13 +208,12 @@ def _analytic_nabla(params: KerrParams, r, th, name: str):
 def _fd_nabla(params: KerrParams, r, th, name: str, step: float):
     """nabla_c T_ab of the named all-down closed form by second-order central
     differences at the points (r, th), arrays of one shape: the form is
-    sampled on the whole stencil in one call, every stencil point validated
-    as a BLPoint."""
+    sampled on the whole stencil in one call, after one domain check of
+    every stencil point."""
     offsets, weights = _fd_rule(2)
     zero = np.zeros_like(r)
     pts = _stencil(np.stack([zero, r, th, zero], axis=-1), step, offsets)
-    for q in pts.reshape(-1, 4):
-        BLPoint(q[0], q[1], q[2], q[3], params)
+    _check_exterior(params, pts[..., 1], pts[..., 2])
     [samples] = _at(params, pts[..., 1], pts[..., 2], name)
     [gamma] = _at(params, r, th, "gamma")
     return _cov_fd(samples, gamma, (DOWN, DOWN), step, weights)

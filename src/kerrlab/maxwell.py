@@ -5,10 +5,13 @@ Maxwell divergence residual before being trusted) and computes, at arbitrary
 exterior points: Newman-Penrose scalars, the stress tensor, the 2-form
 Z_ab = -(4/3)(*F)_[a^c Y_b]c, the complex current eta_a, and the symmetric
 conserved tensor V_ab together with a nested-finite-difference residual of
-its conservation law.  The nested stencil is sampled once: the field at
-every one of its points, and the geometry at all of them in one broadcasting
-closed-form call per quantity; the rest is array arithmetic over the
-leading point axes.
+its conservation law.
+
+A field is an array callable: chart points pts[..., 4] go in, the real
+field strength F[..., 4, 4] comes out.  A nested stencil is sampled once:
+the field at all of its points in one call, checked over the whole array,
+and the geometry in one broadcasting closed-form call per quantity; the
+rest is array arithmetic over the leading point axes.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .errors import CalibrationError, DomainError
 from .kerr import (
     BLPoint,
     KerrParams,
+    _at,
+    _check_exterior,
     _eval,
-    _forms,
     _ky_calibration,
     coulomb_F_unit,
     kerr_metric,
@@ -33,7 +37,15 @@ from .kerr import (
     uniform_F_unit,
 )
 from .tensors import (DOWN, UP, TensorValue, _cov_fd, _fd_rule, _hodge, _partial_fd,
-                      _stencil, cov_deriv_fd, hodge_dual2)
+                      _stencil, hodge_dual2)
+
+
+def _check_antisymmetric(F):
+    """Raise ValueError unless F[..., a, b] is antisymmetric at every point,
+    to 1e-13 times max(1, max |F|) at that point."""
+    skew = np.max(np.abs(F + np.swapaxes(F, -1, -2)), axis=(-2, -1))
+    if np.any(skew > 1e-13 * np.maximum(1.0, np.max(np.abs(F), axis=(-2, -1)))):
+        raise ValueError("field strength is not antisymmetric")
 
 
 @dataclass(frozen=True)
@@ -47,9 +59,7 @@ class MaxwellSample:
     def __post_init__(self):
         if self.F.variance != (DOWN, DOWN):
             raise ValueError("field strength must be a down-down 2-form")
-        c = self.F.components
-        if np.max(np.abs(c + c.T)) > 1e-13 * max(1.0, np.max(np.abs(c))):
-            raise ValueError("field strength is not antisymmetric")
+        _check_antisymmetric(self.F.components)
 
 
 @dataclass(frozen=True)
@@ -63,21 +73,43 @@ class CurrentReport:
     fd_step: float
 
 
-def _point(params, coords):
-    return BLPoint(coords[0], coords[1], coords[2], coords[3], params)
+def _coulomb_F(params, pts):
+    """Unit-charge Coulomb field strength at chart points pts[..., 4]."""
+    return _at(params, pts[..., 1], pts[..., 2], "F_coulomb")[0]
 
 
-def _coulomb_F(params, coords):
-    p = _point(params, coords)
-    return TensorValue((DOWN, DOWN), coulomb_F_unit(params, p))
+def _uniform_F(params, pts):
+    """Unit-strength uniform-field Maxwell solution at chart points pts[..., 4]."""
+    return _at(params, pts[..., 1], pts[..., 2], "F_uniform")[0]
 
 
-def _uniform_F(params, coords):
-    p = _point(params, coords)
-    return TensorValue((DOWN, DOWN), uniform_F_unit(params, p))
+def _field(params, F_field, pts):
+    """F_field at chart points pts[..., 4] in one call, checked at every
+    point: the point is exterior and off the axis (DomainError, as for a
+    BLPoint), and the value is a finite antisymmetric 4 x 4 array
+    (ValueError)."""
+    _check_exterior(params, pts[..., 1], pts[..., 2])
+    F = np.asarray(F_field(pts))
+    if F.shape != pts.shape[:-1] + (4, 4):
+        raise ValueError(f"field strength has shape {F.shape}, expected {pts.shape[:-1] + (4, 4)}")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("field strength has non-finite components")
+    _check_antisymmetric(F)
+    return F
 
 
-# field -> (label, coords -> F given params, point seed, tolerance at the finer
+def _divergence(params, F_field, centres, step, order):
+    """max_b |nabla^a F_ab| at each of the chart points centres[n, 4], from the
+    field on the stencil of every centre (one call) and ginv, gamma at the
+    centres (one broadcasting closed-form call each)."""
+    offsets, weights = _fd_rule(order)
+    F = _field(params, F_field, _stencil(centres, step, offsets))
+    ginv, gamma = _at(params, centres[..., 1], centres[..., 2], "ginv", "gamma")
+    nabla = _cov_fd(F, gamma, (DOWN, DOWN), step, weights)
+    return np.max(np.abs(np.einsum("...ca,...cab->...b", ginv, nabla)), axis=-1)
+
+
+# field -> (label, pts -> F given params, point seed, tolerance at the finer
 # step, residual below which the coarser step counts as converged)
 _CALIBRATIONS = {
     "coulomb": ("Coulomb", _coulomb_F, 1234, 1e-6, 1e-10),
@@ -93,9 +125,10 @@ def _calibration(params: KerrParams, field: str):
     F_field = partial(F, params)
     rng = np.random.default_rng(seed)
     pts = random_exterior_points(params, 5, rng, r_range=(None, 10.0 * params.m))
-    for p in pts:
-        res_h = maxwell_divergence_residual(params, F_field, p, step=1e-2)
-        res_h2 = maxwell_divergence_residual(params, F_field, p, step=5e-3)
+    centres = np.array([p.coords for p in pts])
+    residuals = zip(_divergence(params, F_field, centres, 1e-2, 4),
+                    _divergence(params, F_field, centres, 5e-3, 4))
+    for p, (res_h, res_h2) in zip(pts, residuals):
         if not (res_h2 <= tol and (res_h2 < res_h or res_h < floor)):
             raise CalibrationError(
                 f"{label} ansatz failed Maxwell validation at {p.coords}: {res_h} -> {res_h2}"
@@ -122,12 +155,8 @@ def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
 
 
 def maxwell_divergence_residual(params, F_field, p: BLPoint, step=1e-3, order=4) -> float:
-    """max_b |nabla^a F_ab| for a sampled field strength (coords -> TensorValue)."""
-    metric = lambda q: kerr_metric(params, _point(params, q))
-    nabla = cov_deriv_fd(F_field, p.coords, metric, step, order=order)
-    ginv = _eval("ginv", params, p)
-    div = np.einsum("ca,cab->b", ginv, nabla.components)
-    return float(np.max(np.abs(div)))
+    """max_b |nabla^a F_ab| at p for a field (pts[..., 4] -> F[..., 4, 4])."""
+    return float(_divergence(params, F_field, p.coords[None], step, order)[0])
 
 
 def np_scalars(sample: MaxwellSample, tetrad):
@@ -191,18 +220,15 @@ def _leading(eta, g, ginv):
 def _sample(params, F_field, pts):
     """F and the geometry on chart points pts[..., 4].
 
-    Each point is validated as a BLPoint and each field value as a
-    MaxwellSample; g, ginv, sqrtg, gamma, Y and xi come from one broadcasting
-    closed-form call each.  Returns (F, {name: array}), point axes leading.
+    The field is one checked call (_field); g, ginv, sqrtg, gamma, Y and xi
+    come from one broadcasting closed-form call each.  Returns
+    (F, {name: array}), point axes leading.
     """
-    flat = pts.reshape(-1, 4)
-    F = np.array([MaxwellSample(F_field(q), _point(params, q)).F.components for q in flat])
-    forms = _forms()
-    r, th = pts[..., 1], pts[..., 2]
-    geo = {name: forms[name](params.m, params.a, r, th)
-           for name in ("g", "ginv", "sqrtg", "gamma", "Y", "xi")}
+    F = _field(params, F_field, pts)
+    names = ("g", "ginv", "sqrtg", "gamma", "Y", "xi")
+    geo = dict(zip(names, _at(params, pts[..., 1], pts[..., 2], *names)))
     geo["Y"] = _ky_calibration(params) * geo["Y"]
-    return F.reshape(pts.shape[:-1] + (4, 4)), geo
+    return F, geo
 
 
 def _eta(F, geo, step, weights):
@@ -250,8 +276,11 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
 
     The divergence max_b |nabla^a V_ab| uses Richardson-extrapolated central
     differences at the outer layer; the nested eta layer uses the same step.
-    All 17 x 9 points of the nested stencil are sampled in one pass and the
-    rest is array arithmetic over the (outer, inner) point axes.
+    F_field maps chart points pts[..., 4] to F[..., 4, 4]; it is called once,
+    on all 17 x 9 points of the nested stencil, and the rest is array
+    arithmetic over the (outer, inner) point axes.  V is quadratic in the
+    field, so a field too strong for V or its divergence to be finite in
+    float64 raises OverflowError.
     """
     # The outer layer differentiates a field that itself carries O(step^2)
     # inner truncation error plus roundoff amplified by 1/step.  A wider
@@ -263,18 +292,20 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
     out_offsets, out_weights = _fd_rule(4)
     pts = _stencil(_stencil(p.coords, h, out_offsets), step, offsets)  # (17, 9, 4)
     F, geo = _sample(params, F_field, pts)
-    Z, starF, eta = _eta(F, geo, step, weights)
-    xi_up = np.einsum("...ab,...b->...a", geo["ginv"], geo["xi"])
-    g, ginv = geo["g"][:, 0], geo["ginv"][:, 0]
-    Z0 = Z[:, 0]
-    V = (_leading(eta, g, ginv)
-         - _coupling(_lie(xi_up.real, F, step, weights), Z0, g, ginv)
-         + _coupling(_lie(xi_up.imag, starF, step, weights), Z0, g, ginv))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        Z, starF, eta = _eta(F, geo, step, weights)
+        xi_up = np.einsum("...ab,...b->...a", geo["ginv"], geo["xi"])
+        g, ginv = geo["g"][:, 0], geo["ginv"][:, 0]
+        Z0 = Z[:, 0]
+        V = (_leading(eta, g, ginv)
+             - _coupling(_lie(xi_up.real, F, step, weights), Z0, g, ginv)
+             + _coupling(_lie(xi_up.imag, starF, step, weights), Z0, g, ginv))
+        nabla = _cov_fd(V, geo["gamma"][0, 0], (DOWN, DOWN), h, out_weights)
+        div = np.einsum("ca,cab->b", ginv[0], nabla)
+    if not all(np.all(np.isfinite(x)) for x in (Z0[0], eta[0], V[0], div)):
+        raise OverflowError("V_ab of this field overflows double precision")
     if np.max(np.abs(V[0].imag)) > 1e-11 * max(1.0, np.max(np.abs(V[0]))):
         raise CalibrationError("V has a non-negligible imaginary part")
-
-    nabla = _cov_fd(V, geo["gamma"][0, 0], (DOWN, DOWN), h, out_weights)
-    div = np.einsum("ca,cab->b", ginv[0], nabla)
 
     return CurrentReport(
         Z=TensorValue((DOWN, DOWN), Z0[0]),

@@ -36,29 +36,23 @@ class SliceData:
     chart: str = "cartesian"
 
 
-def _sym_check(M, name, tol=1e-12):
-    if np.max(np.abs(M - M.T)) > tol * max(1.0, np.max(np.abs(M))):
+def _sample(sampler, name, pts):
+    """Sampler values [..., 3, 3] at the points pts[..., 3], one call per
+    point; each value must be symmetric to 1e-12 times max(1, max |value|)."""
+    flat = pts.reshape(-1, _D3)
+    M = np.array([sampler(q) for q in flat], dtype=float).reshape(len(flat), _D3, _D3)
+    skew = np.max(np.abs(M - np.swapaxes(M, -1, -2)), axis=(-2, -1))
+    if np.any(skew > 1e-12 * np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))):
         raise DomainError(f"{name} sampler returned a non-symmetric matrix")
+    return M.reshape(pts.shape[:-1] + (_D3, _D3))
 
 
-def _h_at(data, p):
-    h = np.asarray(data.h_sampler(np.asarray(p, dtype=float)), dtype=float)
-    _sym_check(h, "h")
-    if np.min(np.linalg.eigvalsh(h)) <= 0:
+def _sample_h(data, pts):
+    """_sample of the 3-metric, which must also be positive definite."""
+    h = _sample(data.h_sampler, "h", pts)
+    if np.any(np.linalg.eigvalsh(h.reshape(-1, _D3, _D3)) <= 0):
         raise DomainError("3-metric is not positive definite at a sample point")
     return h
-
-
-def _k_at(data, p):
-    k = np.asarray(data.k_sampler(np.asarray(p, dtype=float)), dtype=float)
-    _sym_check(k, "k")
-    return k
-
-
-def _sample(data, at, pts):
-    """Checked sampler values [..., 3, 3] at the points pts[..., 3]."""
-    vals = [at(data, q) for q in pts.reshape(-1, _D3)]
-    return np.array(vals, dtype=float).reshape(pts.shape[:-1] + (_D3, _D3))
 
 
 def _curvature(data, points, step):
@@ -66,7 +60,7 @@ def _curvature(data, points, step):
     them and Gamma^c_ab at the centres, from h on the nested stencil."""
     offsets, weights = _fd_rule(4)
     outer = _stencil(np.asarray(points, dtype=float).reshape(len(points), _D3), step, offsets)
-    h = _sample(data, _h_at, _stencil(outer, step, offsets))  # [n, 13, 13, a, b]
+    h = _sample_h(data, _stencil(outer, step, offsets))  # [n, 13, 13, a, b]
     hinv = np.linalg.inv(h[:, :, 0])
     dh = _partial_fd(h, step, weights, 2)  # [n, 13, c, a, b] = partial_c h_ab
     gamma = 0.5 * (
@@ -95,7 +89,7 @@ def constraint_residual(data: SliceData, points, step=1e-3):
     """
     scal, outer, hinv, gamma = _curvature(data, points, step)
     _, weights = _fd_rule(4)
-    k = _sample(data, _k_at, outer)  # [n, 13, a, b]
+    k = _sample(data.k_sampler, "k", outer)  # [n, 13, a, b]
     trk = np.einsum("...ab,...ab->...", hinv, k)
     hinv0, k0 = hinv[:, 0], k[:, 0]
     ksq = np.einsum("...ab,...cd,...ac,...bd->...", k0, k0, hinv0, hinv0)

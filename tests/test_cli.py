@@ -240,12 +240,16 @@ EDGE_1P1 = [[sub, f"--{key.replace('_', '-')}={value}"]
             for value in ("0", "-1", "1e300" if caster is float else str(10**18))]
 EDGE_1P1 += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_1P1]
 
-# Seeds and counts the geometry subcommands cannot use: each must be refused
-# as an input error before any work starts.
+# Seeds, counts, strengths and tolerances the geometry subcommands cannot
+# use: each must be refused as an input error.  A field strength of 1e300
+# overflows V_ab, one of 1e308 the field itself; an integrator tolerance of
+# 1e300 lets DOP853 step where the geodesic right-hand side is NaN.
 EDGE_GEOMETRY = [
     ["kerr-check", "--seed=-1"], ["maxwell-currents", "--seed=-1"],
     ["kerr-check", f"--n-points={10**18}"], ["maxwell-currents", f"--n-points={10**18}"],
     ["geodesic", f"--n-samples={10**18}"],
+    ["maxwell-currents", "--strength=1e300"], ["maxwell-currents", "--strength=1e308"],
+    ["geodesic", "--tol=1e300"],
 ]
 
 EDGE_DRIVER = """

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kerrlab import (BLPoint, DomainError, KerrParams, TensorValue, V_tensor,
+from kerrlab import (BLPoint, DomainError, KerrParams, V_tensor,
                      Z_form, coulomb_field, dominant_energy_value, eta_oneform,
                      hodge_dual2, kerr_metric, killing_yano,
                      maxwell_divergence_residual, np_scalars, principal_tetrad,
@@ -105,24 +105,26 @@ def test_hodge_dual_of_coulomb_antisymmetric():
 
 def test_V_tensor_evaluates_each_point_once(monkeypatch):
     # the 17-point outer stencil times the 9-point inner one: the field is
-    # called once at each of the 153 points, and the reported eta is the one
-    # eta_oneform gives at the centre
+    # called once, on all 153 points, each of them distinct, and the reported
+    # eta is the one eta_oneform gives at the centre
     p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
-    points = []
+    calls = []
 
     def F(q):
-        points.append(tuple(q))
+        calls.append(q.copy())
         return _uniform_F(PARAMS, q)
 
     rep = V_tensor(PARAMS, F, p, step=1e-3)
-    assert len(points) == 153 and len(set(points)) == 153
+    assert len(calls) == 1 and calls[0].shape == (17, 9, 4)
+    assert len(set(map(tuple, calls[0].reshape(-1, 4)))) == 153
     eta = eta_oneform(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
     assert np.array_equal(rep.eta.components, eta.components)
 
 
 def test_V_tensor_geometry_evaluation_counts(monkeypatch):
-    # the geometry at all 153 stencil points is one broadcasting closed-form
-    # call per quantity, and no per-point metric is built
+    # the geometry and the field at all 153 stencil points are one
+    # broadcasting closed-form call per quantity, and no per-point metric is
+    # built
     import kerrlab.kerr as kerr
     import kerrlab.maxwell as maxwell
 
@@ -141,11 +143,11 @@ def test_V_tensor_geometry_evaluation_counts(monkeypatch):
         raise AssertionError("V_tensor called kerr_metric")
 
     counted = {name: counted_form(name) for name in forms}
-    monkeypatch.setattr(maxwell, "_forms", lambda: counted)
+    monkeypatch.setattr(kerr, "_forms", lambda: counted)
     monkeypatch.setattr(maxwell, "kerr_metric", no_metric)
     monkeypatch.setattr(kerr, "kerr_metric", no_metric)
     V_tensor(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
-    assert counts == {name: 1 for name in ("g", "ginv", "sqrtg", "gamma", "Y", "xi")}
+    assert counts == {name: 1 for name in ("g", "ginv", "sqrtg", "gamma", "Y", "xi", "F_uniform")}
 
 
 def test_V_tensor_rejects_stencil_across_the_axis():
@@ -157,16 +159,61 @@ def test_V_tensor_rejects_stencil_across_the_axis():
     F_unit = _forms()["F_uniform"]
     p = BLPoint(0.0, 5.0, 0.02, 0.4, PARAMS)
     with pytest.raises(DomainError):
-        V_tensor(PARAMS, lambda q: TensorValue(("d", "d"), F_unit(1.0, 0.5, q[1], q[2])),
-                 p, step=1e-3)
+        V_tensor(PARAMS, lambda q: F_unit(1.0, 0.5, q[..., 1], q[..., 2]), p, step=1e-3)
+
+
+def test_V_tensor_rejects_stencil_across_the_horizon():
+    # the centre lies 0.01 outside r_plus and the outer stencil (step
+    # sqrt(1e-3)) reaches 0.02 inside it; the field does not check its points
+    from kerrlab.kerr import _forms
+
+    F_unit = _forms()["F_uniform"]
+    p = BLPoint(0.0, PARAMS.r_plus + 1e-2, 1.1, 0.4, PARAMS)
+    with pytest.raises(DomainError, match="horizon"):
+        V_tensor(PARAMS, lambda q: F_unit(1.0, 0.5, q[..., 1], q[..., 2]), p, step=1e-3)
 
 
 def test_V_tensor_rejects_a_non_antisymmetric_field():
     p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
 
     def F(q):
-        F0 = _uniform_F(PARAMS, q)
-        return TensorValue(F0.variance, F0.components + 1e-3 * np.eye(4))
+        return _uniform_F(PARAMS, q) + 1e-3 * np.eye(4)
 
     with pytest.raises(ValueError, match="antisymmetric"):
         V_tensor(PARAMS, F, p, step=1e-3)
+
+
+def test_V_tensor_rejects_a_non_finite_field():
+    p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
+
+    def F(q):
+        F0 = _uniform_F(PARAMS, q)
+        F0[3, 2, 0, 1] = np.nan
+        return F0
+
+    with pytest.raises(ValueError, match="non-finite"):
+        V_tensor(PARAMS, F, p, step=1e-3)
+
+
+def test_calibration_calls_the_field_once_per_step(monkeypatch):
+    # the 5 calibration points times the 17-point stencil of each: one field
+    # call per step over all 85 points, and no per-point metric is built
+    import kerrlab.kerr as kerr
+    import kerrlab.maxwell as maxwell
+
+    calls = []
+
+    def F(params, q):
+        calls.append(q.copy())
+        return _uniform_F(params, q)
+
+    def no_metric(*args):
+        raise AssertionError("the calibration called kerr_metric")
+
+    monkeypatch.setitem(maxwell._CALIBRATIONS, "uniform", ("uniform-field", F, 4321, 1e-5, 1e-9))
+    monkeypatch.setattr(maxwell, "kerr_metric", no_metric)
+    monkeypatch.setattr(kerr, "kerr_metric", no_metric)
+    assert maxwell._calibration.__wrapped__(PARAMS, "uniform")
+    assert [q.shape for q in calls] == [(5, 17, 4), (5, 17, 4)]
+    for q in calls:
+        assert len(set(map(tuple, q.reshape(-1, 4)))) == 85
