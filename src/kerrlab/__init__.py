@@ -13,7 +13,7 @@ from .errors import (CalibrationError, ChartMismatchError, DomainError,
 from .tensors import (MetricData, TensorValue, cov_deriv_fd, hodge_dual2,
                       index_ops)
 from .kerr import (BLPoint, KerrParams, carter_tensor, conformal_ky_residual,
-                   coulomb_F_unit, horizon_radius, kappa_scalars, kerr_metric,
+                   coulomb_F_unit, kappa_scalars, kerr_metric,
                    killing_tensor_residual, killing_tensor_residual_fd,
                    killing_yano, killing_yano_residual,
                    killing_yano_residual_fd, principal_tetrad,
@@ -22,8 +22,7 @@ from .kerr import (BLPoint, KerrParams, carter_tensor, conformal_ky_residual,
 from .geodesics import (ConservedSet, GeodesicState, Trajectory,
                         circular_orbit_state, conserved_drift,
                         conserved_quantities, integrate_geodesic,
-                        normalize_velocity, null_circular_state,
-                        photon_orbit_radius)
+                        normalize_velocity, photon_orbit_radius)
 from .slices import (SliceData, constraint_residual, flat_slice,
                      round_sphere_slice, scalar_curvature,
                      schwarzschild_slice)

@@ -557,10 +557,11 @@ def _run_maxwell_currents(cfg):
         phi0, phi1, phi2, upsilon = np_scalars(sample, tetrad)
         order = _order(rep2.div_V_residual, rep.div_V_residual)
         maxwell_res = maxwell_divergence_residual(params, F_field, p, step=step)
-        # future unit timelike vector along d_t for the leading-part check
+        # the future unit normal n^a = -g^{a0} / sqrt(-g^{00}) to t = const for the
+        # leading-part check: timelike outside the horizon, in the ergoregion too
         from .kerr import _eval
-        g = _eval("g", params, p)
-        v = np.array([1.0, 0.0, 0.0, 0.0]) / math.sqrt(-g[0, 0])
+        ginv = _eval("ginv", params, p)
+        v = -ginv[:, 0] / math.sqrt(-ginv[0, 0])
         energy = dominant_energy_value(params, rep.eta, p, v, v)
         per_point.append({
             "point": list(map(float, p.coords)),

@@ -242,17 +242,6 @@ def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> Geodesi
     return GeodesicState(p, TensorValue((UP,), u), "timelike")
 
 
-def null_circular_state(params: KerrParams, r: float, prograde=True) -> GeodesicState:
-    """Tangential null ray at radius r in the equatorial plane."""
-    p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
-    g = _eval("g", params, p)
-    # g_tt + 2 Omega g_tphi + Omega^2 g_phiphi = 0
-    omega = _angular_velocity(g[3, 3], 2 * g[0, 3], g[0, 0], prograde,
-                              f"no null directions at r={r}")
-    u = np.array([1.0, 0.0, 0.0, omega])
-    return GeodesicState(p, TensorValue((UP,), u), "null")
-
-
 def photon_orbit_radius(params: KerrParams, bracket, prograde=True, tol=1e-14) -> float:
     """Equatorial circular-photon-orbit radius inside the given bracket.
 

@@ -12,8 +12,9 @@ periodic strip [0, T] x S^1 (circumference 2 pi):
 * the formal-dual pairing residual <phi, P f> - <P phi, f>.
 
 P and D act on whole space-time slabs; only the solvers step level by level.
-Every finite difference, along x and along t, is an entry of the one table
-STENCILS of centered stencils, applied by one helper.
+Every finite difference is an entry of the stencil table `kerrlab._stencils`:
+along x periodically (`_dx`), along t at the interior levels, with one-sided
+end rows where u = D v needs every level.
 Each call samples the twist a(t) once, on all the times it needs.  Lattices
 of more than MAX_LATTICE_POINTS nodes are rejected before anything is
 allocated.
@@ -33,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _stencils
+from ._stencils import _diff
 from .errors import DomainError, StabilityError
 
 GAMMA0 = np.array([[0.0, 1j], [1j, 0.0]])
@@ -89,36 +92,11 @@ def sample(grid: Grid1p1, func):
     return np.asarray(func(T, X), dtype=complex)
 
 
-# Every centered difference of this module, in x and in t: the offsets k and
-# weights w in summation order, and the denominator c h^p, so that the stencil
-# is sum_k w_k u(. + k h) / (c h^p).
-STENCILS = {
-    "d1": ((1, -1), (1.0, -1.0), 2.0, 1),
-    "d2": ((1, 0, -1), (1.0, -2.0, 1.0), 1.0, 2),
-    "d1_4": ((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0), 12.0, 1),
-    "d2_4": ((2, 1, 0, -1, -2), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0, 2),
-}
-
-
-def _diff(u, name, h, axis=-1):
-    """Apply STENCILS[name] along x (axis -1), periodically, as slices of one
-    wrap-padded copy, or along t (axis 0) at the levels r .. n_t - r where a
-    stencil of reach r fits.  The sum accumulates in place in a copy of the
-    first term; a unit weight adds or subtracts its slice unscaled."""
-    offsets, weights, c, p = STENCILS[name]
-    r = max(offsets)
-    if axis == -1:
-        u = np.concatenate((u[..., -r:], u, u[..., :r]), axis=-1)
-    n, total = u.shape[axis], None
-    for k, w in zip(offsets, weights):
-        term = u[..., r + k:n - r + k] if axis == -1 else u[r + k:n - r + k]
-        term = term if abs(w) == 1.0 else abs(w) * term
-        if total is None:
-            total = term.copy() if w > 0 else -term
-        else:
-            (np.add if w > 0 else np.subtract)(total, term, out=total)
-    total /= c * h**p
-    return total
+def _dx(u, name, h):
+    """The stencil `name` along x (axis -1), periodically: applied to one
+    wrap-padded copy."""
+    r = max(_stencils.STENCILS[name][0])
+    return _diff(np.concatenate((u[..., -r:], u, u[..., :r]), axis=-1), name, h, axis=-1)
 
 
 def _twist(twist, t, h):
@@ -129,9 +107,8 @@ def _twist(twist, t, h):
     if twist is None:
         return np.zeros(t.shape), np.zeros(t.shape)
     times = t.ravel().tolist()
-    a = [float(twist(s)) for s in times]
-    rate = [(float(twist(s + h)) - float(twist(s - h))) / (2.0 * h) for s in times]
-    return np.reshape(a, t.shape), np.reshape(rate, t.shape)
+    a = np.array([[float(twist(s + k * h)) for s in times] for k in (-1, 0, 1)])
+    return a[1].reshape(t.shape), _diff(a, "d1", h)[0].reshape(t.shape)
 
 
 def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=None):
@@ -159,7 +136,7 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
 
     # Taylor start: u_tt(0) = f - V u0 + u_xx(0) - 2 i a u1 - (i a' - a^2) u0
     f0 = f[0] if f is not None else 0.0
-    utt = f0 - V * u0 + _diff(u0, "d2", h_x) - 2j * a[0] * u1 - (1j * ap[0] - a[0]**2) * u0
+    utt = f0 - V * u0 + _dx(u0, "d2", h_x) - 2j * a[0] * u1 - (1j * ap[0] - a[0]**2) * u0
     out[1] = u0 + h_t * u1 + 0.5 * h_t**2 * utt
 
     # a diverging solve overflows quietly: the finiteness check below reports it
@@ -167,7 +144,7 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
         for n in range(1, n_t):
             fn = f[n] if f is not None else 0.0
             u, up = out[n], out[n - 1]
-            rhs = fn - V * u + _diff(u, "d2", h_x) - (1j * ap[n] - a[n]**2) * u
+            rhs = fn - V * u + _dx(u, "d2", h_x) - (1j * ap[n] - a[n]**2) * u
             # centered implicit treatment of the 2 i a d_t term
             denom = 1.0 + 1j * a[n] * h_t
             out[n + 1] = (2.0 * u - up + h_t**2 * rhs + 1j * a[n] * h_t * up) / denom
@@ -184,10 +161,10 @@ def apply_wave_operator(grid: Grid1p1, u, potential=None, twist=None):
     a, ap = (v[:, None] for v in _twist(twist, np.arange(1, grid.n_t) * h_t, h_t))
     mid = u[1:-1]
     return (
-        _diff(u, "d2", h_t, axis=0)
-        + 2j * a * _diff(u, "d1", h_t, axis=0)
+        _diff(u, "d2", h_t)
+        + 2j * a * _diff(u, "d1", h_t)
         + (1j * ap - a**2) * mid
-        - _diff(mid, "d2", h_x)
+        - _dx(mid, "d2", h_x)
         + V * mid
     )
 
@@ -250,16 +227,16 @@ def _midpoint_source(f, um):
         return np.array([[f(0.5 * (u + v), 0.5 * (v - u)) / 4.0 for v in um] for u in um])
 
 
-def goursat_solve(p, q, extent, n, f=None, initial_fill=0.0) -> GoursatField:
+def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
     """Solve d_u d_v phi = f/4 on [0,extent]^2 with phi(u,0) = p(u), phi(0,v) = q(v).
 
     p, q are callables on the two null rays from the vertex and must agree at
     the vertex.  f, when given, is the wave-operator source f(t, x) (the
     double-null right-hand side is f/4): a callable on numpy arrays, which is
     sampled in one call, or on floats only.  No derivative data is
-    accepted along the rays.  `initial_fill` is accepted and ignored: the
-    scheme is explicit, so the solution on the future of the rays is fixed
-    by the ray data and the source alone (uniqueness).
+    accepted along the rays: the scheme is explicit, so the solution on the
+    future of the rays is fixed by the ray data and the source alone
+    (uniqueness).
     """
     if extent <= 0:
         raise DomainError("extent must be positive")
@@ -349,7 +326,7 @@ def dirac_solve_direct(data: DiracData1p1, grid: Grid1p1):
         return (1.0 - w) * fs[n] + w * fs[n + 1]
 
     def rhs(time, a, u):
-        du = -1j * a * u - speed * _diff(u, "d1_4", h_x)
+        du = -1j * a * u - speed * _dx(u, "d1_4", h_x)
         fv = f_at(time)
         if fv is not None:
             du -= np.einsum("ab,bx->ax", GAMMA0, fv)
@@ -389,19 +366,15 @@ def dirac_solve_by_squaring(data: DiracData1p1, grid: Grid1p1):
 
     # u = D v on every level: centered interior time stencil, one-sided
     # second order at the temporal ends
-    h_t = grid.h_t
-    vt = np.empty_like(v)
-    vt[1:-1] = _diff(v, "d1", h_t, axis=0)
-    vt[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h_t)
-    vt[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h_t)
-    return _dirac(_twist(data.connection, grid.t, h_t)[0], v, vt, grid.h_x)
+    vt = _diff(v, "d1", grid.h_t, end="d1_end")
+    return _dirac(_twist(data.connection, grid.t, grid.h_t)[0], v, vt, grid.h_x)
 
 
 def _dirac(a, u, ut, h_x):
     """D u = gamma^0 (d_t + i a) u + gamma^1 d_x u on a slab of levels, given
     a and d_t u on those levels; d_x is second-order centered."""
     return np.einsum("ab,nbx->nax", GAMMA0, ut + 1j * a[:, None, None] * u) + np.einsum(
-        "ab,nbx->nax", GAMMA1, _diff(u, "d1", h_x)
+        "ab,nbx->nax", GAMMA1, _dx(u, "d1", h_x)
     )
 
 
@@ -409,7 +382,7 @@ def apply_dirac(data_connection, grid: Grid1p1, u):
     """Discrete D u at interior time levels 1..n_t-1 (second-order stencils)."""
     u = np.asarray(u, dtype=complex)
     a = _twist(data_connection, grid.t[1:-1], grid.h_t)[0]
-    return _dirac(a, u[1:-1], _diff(u, "d1", grid.h_t, axis=0), grid.h_x)
+    return _dirac(a, u[1:-1], _diff(u, "d1", grid.h_t), grid.h_x)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +498,8 @@ def formal_dual_residual(grid: Grid1p1, f, phi, potential=None):
 
     def apply4(u):
         out = np.zeros_like(u)
-        out[2:-2] = _diff(u, "d2_4", grid.h_t, axis=0)
-        return out - _diff(u, "d2_4", grid.h_x) + V[None, :] * u
+        out[2:-2] = _diff(u, "d2_4", grid.h_t)
+        return out - _dx(u, "d2_4", grid.h_x) + V[None, :] * u
 
     w = grid.h_t * grid.h_x
     pair_a = w * np.sum(phi * apply4(f))

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError, DomainError
-from .tensors import DOWN, UP, MetricData, TensorValue, _cov_fd, _fd_rule, _projector, _stencil
+from .tensors import DOWN, UP, MetricData, TensorValue, _cov_fd, _projector, _stencil
 
 THETA_GUARD = 1e-6
 
@@ -210,13 +210,12 @@ def _fd_nabla(params: KerrParams, r, th, name: str, step: float):
     differences at the points (r, th), arrays of one shape: the form is
     sampled on the whole stencil in one call, after one domain check of
     every stencil point."""
-    offsets, weights = _fd_rule(2)
     zero = np.zeros_like(r)
-    pts = _stencil(np.stack([zero, r, th, zero], axis=-1), step, offsets)
+    pts = _stencil(np.stack([zero, r, th, zero], axis=-1), step, "d1")
     _check_exterior(params, pts[..., 1], pts[..., 2])
     [samples] = _at(params, pts[..., 1], pts[..., 2], name)
     [gamma] = _at(params, r, th, "gamma")
-    return _cov_fd(samples, gamma, (DOWN, DOWN), step, weights)
+    return _cov_fd(samples, gamma, (DOWN, DOWN), step, "d1")
 
 
 def _symmetrized_max(nabla, slots):
@@ -347,10 +346,6 @@ def coulomb_F_unit(params: KerrParams, p: BLPoint) -> np.ndarray:
 def uniform_F_unit(params: KerrParams, p: BLPoint) -> np.ndarray:
     """Closed-form uniform-magnetic-field Maxwell test solution, unit strength."""
     return _eval("F_uniform", params, p)
-
-
-def horizon_radius(params: KerrParams) -> float:
-    return params.r_plus
 
 
 def random_exterior_points(params: KerrParams, n, rng, r_range=(None, None), t_range=(0.0, 0.0)):

@@ -36,8 +36,9 @@ from .kerr import (
     random_exterior_points,
     uniform_F_unit,
 )
-from .tensors import (DOWN, UP, TensorValue, _cov_fd, _fd_rule, _hodge, _partial_fd,
-                      _stencil, hodge_dual2)
+from ._stencils import central_d1
+from .tensors import (DOWN, UP, TensorValue, _cov_fd, _hodge, _partial_fd, _stencil,
+                      hodge_dual2)
 
 
 def _check_antisymmetric(F):
@@ -102,10 +103,10 @@ def _divergence(params, F_field, centres, step, order):
     """max_b |nabla^a F_ab| at each of the chart points centres[n, 4], from the
     field on the stencil of every centre (one call) and ginv, gamma at the
     centres (one broadcasting closed-form call each)."""
-    offsets, weights = _fd_rule(order)
-    F = _field(params, F_field, _stencil(centres, step, offsets))
+    name = central_d1(order)
+    F = _field(params, F_field, _stencil(centres, step, name))
     ginv, gamma = _at(params, centres[..., 1], centres[..., 2], "ginv", "gamma")
-    nabla = _cov_fd(F, gamma, (DOWN, DOWN), step, weights)
+    nabla = _cov_fd(F, gamma, (DOWN, DOWN), step, name)
     return np.max(np.abs(np.einsum("...ca,...cab->...b", ginv, nabla)), axis=-1)
 
 
@@ -231,29 +232,29 @@ def _sample(params, F_field, pts):
     return F, geo
 
 
-def _eta(F, geo, step, weights):
+def _eta(F, geo, step, name):
     """Z, *F and eta_a = nabla_b (Z + i *Z)_a^b from samples on a stencil
     (stencil axis just before the slot axes); eta at the stencil centres."""
     ginv, sqrtg = geo["ginv"], geo["sqrtg"]
     starF = _hodge(F, ginv, sqrtg)
     Z = _Z(starF, ginv, geo["Y"])
     W = np.einsum("...ac,...cb->...ab", Z + 1j * _hodge(Z, ginv, sqrtg), ginv)  # W_a{}^b
-    nabla = _cov_fd(W, geo["gamma"][..., 0, :, :, :], (DOWN, UP), step, weights)
+    nabla = _cov_fd(W, geo["gamma"][..., 0, :, :, :], (DOWN, UP), step, name)
     return Z, starF, np.einsum("...bab->...a", nabla)
 
 
 def eta_oneform(params: KerrParams, F_field, p: BLPoint, step=1e-3, order=2) -> TensorValue:
     """eta_a = nabla_b Z_a^b + i nabla_b (*Z)_a^b by covariant finite differences."""
-    offsets, weights = _fd_rule(order)
-    F, geo = _sample(params, F_field, _stencil(p.coords, step, offsets))
-    return TensorValue((DOWN,), _eta(F, geo, step, weights)[2])
+    name = central_d1(order)
+    F, geo = _sample(params, F_field, _stencil(p.coords, step, name))
+    return TensorValue((DOWN,), _eta(F, geo, step, name)[2])
 
 
-def _lie(X, F, step, weights):
+def _lie(X, F, step, name):
     """(L_X F)_ab = X^c d_c F_ab + F_cb d_a X^c + F_ac d_b X^c at the stencil
     centres, from samples X[..., s, a] and F[..., s, a, b] on a stencil."""
-    dX = _partial_fd(X, step, weights, 1)  # [..., c, a] = d_c X^a
-    dF = _partial_fd(F, step, weights, 2)
+    dX = _partial_fd(X, step, name, 1)  # [..., c, a] = d_c X^a
+    dF = _partial_fd(F, step, name, 2)
     X0, F0 = X[..., 0, :], F[..., 0, :, :]
     return (np.einsum("...c,...cab->...ab", X0, dF)
             + np.einsum("...ac,...cb->...ab", dX, F0)
@@ -288,19 +289,17 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
     # while avoiding roundoff blow-up.  Richardson extrapolation of the
     # central differences at h and h/2 is the fourth-order stencil at h/2.
     h = math.sqrt(step) / 2.0
-    offsets, weights = _fd_rule(2)
-    out_offsets, out_weights = _fd_rule(4)
-    pts = _stencil(_stencil(p.coords, h, out_offsets), step, offsets)  # (17, 9, 4)
+    pts = _stencil(_stencil(p.coords, h, "d1_4"), step, "d1")  # (17, 9, 4)
     F, geo = _sample(params, F_field, pts)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-        Z, starF, eta = _eta(F, geo, step, weights)
+        Z, starF, eta = _eta(F, geo, step, "d1")
         xi_up = np.einsum("...ab,...b->...a", geo["ginv"], geo["xi"])
         g, ginv = geo["g"][:, 0], geo["ginv"][:, 0]
         Z0 = Z[:, 0]
         V = (_leading(eta, g, ginv)
-             - _coupling(_lie(xi_up.real, F, step, weights), Z0, g, ginv)
-             + _coupling(_lie(xi_up.imag, starF, step, weights), Z0, g, ginv))
-        nabla = _cov_fd(V, geo["gamma"][0, 0], (DOWN, DOWN), h, out_weights)
+             - _coupling(_lie(xi_up.real, F, step, "d1"), Z0, g, ginv)
+             + _coupling(_lie(xi_up.imag, starF, step, "d1"), Z0, g, ginv))
+        nabla = _cov_fd(V, geo["gamma"][0, 0], (DOWN, DOWN), h, "d1_4")
         div = np.einsum("ca,cab->b", ginv[0], nabla)
     if not all(np.all(np.isfinite(x)) for x in (Z0[0], eta[0], V[0], div)):
         raise OverflowError("V_ab of this field overflows double precision")

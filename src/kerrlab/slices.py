@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tensors import _fd_rule, _partial_fd, _stencil
+from .tensors import _partial_fd, _stencil
 
 _D3 = 3
 
@@ -58,17 +58,16 @@ def _sample_h(data, pts):
 def _curvature(data, points, step):
     """Ricci scalar at each point, plus the outer stencil points, h^{-1} on
     them and Gamma^c_ab at the centres, from h on the nested stencil."""
-    offsets, weights = _fd_rule(4)
-    outer = _stencil(np.asarray(points, dtype=float).reshape(len(points), _D3), step, offsets)
-    h = _sample_h(data, _stencil(outer, step, offsets))  # [n, 13, 13, a, b]
+    outer = _stencil(np.asarray(points, dtype=float).reshape(len(points), _D3), step, "d1_4")
+    h = _sample_h(data, _stencil(outer, step, "d1_4"))  # [n, 13, 13, a, b]
     hinv = np.linalg.inv(h[:, :, 0])
-    dh = _partial_fd(h, step, weights, 2)  # [n, 13, c, a, b] = partial_c h_ab
+    dh = _partial_fd(h, step, "d1_4", 2)  # [n, 13, c, a, b] = partial_c h_ab
     gamma = 0.5 * (
         np.einsum("...cd,...adb->...cab", hinv, dh)
         + np.einsum("...cd,...bda->...cab", hinv, dh)
         - np.einsum("...cd,...dab->...cab", hinv, dh)
     )
-    dgamma = _partial_fd(gamma, step, weights, 3)  # [n, e, c, a, b] = partial_e Gamma^c_ab
+    dgamma = _partial_fd(gamma, step, "d1_4", 3)  # [n, e, c, a, b] = partial_e Gamma^c_ab
     g0 = gamma[:, 0]
     # R_ab = partial_c Gamma^c_ab - partial_a Gamma^c_cb + Gamma^c_cd Gamma^d_ab
     #        - Gamma^c_ad Gamma^d_cb
@@ -88,18 +87,17 @@ def constraint_residual(data: SliceData, points, step=1e-3):
     Returns (hamiltonian: array of scalars, momentum: array of covectors).
     """
     scal, outer, hinv, gamma = _curvature(data, points, step)
-    _, weights = _fd_rule(4)
     k = _sample(data.k_sampler, "k", outer)  # [n, 13, a, b]
     trk = np.einsum("...ab,...ab->...", hinv, k)
     hinv0, k0 = hinv[:, 0], k[:, 0]
     ksq = np.einsum("...ab,...cd,...ac,...bd->...", k0, k0, hinv0, hinv0)
     # (div k)_a = h^{bc} nabla_b k_{ca} with
     # nabla_b k_{ca} = partial_b k_ca - Gamma^d_bc k_da - Gamma^d_ba k_cd
-    nk = (_partial_fd(k, step, weights, 2)
+    nk = (_partial_fd(k, step, "d1_4", 2)
           - np.einsum("...dbc,...da->...bca", gamma, k0)
           - np.einsum("...dba,...cd->...bca", gamma, k0))
     div_k = np.einsum("...bc,...bca->...a", hinv0, nk)
-    return scal + trk[:, 0] ** 2 - ksq, div_k - _partial_fd(trk, step, weights, 0)
+    return scal + trk[:, 0] ** 2 - ksq, div_k - _partial_fd(trk, step, "d1_4", 0)
 
 
 def flat_slice() -> SliceData:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._stencils import STENCILS, central_d1, combine
 from .errors import ChartMismatchError
 
 DIM = 4
@@ -196,47 +197,31 @@ def hodge_dual2(F: TensorValue, metric: MetricData, antisym_tol=1e-10) -> Tensor
     return TensorValue((DOWN, DOWN), dual, F.basis)
 
 
-# order -> (offsets, weights) of the central first-derivative stencils
-_FD_RULES = {
-    2: ((-1, 1), (-0.5, 0.5)),
-    4: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
-}
-
-
-def _fd_rule(order):
-    if order not in _FD_RULES:
-        raise ValueError("order must be 2 or 4")
-    return _FD_RULES[order]
-
-
-def _stencil(p, step, offsets):
+def _stencil(p, step, name):
     """Stencil points [..., s, dim] around chart points p[..., dim]: the centre
-    (s = 0), then p + k step e_c for each axis c and, within it, each offset k."""
+    (s = 0), then p + k step e_c for each axis c and each offset k of STENCILS[name]."""
     if step <= 0:
         raise ValueError("step must be positive")
     p = np.asarray(p, dtype=float)
-    dim = p.shape[-1]
-    shifts = np.zeros((1 + dim * len(offsets), dim))
-    for c in range(dim):
-        shifts[1 + c * len(offsets): 1 + (c + 1) * len(offsets), c] = np.multiply(offsets, step)
-    return p[..., None, :] + shifts
+    dim, shift = p.shape[-1], np.multiply(STENCILS[name][0], step)[:, None]
+    return p[..., None, :] + np.vstack((np.zeros(dim), np.kron(np.eye(dim), shift)))
 
 
-def _partial_fd(samples, step, weights, rank):
+def _partial_fd(samples, step, name, rank):
     """d_c T[..., c, slots] from rank-`rank` samples T[..., s, slots] on a _stencil."""
     axis = samples.ndim - rank - 1
     moved = np.moveaxis(samples, axis, -1)[..., 1:]
-    moved = moved.reshape(moved.shape[:-1] + (moved.shape[-1] // len(weights), len(weights)))
-    partial = sum(w * moved[..., j] for j, w in enumerate(weights)) / step
+    n = len(STENCILS[name][0])  # the samples of offset j are every n-th from j
+    partial = combine([moved[..., j::n] for j in range(n)], STENCILS[name], step)
     return np.moveaxis(partial, -1, axis)
 
 
-def _cov_fd(samples, gamma, variance, step, weights):
+def _cov_fd(samples, gamma, variance, step, name):
     """nabla_c T[..., c, slots] from samples T[..., s, slots] on a _stencil and
     the Christoffel symbols gamma[..., e, a, b] = Gamma^e_ab at the centre."""
     rank = len(variance)
     t0 = np.take(samples, 0, axis=samples.ndim - rank - 1)
-    out = _partial_fd(samples, step, weights, rank)
+    out = _partial_fd(samples, step, name, rank)
     slots = "pqrs"[:rank]
     for s, var in enumerate(variance):
         summed = slots[:s] + "e" + slots[s + 1:]
@@ -255,12 +240,12 @@ def cov_deriv_fd(field, p, metric_provider, step, order=4) -> TensorValue:
     slot (down) is prepended: result_{c a...} = (nabla_c T)_{a...}.
     Central differences of the stated order plus analytic Christoffel terms.
     """
-    offsets, weights = _fd_rule(order)
+    name = central_d1(order)
     p = np.asarray(p, dtype=float)
-    samples = [field(q) for q in _stencil(p, step, offsets)]
+    samples = [field(q) for q in _stencil(p, step, name)]
     t0 = samples[0]
     metric = metric_provider(p)
     _check_chart(t0, metric)
     comps = np.array([t.components for t in samples])
-    nabla = _cov_fd(comps, metric.christoffel, t0.variance, step, weights)
+    nabla = _cov_fd(comps, metric.christoffel, t0.variance, step, name)
     return TensorValue((DOWN,) + t0.variance, nabla, t0.basis)

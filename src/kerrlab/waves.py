@@ -21,6 +21,8 @@ genuine O(h^2) quantity instead of an exact zero.
 
 All stencils act on the last two axes (r*, theta), so a stack of time
 levels, or any other leading batch axes, is differentiated in one call.
+Every difference quotient is an entry of the stencil table `kerrlab._stencils`:
+with one-sided end rows in r*, parity ghosts in theta, interior time levels.
 
 `_spatial` is read off once per grid into a sparse matrix L (`_operator`,
 with an exact complex copy for complex data).  A leapfrog step is one
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stencils import STENCILS, _diff
 from .errors import DomainError, StabilityError
 from .kerr import KerrParams, _forms
 
@@ -214,8 +217,8 @@ def _ghost_pad_theta(psi, parity):
 def _lambda_theta_flux(grid: WaveGrid, psi, face_weight):
     """(1/sin) d_theta (w d_theta psi) in flux form, w given at faces 0..n_theta."""
     h = grid.h_theta
-    flux = np.diff(_ghost_pad_theta(psi, grid.parity), axis=-1) * (1.0 / h) * face_weight
-    return np.diff(flux, axis=-1) * (1.0 / (h * grid.sin_theta))
+    flux = _diff(_ghost_pad_theta(psi, grid.parity), "d1_face", h, axis=-1) * face_weight
+    return _diff(flux, "d1_face", h * grid.sin_theta, axis=-1)
 
 
 def lambda_theta_conservative(grid: WaveGrid, psi):
@@ -236,34 +239,17 @@ def lambda_theta_trapezoid(grid: WaveGrid, psi):
     return _lambda_theta_flux(grid, psi, grid.sin_face_trap)
 
 
-# The stencils multiply by reciprocal steps: on complex data numpy's division
-# by a real forms that same product, at several times the cost.
-
-
 def d_rstar(grid: WaveGrid, psi):
     """Central first tortoise derivative (axis -2); one-sided second order at the ends."""
-    out = np.empty_like(psi)
-    inv = 1.0 / (2 * grid.h_r)
-    out[..., 1:-1, :] = (psi[..., 2:, :] - psi[..., :-2, :]) * inv
-    out[..., 0, :] = (-3.0 * psi[..., 0, :] + 4.0 * psi[..., 1, :] - psi[..., 2, :]) * inv
-    out[..., -1, :] = (3.0 * psi[..., -1, :] - 4.0 * psi[..., -2, :] + psi[..., -3, :]) * inv
-    return out
+    return _diff(psi, "d1", grid.h_r, axis=-2, end="d1_end")
 
 
 def d2_rstar(grid: WaveGrid, psi):
-    out = np.empty_like(psi)
-    inv = 1.0 / grid.h_r**2
-    out[..., 1:-1, :] = (psi[..., 2:, :] - 2.0 * psi[..., 1:-1, :] + psi[..., :-2, :]) * inv
-    out[..., 0, :] = (2.0 * psi[..., 0, :] - 5.0 * psi[..., 1, :] + 4.0 * psi[..., 2, :]
-                      - psi[..., 3, :]) * inv
-    out[..., -1, :] = (2.0 * psi[..., -1, :] - 5.0 * psi[..., -2, :] + 4.0 * psi[..., -3, :]
-                       - psi[..., -4, :]) * inv
-    return out
+    return _diff(psi, "d2", grid.h_r, axis=-2, end="d2_end")
 
 
 def d_theta(grid: WaveGrid, psi):
-    p = _ghost_pad_theta(psi, grid.parity)
-    return (p[..., 2:] - p[..., :-2]) * (1.0 / (2.0 * grid.h_theta))
+    return _diff(_ghost_pad_theta(psi, grid.parity), "d1", grid.h_theta, axis=-1)
 
 
 def _spatial(grid: WaveGrid, psi):
@@ -359,9 +345,8 @@ class ModeField2p1:
 
 
 def _centered_dt(stack, dt):
-    """D: the centered d_t of the interior levels, as a product with 1/(2 dt),
-    which numpy's complex division by a real also forms (real data round alike)."""
-    return (stack[2:] - stack[:-2]) * (1.0 / (2.0 * dt))
+    """D: the centered d_t of the interior levels."""
+    return _diff(stack, "d1", dt)
 
 
 def _centered_dtt(stack, dt, who):
@@ -371,7 +356,7 @@ def _centered_dtt(stack, dt, who):
     stack = np.asarray(stack, dtype=np.result_type(stack, float))
     if stack.shape[0] < 3:
         raise DomainError(f"{who} needs at least 3 time levels")
-    return stack, (stack[2:] - 2.0 * stack[1:-1] + stack[:-2]) * (1.0 / dt**2)
+    return stack, _diff(stack, "d2", dt)
 
 
 def sigma_box_stack(grid: WaveGrid, stack, dt):
@@ -456,11 +441,12 @@ def _step_factors(grid: WaveGrid, dt):
             half = 0.5 * dt * grid.imc
             f = (1.0 - half) * (1.0 / (1.0 + half.imag**2))
             scale, g = dt**2 * f, f * (1.0 - half)
-        # Sommerfeld rows, outgoing d_t psi = +/- sqrt(c1) d_rs psi with a
-        # trapezoidal one-sided update: at the edge row e with inner rows
-        # i1, i2, new_e = w0 psi_e + w1 (psi + new)_i1 - w2 (psi + new)_i2
-        k = 0.25 * dt / grid.h_r * np.array(grid.edge_speed)[:, None]
-        w = np.array([1.0 - 3.0 * k, 4.0 * k, k]) / (1.0 + 3.0 * k)
+        # Sommerfeld rows, outgoing d_t psi = +/- sqrt(c1) d_rs psi by the end
+        # rule e (d_rstar's) and a trapezoidal update: at the edge row with inner
+        # rows i1, i2, new_e = w0 psi_e + w1 (psi + new)_i1 - w2 (psi + new)_i2
+        _, (e0, e1, e2), c, _ = STENCILS["d1_end"]
+        k = 0.5 / c * dt / grid.h_r * np.array(grid.edge_speed)[:, None]
+        w = np.array([1.0 + e0 * k, e1 * k, -e2 * k]) / (1.0 - e0 * k)
         grid._rotation[dt] = (scale, g, w)
     return grid._rotation[dt]
 
@@ -594,7 +580,7 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
 
     # final state at t_end = n_steps * dt sits at the window center
     psi_final = levels[-4]
-    psi_t_final = (levels[-3] - levels[-5]) / (2 * dt)
+    psi_t_final = _centered_dt(np.array(levels[-5:-2]), dt)[0]
     hist = (np.array(levels), dt)
     out = ModeField2p1(grid=grid, psi=psi_final, psi_t=psi_t_final,
                        time=n_steps * dt, history=hist)
@@ -762,7 +748,7 @@ def _gradient4(grid: WaveGrid, stack3, dt):
     stack3 = np.asarray(stack3, dtype=complex)
     f = stack3[1]
     a = grid.params.a
-    dt1 = (stack3[2] - stack3[0]) / (2.0 * dt)
+    dt1 = _centered_dt(stack3, dt)[0]
     dr1 = ((grid.r**2 + a**2) / grid.delta)[:, None] * d_rstar(grid, f)
     dth1 = d_theta(grid, f)
     dph1 = 1j * grid.m_phi * f
@@ -837,7 +823,7 @@ def assemble_current(grid: WaveGrid, stack, dt, coefficients):
     a = grid.params.a
     # div J = (1/sqrtg)[d_t(sqrtg J^t) + d_r(sqrtg J^r) + d_theta(sqrtg J^theta)];
     # the phi derivative of an e^{i m phi} bilinear vanishes identically.
-    div = (sqrtg * Jup[0] - sqrtg * Jum[0]) / (2.0 * dt)
+    div = _centered_dt(sqrtg * np.array([Jum[0], Ju[0], Jup[0]]), dt)[0]
     div += ((grid.r**2 + a**2) / grid.delta)[:, None] * d_rstar(grid, sqrtg * Ju[1])
     div += d_theta(grid, sqrtg * Ju[2])
     div /= sqrtg

@@ -251,6 +251,12 @@ EDGE_GEOMETRY = [
     ["maxwell-currents", "--strength=1e300"], ["maxwell-currents", "--strength=1e308"],
     ["geodesic", "--tol=1e300"],
 ]
+# Valid inputs at the edge of the geometry: each must run to a report.  The
+# random point of this one lies in the ergoregion, where d_t is spacelike.
+VALID_GEOMETRY = [
+    ["maxwell-currents", "--field=uniform", "--a=0.857895", "--n-points=1", "--seed=798987954"],
+]
+EDGE_GEOMETRY += VALID_GEOMETRY
 
 EDGE_DRIVER = """
 import contextlib, io, json, signal, sys, traceback, warnings
@@ -310,11 +316,22 @@ def edge_geometry_outcomes(tmp_path_factory):
     return edge_outcomes(tmp_path_factory, EDGE_GEOMETRY)
 
 
-@pytest.mark.parametrize("case", range(len(EDGE_GEOMETRY)), ids=[" ".join(a) for a in EDGE_GEOMETRY])
+_INVALID_GEOMETRY = [i for i, argv in enumerate(EDGE_GEOMETRY) if argv not in VALID_GEOMETRY]
+
+
+@pytest.mark.parametrize("case", _INVALID_GEOMETRY,
+                         ids=[" ".join(EDGE_GEOMETRY[i]) for i in _INVALID_GEOMETRY])
 def test_geometry_seeds_and_counts_out_of_range_are_input_errors(edge_geometry_outcomes, case):
     code, err = edge_geometry_outcomes[case]
     assert code == 2, err
     assert "input error" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", VALID_GEOMETRY, ids=" ".join)
+def test_geometry_edge_points_run_to_a_passing_report(edge_geometry_outcomes, argv):
+    code, err = edge_geometry_outcomes[EDGE_GEOMETRY.index(argv)]
+    assert code == 0, err
     assert "Traceback" not in err and "Warning" not in err
 
 

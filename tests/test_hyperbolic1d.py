@@ -108,10 +108,21 @@ def test_goursat_source_forms_match_the_per_cell_loop(f):
         assert np.array_equal(field.phi, _goursat_per_cell(f, extent, n))
 
 
-def test_goursat_initial_fill_irrelevant():
-    a = goursat_solve(lambda u: u**2, lambda v: v, 1.0, 16, initial_fill=0.0)
-    b = goursat_solve(lambda u: u**2, lambda v: v, 1.0, 16, initial_fill=123.0)
-    assert np.array_equal(a.phi, b.phi)
+def test_solvers_commute_with_rotations_of_the_circle():
+    # a shift along x is an exact symmetry of the periodic lattice: every
+    # stencil must sum the same neighbours in the same order at every node
+    g = make_grid(48, T=1.0)
+    twist = lambda t: 0.3 + 0.2 * math.sin(t)
+    rng = np.random.default_rng(11)
+    f = rng.normal(size=(g.n_t + 1, g.n_x)) + 1j * rng.normal(size=(g.n_t + 1, g.n_x))
+    u0, u1 = (rng.normal(size=g.n_x) + 1j * rng.normal(size=g.n_x) for _ in range(2))
+    u = cauchy_solve(g, f=f, u0=u0, u1=u1, twist=twist)
+    Pu = apply_wave_operator(g, u, twist=twist)
+    for shift in (1, 5, -7):
+        roll = lambda v: np.roll(v, shift, axis=-1)
+        assert np.array_equal(cauchy_solve(g, f=roll(f), u0=roll(u0), u1=roll(u1), twist=twist),
+                              roll(u))
+        assert np.array_equal(apply_wave_operator(g, roll(u), twist=twist), roll(Pu))
 
 
 def test_dirac_squaring_matches_direct_with_twist():
@@ -236,8 +247,9 @@ def test_apply_wave_operator_inverts_cauchy_solve():
         assert np.max(np.abs(Pu - f[1:-1])) < 1e-11 * max(1.0, np.max(np.abs(f)))
 
 
-# The formulas the stencil table replaced: np.roll along x (u at x + k h is
-# np.roll(u, -k)), slices at the interior levels along t.
+# The formulas the stencil table replaced along x, where hyperbolic1d applies
+# it periodically: u at x + k h is np.roll(u, -k).  The table itself, along
+# an axis at the points where an entry fits, is tested in test_stencils.py.
 def _at(u, k):
     return np.roll(u, -k, axis=-1)
 
@@ -249,24 +261,15 @@ REFERENCE_X = {
     "d2_4": lambda u, h: (-_at(u, 2) + 16.0 * _at(u, 1) - 30.0 * u + 16.0 * _at(u, -1)
                           - _at(u, -2)) / (12.0 * h**2),
 }
-REFERENCE_T = {
-    "d1": lambda u, h: (u[2:] - u[:-2]) / (2.0 * h),
-    "d2": lambda u, h: (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2,
-    "d1_4": lambda u, h: (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * h),
-    "d2_4": lambda u, h: (-u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2] + 16.0 * u[1:-3]
-                          - u[:-4]) / (12.0 * h**2),
-}
 
 
-@pytest.mark.parametrize("name", sorted(hyperbolic1d.STENCILS))
+@pytest.mark.parametrize("name", sorted(REFERENCE_X))
 @pytest.mark.parametrize("shape", [(40,), (9, 40), (9, 2, 40)])
 def test_each_stencil_matches_its_formula_bit_for_bit(name, shape):
     rng = np.random.default_rng(len(shape))
     u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     h = 2.0 * math.pi / 40
-    assert np.array_equal(hyperbolic1d._diff(u, name, h), REFERENCE_X[name](u, h))
-    if len(shape) > 1:
-        assert np.array_equal(hyperbolic1d._diff(u, name, 0.037, axis=0), REFERENCE_T[name](u, 0.037))
+    assert np.array_equal(hyperbolic1d._dx(u, name, h), REFERENCE_X[name](u, h))
 
 
 def support_radius_reference(u_slice, x, center, threshold):

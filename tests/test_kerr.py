@@ -59,6 +59,19 @@ def test_fd_residual_rejects_a_stencil_across_the_axis():
         killing_yano_residual_fd(params, BLPoint(0.0, 6.0, 0.3, 0.0, params), step=0.5)
 
 
+def test_reversing_the_spin_reverses_the_azimuth():
+    # g(-a) = S g(a) S with S = diag(1, 1, 1, -1): the closed forms must be
+    # exactly even or odd in a, entry by entry
+    S = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])  # entries of S . S
+    for a in (0.3, 0.9):
+        points = random_exterior_points(KerrParams(1.0, a), 50, np.random.default_rng(5))
+        reverse = KerrParams(1.0, -a)
+        for p in points:
+            g = kerr_metric(p.params, p).g.components
+            g_rev = kerr_metric(reverse, BLPoint(*p.coords, reverse)).g.components
+            assert np.array_equal(g_rev, S * g)
+
+
 def test_carter_tensor_is_square_of_ky():
     params = KerrParams(1.0, 0.7)
     pt = BLPoint(0.0, 6.0, 0.9, 1.2, params)

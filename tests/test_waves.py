@@ -469,3 +469,19 @@ def test_step_rounds_about_once_at_the_size_of_psi(a, m_phi, real):
         # rows 0 and -1 take the Sommerfeld update instead
         miss = np.abs(got.astype(cld) - exact)[1:-1].astype(float)
         assert np.max(miss) <= 1.5e-16 * np.max(np.abs(psi)), dt
+
+
+@pytest.mark.parametrize("a", [0.1, 0.9])
+def test_reversing_the_mode_conjugates_the_evolution(a):
+    # m_phi -> -m_phi with conjugated data is complex conjugation of the whole
+    # problem: the field must come back conjugated, the diagnostics unchanged
+    out = {}
+    for m_phi in (1, -1):
+        grid = make_grid(a=a, m_phi=m_phi, n_r=64, n_theta=8)
+        psi, psi_t = initial_data(grid, "gaussian-ingoing")
+        phase = np.exp(0.3j * m_phi)
+        out[m_phi] = evolve(ModeField2p1(grid=grid, psi=phase * psi, psi_t=phase * psi_t), t_end=5.0)
+    (f_plus, r_plus), (f_minus, r_minus) = out[1], out[-1]
+    assert np.array_equal(f_minus.psi, f_plus.psi.conj())
+    assert np.array_equal(f_minus.psi_t, f_plus.psi_t.conj())
+    assert r_minus == r_plus
