@@ -323,41 +323,6 @@ def dK(m, a, r, th):
 FORMS['dK'] = (dK, (4, 4, 4), (16, 19, 21, 22, 25, 26, 28, 31, 32, 35, 37, 38, 41, 42, 44, 47), float)
 
 
-def starY(m, a, r, th):
-    x0 = sin(th)
-    x1 = r**2
-    x2 = a**2
-    x3 = cos(th)
-    x4 = x1 + x2*x3**2
-    x5 = 2*m
-    x6 = x4**(-2.0)
-    x7 = r*x5
-    x8 = x1 + x2
-    x9 = -x7 + x8
-    x10 = x6/x9
-    x11 = x0*x1*x10*x5
-    x12 = x0**2
-    x13 = x12*x2
-    x14 = x1 - x13 + x2 - x7
-    x15 = r*x10
-    x16 = x11*x2 + x14*x15*x8/x0
-    x17 = (1/2)*x0*x4
-    x18 = -1/2*x0*x16*x4 - x16*x17
-    x19 = x3*x6
-    x20 = x19*x2
-    x21 = x14*x20 + x20*x7
-    x22 = -1/2*x0*x21*x4 - x17*x21
-    x23 = a*(x13*x9 - x8**2)
-    x24 = a*x11*x8 + x0*x15*x23
-    x25 = -2*x17*x24
-    x26 = a**3*x12*x19*x7 + x19*x23
-    x27 = -2*x17*x26
-    return [-x18, -x22, x18, x25, x22, x27, -x25, -x27]
-
-
-FORMS['starY'] = (starY, (4, 4), (1, 2, 4, 7, 8, 11, 13, 14), float)
-
-
 def xi(m, a, r, th):
     x0 = sin(th)
     x1 = r**2

@@ -173,7 +173,6 @@ def _exprs():
         "dY": dY,
         "K": K,
         "dK": dK,
-        "starY": starY,
         "xi": xi,
         "kappa1": kappa1,
         "U": U,

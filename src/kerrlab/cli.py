@@ -391,6 +391,10 @@ def _wave_setup(cfg, n_r, n_theta):
                     rstar_min=cfg["rstar_min"], rstar_max=cfg["rstar_max"])
     psi, psi_t = initial_data(grid, family=cfg["family"], center=cfg["center"],
                               width=cfg["width"])
+    if not (psi.any() or psi_t.any()):  # every energy and ratio would read 0
+        raise DomainError(f"the initial data vanish on the grid: a pulse of width "
+                          f"{cfg['width']:g} at r* = {cfg['center']:g} is zero on "
+                          f"[{cfg['rstar_min']:g}, {cfg['rstar_max']:g}]")
     return ModeField2p1(grid=grid, psi=psi, psi_t=psi_t)
 
 

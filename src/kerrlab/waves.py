@@ -33,16 +33,26 @@ average (`_step_factors`).  Without the rotation term (m_phi = 0 or a = 0)
 real data stay real, and the evolver then steps in float64.
 
 Time derivatives in diagnostics are always taken from a centered stack of
-consecutive time levels; the evolver bootstraps levels on both sides of the
-report time (leapfrog is time-reversible) so that t = 0 reports are exact
-to the scheme's order.
+consecutive time levels (axis 0); the evolver bootstraps levels on both
+sides of the report time (leapfrog is time-reversible) so that t = 0
+reports are exact to the scheme's order.
 
-The energy and bulk densities apply each symmetry word of S_0..S_2 before
-the first derivatives (word-first ordering, see `_densities`).  On a fixed
-mode d_phi is multiplication by i m_phi, so the seven words reduce to four
-base fields, psi, D psi, D^2 psi and Q psi (D the centered d_t), weighted
-1 + m_phi^2 + m_phi^4, 1 + m_phi^2, 1 and 1 (`_base_weights`).  Real stacks
-stay float64.
+The stack layer.  Every diagnostic takes its stack through `_stack`, which
+keeps real levels float64 (complex ones complex) and refuses, with a
+DomainError naming the caller, a stack shorter than the caller needs: each
+D (the centered d_t) and each Q consumes one level per end.  The energy and
+bulk densities apply each symmetry word of S_0..S_2 before the first
+derivatives (word-first ordering, see `_densities`).  On a fixed mode d_phi
+is multiplication by i m_phi, so the seven words reduce to four base
+fields, psi, D psi, D^2 psi and Q psi, weighted 1 + m_phi^2 + m_phi^4,
+1 + m_phi^2, 1 and 1 (`_base_weights`); `_base_fields` builds them once for
+`_densities` and `pointwise_norm`.  Slice integrals use the measure
+`WaveGrid.measure`, and the stress and current read g and ginv once per
+call, point axes first.
+
+The report pass.  `evolve` samples (t, E_model,3, Morawetz bulk) at each
+report time while it steps; after the last step it accumulates the bulk by
+the trapezoid rule in time and forms the `EnergyReport`s.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ import numpy as np
 
 from ._stencils import STENCILS, _diff
 from .errors import DomainError, StabilityError
-from .kerr import KerrParams, _forms
+from .kerr import KerrParams, _at
 
 # ---------------------------------------------------------------------------
 # tortoise coordinate
@@ -181,6 +191,10 @@ class WaveGrid:
             delta[:, None] / (self.Pi * sin[None, :] ** 2) - a**2 / self.Pi
         )
         self.c5 = 4 * m * a * r[:, None] / self.Pi
+        # dr/dr* = Delta/(r^2+a^2), the radial factor of `measure`, and its
+        # inverse: d_r = ((r^2+a^2)/Delta) d_r*
+        self.dr_drstar = (delta / (r**2 + a**2))[:, None]
+        self.drstar_dr = ((r**2 + a**2) / delta)[:, None]
 
         # Lambda_theta face weights, both exactly 0 at the poles: sin(theta)
         # at the faces (conservative), and the mean of the two neighbouring
@@ -195,6 +209,12 @@ class WaveGrid:
         self.edge_speed = [math.sqrt(float(np.max(self.c1[side]))) for side in (0, -1)]  # r* ends
         self._csr = self._csr_complex = None  # _operator's matrices, built on first use
         self._rotation = {}  # _step_factors by step value
+
+    @property
+    def measure(self):
+        """The slice measure sin(theta) dr = (Delta/(r^2+a^2)) sin(theta) dr*,
+        formed on each use: the grid keeps no (n_r, n_theta) copy of it."""
+        return self.dr_drstar * self.sin_theta
 
     def max_wave_speed_sq(self):
         """Explicit-stability estimate: largest eigenvalue of the spatial operator."""
@@ -309,7 +329,10 @@ class ModeField2p1:
     history, when present, is a (levels, dt) pair of consecutive psi levels
     maintained by the evolver for time-derivative diagnostics; `psi` sits at
     levels[-4], i.e. the levels extend three steps past `time`; they are
-    float64 when `evolve` stepped in real arithmetic.
+    float64 when `evolve` stepped in real arithmetic.  `carter_Q` and
+    `reduced_wave_apply` read the three levels around `psi` through the
+    stack layer, which refuses a history of fewer than 5 levels; without a
+    history, `reduced_wave_apply` treats the field as stationary.
     """
 
     grid: WaveGrid
@@ -344,19 +367,19 @@ class ModeField2p1:
 # ---------------------------------------------------------------------------
 
 
+def _stack(stack, k, who):
+    """The stack as float (real data) or complex levels, refused with a
+    DomainError naming the caller `who` unless it holds at least k levels."""
+    stack = np.asarray(stack)
+    stack = np.asarray(stack, dtype=np.result_type(stack, float))
+    if stack.shape[0] < k:
+        raise DomainError(f"{who} needs at least {k} time levels")
+    return stack
+
+
 def _centered_dt(stack, dt):
     """D: the centered d_t of the interior levels."""
     return _diff(stack, "d1", dt)
-
-
-def _centered_dtt(stack, dt, who):
-    """The stack as float (real data) or complex levels, and the centered
-    d_t^2 of its interior levels."""
-    stack = np.asarray(stack)
-    stack = np.asarray(stack, dtype=np.result_type(stack, float))
-    if stack.shape[0] < 3:
-        raise DomainError(f"{who} needs at least 3 time levels")
-    return stack, _diff(stack, "d2", dt)
 
 
 def sigma_box_stack(grid: WaveGrid, stack, dt):
@@ -368,8 +391,9 @@ def sigma_box_stack(grid: WaveGrid, stack, dt):
     evaluated as (Pi/Delta)(_spatial - d_t^2 - i m_phi c5 d_t): the residual
     of the evolved equation in the normalization of Sigma Box.
     """
-    stack, dtt = _centered_dtt(stack, dt, "sigma_box_stack")
-    residual = _spatial(grid, stack[1:-1]) - dtt - grid.imc * _centered_dt(stack, dt)
+    stack = _stack(stack, 3, "sigma_box_stack")
+    residual = (_spatial(grid, stack[1:-1]) - _diff(stack, "d2", dt)
+                - grid.imc * _centered_dt(stack, dt))
     return (grid.Pi / grid.delta[:, None]) * residual
 
 
@@ -384,12 +408,12 @@ def carter_q_stack(grid: WaveGrid, stack, dt):
     Uses the trapezoid-face theta stencil (see module docstring); consumes one
     level per end of the stack for the centered d_t^2.
     """
-    stack, dtt = _centered_dtt(stack, dt, "carter_q_stack")
+    stack = _stack(stack, 3, "carter_q_stack")
     sin2 = grid.sin_theta**2
     return (
         lambda_theta_trapezoid(grid, stack[1:-1])
         - grid.m_phi**2 / sin2 * stack[1:-1]
-        + grid.params.a**2 * sin2 * dtt
+        + grid.params.a**2 * sin2 * _diff(stack, "d2", dt)
     )
 
 
@@ -398,23 +422,21 @@ def carter_Q(field: ModeField2p1):
     if field.history is None:
         raise DomainError("carter_Q needs an evolver-maintained history")
     levels, dt = field.history
-    if levels.shape[0] < 5:
-        raise DomainError("history too short for the d_t^2 stencil")
-    return carter_q_stack(grid=field.grid, stack=levels[-5:-2], dt=dt)[0]
+    return carter_q_stack(field.grid, _stack(levels, 5, "carter_Q")[-5:-2], dt)[0]
 
 
 def reduced_wave_apply(field: ModeField2p1):
     """Box psi on the grid.
 
-    Uses the stored history for time derivatives when available; otherwise
-    the field is treated as stationary (a constant stack, so the
-    time-derivative terms vanish), which is exact for static test profiles.
+    Uses the stored history for time derivatives, which must then hold at
+    least 5 levels; without a history the field is treated as stationary (a
+    constant stack, so the time-derivative terms vanish), which is exact for
+    static test profiles.
     """
-    grid = field.grid
-    if field.history is not None and field.history[0].shape[0] >= 5:
-        levels, dt = field.history
-        return box_stack(grid, levels[-5:-2], dt)[0]
-    return box_stack(grid, np.array([field.psi] * 3), 1.0)[0]
+    if field.history is None:
+        return box_stack(field.grid, np.array([field.psi] * 3), 1.0)[0]
+    levels, dt = field.history
+    return box_stack(field.grid, _stack(levels, 5, "reduced_wave_apply")[-5:-2], dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -534,49 +556,31 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
         levels.insert(0, _step(grid, levels[1], levels[0], -dt))
         levels.append(_step(grid, levels[-2], levels[-1], dt))
 
-    reports = []
-    bulk_cum = 0.0
-    e0 = None
-    last_bulk_t = None
-    last_bulk_val = None
-
-    def emit(center_index, t_center):
-        nonlocal bulk_cum, e0, last_bulk_t, last_bulk_val
-        stack = levels[center_index - 3: center_index + 4]
-        energy, bulk = _densities(grid, np.array(stack), dt)
-        e, b = _slice_integral(grid, energy), _slice_integral(grid, bulk)
-        if e0 is None:
-            e0 = e if e > 0 else 1.0
-        if last_bulk_t is not None:
-            bulk_cum += 0.5 * (b + last_bulk_val) * (t_center - last_bulk_t)
-        last_bulk_t, last_bulk_val = t_center, b
-        reports.append(
-            EnergyReport(
-                time=t_center,
-                e_model3=e,
-                bulk_increment=b,
-                bulk_cumulative=bulk_cum,
-                ratio=bulk_cum / e0,
-            )
-        )
-
-    if diagnostics:
-        emit(3, 0.0)
-
-    # march: levels[-1] currently holds t = 3dt; keep a rolling 7-level window
-    step_of_last = 3  # time index (in units of dt) of levels[-1]
-    while step_of_last < n_steps + 3:
-        new = _step(grid, levels[-2], levels[-1], dt)
-        if not np.all(np.isfinite(new)):
-            raise StabilityError(f"NaN/Inf at step {step_of_last + 1}")
-        levels.append(new)
-        if len(levels) > 7:
+    # march a rolling 7-level window whose centre levels[3] sits at center * dt,
+    # and sample (t, E, B) at each report time
+    samples = []
+    for center in range(n_steps + 1):
+        if center:
+            new = _step(grid, levels[-2], levels[-1], dt)
+            if not np.all(np.isfinite(new)):
+                raise StabilityError(f"NaN/Inf at step {center + 3}")
+            levels.append(new)
             levels.pop(0)
-        step_of_last += 1
-        center = step_of_last - 3
-        if diagnostics and center > 0 and (center % report_stride == 0 or center == n_steps):
-            if center <= n_steps:
-                emit(len(levels) - 4, center * dt)
+        if diagnostics and (center % report_stride == 0 or center == n_steps):
+            # no density outlives its integral, so none is held through the next report
+            e, b = (_slice_integral(grid, d) for d in _densities(grid, np.array(levels), dt))
+            samples.append((center * dt, e, b))
+
+    # the reports: the bulk accumulated by the trapezoid rule in time, and
+    # its ratio to the first energy
+    reports, bulk_cum = [], 0.0
+    e0 = samples[0][1] if samples and samples[0][1] > 0 else 1.0
+    for k, (t, e, b) in enumerate(samples):
+        if k:
+            t_last, _, b_last = samples[k - 1]
+            bulk_cum += 0.5 * (b + b_last) * (t - t_last)
+        reports.append(EnergyReport(time=t, e_model3=e, bulk_increment=b,
+                                    bulk_cumulative=bulk_cum, ratio=bulk_cum / e0))
 
     # final state at t_end = n_steps * dt sits at the window center
     psi_final = levels[-4]
@@ -605,10 +609,8 @@ def symmetry_apply(grid: WaveGrid, stack, dt, word):
     n_t, n_phi, n_q = word
     if n_t + n_phi + 2 * n_q > 3:
         raise DomainError("symmetry words above total order 3 are unsupported")
-    stack = np.asarray(stack, dtype=complex)
+    stack = _stack(stack, 2 * (n_t + n_q) + 1, "symmetry_apply")
     for _ in range(n_t):
-        if stack.shape[0] < 3:
-            raise DomainError("stack too short for the requested time derivatives")
         stack = _centered_dt(stack, dt)
     stack = stack * (1j * grid.m_phi) ** n_phi
     for _ in range(n_q):
@@ -630,6 +632,26 @@ def _sq(x):
     return x.real**2 + x.imag**2 if np.iscomplexobj(x) else x * x
 
 
+def _base_fields(grid: WaveGrid, stack, dt, n, who, half=0):
+    """The base fields of `_base_weights` for the words of S_0..S_n, each on
+    the 2 half + 1 levels around the central level of the stack: psi, then
+    D psi (n >= 1), then D^2 psi and Q psi (n = 2).
+
+    Needs 2 (n + half) + 1 levels; `who` names the caller in the refusal.
+    """
+    k = n + half
+    stack = _stack(stack, 2 * k + 1, who)
+    mid = stack.shape[0] // 2
+    levels = d = stack[mid - k: mid + k + 1]
+    fields = [d[n: n + 2 * half + 1]]
+    for j in range(1, n + 1):  # D^j psi holds 2 (k - j) + 1 levels
+        d = _centered_dt(d, dt)
+        fields.append(d[n - j: n - j + 2 * half + 1])
+    if n == 2:
+        fields.append(carter_q_stack(grid, levels[1: 2 * half + 4], dt))
+    return fields
+
+
 def pointwise_norm(grid: WaveGrid, stack, dt, n: int):
     """|psi|_n^2 = sum over the words S of S_0..S_n of |S psi|^2 on the grid at
     the central level of the stack, from the base fields of `_base_weights`.
@@ -638,18 +660,8 @@ def pointwise_norm(grid: WaveGrid, stack, dt, n: int):
     """
     if not 0 <= n <= 2:
         raise DomainError(f"pointwise norms of order {n} are not implemented")
-    stack = np.asarray(stack)
-    mid = stack.shape[0] // 2
-    if stack.shape[0] < 2 * n + 1:
-        raise DomainError(f"a pointwise norm of order {n} needs {2 * n + 1} time levels")
-    levels = stack[mid - n: mid + n + 1]
-    fields = [levels[n]]
-    if n >= 1:
-        d1 = _centered_dt(levels, dt)
-        fields.append(d1[n - 1])
-    if n == 2:
-        fields += [_centered_dt(d1, dt)[0], carter_q_stack(grid, levels[1:4], dt)[0]]
-    return sum(w * _sq(f) for w, f in zip(_base_weights(grid.m_phi, n), fields))
+    fields = _base_fields(grid, stack, dt, n, "pointwise_norm")
+    return sum(w * _sq(f[0]) for w, f in zip(_base_weights(grid.m_phi, n), fields))
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +672,10 @@ def pointwise_norm(grid: WaveGrid, stack, dt, n: int):
 def _slice_integral(grid: WaveGrid, density):
     """Integral over the slice with measure sin(theta) dr dtheta dphi.
 
-    dr = (Delta / (r^2+a^2)) dr*; trapezoid in r*, midpoint in theta, 2 pi
-    for the phi circle.
+    dr = (Delta / (r^2+a^2)) dr* (`WaveGrid.measure`); trapezoid in r*,
+    midpoint in theta, 2 pi for the phi circle.
     """
-    a = grid.params.a
-    jac = (grid.delta / (grid.r**2 + a**2))[:, None] * grid.sin_theta[None, :]
-    integrand = density * jac
+    integrand = density * grid.measure
     theta_sum = integrand.sum(axis=1) * grid.h_theta
     return 2.0 * math.pi * float(np.trapezoid(theta_sum, dx=grid.h_r))
 
@@ -685,19 +695,13 @@ def _densities(grid: WaveGrid, stack, dt):
     The sums run over the four base fields of `_base_weights`.  A field's d_t
     is its D, so only D^3 psi and D Q psi are new differences.
     """
-    stack = np.asarray(stack)
-    if stack.shape[0] < 7:
-        raise DomainError("energy diagnostics need a 7-level stack")
-    mid = stack.shape[0] // 2
-    d1 = _centered_dt(stack[mid - 3: mid + 4], dt)  # D psi on 5 levels
-    d2 = _centered_dt(d1, dt)  # D^2 psi on 3 levels
-    q = carter_q_stack(grid, stack[mid - 2: mid + 3], dt)  # Q psi on 3 levels
-    base = ((stack[mid], d1[2]), (d1[2], d2[1]),
-            (d2[1], _centered_dt(d2, dt)[0]), (q[1], _centered_dt(q, dt)[0]))
+    fields = _base_fields(grid, stack, dt, 2, "_densities", half=1)
+    rates = [fields[1][1], fields[2][1]] + [_centered_dt(f, dt)[0] for f in fields[2:]]
     # sums over words of |f|^2, |d_t f|^2, |d_r* f|^2 and |d_theta f|^2, one
     # base field at a time (stacking the four fields raises the peak memory)
     f2, ft2, fr2, fth2 = (np.zeros((grid.n_r, grid.n_theta)) for _ in range(4))
-    for w, (f, f_t) in zip(_base_weights(grid.m_phi), base):
+    for w, f3, f_t in zip(_base_weights(grid.m_phi), fields, rates):
+        f = f3[1]
         f2 += w * _sq(f)
         ft2 += w * _sq(f_t)
         fr2 += w * _sq(d_rstar(grid, f))
@@ -737,29 +741,22 @@ def morawetz_bulk(grid: WaveGrid, stack, dt) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _metric_on_grid(grid: WaveGrid, name):
-    """The Kerr form "g" or "ginv" on the grid, shape (4, 4, n_r, n_theta)."""
-    form = _forms()[name](grid.params.m, grid.params.a, grid.r[:, None], grid.theta[None, :])
-    return form.transpose(2, 3, 0, 1)
-
-
 def _gradient4(grid: WaveGrid, stack3, dt):
     """Coordinate-basis gradient (d_t, d_r, d_theta, d_phi) f at the middle level."""
-    stack3 = np.asarray(stack3, dtype=complex)
     f = stack3[1]
-    a = grid.params.a
     dt1 = _centered_dt(stack3, dt)[0]
-    dr1 = ((grid.r**2 + a**2) / grid.delta)[:, None] * d_rstar(grid, f)
+    dr1 = grid.drstar_dr * d_rstar(grid, f)
     dth1 = d_theta(grid, f)
     dph1 = 1j * grid.m_phi * f
     return np.array([dt1, dr1, dth1, dph1])
 
 
-def _stress_from_gradient(grid: WaveGrid, grad, g, ginv):
-    """Scalar-field stress T_ab = Re(d_a f conj(d_b f)) - 1/2 g_ab |df|^2."""
+def _stress_from_gradient(grad, g, ginv):
+    """Scalar-field stress T_ab = Re(d_a f conj(d_b f)) - 1/2 g_ab |df|^2, with
+    g and ginv point axes first."""
     outer = np.real(np.einsum("axy,bxy->abxy", grad, grad.conj()))
-    trace = np.real(np.einsum("abxy,axy,bxy->xy", ginv, grad, grad.conj()))
-    return outer - 0.5 * g * trace[None, None]
+    trace = np.real(np.einsum("xyab,axy,bxy->xy", ginv, grad, grad.conj()))
+    return outer - np.einsum("xyab,xy->abxy", g, 0.5 * trace)
 
 
 def polarized_stress(grid: WaveGrid, stack, dt, word_a, word_b):
@@ -767,25 +764,21 @@ def polarized_stress(grid: WaveGrid, stack, dt, word_a, word_b):
 
     Returns an array of shape (4, 4, n_r, n_theta) at the central time level.
     """
-    stack = np.asarray(stack, dtype=complex)
-    fa = symmetry_apply(grid, stack, dt, word_a)
-    fb = symmetry_apply(grid, stack, dt, word_b)
-    # align lengths around the common center
-    n = min(fa.shape[0], fb.shape[0])
-    if n < 3:
-        raise DomainError("stack too short for polarized stress")
+    g, ginv = _at(grid.params, grid.r[:, None], grid.theta[None, :], "g", "ginv")
+    return _polarized_stress(grid, stack, dt, word_a, word_b, g, ginv)
 
-    def center3(s):
-        mid = s.shape[0] // 2
-        return s[mid - 1: mid + 2]
 
-    fa, fb = center3(fa), center3(fb)
-    g, ginv = _metric_on_grid(grid, "g"), _metric_on_grid(grid, "ginv")
+def _polarized_stress(grid: WaveGrid, stack, dt, word_a, word_b, g, ginv):
+    """`polarized_stress` with g and ginv given on the grid, point axes first."""
+    reach = [w[0] + w[2] for w in (word_a, word_b)]  # levels a word consumes per end
+    stack = _stack(stack, 2 * max(reach) + 3, "polarized_stress")
+    mid = stack.shape[0] // 2
+    # each word on the central 3 levels, for the centered d_t of the gradient
+    fa, fb = (symmetry_apply(grid, stack[mid - 1 - k: mid + 2 + k], dt, w)
+              for w, k in zip((word_a, word_b), reach))
     gp = _gradient4(grid, fa + fb, dt)
     gm = _gradient4(grid, fa - fb, dt)
-    return 0.25 * (
-        _stress_from_gradient(grid, gp, g, ginv) - _stress_from_gradient(grid, gm, g, ginv)
-    )
+    return 0.25 * (_stress_from_gradient(gp, g, ginv) - _stress_from_gradient(gm, g, ginv))
 
 
 def assemble_current(grid: WaveGrid, stack, dt, coefficients):
@@ -795,43 +788,32 @@ def assemble_current(grid: WaveGrid, stack, dt, coefficients):
     radial function of r).  Returns (J with shape (4, n_r, n_theta),
     interior-integrated divergence diagnostic).
     """
-    stack = np.asarray(stack, dtype=complex)
-    if stack.shape[0] < 7:
-        raise DomainError("assemble_current needs a 7-level stack for the divergence")
+    stack = _stack(stack, 7, "assemble_current")
     mid = stack.shape[0] // 2
+    g, ginv = _at(grid.params, grid.r[:, None], grid.theta[None, :], "g", "ginv")
+    terms = [(word_a, word_b, direction, np.asarray(radial(grid.r), dtype=float)[:, None])
+             for word_a, word_b, direction, radial in coefficients]
 
     def current_at(center):
-        sub = stack[center - 2: center + 3]
         J = np.zeros((4, grid.n_r, grid.n_theta))
-        for word_a, word_b, direction, radial in coefficients:
-            T = polarized_stress(grid, sub, dt, word_a, word_b)
-            amp = np.asarray(radial(grid.r), dtype=float)[:, None]
+        for word_a, word_b, direction, amp in terms:
+            T = _polarized_stress(grid, stack[center - 2: center + 3], dt, word_a, word_b, g, ginv)
             J += T[:, direction] * amp
         return J
 
     J = current_at(mid)
-    Jp = current_at(mid + 1)
-    Jm = current_at(mid - 1)
-
-    ginv = _metric_on_grid(grid, "ginv")
+    Jum, Ju, Jup = (np.einsum("xyab,bxy->axy", ginv, Jc)
+                    for Jc in (current_at(mid - 1), J, current_at(mid + 1)))
     sqrtg = grid.sigma * grid.sin_theta[None, :]
-
-    def raise_idx(Jcov):
-        return np.einsum("abxy,bxy->axy", ginv, Jcov)
-
-    Ju, Jup, Jum = raise_idx(J), raise_idx(Jp), raise_idx(Jm)
-    a = grid.params.a
     # div J = (1/sqrtg)[d_t(sqrtg J^t) + d_r(sqrtg J^r) + d_theta(sqrtg J^theta)];
     # the phi derivative of an e^{i m phi} bilinear vanishes identically.
     div = _centered_dt(sqrtg * np.array([Jum[0], Ju[0], Jup[0]]), dt)[0]
-    div += ((grid.r**2 + a**2) / grid.delta)[:, None] * d_rstar(grid, sqrtg * Ju[1])
+    div += grid.drstar_dr * d_rstar(grid, sqrtg * Ju[1])
     div += d_theta(grid, sqrtg * Ju[2])
     div /= sqrtg
 
     # interior integral of the divergence (diagnostic); skip boundary cells
-    interior = div[2:-2, :]
-    jac = (grid.delta / (grid.r**2 + a**2))[2:-2, None] * grid.sin_theta[None, :]
-    total = 2.0 * math.pi * float(np.sum(interior * jac) * grid.h_theta * grid.h_r)
+    total = 2.0 * math.pi * float(np.sum(div[2:-2] * grid.measure[2:-2]) * grid.h_theta * grid.h_r)
     return J, total
 
 
@@ -851,17 +833,21 @@ def initial_data(grid: WaveGrid, family: str, center=30.0, width=6.0):
     sin = grid.sin_theta[None, :]
     cos = grid.cos_theta[None, :]
     m = abs(grid.m_phi)
+    # a squared distance beyond double precision is inf, where the pulse
+    # exp(-inf) = 0 takes its limit value
+    with np.errstate(over="ignore"):
+        dist2 = (rs - center) ** 2
     if family == "gaussian-static":
         ang = sin**m * (3.0 * cos**2 - 1.0 + (0.5 if m else 0.0))
-        psi = np.exp(-((rs - center) ** 2) / width**2) * ang
+        psi = np.exp(-dist2 / width**2) * ang
         psi_t = np.zeros_like(psi)
     elif family == "gaussian-ingoing":
         ang = sin**m * cos
-        psi = np.exp(-((rs - center) ** 2) / width**2) * ang
+        psi = np.exp(-dist2 / width**2) * ang
         psi_t = (-2.0 * (rs - center) / width**2) * psi  # = +d_rs psi
     elif family == "gaussian-wide":
         ang = sin**m * (1.0 + 0.3 * cos)
-        psi = np.exp(-((rs - center) ** 2) / (2.0 * width) ** 2) * ang
+        psi = np.exp(-dist2 / (2.0 * width) ** 2) * ang
         psi_t = np.zeros_like(psi)
     else:
         raise DomainError(f"unknown data family {family!r}")

@@ -335,6 +335,27 @@ def test_geometry_edge_points_run_to_a_passing_report(edge_geometry_outcomes, ar
     assert "Traceback" not in err and "Warning" not in err
 
 
+# Pulses that vanish on the tortoise range: one that underflows to 0, one
+# whose squared distance overflows.  Every energy and ratio would read 0.
+VANISHING_WAVES = [[sub, f"--n-r={n_r}", f"--center={center}"]
+                   for sub, n_r in (("wave-evolve", 64), ("morawetz", 32))
+                   for center in ("1000", "1e300")]
+
+
+@pytest.fixture(scope="module")
+def vanishing_wave_outcomes(tmp_path_factory):
+    return edge_outcomes(tmp_path_factory, VANISHING_WAVES)
+
+
+@pytest.mark.parametrize("case", range(len(VANISHING_WAVES)),
+                         ids=[" ".join(a) for a in VANISHING_WAVES])
+def test_initial_data_vanishing_on_the_grid_are_an_input_error(vanishing_wave_outcomes, case):
+    code, err = vanishing_wave_outcomes[case]
+    assert code == 2, err
+    assert "initial data vanish on the grid" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("args", [
     ["geodesic", "--tol", "nan"],
     ["wave-evolve", "--report-dt", "0"],

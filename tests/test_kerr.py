@@ -127,7 +127,7 @@ def test_compiled_forms_match_plain_lambdify():
 
     args, exprs = _exprs()
     forms = _forms()
-    assert set(forms) == set(exprs) and len(forms) == 17
+    assert set(forms) == set(exprs) and len(forms) == 16
     for name, expr in exprs.items():
         plain = sp.lambdify(args, expr, modules="numpy")
         for a, r, th in FORM_POINTS:

@@ -5,8 +5,8 @@ import pytest
 
 from kerrlab import KerrParams, WaveGrid
 from kerrlab._stencils import STENCILS, _diff, mirror
-from kerrlab.waves import (_centered_dt, _centered_dtt, _ghost_pad_theta, d2_rstar, d_rstar,
-                           d_theta, lambda_theta_conservative)
+from kerrlab.waves import (_centered_dt, _ghost_pad_theta, d2_rstar, d_rstar, d_theta,
+                           lambda_theta_conservative)
 
 # Each entry along axis 0 at the points where it fits, written as the
 # formula it replaced: the centred stencils of hyperbolic1d, the face
@@ -114,5 +114,3 @@ def test_waves_operators_match_their_formulas_bit_for_bit(m_phi, complex_data):
         assert np.array_equal(ours(grid, stack), theirs(grid, stack))
         assert np.array_equal(ours(grid, stack[2]), theirs(grid, stack[2]))
     assert np.array_equal(_centered_dt(stack, dt), (stack[2:] - stack[:-2]) * (1.0 / (2.0 * dt)))
-    assert np.array_equal(_centered_dtt(stack, dt, "test")[1],
-                          (stack[2:] - 2.0 * stack[1:-1] + stack[:-2]) * (1.0 / dt**2))

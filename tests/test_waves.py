@@ -8,7 +8,8 @@ from kerrlab import (DomainError, EnergyReport, KerrParams, ModeField2p1,
                      initial_data, morawetz_bulk, pointwise_norm,
                      radius_from_tortoise, reduced_wave_apply, symmetry_apply,
                      tortoise_from_radius)
-from kerrlab.waves import (S0_WORDS, S1_WORDS, S2_WORDS, _densities, _metric_on_grid,
+from kerrlab.kerr import _at
+from kerrlab.waves import (S0_WORDS, S1_WORDS, S2_WORDS, _densities,
                            _operator, _spatial, _step, assemble_current,
                            box_stack, carter_q_stack, cutoff_bump, d2_rstar, d_rstar, d_theta,
                            horizon_gap_from_tortoise, lambda_theta_conservative,
@@ -256,13 +257,89 @@ def test_stationary_reduced_wave_apply_is_the_spatial_operator():
     assert np.allclose(box, expected, rtol=1e-14, atol=0.0)
 
 
+def test_reduced_wave_apply_refuses_a_short_history():
+    # a history too short for d_t^2 is an error, as it is for carter_Q, not a
+    # silent fall back to the stationary operator
+    grid = make_grid(a=0.5, m_phi=1, n_r=40, n_theta=12)
+    psi, psi_t = initial_data(grid, family="gaussian-static", center=5.0, width=3.0)
+    field = ModeField2p1(grid=grid, psi=psi, psi_t=psi_t, history=(np.array([psi] * 3), 0.1))
+    for op in (reduced_wave_apply, carter_Q):
+        with pytest.raises(DomainError, match=f"{op.__name__} needs at least 5 time levels"):
+            op(field)
+
+
+def test_stack_operators_refuse_short_stacks_naming_the_caller():
+    # each takes exactly the levels it needs, and refuses one fewer
+    grid = make_grid(a=0.5, m_phi=1, n_r=40, n_theta=12)
+    stack, dt = _random_stack(grid, 7, np.random.default_rng(43), real=False), 0.05
+    coeffs = [((0, 0, 0), (1, 0, 0), 0, lambda r: np.ones_like(r))]
+    cases = [
+        ("sigma_box_stack", 3, lambda s: sigma_box_stack(grid, s, dt)),
+        ("carter_q_stack", 3, lambda s: carter_q_stack(grid, s, dt)),
+        ("symmetry_apply", 5, lambda s: symmetry_apply(grid, s, dt, (1, 0, 1))),
+        ("pointwise_norm", 5, lambda s: pointwise_norm(grid, s, dt, 2)),
+        ("_densities", 7, lambda s: _densities(grid, s, dt)),
+        ("polarized_stress", 5, lambda s: polarized_stress(grid, s, dt, (0, 0, 0), (1, 0, 0))),
+        ("assemble_current", 7, lambda s: assemble_current(grid, s, dt, coeffs)),
+    ]
+    for who, k, op in cases:
+        op(stack[:k])
+        with pytest.raises(DomainError, match=f"{who} needs at least {k} time levels"):
+            op(stack[:k - 1])
+
+
+@pytest.mark.parametrize("family, parity", [("gaussian-static", 1.0), ("gaussian-ingoing", -1.0)])
+@pytest.mark.parametrize("m_phi", [0, 1, 2])
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
+def test_evolution_keeps_the_equatorial_reflection(a, m_phi, family, parity):
+    # theta -> pi - theta maps cell j to n_theta - 1 - j and is a symmetry of
+    # Kerr: data of one parity keep it through the whole evolution, and the
+    # energy and bulk densities are even, to rounding (the sines of mirrored
+    # cells are not bit-identical).  The evolution cannot see the pole ghosts,
+    # whose flux weight is sin(0) or sin(pi); the densities' d_theta can.
+    grid = make_grid(a=a, m_phi=m_phi, n_r=64, n_theta=16)
+    psi, psi_t = (0.5 * (x + parity * x[:, ::-1])
+                  for x in initial_data(grid, family=family, center=5.0, width=3.0))
+    field, _ = evolve(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t), t_end=10.0,
+                      diagnostics=False)
+    levels, dt = field.history
+    deviation = np.max(np.abs(levels[..., ::-1] - parity * levels)) / np.max(np.abs(levels))
+    assert deviation <= 1e-13
+    for density in _densities(grid, levels, dt):
+        assert np.max(np.abs(density[:, ::-1] - density)) <= 1e-12 * np.max(density)
+
+
 def test_metric_on_grid_inverts():
+    # the one metric read of polarized_stress and assemble_current: g and
+    # ginv at the grid points, point axes first
     grid = make_grid(a=0.7, m_phi=1, n_r=20, n_theta=8, lo=-5.0, hi=30.0)
-    g, ginv = _metric_on_grid(grid, "g"), _metric_on_grid(grid, "ginv")
-    assert g.shape == ginv.shape == (4, 4, grid.n_r, grid.n_theta)
-    eye = np.einsum("abxy,bcxy->acxy", g, ginv)
-    assert np.max(np.abs(eye - np.eye(4)[:, :, None, None])) < 1e-10
-    assert np.allclose(g[2, 2], grid.sigma, rtol=1e-14, atol=0.0)
+    g, ginv = _at(grid.params, grid.r[:, None], grid.theta[None, :], "g", "ginv")
+    assert g.shape == ginv.shape == (grid.n_r, grid.n_theta, 4, 4)
+    assert np.max(np.abs(g @ ginv - np.eye(4))) < 1e-10
+    assert np.allclose(g[..., 2, 2], grid.sigma, rtol=1e-14, atol=0.0)
+
+
+def test_assemble_current_reads_the_metric_once(monkeypatch):
+    # one read of g and one of ginv per call, whatever the number of
+    # coefficients and time levels
+    import kerrlab.kerr as kerr
+
+    forms, calls = kerr._forms(), []
+
+    def counted(name):
+        def form(*args):
+            calls.append(name)
+            return forms[name](*args)
+        return form
+
+    counting = {name: counted(name) for name in forms}
+    monkeypatch.setattr(kerr, "_forms", lambda: counting)
+    grid = make_grid(a=0.5, m_phi=1, n_r=40, n_theta=8)
+    stack = _random_stack(grid, 7, np.random.default_rng(41), real=False)
+    coeffs = [((0, 0, 0), (1, 0, 0), 0, lambda r: np.ones_like(r)),
+              ((1, 0, 0), (0, 1, 0), 1, lambda r: 1.0 / r)]
+    assemble_current(grid, stack, 0.05, coeffs)
+    assert sorted(calls) == ["g", "ginv"]
 
 
 def test_energy_report_rejects_small_negative_values():
