@@ -37,17 +37,18 @@ def mirror(entry):
     return tuple(-k for k in offsets), tuple((-1) ** p * w for w in weights), c, p
 
 
-def combine(terms, entry, h):
+def combine(terms, entry, h, out=None):
     """sum_k w_k terms_k / (c h^p), the terms u(. + k h) in the entry's offset
     order: the first two in one new array (an array even for scalar terms),
-    the rest added or subtracted in place; a unit weight leaves its term
-    unscaled.  h may be an array broadcasting against the terms (the cell
-    measure of a flux divergence)."""
+    or in `out`, the rest added or subtracted in place; a unit weight leaves
+    its term unscaled.  h may be an array broadcasting against the terms
+    (the cell measure of a flux divergence)."""
     _, weights, c, p = entry
     (a, b, *rest) = [t if abs(w) == 1.0 else abs(w) * t for t, w in zip(terms, weights)]
     wa, wb = weights[:2]
     # w_a a + w_b b in one operation: -a + b and b - a round alike, bit for bit
-    total = np.asarray((a + b if wb > 0 else a - b) if wa > 0 else (b - a if wb > 0 else -a - b))
+    total = np.asarray((np.add if wb > 0 else np.subtract)(a, b, out=out) if wa > 0 else
+                       np.subtract(b, a, out=out) if wb > 0 else np.subtract(-a, b, out=out))
     for term, w in zip(rest, weights[2:]):
         (np.add if w > 0 else np.subtract)(total, term, out=total)
     total *= 1.0 / (c * h**p)
@@ -63,12 +64,14 @@ def _diff(u, name, h, axis=0, end=None):
     axis %= u.ndim
     n, lo, hi = u.shape[axis], -min(entry[0]), max(entry[0])
 
-    def at(start, stop):  # u[start:stop] along the axis
-        return u[(slice(None),) * axis + (slice(start, stop),)]
+    def at(start, stop, a=u):  # a[start:stop] along the axis
+        return a[(slice(None),) * axis + (slice(start, stop),)]
 
-    out = combine([at(lo + k, n - hi + k) for k in entry[0]], entry, h)
-    if end is not None:
-        first, last = (combine([at(i + k, i + k + 1) for k in rule[0]], rule, h)
-                       for rule, i in ((STENCILS[end], 0), (mirror(STENCILS[end]), n - 1)))
-        out = np.concatenate((first, out, last), axis=axis)
+    interior = [at(lo + k, n - hi + k) for k in entry[0]]
+    if end is None:
+        return combine(interior, entry, h)
+    out = np.empty(u.shape[:axis] + (n - lo - hi + 2,) + u.shape[axis + 1:], np.result_type(u, 1.0))
+    combine(interior, entry, h, out=at(1, -1, out))
+    for rule, i, j in ((STENCILS[end], 0, 0), (mirror(STENCILS[end]), n - 1, out.shape[axis] - 1)):
+        combine([at(i + k, i + k + 1) for k in rule[0]], rule, h, out=at(j, j + 1, out))
     return out

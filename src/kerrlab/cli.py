@@ -289,6 +289,8 @@ def parse_config(argv):
             raise DomainError(f"{key} must be positive")
     if cfg.get("seed") is not None and cfg["seed"] < 0:
         raise DomainError("seed must be non-negative")
+    if cfg.get("width") is not None and not sys.float_info.min <= cfg["width"] * cfg["width"] < math.inf:
+        raise DomainError(f"width = {cfg['width']:g} does not square to a normal double")
     for key, bound in (("n_points", MAX_POINTS), ("n_samples", MAX_SAMPLES)):
         if cfg.get(key) is not None and cfg[key] > bound:
             raise DomainError(f"{key} = {cfg[key]:.3g} exceeds {bound}")

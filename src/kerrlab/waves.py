@@ -88,29 +88,31 @@ def horizon_gap_from_tortoise(params: KerrParams, rstar):
 
     Working in log space keeps the horizon approach (rho down to ~1e-300)
     well-conditioned; Delta should be reconstructed as rho*(rho + r+ - r-).
+    All points iterate at once, each frozen where its own Newton stops; exp, log
+    and the square are math's (numpy's differ in last bits), so rho is bit-exact.
     """
     rstar = np.atleast_1d(np.asarray(rstar, dtype=float))
     m, rp, rm = params.m, params.r_plus, params.r_minus
     A = 2 * m * rp / (rp - rm)
     B = 2 * m * rm / (rp - rm)
-    out = np.empty_like(rstar)
-    for i, s in enumerate(rstar):
-        # initial guess: far field rho ~ s - rp, near field log rho ~ (s - rp)/A
-        u = math.log(max(s - rp, 1e-3)) if s > rp + 1.0 else (s - rp) / A
-        for _ in range(100):
-            rho = math.exp(u)
-            r = rp + rho
-            F = r + A * math.log(rho / (2 * m)) - s
-            if rm > 1e-14:
-                F -= B * math.log((rho + rp - rm) / (2 * m))
-            dF_du = (r**2 + params.a**2) / (rho + rp - rm)
-            step = F / dF_du
-            u -= step
-            if abs(step) < 1e-15 * max(1.0, abs(u)):
-                break
-        else:
-            raise DomainError(f"tortoise inversion did not converge at r*={s}")
-        out[i] = math.exp(u)
+    libm = lambda f, x: np.fromiter(map(f, x.tolist()), float, x.size)
+    # initial guess: far field rho ~ s - rp, near field log rho ~ (s - rp)/A
+    u = np.where(rstar > rp + 1.0, libm(math.log, np.maximum(rstar - rp, 1e-3)), (rstar - rp) / A)
+    live = np.arange(rstar.size)
+    for _ in range(100):
+        rho = libm(math.exp, u[live])
+        r = rp + rho
+        F = r + A * libm(math.log, rho / (2 * m)) - rstar[live]
+        if rm > 1e-14:
+            F -= B * libm(math.log, (rho + rp - rm) / (2 * m))
+        step = F / ((libm(lambda v: v**2, r) + params.a**2) / (rho + rp - rm))
+        u[live] -= step
+        live = live[~(np.abs(step) < 1e-15 * np.maximum(1.0, np.abs(u[live])))]
+        if not live.size:
+            break
+    else:
+        raise DomainError(f"tortoise inversion did not converge at r*={rstar[live[0]]}")
+    out = libm(math.exp, u)
     return out if out.shape != (1,) else float(out[0])
 
 

@@ -170,14 +170,17 @@ def test_index_profile_spike_is_resolved(tmp_path):
     assert (report["dim_ker_aps"], report["dim_ker_aaps"]) == (1, 0)
 
 
-class _FailedSolution:
-    success = False
-    message = "step size fell below the spacing of floats"
+def _solve_with_a_nan_rhs(fun, *args, **kwargs):
+    # the integrator's own failure: every step of a NaN right-hand side is
+    # rejected until the step falls below the spacing of floats
+    from kerrlab._gbs import solve_ivp
+
+    return solve_ivp(lambda tau, y: np.full_like(y, np.nan), *args, **kwargs)
 
 
 @pytest.mark.parametrize("args, module, name, fake", [
     (["index"], "index2d", "_mode_solution_moduli", lambda profile, ks: np.zeros(len(ks))),
-    (["geodesic", "--t-max", "5"], "geodesics", "solve_ivp", lambda *a, **k: _FailedSolution()),
+    (["geodesic", "--t-max", "5"], "geodesics", "solve_ivp", _solve_with_a_nan_rhs),
 ], ids=["index", "geodesic"])
 def test_numeric_failures_exit_one_without_a_traceback(tmp_path, capsys, monkeypatch,
                                                        args, module, name, fake):
@@ -354,6 +357,19 @@ def test_initial_data_vanishing_on_the_grid_are_an_input_error(vanishing_wave_ou
     assert code == 2, err
     assert "initial data vanish on the grid" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["wave-evolve", "--n-r=64", "--family=gaussian-ingoing", "--width=1e-160"],
+    ["morawetz", "--width=1e-200"],
+    ["wave-evolve", "--width=1e200"],
+])
+def test_pulse_width_whose_square_is_not_a_normal_double_is_an_input_error(args, capsys):
+    # width**2 underflows (or overflows): the data would be inf * 0 = NaN
+    with pytest.raises(DomainError, match="does not square to a normal double"):
+        parse_config(args)
+    assert main(args) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -568,8 +584,9 @@ assert "sympy" not in sys.modules, "sympy was imported"
 
 def test_subcommands_import_only_the_scipy_they_call(tmp_path):
     # scipy is imported inside the functions that call it: importing the CLI
-    # loads none of it, the 1+1 solvers, the index theorem and the geometry
-    # checks never need it, and the wave subcommands load only scipy.sparse
+    # loads none of it, the 1+1 solvers, the index theorem, the geometry
+    # checks and the geodesics (a bound orbit and a plunge) never need it,
+    # and the wave subcommands load only scipy.sparse
     code = f"""
 import sys
 from kerrlab import cli
@@ -584,7 +601,8 @@ def run(argv):
 assert not scipy_modules(), scipy_modules()
 for argv in (["green"], ["goursat", "--data", "linear"], ["goursat", "--data", "trig"],
              ["dirac"], ["index"], ["kerr-check", "--n-points", "2"],
-             ["maxwell-currents", "--n-points", "1"]):
+             ["maxwell-currents", "--n-points", "1"], ["geodesic", "--t-max", "20"],
+             ["geodesic", "--r0", "4", "--utheta0", "0", "--uphi0", "0", "--ur0", "-0.5"]):
     run(argv)
     assert not scipy_modules(), (argv, scipy_modules())
 for argv in (["wave-evolve", "--t-end", "1", "--n-r", "16", "--n-theta", "8"],
@@ -604,3 +622,27 @@ def test_velocity_beyond_the_norm_resolution_is_an_input_error(tmp_path, flag):
     # bound, so no completion meets it
     assert main(["geodesic", flag, "1e3", "--out", str(tmp_path / "g.json")]) == 2
     assert main(["geodesic", flag, "10", "--out", str(tmp_path / "g.json")]) == 0
+
+
+def test_the_benchmark_tracer_counts_the_geodesic_rhs_and_the_wave_step(tmp_path):
+    # perfbench's Tracer wraps geodesics.solve_ivp and waves._step by name; a
+    # rename that leaves it counting nothing would empty its per-layer metrics
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    code = f"""
+import sys
+sys.path.insert(0, {perfbench!r})
+from tracing import Tracer
+from kerrlab import cli
+
+tracer = Tracer()
+tracer.install()
+for argv in (["geodesic", "--t-max", "20", "--n-samples", "20"],
+             ["wave-evolve", "--t-end", "1", "--n-r", "16", "--n-theta", "8"]):
+    sub, cfg = cli.parse_config(argv + ["--out", {str(tmp_path / "r.json")!r}])
+    assert cli.run(sub, cfg) == 0, sub
+counts = {{name: count for (name, _round), (count, _s) in tracer.counters.items()}}
+assert counts.get("geodesics.rhs", 0) > 0 and counts.get("waves.step", 0) > 0, counts
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -108,3 +108,31 @@ def test_integrate_geodesic_calls_the_module_solve_ivp(monkeypatch):
     assert calls
     assert np.array_equal(traj.x, plain.x) and np.array_equal(traj.u, plain.u)
     assert np.array_equal(traj.tau, plain.tau)
+
+
+def test_gbs_integrates_the_harmonic_oscillator_to_its_tolerance():
+    from kerrlab._gbs import solve_ivp
+
+    def fun(tau, y):  # one state (2,) or a batch (n, 2)
+        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+
+    sol = solve_ivp(fun, (0.0, 20.0), [1.0, 0.0], 1e-12)
+    assert sol.message is None and sol.event is None and sol.t[-1] == 20.0
+    taus = np.linspace(0.0, 20.0, 101)
+    exact = np.stack([np.cos(taus), -np.sin(taus)], axis=1)
+    assert np.max(np.abs(sol.sol(taus) - exact)) < 1e-10
+    # x falls through 0.5 (an upward event) and then through 0 (a downward
+    # one): the run ends on the second, at pi / 2
+    sol = solve_ivp(fun, (0.0, 20.0), [1.0, 0.0], 1e-12, events=((0, 0.5, 1), (0, 0.0, -1)))
+    assert sol.event == 1 and abs(sol.t[-1] - math.pi / 2) < 1e-12 and abs(sol.y[-1, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_loose_tolerances_lower_the_order_instead_of_losing_the_orbit(tol):
+    # held at high order, a tol of 1e-3 took steps the error estimate could
+    # not vouch for and drifted by 4e7; the column floor falls with tol
+    params = KerrParams(1.0, 0.99)
+    s0 = normalize_velocity(params, BLPoint(0.0, 3.0, math.pi / 2, 0.0, params),
+                            (0.0, 0.02, 0.1), "timelike")
+    traj = integrate_geodesic(params, s0, 200.0, tol=tol)
+    assert traj.plunged and np.max(conserved_drift(params, traj, "timelike")) < 1e3 * tol

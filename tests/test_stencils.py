@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kerrlab import KerrParams, WaveGrid
-from kerrlab._stencils import STENCILS, _diff, mirror
+from kerrlab._stencils import STENCILS, _diff, combine, mirror
 from kerrlab.waves import (_centered_dt, _ghost_pad_theta, d2_rstar, d_rstar, d_theta,
                            lambda_theta_conservative)
 
@@ -114,3 +114,24 @@ def test_waves_operators_match_their_formulas_bit_for_bit(m_phi, complex_data):
         assert np.array_equal(ours(grid, stack), theirs(grid, stack))
         assert np.array_equal(ours(grid, stack[2]), theirs(grid, stack[2]))
     assert np.array_equal(_centered_dt(stack, dt), (stack[2:] - stack[:-2]) * (1.0 / (2.0 * dt)))
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("name, end", [("d1", "d1_end"), ("d2", "d2_end")])
+def test_end_rows_written_in_place_match_the_concatenated_parts(name, end, complex_data):
+    # _diff writes the interior and both end rows into one array; each part
+    # is the combine call it was before, so the result is the concatenation
+    rng = np.random.default_rng(11)
+    for shape, axis in (((40, 7), 0), ((5, 40, 3), 1), ((6, 33), -1)):
+        u = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_data else 0.0)
+        n = u.shape[axis]
+
+        def at(start, stop):
+            return np.take(u, range(start, stop), axis=axis)
+
+        parts = [combine([at(i + k, i + k + 1) for k in rule[0]], rule, 0.3)
+                 for rule, i in ((STENCILS[end], 0), (mirror(STENCILS[end]), n - 1))]
+        middle = combine([at(1 + k, n - 1 + k) for k in STENCILS[name][0]], STENCILS[name], 0.3)
+        ref = np.concatenate((parts[0], middle, parts[1]), axis=axis)
+        got = _diff(u, name, 0.3, axis=axis, end=end)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)

@@ -36,6 +36,45 @@ def test_tortoise_roundtrip(a):
     assert abs(radius_from_tortoise(params, -80.0) - params.r_plus) <= gap + 1e-15
 
 
+def _gap_point_by_point(params, s):
+    # the Newton loop horizon_gap_from_tortoise ran one r* at a time
+    m, rp, rm = params.m, params.r_plus, params.r_minus
+    A, B = 2 * m * rp / (rp - rm), 2 * m * rm / (rp - rm)
+    u = math.log(max(s - rp, 1e-3)) if s > rp + 1.0 else (s - rp) / A
+    for _ in range(100):
+        rho = math.exp(u)
+        r = rp + rho
+        F = r + A * math.log(rho / (2 * m)) - s
+        if rm > 1e-14:
+            F -= B * math.log((rho + rp - rm) / (2 * m))
+        step = F / ((r**2 + params.a**2) / (rho + rp - rm))
+        u -= step
+        if abs(step) < 1e-15 * max(1.0, abs(u)):
+            return math.exp(u)
+    raise DomainError(f"tortoise inversion did not converge at r*={s}")
+
+
+@pytest.mark.parametrize("m, a", [(1.0, 0.0), (1.0, 0.5), (1.0, 0.9), (3.0, 0.3), (0.5, 1e-12)])
+def test_tortoise_inversion_matches_the_point_by_point_newton_bit_for_bit(m, a):
+    # all points iterate at once, each frozen where its own Newton stops
+    params = KerrParams(m, a * m)
+    rstar = np.concatenate([np.linspace(-300.0, 400.0, 401),
+                            np.random.default_rng(4).uniform(-700.0, 1e4, 300)])
+    gap = horizon_gap_from_tortoise(params, rstar)
+    assert np.array_equal(gap, [_gap_point_by_point(params, s) for s in rstar])
+    assert horizon_gap_from_tortoise(params, 5.0) == _gap_point_by_point(params, 5.0)
+
+
+def test_tortoise_inversion_that_does_not_converge_names_its_point():
+    # near extremality Newton in log(rho) stalls on part of the range
+    params = KerrParams(1.0, 0.999)
+    rstar = np.linspace(-600.0, 1000.0, 800)
+    with pytest.raises(DomainError, match="did not converge at r"):
+        _gap_point_by_point(params, 0.7509386733416932)
+    with pytest.raises(DomainError, match=r"did not converge at r\*=0.7509386733416932"):
+        horizon_gap_from_tortoise(params, rstar)
+
+
 def test_angular_operator_eigenfunctions():
     grid = make_grid(m_phi=0, n_theta=256)
     # Lambda_theta on the axisymmetric spherical harmonics: eigenvalues -l(l+1)
