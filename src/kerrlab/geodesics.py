@@ -36,6 +36,10 @@ NORM_TOL = 1e-10  # largest |g(u, u) - target| a state may have
 # a loose one lets the integrator step where the right-hand side is not
 # finite.
 MAX_TOL = 1e-3
+# Largest t_max, in units of m.  The work grows with the time an orbit spans
+# (a bound orbit at r = 10 m takes about 2 s to reach t = 10^4 m), and at a
+# span near 1e300 the first trial step is no longer a representable increment.
+MAX_TIME = 1e5
 
 
 def solve_ivp(*args, **kwargs):
@@ -146,8 +150,8 @@ def integrate_geodesic(
     samples are extrapolated steps from the nearest accepted step; max_step
     caps the integrator's step.
     """
-    if t_max <= 0:
-        raise DomainError("t_max must be positive")
+    if not 0 < t_max <= MAX_TIME * params.m:
+        raise DomainError(f"t_max must be positive and at most {MAX_TIME:g} m")
     if not 0 < tol <= MAX_TOL:
         raise DomainError(f"tol must be positive and at most {MAX_TOL}")
     y0 = np.concatenate([s0.x.coords, s0.u.real_part()])

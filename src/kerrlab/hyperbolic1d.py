@@ -17,7 +17,10 @@ along x periodically (`_dx`), along t at the interior levels, with one-sided
 end rows where u = D v needs every level.
 Each call samples the twist a(t) once, on all the times it needs.  Lattices
 of more than MAX_LATTICE_POINTS nodes are rejected before anything is
-allocated.
+allocated.  The Goursat problem is marched in blocks of u-rows, so that its
+solution is the only array of lattice size; every sum keeps the order of the
+additions of the row-by-row scheme, so the result does not depend on the
+block size, bit for bit.
 
 Clifford representation (fixed choice; any unitarily equivalent one works):
 gamma^0 = i sigma_1, gamma^1 = sigma_2, so (gamma^0)^2 = -1, (gamma^1)^2 = +1
@@ -29,6 +32,7 @@ normal; sigma^{-1} = gamma^0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +47,7 @@ GAMMA1 = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA = -GAMMA0  # Clifford multiplication by the t = 0 unit normal
 SIGMA_INV = GAMMA0
 MAX_LATTICE_POINTS = 10**7  # nodes of one sampled field (160 MB complex)
+GOURSAT_BLOCK_CELLS = 2**14  # source cells per block of the Goursat march
 
 
 @dataclass(frozen=True)
@@ -211,20 +216,29 @@ class GoursatField:
     phi: np.ndarray  # shape (len(uu), len(vv))
 
 
-def _midpoint_source(f, um):
-    """f/4 at the cell midpoints (um[i], um[j]) in (u, v), shape (n, n).
+def _midpoint_blocks(f, um, rows):
+    """f/4 at the cell midpoints (um[i], um[j]) in (u, v), one block of `rows`
+    u-rows at a time (the last block may be shorter): an iterator of arrays
+    of shape (rows, n).
 
-    One call on the (t, x) arrays of the midpoints when f accepts arrays;
-    otherwise (TypeError/ValueError, or a result that does not broadcast to
-    (n, n)) one scalar call per cell.
+    The first block decides how f is called, and every later block is called
+    the same way: one call on the (t, x) arrays of the block's midpoints when
+    f accepts arrays; otherwise (TypeError/ValueError, or a result that does
+    not broadcast to the block's shape) one scalar call per cell.
     """
-    uu, vv = um[:, None], um[None, :]
-    try:
+    def array_call(i):
+        uu, vv = um[i:i + rows, None], um[None, :]
         return np.broadcast_to(np.asarray(f(0.5 * (uu + vv), 0.5 * (vv - uu))),
-                               (um.size, um.size)) / 4.0
+                               (uu.size, vv.size)) / 4.0
+
+    starts = range(0, um.size, rows)
+    try:
+        first = array_call(0)
     except (TypeError, ValueError):
-        um = um.tolist()
-        return np.array([[f(0.5 * (u + v), 0.5 * (v - u)) / 4.0 for v in um] for u in um])
+        cells = um.tolist()
+        return (np.array([[f(0.5 * (u + v), 0.5 * (v - u)) / 4.0 for v in cells]
+                          for u in cells[i:i + rows]]) for i in starts)
+    return itertools.chain([first], map(array_call, starts[1:]))
 
 
 def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
@@ -233,10 +247,15 @@ def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
     p, q are callables on the two null rays from the vertex and must agree at
     the vertex.  f, when given, is the wave-operator source f(t, x) (the
     double-null right-hand side is f/4): a callable on numpy arrays, which is
-    sampled in one call, or on floats only.  No derivative data is
-    accepted along the rays: the scheme is explicit, so the solution on the
-    future of the rays is fixed by the ray data and the source alone
+    sampled in one call per block of u-rows, or on floats only.  No derivative
+    data is accepted along the rays: the scheme is explicit, so the solution
+    on the future of the rays is fixed by the ray data and the source alone
     (uniqueness).
+
+    The lattice is marched in blocks of about GOURSAT_BLOCK_CELLS cells, so
+    that phi is the only array of (n + 1)^2 nodes.  The result does not
+    depend on the block size, bit for bit: each sum adds the same terms in
+    the same order as the row loop phi[i+1, 1:] += h^2 cumsum(column sums).
     """
     if extent <= 0:
         raise DomainError("extent must be positive")
@@ -252,15 +271,35 @@ def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
     if abs(pv[0] - qv[0]) > 1e-12 * max(1.0, abs(pv[0])):
         raise DomainError("null data disagree at the vertex")
     # the scheme phi[i+1,j+1] = phi[i+1,j] + phi[i,j+1] - phi[i,j] + h^2 mid[i,j]
-    # telescopes to the ray data plus a double cumulative sum of the source
-    # (both sums sequential, so the order of the additions is the row loop's)
+    # telescopes to the ray data plus a double cumulative sum of the source,
+    # taken block by block: the running column sums carried into a block's
+    # first row keep the order of the additions along u, and the sums along v
+    # lie within one row
     phi = pv[:, None] + qv[None, :]
     phi -= qv[0]
     phi[:, 0], phi[0, :] = pv, qv
     if f is not None:
-        mid = _midpoint_source(f, uu[:-1] + 0.5 * h)
-        phi[1:, 1:] += h * h * np.cumsum(np.cumsum(mid, axis=0), axis=1)
+        rows = max(1, GOURSAT_BLOCK_CELLS // n)
+        for i, block in enumerate(_midpoint_blocks(f, uu[:-1] + 0.5 * h, rows)):
+            if i:  # a source may give complex values in some blocks only
+                block = block.astype(np.result_type(block, column_sums), copy=False)
+                block[0] += column_sums
+            np.cumsum(block, axis=0, out=block)
+            column_sums = block[-1].copy()
+            np.cumsum(block, axis=1, out=block)
+            block *= h * h
+            phi[1 + i * rows:1 + i * rows + len(block), 1:] += block
     return GoursatField(uu=uu, vv=vv, phi=phi)
+
+
+def _goursat_error(field: GoursatField, exact):
+    """max |phi - exact(u, v)| over the null lattice, where exact takes a
+    column of u and a row of v: one block of u-rows at a time, so that no
+    other array of lattice size is formed."""
+    rows = max(1, GOURSAT_BLOCK_CELLS // field.vv.size)
+    return max(float(np.max(np.abs(field.phi[i:i + rows]
+                                   - exact(field.uu[i:i + rows, None], field.vv[None, :]))))
+               for i in range(0, field.uu.size, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ from ._stencils import STENCILS, _diff
 from .errors import DomainError, StabilityError
 from .kerr import KerrParams, _at
 
+MAX_GRID_POINTS = 10**6  # n_r * n_theta of one grid (about 0.5 GB in a wave run)
+
 # ---------------------------------------------------------------------------
 # tortoise coordinate
 # ---------------------------------------------------------------------------
@@ -90,28 +92,50 @@ def horizon_gap_from_tortoise(params: KerrParams, rstar):
     well-conditioned; Delta should be reconstructed as rho*(rho + r+ - r-).
     All points iterate at once, each frozen where its own Newton stops; exp, log
     and the square are math's (numpy's differ in last bits), so rho is bit-exact.
+
+    A point stops when its step falls below 1e-15 |u|.  Near extremality F
+    cancels terms far larger than itself, and a point can swing forever by
+    steps that lie within F's rounding yet above that bound.  So a point still
+    moving after the last iteration is accepted where its next step lies within
+    F's rounding floor, and refused otherwise.  Every other point takes the
+    same iterations as under the first test alone.
     """
     rstar = np.atleast_1d(np.asarray(rstar, dtype=float))
     m, rp, rm = params.m, params.r_plus, params.r_minus
     A = 2 * m * rp / (rp - rm)
     B = 2 * m * rm / (rp - rm)
     libm = lambda f, x: np.fromiter(map(f, x.tolist()), float, x.size)
+
+    def newton(u, s):
+        """The Newton steps at u for the targets s, and a function that gives
+        F's rounding floor there, in u: its four terms and three sums, and the
+        arguments of the logs, of which (rho + r+) - r- cancels near extremality."""
+        rho = libm(math.exp, u)
+        r = rp + rho
+        a_log = A * libm(math.log, rho / (2 * m))
+        F = r + a_log - s
+        b_log = 0.0
+        if rm > 1e-14:
+            b_log = B * libm(math.log, (rho + rp - rm) / (2 * m))
+            F -= b_log
+        dF = (libm(lambda v: v**2, r) + params.a**2) / (rho + rp - rm)
+        return F / dF, lambda: 4 * np.finfo(float).eps / dF * (
+            np.abs(r) + np.abs(a_log) + np.abs(b_log) + np.abs(s) + A + B * (rho + rp + rm) / (rho + rp - rm))
+
     # initial guess: far field rho ~ s - rp, near field log rho ~ (s - rp)/A
     u = np.where(rstar > rp + 1.0, libm(math.log, np.maximum(rstar - rp, 1e-3)), (rstar - rp) / A)
     live = np.arange(rstar.size)
     for _ in range(100):
-        rho = libm(math.exp, u[live])
-        r = rp + rho
-        F = r + A * libm(math.log, rho / (2 * m)) - rstar[live]
-        if rm > 1e-14:
-            F -= B * libm(math.log, (rho + rp - rm) / (2 * m))
-        step = F / ((libm(lambda v: v**2, r) + params.a**2) / (rho + rp - rm))
+        step = newton(u[live], rstar[live])[0]
         u[live] -= step
         live = live[~(np.abs(step) < 1e-15 * np.maximum(1.0, np.abs(u[live])))]
         if not live.size:
             break
     else:
-        raise DomainError(f"tortoise inversion did not converge at r*={rstar[live[0]]}")
+        step, floor = newton(u[live], rstar[live])
+        unsettled = live[~(np.abs(step) <= floor())]
+        if unsettled.size:
+            raise DomainError(f"tortoise inversion did not converge at r*={rstar[unsettled[0]]}")
     out = libm(math.exp, u)
     return out if out.shape != (1,) else float(out[0])
 
@@ -159,6 +183,8 @@ class WaveGrid:
                  rstar_min: float, rstar_max: float):
         if n_r < 16 or n_theta < 8:
             raise DomainError("grid too coarse for the stencils")
+        if n_r * n_theta > MAX_GRID_POINTS:
+            raise DomainError(f"{n_r:.3g} x {n_theta:.3g} grid exceeds {MAX_GRID_POINTS} points")
         if rstar_min >= rstar_max:
             raise DomainError("empty tortoise range")
         self.params = params

@@ -338,6 +338,29 @@ def test_geometry_edge_points_run_to_a_passing_report(edge_geometry_outcomes, ar
     assert "Traceback" not in err and "Warning" not in err
 
 
+# Wave grids and orbit spans too large to hold or to integrate: each must be
+# refused as an input error before any array exists (for morawetz, before
+# its fine run is forked).
+OVERSIZE_WAVES_GEODESIC = [
+    ["wave-evolve", f"--n-r={10**18}"], ["morawetz", f"--n-theta={10**18}"],
+    ["geodesic", "--t-max=1e300"],
+]
+
+
+@pytest.fixture(scope="module")
+def oversize_waves_geodesic_outcomes(tmp_path_factory):
+    return edge_outcomes(tmp_path_factory, OVERSIZE_WAVES_GEODESIC)
+
+
+@pytest.mark.parametrize("case", range(len(OVERSIZE_WAVES_GEODESIC)),
+                         ids=[" ".join(a) for a in OVERSIZE_WAVES_GEODESIC])
+def test_oversize_wave_grids_and_orbit_spans_are_input_errors(oversize_waves_geodesic_outcomes, case):
+    code, err = oversize_waves_geodesic_outcomes[case]
+    assert code == 2, err
+    assert "input error" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 # Pulses that vanish on the tortoise range: one that underflows to 0, one
 # whose squared distance overflows.  Every energy and ratio would read 0.
 VANISHING_WAVES = [[sub, f"--n-r={n_r}", f"--center={center}"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,9 +104,26 @@ def _goursat_per_cell(f, extent, n):
     lambda t, x: 1.0 if t > 0.5 else 0.0,  # branches on a float
 ], ids=["array", "math", "constant", "branching"])
 def test_goursat_source_forms_match_the_per_cell_loop(f):
-    for extent, n in ((1.0, 32), (0.937, 57)):
+    rows = hyperbolic1d.GOURSAT_BLOCK_CELLS // 300
+    assert 300 // rows >= 2 and 300 % rows  # n = 300: several blocks of u-rows, the last one short
+    for extent, n in ((1.0, 32), (0.937, 57), (0.9371, 300)):
         field = goursat_solve(lambda u: 0.0, lambda v: 0.0, extent, n, f=f)
         assert np.array_equal(field.phi, _goursat_per_cell(f, extent, n))
+
+
+@pytest.mark.parametrize("f", [
+    lambda t, x: 4.0 * np.cos(t - x) * np.cos(t + x),  # takes arrays
+    lambda t, x: 1.0 if t > 0.5 else 0.0,  # floats only: one call per cell
+], ids=["array", "floats"])
+def test_goursat_holds_little_besides_phi(f):
+    # the lattice is marched in blocks of u-rows: no second (n + 1)^2 array
+    tracemalloc.start()
+    try:
+        phi = goursat_solve(lambda u: 0.0, lambda v: 0.0, 1.0, 1024, f=f).phi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * phi.nbytes
 
 
 def test_solvers_commute_with_rotations_of_the_circle():

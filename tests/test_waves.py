@@ -66,13 +66,30 @@ def test_tortoise_inversion_matches_the_point_by_point_newton_bit_for_bit(m, a):
 
 
 def test_tortoise_inversion_that_does_not_converge_names_its_point():
-    # near extremality Newton in log(rho) stalls on part of the range
-    params = KerrParams(1.0, 0.999)
-    rstar = np.linspace(-600.0, 1000.0, 800)
-    with pytest.raises(DomainError, match="did not converge at r"):
-        _gap_point_by_point(params, 0.7509386733416932)
-    with pytest.raises(DomainError, match=r"did not converge at r\*=0.7509386733416932"):
+    # a point that never settles is refused, named, whatever else the grid holds
+    params = KerrParams(1.0, 0.5)
+    rstar = np.linspace(-60.0, 100.0, 80)
+    rstar[31] = math.nan
+    with pytest.raises(DomainError, match=r"did not converge at r\*=nan"):
         horizon_gap_from_tortoise(params, rstar)
+
+
+@pytest.mark.parametrize("m, a, s", [(1.0, 0.999, 0.7509386733416932), (0.5, 0.4995, -1.25169985),
+                                     (3.0, 2.997, -28.57979), (3.0, 2.997, -37.309995)])
+def test_near_extremal_tortoise_points_settle_within_rounding(m, a, s):
+    # Newton swings forever by steps within F's rounding, above 1e-15 |u|
+    params = KerrParams(m, a)
+    with pytest.raises(DomainError, match="did not converge"):
+        _gap_point_by_point(params, s)
+    gap = horizon_gap_from_tortoise(params, s)
+    assert abs(tortoise_from_radius(params, params.r_plus + gap) - s) < 1e-13 * max(1.0, abs(s))
+
+
+def test_near_extremal_wave_grid_is_built():
+    # the radial grid of wave-evolve --a 0.999 --rstar-min -600 --rstar-max 1000 --n-r 800
+    grid = WaveGrid(params=KerrParams(1.0, 0.999), m_phi=0, n_r=800, n_theta=8,
+                    rstar_min=-600.0, rstar_max=1000.0)
+    assert 0.7509386733416932 in grid.rstar and np.all(np.diff(grid.r) >= 0.0)
 
 
 def test_angular_operator_eigenfunctions():
