@@ -224,31 +224,17 @@ def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> Geodesi
     return GeodesicState(p, TensorValue((UP,), u), "timelike")
 
 
-def photon_orbit_radius(params: KerrParams, bracket, prograde=True, tol=1e-14) -> float:
-    """Equatorial circular-photon-orbit radius inside the given bracket.
+def photon_orbit_radius(params: KerrParams, prograde=True) -> float:
+    """Equatorial circular-photon-orbit radius, in closed form (Bardeen, Press
+    & Teukolsky 1972): r_ph = 2m (1 + cos(2/3 arccos(-/+ a/m))), the upper sign
+    for the prograde orbit (along +phi).
 
-    Root of the radial geodesic equation evaluated on the tangential null
-    direction: Gamma^r_tt + 2 Omega Gamma^r_tphi + Omega^2 Gamma^r_phiphi = 0
-    with Omega the prograde/retrograde null angular velocity.
+    It is the root of the radial geodesic equation on the tangential null
+    direction, Gamma^r_tt + 2 Omega Gamma^r_tphi + Omega^2 Gamma^r_phiphi = 0,
+    with Omega the null angular velocity of that sense.
     """
-    lo, hi = bracket
-    if lo <= params.r_plus:
-        raise DomainError("bracket must lie inside the exterior")
-
-    def residual(r):
-        p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
-        g = _eval("g", params, p)
-        omega = _angular_velocity(g[3, 3], 2 * g[0, 3], g[0, 0], prograde,
-                                  f"no null directions at r={r}")
-        gamma = _eval("gamma", params, p)
-        return gamma[1, 0, 0] + 2 * omega * gamma[1, 0, 3] + omega**2 * gamma[1, 3, 3]
-
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo * f_hi > 0:
-        raise DomainError(f"no photon-orbit root in bracket {bracket}")
-    from scipy.optimize import brentq
-
-    return float(brentq(residual, lo, hi, xtol=tol))
+    spin = params.a / params.m
+    return 2.0 * params.m * (1.0 + math.cos(2.0 / 3.0 * math.acos(-spin if prograde else spin)))
 
 
 def normalize_velocity(params: KerrParams, p: BLPoint, u_spatial, causal_type="timelike"):

@@ -318,6 +318,15 @@ def _tetrad(params: KerrParams, r, th):
     return (l, n, mv, mb), normalization, np.max(np.abs(recon - gh), axis=(-2, -1))
 
 
+def _principal_tetrad(params: KerrParams, r, th, tol=1e-11):
+    """`_tetrad`'s legs at the points (r, th), its residuals checked at every point."""
+    legs, normalization, reconstruction = _tetrad(params, r, th)
+    worst = np.max(np.maximum(normalization, reconstruction))
+    if worst > tol:
+        raise CalibrationError(f"tetrad normalization residual {worst} above {tol}")
+    return legs
+
+
 def principal_tetrad(params: KerrParams, p: BLPoint, tol=1e-11):
     """Principal null tetrad (l, n, m, mbar) as contravariant TensorValues.
 
@@ -325,11 +334,7 @@ def principal_tetrad(params: KerrParams, p: BLPoint, tol=1e-11):
     ghat_ab = 2(l_(a n_b) - m_(a mbar_b)); verified before returning.
     """
     _check_point(params, p)
-    legs, normalization, reconstruction = _tetrad(params, p.r, p.theta)
-    worst = max(normalization, reconstruction)
-    if worst > tol:
-        raise CalibrationError(f"tetrad normalization residual {worst} above {tol}")
-    return tuple(TensorValue((UP,), v) for v in legs)
+    return tuple(TensorValue((UP,), v) for v in _principal_tetrad(params, p.r, p.theta, tol))
 
 
 def tetrad_reconstruction_residual(params: KerrParams, p: BLPoint) -> float:

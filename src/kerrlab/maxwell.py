@@ -12,6 +12,11 @@ field strength F[..., 4, 4] comes out.  A nested stencil is sampled once:
 the field at all of its points in one call, checked over the whole array,
 and the geometry in one broadcasting closed-form call per quantity; the
 rest is array arithmetic over the leading point axes.
+
+The currents have one core, `_currents`, over any number of centres; V_tensor,
+np_scalars and dominant_energy_value are one-point wrappers of array forms.
+`maxwell-currents` runs the cores on blocks of centres, so that a sweep holds
+the nested stencils of one block at a time.
 """
 
 from __future__ import annotations
@@ -160,24 +165,24 @@ def maxwell_divergence_residual(params, F_field, p: BLPoint, step=1e-3, order=4)
     return float(_divergence(params, F_field, p.coords[None], step, order)[0])
 
 
+def _np_scalars(F, legs, r, theta, a):
+    """(phi0, phi1, phi2, Upsilon) from F[..., 4, 4] and the tetrad legs
+    (l, n, m, mbar) [..., 4] at points (r, theta) of the leading axes."""
+    l, n, mv, mb = legs
+    c = lambda u, v: np.einsum("...a,...ab,...b->...", u, F, v)
+    phi1 = 0.5 * (c(l, n) + c(mb, mv))
+    return c(l, mv), phi1, c(mb, n), (r - 1j * a * np.cos(theta)) ** 2 * phi1
+
+
 def np_scalars(sample: MaxwellSample, tetrad):
     """Newman-Penrose components (phi0, phi1, phi2) and Upsilon = (r - ia cos theta)^2 phi1.
 
     For a source-free field aligned with the principal null directions
     (phi0 = phi2 = 0), Upsilon is constant over the exterior.
     """
-    l, n, mv, mb = (x.components for x in tetrad)
-    F = sample.F.components
-
-    def c(u, v):
-        return u @ F @ v
-
-    phi0 = c(l, mv)
-    phi1 = 0.5 * (c(l, n) + c(mb, mv))
-    phi2 = c(mb, n)
     p = sample.point
-    upsilon = (p.r - 1j * p.params.a * np.cos(p.theta)) ** 2 * phi1
-    return complex(phi0), complex(phi1), complex(phi2), complex(upsilon)
+    legs = [x.components for x in tetrad]
+    return tuple(map(complex, _np_scalars(sample.F.components, legs, p.r, p.theta, p.params.a)))
 
 
 def stress_tensor(sample: MaxwellSample) -> TensorValue:
@@ -268,20 +273,20 @@ def _coupling(L, Z, g, ginv):
     return 0.5 * (M + np.swapaxes(M, -1, -2)) / 3.0 - g * scalar[..., None, None] / 12.0
 
 
-def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentReport:
-    """Conserved symmetric tensor V_ab and its divergence residual.
+def _currents(params: KerrParams, F_field, centres, step):
+    """Z, eta, V, the divergence residual max_b |nabla^a V_ab| and F at each of
+    the chart points centres[..., 4], the centre axes leading.
 
     V_ab = eta_(a etabar_b) - (1/2) g_ab eta.etabar
            - (1/3)(L_{Re xi}F)_(a^c Z_b)c + (1/12) g_ab (L_{Re xi}F)^{cd} Z_cd
            + (1/3)(L_{Im xi}*F)_(a^c Z_b)c - (1/12) g_ab (L_{Im xi}*F)^{cd} Z_cd
 
-    The divergence max_b |nabla^a V_ab| uses Richardson-extrapolated central
-    differences at the outer layer; the nested eta layer uses the same step.
-    F_field maps chart points pts[..., 4] to F[..., 4, 4]; it is called once,
-    on all 17 x 9 points of the nested stencil, and the rest is array
-    arithmetic over the (outer, inner) point axes.  V is quadratic in the
-    field, so a field too strong for V or its divergence to be finite in
-    float64 raises OverflowError.
+    The divergence uses Richardson-extrapolated central differences at the
+    outer layer; the nested eta layer uses the same step.  F_field is called
+    once, on the 17 x 9 points of every centre's nested stencil.  Each check
+    holds at every centre: _field's; V and its divergence finite, else
+    OverflowError (V is quadratic in the field); V real.  The results are
+    copies, so that no stencil array outlives the call.
     """
     # The outer layer differentiates a field that itself carries O(step^2)
     # inner truncation error plus roundoff amplified by 1/step.  A wider
@@ -289,34 +294,47 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
     # while avoiding roundoff blow-up.  Richardson extrapolation of the
     # central differences at h and h/2 is the fourth-order stencil at h/2.
     h = math.sqrt(step) / 2.0
-    pts = _stencil(_stencil(p.coords, h, "d1_4"), step, "d1")  # (17, 9, 4)
+    pts = _stencil(_stencil(centres, h, "d1_4"), step, "d1")  # [..., 17, 9, 4]
     F, geo = _sample(params, F_field, pts)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
         Z, starF, eta = _eta(F, geo, step, "d1")
         xi_up = np.einsum("...ab,...b->...a", geo["ginv"], geo["xi"])
-        g, ginv = geo["g"][:, 0], geo["ginv"][:, 0]
-        Z0 = Z[:, 0]
+        # on the outer stencil, [..., 17, 4, 4]
+        g, ginv, Z = (x[..., 0, :, :] for x in (geo["g"], geo["ginv"], Z))
         V = (_leading(eta, g, ginv)
-             - _coupling(_lie(xi_up.real, F, step, "d1"), Z0, g, ginv)
-             + _coupling(_lie(xi_up.imag, starF, step, "d1"), Z0, g, ginv))
-        nabla = _cov_fd(V, geo["gamma"][0, 0], (DOWN, DOWN), h, "d1_4")
-        div = np.einsum("ca,cab->b", ginv[0], nabla)
-    if not all(np.all(np.isfinite(x)) for x in (Z0[0], eta[0], V[0], div)):
+             - _coupling(_lie(xi_up.real, F, step, "d1"), Z, g, ginv)
+             + _coupling(_lie(xi_up.imag, starF, step, "d1"), Z, g, ginv))
+        nabla = _cov_fd(V, geo["gamma"][..., 0, 0, :, :, :], (DOWN, DOWN), h, "d1_4")
+        div = np.einsum("...ca,...cab->...b", ginv[..., 0, :, :], nabla)
+    Z, eta, V = Z[..., 0, :, :], eta[..., 0, :], V[..., 0, :, :]  # at the centres
+    if not all(np.all(np.isfinite(x)) for x in (Z, eta, V, div)):
         raise OverflowError("V_ab of this field overflows double precision")
-    if np.max(np.abs(V[0].imag)) > 1e-11 * max(1.0, np.max(np.abs(V[0]))):
+    scale = np.maximum(1.0, np.max(np.abs(V), axis=(-2, -1)))
+    if np.any(np.max(np.abs(V.imag), axis=(-2, -1)) > 1e-11 * scale):
         raise CalibrationError("V has a non-negligible imaginary part")
+    return (Z.copy(), eta.copy(), V.real.copy(), np.max(np.abs(div), axis=-1),
+            F[..., 0, 0, :, :].copy())
 
+
+def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentReport:
+    """Conserved symmetric tensor V_ab and its divergence residual at p: `_currents`
+    at one centre, for a field mapping pts[..., 4] to F[..., 4, 4]."""
+    Z, eta, V, div, _ = _currents(params, F_field, p.coords, step)
     return CurrentReport(
-        Z=TensorValue((DOWN, DOWN), Z0[0]),
-        eta=TensorValue((DOWN,), eta[0]),
-        V=TensorValue((DOWN, DOWN), V[0].real),
-        div_V_residual=float(np.max(np.abs(div))),
+        Z=TensorValue((DOWN, DOWN), Z),
+        eta=TensorValue((DOWN,), eta),
+        V=TensorValue((DOWN, DOWN), V),
+        div_V_residual=float(div),
         fd_step=step,
     )
 
 
+def _dominant_energy(eta, g, ginv, v1, v2):
+    """Re (eta_(a etabar_b) - 1/2 g_ab eta.etabar) v1^a v2^b over leading point axes."""
+    return np.einsum("...a,...ab,...b->...", v1, _leading(eta, g, ginv), v2).real
+
+
 def dominant_energy_value(params: KerrParams, eta: TensorValue, p: BLPoint, v1, v2) -> float:
     """(eta_(a etabar_b) - 1/2 g_ab eta.etabar) v1^a v2^b for the leading part of V."""
-    W = _leading(eta.components, _eval("g", params, p), _eval("ginv", params, p))
-    val = np.asarray(v1) @ W @ np.asarray(v2)
-    return float(val.real)
+    g, ginv = _at(params, p.r, p.theta, "g", "ginv")
+    return float(_dominant_energy(eta.components, g, ginv, np.asarray(v1), np.asarray(v2)))

@@ -122,8 +122,8 @@ def horizon_gap_from_tortoise(params: KerrParams, rstar):
         return F / dF, lambda: 4 * np.finfo(float).eps / dF * (
             np.abs(r) + np.abs(a_log) + np.abs(b_log) + np.abs(s) + A + B * (rho + rp + rm) / (rho + rp - rm))
 
-    # initial guess: far field rho ~ s - rp, near field log rho ~ (s - rp)/A
-    u = np.where(rstar > rp + 1.0, libm(math.log, np.maximum(rstar - rp, 1e-3)), (rstar - rp) / A)
+    # initial guess, in units of m: far field rho ~ s - rp, near field log rho ~ (s - rp)/A
+    u = np.where(rstar > rp + m, libm(math.log, np.maximum(rstar - rp, 1e-3 * m)), (rstar - rp) / A)
     live = np.arange(rstar.size)
     for _ in range(100):
         step = newton(u[live], rstar[live])[0]

@@ -75,7 +75,7 @@ def test_criterion_2_geodesic_integrability():
             assert traj.x[-1, 0] >= 200.0 - 1e-6
         drifts = conserved_drift(params, traj, "timelike")
         assert np.max(drifts) <= 1e-9, f"IC {i}: drift {np.max(drifts)}"
-    r_ph = photon_orbit_radius(KerrParams(1.0, 0.0), (2.5, 3.5))
+    r_ph = photon_orbit_radius(KerrParams(1.0, 0.0))
     assert abs(r_ph - 3.0) <= 1e-6
 
 

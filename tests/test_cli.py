@@ -451,6 +451,67 @@ def test_large_masses_end_in_an_exit_code(tmp_path, args):
     assert main(args + ["--out", str(tmp_path / "r.json")]) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("field", ["uniform", "coulomb"])
+def test_maxwell_currents_blocks_agree_with_the_one_point_functions(monkeypatch, field):
+    # 7 points in blocks of 3, so that the last block is short: each entry is
+    # what the one-point public functions give at its point, bit for bit for
+    # the currents and the Maxwell residual, and to 1e-14 relative for the NP
+    # scalars and the energy density (the tetrad, g and ginv are evaluated
+    # there one point at a time, on the closed forms' scalar path)
+    import kerrlab.cli as cli
+    from kerrlab import (V_tensor, coulomb_field, dominant_energy_value,
+                         maxwell_divergence_residual, np_scalars, principal_tetrad,
+                         uniform_field)
+    from kerrlab.maxwell import _CALIBRATIONS
+
+    monkeypatch.setattr(cli, "MAXWELL_BLOCK_CENTRES", 3)
+    _, cfg = parse_config(["maxwell-currents", "--field", field, "--n-points", "7"])
+    results, _, _ = cli._run_maxwell_currents(cfg)
+    params, step, q = KerrParams(cfg["m"], cfg["a"]), cfg["step"], cfg["strength"]
+    F_field = lambda pts: q * _CALIBRATIONS[field][1](params, pts)
+    make = {"uniform": uniform_field, "coulomb": coulomb_field}[field]
+    points = random_exterior_points(params, 7, np.random.default_rng(cfg["seed"]))
+    assert len(results["per_point"]) == 7
+    for p, pp in zip(points, results["per_point"]):
+        rep, rep2 = (V_tensor(params, F_field, p, step=h) for h in (step, 2 * step))
+        assert pp["point"] == list(p.coords)
+        assert pp["div_V_residual"] == rep.div_V_residual
+        assert pp["div_V_order"] == cli._order(rep2.div_V_residual, rep.div_V_residual)
+        assert pp["Z_max"] == np.max(np.abs(rep.Z.components))
+        assert np.array_equal(pp["eta"], rep.eta.components)
+        assert pp["maxwell_residual"] == maxwell_divergence_residual(params, F_field, p, step=step)
+
+        phis = np_scalars(make(params, q, p), principal_tetrad(params, p))
+        scale = max(map(abs, phis[:3]))
+        for name, value in zip(("phi0", "phi1", "phi2"), phis):
+            assert abs(pp["np_scalars"][name] - value) <= 1e-14 * scale, name
+        assert abs(pp["np_scalars"]["upsilon"] - phis[3]) <= 1e-14 * abs(phis[3])
+        ginv = kerr_metric(params, p).g_inv.components.real
+        v = -ginv[:, 0] / math.sqrt(-ginv[0, 0])
+        energy = dominant_energy_value(params, rep.eta, p, v, v)
+        assert abs(pp["leading_energy_density"] - energy) <= 1e-14 * abs(energy)
+
+
+def test_maxwell_currents_memory_is_bounded_by_a_block():
+    # the nested stencils are held one block of centres at a time, so 256
+    # points (8 blocks) take little more memory than 32 (one block)
+    import tracemalloc
+
+    from kerrlab.cli import _run_maxwell_currents
+
+    def peak(n_points):
+        _, cfg = parse_config(["maxwell-currents", "--n-points", str(n_points)])
+        tracemalloc.start()
+        try:
+            _run_maxwell_currents(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the field's calibration, cached from here on
+    assert peak(256) <= 1.5 * peak(32)
+
+
 def test_morawetz_builds_each_grid_once(tmp_path, monkeypatch):
     # the x3-scaled run reuses the coarse run's grid
     import kerrlab.waves as waves

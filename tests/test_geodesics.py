@@ -22,17 +22,36 @@ def test_circular_orbit_conserved_closed_form():
 
 def test_photon_orbit_schwarzschild():
     params = KerrParams(1.0, 0.0)
-    r = photon_orbit_radius(params, (2.5, 3.5))
+    r = photon_orbit_radius(params)
     assert abs(r - 3.0) < 1e-6
 
 
 def test_photon_orbit_kerr_prograde_bracket():
     params = KerrParams(1.0, 0.5)
-    r = photon_orbit_radius(params, (1.9, 2.9), prograde=True)
+    r = photon_orbit_radius(params, prograde=True)
     assert 1.9 < r < 2.9
     # retrograde orbit sits outside r = 3m
-    r_retro = photon_orbit_radius(params, (3.0, 4.0), prograde=False)
+    r_retro = photon_orbit_radius(params, prograde=False)
     assert r_retro > 3.0
+
+
+@pytest.mark.parametrize("prograde", [True, False])
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.9, 0.999])
+def test_photon_orbit_closed_form_solves_the_radial_equation(a, prograde):
+    # Gamma^r_tt + 2 Omega Gamma^r_tphi + Omega^2 Gamma^r_phiphi = 0 with Omega
+    # the null angular velocity of that sense, from the metric's own
+    # Christoffels, to 1e-12 of the largest of its three terms
+    from kerrlab.kerr import kerr_metric
+
+    params = KerrParams(1.0, a)
+    r = photon_orbit_radius(params, prograde=prograde)
+    metric = kerr_metric(params, BLPoint(0.0, r, math.pi / 2, 0.0, params))
+    g, gamma = metric.g.components.real, metric.christoffel
+    root = math.sqrt(g[0, 3] ** 2 - g[0, 0] * g[3, 3])
+    omega = (-g[0, 3] + (root if prograde else -root)) / g[3, 3]
+    terms = (gamma[1, 0, 0], 2.0 * omega * gamma[1, 0, 3], omega**2 * gamma[1, 3, 3])
+    assert abs(sum(terms)) <= 1e-12 * max(map(abs, terms))
+    assert omega > 0.0 if prograde else omega < 0.0
 
 
 def test_normalize_velocity_targets():

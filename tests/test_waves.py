@@ -85,6 +85,21 @@ def test_near_extremal_tortoise_points_settle_within_rounding(m, a, s):
     assert abs(tortoise_from_radius(params, params.r_plus + gap) - s) < 1e-13 * max(1.0, abs(s))
 
 
+@pytest.mark.parametrize("m", [1e-3, 4e-3])
+def test_small_mass_tortoise_points_converge(m):
+    # the far-field guess switches at r* = r+ + m and is floored at 1e-3 m; in
+    # absolute units every r* below r+ + 1 started from the near-field guess
+    # (about 200 in log rho at r* = 200 m) and Newton did not come back.  At
+    # m = 1e-3 this is the radial grid of wave-evolve --m 0.001 --a 0.0005
+    # --rstar-min -0.025 --rstar-max 0.5 --n-r 64
+    params = KerrParams(m, 0.5 * m)
+    rstar = np.linspace(-25.0 * m, 500.0 * m, 64)
+    gap = horizon_gap_from_tortoise(params, rstar)
+    assert np.all(np.diff(gap) > 0.0)
+    back = tortoise_from_radius(params, params.r_plus + gap)
+    assert np.max(np.abs(back - rstar)) <= 1e-13 * np.max(np.abs(rstar))
+
+
 def test_near_extremal_wave_grid_is_built():
     # the radial grid of wave-evolve --a 0.999 --rstar-min -600 --rstar-max 1000 --n-r 800
     grid = WaveGrid(params=KerrParams(1.0, 0.999), m_phi=0, n_r=800, n_theta=8,
