@@ -2,9 +2,9 @@
 fields with their conserved currents, a 1+1 hyperbolic solution theory, and
 the index theorem for the hyperbolic Dirac operator on the 2D cylinder.
 
-scipy is imported on first use, where it is called, so `import kerrlab`
-loads none of it. The modules stay eager (no PEP 562 namespace): perfbench's
-tracer reads sys.modules["kerrlab.<module>"] right after `import kerrlab`."""
+kerrlab depends on numpy alone. The modules stay eager (no PEP 562
+namespace): perfbench's tracer reads sys.modules["kerrlab.<module>"] right
+after `import kerrlab`."""
 
 __version__ = "0.1.0"
 

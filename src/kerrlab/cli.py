@@ -312,15 +312,14 @@ def _order(coarse, fine):
 
 def _check(failures, name, value, lo=None, hi=None):
     """Append the failure {"check": name, "value": value, "tolerance": ...} to
-    failures unless value lies within its bounds.  A one-sided bound fails
-    only a value strictly beyond it, so NaN passes it; a range [lo, hi] fails
-    every value not inside it, NaN included."""
+    failures unless value lies within its bounds: a one-sided bound or a range
+    [lo, hi] fails every value not within it, NaN included."""
     if lo is not None and hi is not None:
         failed, tolerance = not lo <= value <= hi, [lo, hi]
     elif hi is not None:
-        failed, tolerance = value > hi, hi
+        failed, tolerance = not value <= hi, hi
     else:
-        failed, tolerance = value < lo, lo
+        failed, tolerance = not value >= lo, lo
     if failed:
         failures.append({"check": name, "value": value, "tolerance": tolerance})
 

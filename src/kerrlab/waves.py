@@ -24,13 +24,16 @@ levels, or any other leading batch axes, is differentiated in one call.
 Every difference quotient is an entry of the stencil table `kerrlab._stencils`:
 with one-sided end rows in r*, parity ghosts in theta, interior time levels.
 
-`_spatial` is read off once per grid into a sparse matrix L (`_operator`,
-with an exact complex copy for complex data).  A leapfrog step is one
-product L psi, scaled by dt^2 (times a diagonal f with the rotation term),
-plus the increment psi - psi_prev (times a diagonal g), psi itself and the
-two Sommerfeld rows; f = 1/(1 + dt i m_phi c5 / 2) is the centered implicit
-average (`_step_factors`).  Without the rotation term (m_phi = 0 or a = 0)
-real data stay real, and the evolver then steps in float64.
+`_spatial` is read off once per grid into the five diagonals of its interior
+rows (`_operator`).  A leapfrog step is one product L psi (`_product`: the
+diagonals times the W, S, C, N and E neighbours, summed in that column order
+in cache-sized blocks, complex data as (re, im) float pairs), scaled by dt^2
+(times a diagonal f with the rotation term), plus the increment psi - psi_prev
+(times a diagonal g), psi itself and the two Sommerfeld rows;
+f = 1/(1 + dt i m_phi c5 / 2) is the centered implicit average
+(`_step_factors`).  Without the rotation term (m_phi = 0 or a = 0) real data
+stay real, and the evolver then steps in float64.  `evolve` refuses a run of
+more than MAX_STEP_POINTS steps times grid points before its first step.
 
 Time derivatives in diagnostics are always taken from a centered stack of
 consecutive time levels (axis 0); the evolver bootstraps levels on both
@@ -67,6 +70,7 @@ from .errors import DomainError, StabilityError
 from .kerr import KerrParams, _at
 
 MAX_GRID_POINTS = 10**6  # n_r * n_theta of one grid (about 0.5 GB in a wave run)
+MAX_STEP_POINTS = 10**10  # steps times n_r * n_theta of one evolve (minutes of work)
 
 # ---------------------------------------------------------------------------
 # tortoise coordinate
@@ -235,7 +239,7 @@ class WaveGrid:
         self.rotates = self.m_phi != 0 and a != 0
         self.imc = 1j * self.m_phi * self.c5 if self.rotates else 0.0  # coefficient of d_t psi
         self.edge_speed = [math.sqrt(float(np.max(self.c1[side]))) for side in (0, -1)]  # r* ends
-        self._csr = self._csr_complex = None  # _operator's matrices, built on first use
+        self._diagonals = self._diagonals_pair = None  # _operator's, built on first use
         self._rotation = {}  # _step_factors by step value
 
     @property
@@ -315,39 +319,62 @@ def _spatial(grid: WaveGrid, psi):
 
 
 def _operator(grid: WaveGrid, dtype=float):
-    """`_spatial` as a CSR matrix on the flattened grid, cached on the grid.
+    """`_spatial` on rows 1 .. n_r - 2 as its five diagonals, cached on the grid.
 
-    Read off `_spatial` with 15 0/1 probes, cell (i, j) having color (i mod 5,
-    j mod 3).  Row (i, j) reaches at most 4 consecutive r and 3 theta cells
-    (the one-sided ends; the parity ghosts fold back onto its own cells), all
-    in the 5 x 3 window at (s, t), which holds one cell of each color: a
-    probe's value at the row is the entry of the window's cell of its color.
-    For a complex dtype, an exact complex copy sharing the index arrays (also
-    cached), so that scipy does not upcast the matrix on every product.
+    A (5, (n_r - 2) n_theta) float64 array: at the flat interior index k, the
+    coefficients W, S, C, N and E of x[k - n_theta], x[k - 1], x[k], x[k + 1]
+    and x[k + n_theta], in column order.  Read off `_spatial` with 5 probes,
+    cell (i, j) having colour (i + 2j) mod 5: the five cells of an interior
+    cross have distinct colours, and a parity ghost folds onto its row's own
+    cell, so S is 0 at j = 0 and N at j = n_theta - 1.  Rows 0 and n_r - 1
+    take the Sommerfeld update in `_step` and are not read off.  For a complex
+    dtype, a copy (also cached) with each entry repeated twice, which acts on
+    the float64 view of the (re, im) pairs.
     """
-    if grid._csr is None:
-        from scipy.sparse import csr_array
-
-        n_r, n_th = grid.n_r, grid.n_theta
-        i, j = np.arange(n_r, dtype=np.int32)[:, None], np.arange(n_th, dtype=np.int32)
-        s, t = np.clip(i - 2, 0, n_r - 5), np.clip(j - 1, 0, n_th - 3)
-        ci, cj = (c[:, None, None] for c in np.divmod(np.arange(15, dtype=np.int32), 3))
+    if grid._diagonals is None:
+        colour = (np.arange(grid.n_r)[:, None] + 2 * np.arange(grid.n_theta)) % 5
         # one probe per call: a stacked call's temporaries raise the peak memory
-        values = np.array([_spatial(grid, ((i % 5 == a) & (j % 3 == b)).astype(float))
-                           for a, b in zip(ci.flat, cj.flat)])
-        cols = (s + (ci - s) % 5) * n_th + t + (cj - t) % 3
-        rows = np.broadcast_to(i * n_th + j, cols.shape)
-        grid._csr = csr_array((values.ravel(), (rows.ravel(), cols.ravel())),
-                              shape=(n_r * n_th,) * 2)
-        grid._csr.eliminate_zeros()
+        values = np.array([_spatial(grid, (colour == c).astype(float))[1:-1] for c in range(5)])
+        i, j = np.indices(values.shape[1:])
+        shift = np.array([-1, -2, 0, 2, 1])[:, None, None]  # colour of W, S, C, N, E less the row's
+        grid._diagonals = values[(colour[1:-1] + shift) % 5, i, j].reshape(5, -1)
     if np.dtype(dtype).kind != "c":
-        return grid._csr
-    if grid._csr_complex is None:
-        from scipy.sparse import csr_array
+        return grid._diagonals
+    if grid._diagonals_pair is None:
+        grid._diagonals_pair = np.repeat(grid._diagonals, 2, axis=1)
+    return grid._diagonals_pair
 
-        L = grid._csr
-        grid._csr_complex = csr_array((L.data.astype(complex), L.indices, L.indptr), shape=L.shape)
-    return grid._csr_complex
+
+_BLOCK = 32768  # floats per block of `_product`, 256 kB: its terms stay in cache
+
+
+def _product(grid: WaveGrid, psi):
+    """L psi, with L = `_spatial` on rows 1 .. n_r - 2, and rows 0 and n_r - 1 zero.
+
+    On the flat interior, W x[k - n_theta], then + S x[k - 1], + C x[k],
+    + N x[k + 1] and + E x[k + n_theta]: the terms of a CSR row product in its
+    column order, so each sum rounds to the same float.  A wrapped neighbour
+    at j = 0 or n_theta - 1 adds an exact 0 x.  Complex data are multiplied
+    as (re, im) float pairs, in blocks of _BLOCK floats.
+    """
+    psi = np.asarray(psi, dtype=np.result_type(psi, float))
+    diagonals = _operator(grid, psi.dtype)
+    out = np.empty(psi.shape, psi.dtype)
+    x, y = (a.reshape(-1).view(np.float64) for a in (psi, out))
+    row = x.size // grid.n_r  # floats per r* row
+    cell = row // grid.n_theta  # floats per value: 1 real, 2 complex
+    y[:row] = y[-row:] = 0.0
+    end = row + diagonals.shape[1]
+    term = np.empty(min(_BLOCK, end - row))
+    for lo in range(row, end, _BLOCK):  # [lo, hi): a block of the interior of x and y
+        hi = min(lo + _BLOCK, end)
+        west, *rest = diagonals[:, lo - row: hi - row]
+        acc, t = y[lo:hi], term[:hi - lo]
+        np.multiply(west, x[lo - row: hi - row], out=acc)
+        for d, shift in zip(rest, (-cell, 0, cell, row)):
+            np.multiply(d, x[lo + shift: hi + shift], out=t)
+            acc += t
+    return out
 
 
 @dataclass
@@ -507,16 +534,16 @@ _EDGE, _INNER = [0, -1], [1, -2, 2, -3]  # edge rows, then their first and secon
 def _step(grid: WaveGrid, psi_prev, psi, dt):
     """One leapfrog step: returns psi at t + dt, in the dtype of psi.
 
-    One sparse product with `_operator`, in the dtype of psi; the
-    first-order rotation term, if any, is treated with a centered implicit
-    average, which for the diagonal i*m*c5 coefficient scales each row
-    (`_step_factors`).  The increment s (L psi) + g (psi - psi_prev) is
+    One product with `_operator`'s five diagonals, in column order and in
+    blocks (`_product`); the first-order rotation term, if any, is treated
+    with a centered implicit average, which for the diagonal i*m*c5
+    coefficient scales each row (`_step_factors`).  The increment s (L psi) + g (psi - psi_prev) is
     summed before psi is added, so that a step rounds once at the size of
     psi (psi - psi_prev is exact where the levels lie within a factor 2 of
-    each other).
+    each other).  Rows 0 and n_r - 1 take the Sommerfeld update.
     """
     scale, g, w = _step_factors(grid, dt)
-    new = (_operator(grid, psi.dtype) @ psi.ravel()).reshape(psi.shape)
+    new = _product(grid, psi)
     new *= scale
     delta = psi - psi_prev
     if g is not None:
@@ -567,6 +594,9 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
         raise DomainError("cfl must lie in (0, 1)")
     grid = field.grid
     dt = cfl * 2.0 / math.sqrt(grid.max_wave_speed_sq())
+    if not t_end / dt * grid.n_r * grid.n_theta <= MAX_STEP_POINTS:  # inf and NaN included
+        raise DomainError(f"an evolve to t = {t_end:.3g} in steps of {dt:.3g} on {grid.n_r} x "
+                          f"{grid.n_theta} points exceeds {MAX_STEP_POINTS:.0e} step-points")
     n_steps = max(int(math.ceil(t_end / dt)), 5)
     dt = t_end / n_steps
     if report_dt is None:

@@ -344,6 +344,9 @@ def test_geometry_edge_points_run_to_a_passing_report(edge_geometry_outcomes, ar
 OVERSIZE_WAVES_GEODESIC = [
     ["wave-evolve", f"--n-r={10**18}"], ["morawetz", f"--n-theta={10**18}"],
     ["geodesic", "--t-max=1e300"],
+    # more steps times points than waves.MAX_STEP_POINTS, refused before a step
+    ["wave-evolve", "--m-phi=100000"], ["wave-evolve", "--t-end=1e300"],
+    ["morawetz", "--t-end=1e9"],
 ]
 
 
@@ -666,11 +669,10 @@ assert "sympy" not in sys.modules, "sympy was imported"
     assert proc.returncode == 0, proc.stderr
 
 
-def test_subcommands_import_only_the_scipy_they_call(tmp_path):
-    # scipy is imported inside the functions that call it: importing the CLI
-    # loads none of it, the 1+1 solvers, the index theorem, the geometry
-    # checks and the geodesics (a bound orbit and a plunge) never need it,
-    # and the wave subcommands load only scipy.sparse
+def test_no_subcommand_loads_scipy(tmp_path):
+    # kerrlab depends on numpy alone: importing the CLI loads no scipy, nor
+    # does any subcommand, the 1+1 solvers, the index theorem, the geometry
+    # checks, the geodesics (a bound orbit and a plunge) and the wave runs
     code = f"""
 import sys
 from kerrlab import cli
@@ -686,14 +688,11 @@ assert not scipy_modules(), scipy_modules()
 for argv in (["green"], ["goursat", "--data", "linear"], ["goursat", "--data", "trig"],
              ["dirac"], ["index"], ["kerr-check", "--n-points", "2"],
              ["maxwell-currents", "--n-points", "1"], ["geodesic", "--t-max", "20"],
-             ["geodesic", "--r0", "4", "--utheta0", "0", "--uphi0", "0", "--ur0", "-0.5"]):
-    run(argv)
-    assert not scipy_modules(), (argv, scipy_modules())
-for argv in (["wave-evolve", "--t-end", "1", "--n-r", "16", "--n-theta", "8"],
+             ["geodesic", "--r0", "4", "--utheta0", "0", "--uphi0", "0", "--ur0", "-0.5"],
+             ["wave-evolve", "--t-end", "1", "--n-r", "16", "--n-theta", "8"],
              ["morawetz", "--t-end", "1", "--n-r", "32", "--n-theta", "8"]):
     run(argv)
-    assert "scipy.integrate" not in sys.modules, argv
-    assert "scipy.optimize" not in sys.modules, argv
+    assert not scipy_modules(), (argv, scipy_modules())
 """
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True)
@@ -730,3 +729,22 @@ assert counts.get("geodesics.rhs", 0) > 0 and counts.get("waves.step", 0) > 0, c
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_nan_fails_every_bound_check():
+    # a check fails every value not within its bound: NaN fails a one-sided
+    # bound as it fails a range, while _order's inf still passes a lower bound
+    from kerrlab.cli import _check
+
+    failures = []
+    for bounds in ({"hi": 1.0}, {"lo": 1.0}, {"lo": 0.0, "hi": 1.0}):
+        _check(failures, "nan", math.nan, **bounds)
+    assert [f["tolerance"] for f in failures] == [1.0, 1.0, [0.0, 1.0]]
+    passing = []
+    for value, bounds in ((math.inf, {"lo": 1.5}), (1.0, {"hi": 1.0}), (1.0, {"lo": 1.0}),
+                          (0.5, {"lo": 0.0, "hi": 1.0})):
+        _check(passing, "within", value, **bounds)
+    assert passing == []
+    _check(failures, "below", -math.inf, lo=1.5)
+    _check(failures, "above", 2.0, hi=1.0)
+    assert [f["check"] for f in failures[3:]] == ["below", "above"]

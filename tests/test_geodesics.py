@@ -107,7 +107,7 @@ def test_conserved_series_matches_pointwise_integrals():
 
 
 def test_integrate_geodesic_calls_the_module_solve_ivp(monkeypatch):
-    # integrate_geodesic reaches scipy through the module attribute, so a
+    # integrate_geodesic reaches its integrator through the module attribute, so a
     # replacement there sees every right-hand side evaluation
     params = KerrParams(1.0, 0.5)
     s0 = circular_orbit_state(params, 8.0)

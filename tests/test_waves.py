@@ -10,7 +10,7 @@ from kerrlab import (DomainError, EnergyReport, KerrParams, ModeField2p1,
                      tortoise_from_radius)
 from kerrlab.kerr import _at
 from kerrlab.waves import (S0_WORDS, S1_WORDS, S2_WORDS, _densities,
-                           _operator, _spatial, _step, assemble_current,
+                           _operator, _product, _spatial, _step, assemble_current,
                            box_stack, carter_q_stack, cutoff_bump, d2_rstar, d_rstar, d_theta,
                            horizon_gap_from_tortoise, lambda_theta_conservative,
                            lambda_theta_trapezoid, polarized_stress,
@@ -293,6 +293,27 @@ def test_assemble_current_shapes_and_divergence_finite():
     assert math.isfinite(div)
 
 
+def test_evolve_refuses_more_step_points_than_the_bound_before_a_step(monkeypatch):
+    # the step count is known from the CFL step before the first step, and a
+    # run of more steps times points than MAX_STEP_POINTS is an input error
+    import kerrlab.waves as waves
+
+    grid = make_grid(n_r=40, n_theta=8)
+    psi, psi_t = initial_data(grid, family="gaussian-static", center=5.0, width=3.0)
+    field = ModeField2p1(grid=grid, psi=psi, psi_t=psi_t)
+    steps = 2.0 / (0.5 * 2.0 / math.sqrt(grid.max_wave_speed_sq()))
+    monkeypatch.setattr(waves, "MAX_STEP_POINTS", 1.01 * steps * 40 * 8)
+    evolve(field, t_end=2.0, diagnostics=False)
+
+    def refused(*args):
+        raise AssertionError("stepped past the bound")
+
+    monkeypatch.setattr(waves, "_step", refused)
+    for t_end in (2.1, 1e300):
+        with pytest.raises(DomainError, match="step-points"):
+            evolve(field, t_end=t_end)
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         make_grid(n_r=8)
@@ -424,18 +445,46 @@ def test_energy_report_rejects_small_negative_values():
 @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("m_phi", [0, 1, 2])
 def test_compiled_operator_is_the_spatial_operator(a, m_phi):
-    # the CSR matrix read off _spatial by the colored probes applies it on
-    # every grid: the 16 x 8 minimum (both windows clipped at each end),
-    # sizes that are not multiples of the 5 x 3 colors, and the criterion-4
-    # coarse grid; even and odd m_phi give both ghost parities
+    # the diagonals read off _spatial by the coloured probes apply it on the
+    # interior rows of every grid: the 16 x 8 minimum, sizes that are not
+    # multiples of the 5 colours, and the criterion-4 coarse grid; even and
+    # odd m_phi give both ghost parities.  Rows 0 and -1 are left 0, for the
+    # Sommerfeld update
     rng = np.random.default_rng(5)
     for n_r, n_theta in ((16, 8), (17, 9), (23, 13), (200, 16), (400, 32)):
         grid = make_grid(a=a, m_phi=m_phi, n_r=n_r, n_theta=n_theta, lo=-40.0, hi=80.0)
         psi = rng.normal(size=(n_r, n_theta)) + 1j * rng.normal(size=(n_r, n_theta))
         expected = _spatial(grid, psi)
-        got = (_operator(grid) @ psi.ravel()).reshape(psi.shape)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected)), (n_r, n_theta)
+        got = _product(grid, psi)
+        assert np.max(np.abs(got - expected)[1:-1]) <= 1e-13 * np.max(np.abs(expected)), (n_r, n_theta)
+        assert not got[[0, -1]].any()
+        assert _operator(grid).shape == (5, (n_r - 2) * n_theta)
         assert _operator(grid) is _operator(grid)  # built once per grid
+
+
+@pytest.mark.parametrize("m_phi", [0, 1])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("block", [None, 7])
+def test_product_sums_the_five_diagonals_in_column_order(m_phi, real, block, monkeypatch):
+    # each interior row sums W x[i-1], S x[j-1], C x, N x[j+1] and E x[i+1]
+    # left to right, as a CSR row product does, so the two round alike; the
+    # wrapped neighbours of j = 0 and -1 carry a 0 coefficient.  A block
+    # size that divides no row shows that the blocks join up
+    import kerrlab.waves as waves
+
+    if block:
+        monkeypatch.setattr(waves, "_BLOCK", block)
+    grid = make_grid(a=0.5, m_phi=m_phi, n_r=41, n_theta=12, lo=-40.0, hi=80.0)
+    x = _random_stack(grid, 1, np.random.default_rng(11), real)[0]
+    W, S, C, N, E = _operator(grid).reshape(5, grid.n_r - 2, grid.n_theta)
+    assert not (S[:, 0].any() or N[:, -1].any())
+    mid = x[1:-1]
+    expected = np.zeros_like(x)
+    expected[1:-1] = ((((W * x[:-2] + S * np.roll(mid, 1, axis=1)) + C * mid)
+                       + N * np.roll(mid, -1, axis=1)) + E * x[2:])
+    got = _product(grid, x)
+    assert got.dtype == x.dtype
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("a, m_phi, real", [(0.5, 0, True), (0.0, 1, True), (0.5, 1, False)])
@@ -535,7 +584,7 @@ def test_rotating_step_is_the_centered_implicit_average(n_r, n_theta):
     rng = np.random.default_rng(31)
     psi_prev, psi = _random_stack(grid, 2, rng, real=False)
     for dt in (0.05, -0.05):
-        new = 2.0 * psi - psi_prev + dt**2 * (_operator(grid) @ psi.ravel()).reshape(psi.shape)
+        new = 2.0 * psi - psi_prev + dt**2 * _product(grid, psi)
         half = 0.5 * dt * grid.imc
         expected = (new + half * psi_prev) / (1.0 + half)
         got = _step(grid, psi_prev, psi, dt)
@@ -560,8 +609,8 @@ def test_evolving_a_grid_again_with_another_cfl_matches_a_fresh_grid():
 @pytest.mark.parametrize("m_phi", [0, 1])
 def test_complex_step_without_rotation_is_two_real_steps(m_phi):
     # at a = 0 the step is real-linear: a complex field steps as its real
-    # and imaginary parts do, with a complex copy of the operator that scipy
-    # need not upcast
+    # and imaginary parts do, with a copy of the diagonals that acts on the
+    # (re, im) pairs
     grid = make_grid(a=0.0, m_phi=m_phi, n_r=200, n_theta=16, lo=-40.0, hi=80.0)
     psi_prev, psi = _random_stack(grid, 2, np.random.default_rng(37), real=False)
     for dt in (0.05, -0.05):
@@ -571,7 +620,8 @@ def test_complex_step_without_rotation_is_two_real_steps(m_phi):
         expected = parts[0] + 1j * parts[1]
         assert got.dtype == np.complex128 and parts[0].dtype == np.float64
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)), dt
-    assert _operator(grid, complex).dtype == np.complex128
+    assert np.array_equal(_operator(grid, complex)[:, ::2], _operator(grid))
+    assert np.array_equal(_operator(grid, complex)[:, 1::2], _operator(grid))
     assert _operator(grid, complex) is _operator(grid, complex)  # copied once per grid
 
 
@@ -602,14 +652,17 @@ def test_step_rounds_about_once_at_the_size_of_psi(a, m_phi, real):
     # L's entries, whose rounding would break the cancellation within a row
     grid = make_grid(a=a, m_phi=m_phi, n_r=60, n_theta=8, lo=-40.0, hi=80.0)
     ld, cld = np.longdouble, np.clongdouble
-    L = _operator(grid)
+    W, S, C, N, E = _operator(grid).astype(ld).reshape(5, grid.n_r - 2, grid.n_theta)
     for dt in (0.05, 2e-3, -2e-3):
         rng = np.random.default_rng(43)
         psi, velocity = _random_stack(grid, 2, rng, real)
         psi_prev = psi - dt * velocity
         x, x_prev = psi.astype(cld), psi_prev.astype(cld)
-        Lx = np.add.reduceat(L.data.astype(ld) * x.ravel()[L.indices], L.indptr[:-1])
-        exact = 2 * x - x_prev + ld(dt) * ld(dt) * Lx.reshape(x.shape)
+        mid = x[1:-1]
+        Lx = np.zeros_like(x)
+        Lx[1:-1] = (W * x[:-2] + S * np.roll(mid, 1, axis=1) + C * mid
+                    + N * np.roll(mid, -1, axis=1) + E * x[2:])
+        exact = 2 * x - x_prev + ld(dt) * ld(dt) * Lx
         if grid.rotates:
             half = ld(0.5) * ld(dt) * grid.imc.astype(cld)
             exact = (exact + half * x_prev) / (1 + half)
