@@ -41,10 +41,12 @@ def combine(terms, entry, h, out=None):
     """sum_k w_k terms_k / (c h^p), the terms u(. + k h) in the entry's offset
     order: the first two in one new array (an array even for scalar terms),
     or in `out`, the rest added or subtracted in place; a unit weight leaves
-    its term unscaled.  h may be an array broadcasting against the terms
-    (the cell measure of a flux divergence)."""
+    its term unscaled, and a scaled second term is formed in `out` (which
+    must then not overlap the first term).  h may be an array broadcasting
+    against the terms (the cell measure of a flux divergence)."""
     _, weights, c, p = entry
-    (a, b, *rest) = [t if abs(w) == 1.0 else abs(w) * t for t, w in zip(terms, weights)]
+    (a, b, *rest) = [t if abs(w) == 1.0 else np.multiply(abs(w), t, out=out if k == 1 else None)
+                     for k, (t, w) in enumerate(zip(terms, weights))]
     wa, wb = weights[:2]
     # w_a a + w_b b in one operation: -a + b and b - a round alike, bit for bit
     total = np.asarray((np.add if wb > 0 else np.subtract)(a, b, out=out) if wa > 0 else
@@ -55,10 +57,10 @@ def combine(terms, entry, h, out=None):
     return total
 
 
-def _diff(u, name, h, axis=0, end=None):
-    """STENCILS[name] along `axis` at the points where it fits.  With `end`,
-    that one-sided entry adds the first point and its mirror the last, so
-    that a stencil of reach 1 keeps u's shape."""
+def _diff(u, name, h, axis=0, end=None, out=None):
+    """STENCILS[name] along `axis` at the points where it fits, in `out` if
+    given.  With `end`, that one-sided entry adds the first point and its
+    mirror the last, so that a stencil of reach 1 keeps u's shape."""
     entry = STENCILS[name]
     u = np.asarray(u)
     axis %= u.ndim
@@ -69,8 +71,10 @@ def _diff(u, name, h, axis=0, end=None):
 
     interior = [at(lo + k, n - hi + k) for k in entry[0]]
     if end is None:
-        return combine(interior, entry, h)
-    out = np.empty(u.shape[:axis] + (n - lo - hi + 2,) + u.shape[axis + 1:], np.result_type(u, 1.0))
+        return combine(interior, entry, h, out=out)
+    if out is None:
+        out = np.empty(u.shape[:axis] + (n - lo - hi + 2,) + u.shape[axis + 1:],
+                       np.result_type(u, 1.0))
     combine(interior, entry, h, out=at(1, -1, out))
     for rule, i, j in ((STENCILS[end], 0, 0), (mirror(STENCILS[end]), n - 1, out.shape[axis] - 1)):
         combine([at(i + k, i + k + 1) for k in rule[0]], rule, h, out=at(j, j + 1, out))

@@ -40,37 +40,45 @@ consecutive time levels (axis 0); the evolver bootstraps levels on both
 sides of the report time (leapfrog is time-reversible) so that t = 0
 reports are exact to the scheme's order.
 
-The stack layer.  Every diagnostic takes its stack through `_stack`, which
-keeps real levels float64 (complex ones complex) and refuses, with a
-DomainError naming the caller, a stack shorter than the caller needs: each
-D (the centered d_t) and each Q consumes one level per end.  The energy and
-bulk densities apply each symmetry word of S_0..S_2 before the first
-derivatives (word-first ordering, see `_densities`).  On a fixed mode d_phi
-is multiplication by i m_phi, so the seven words reduce to four base
-fields, psi, D psi, D^2 psi and Q psi, weighted 1 + m_phi^2 + m_phi^4,
-1 + m_phi^2, 1 and 1 (`_base_weights`); `_base_fields` builds them once for
-`_densities` and `pointwise_norm`.  Slice integrals use the measure
-`WaveGrid.measure`, and the stress and current read g and ginv once per
-call, point axes first.
+The stack layer.  Every diagnostic takes its stack through `_stack` (one
+array) or `_levels` (a list of its levels, uncopied), which keep real levels
+float64 (complex ones complex) and refuse, with a DomainError naming the
+caller, a stack shorter than the caller needs: each D (the centered d_t) and
+each Q consumes one level per end.  The energy and bulk densities apply each
+symmetry word of S_0..S_2 before the first derivatives (word-first ordering,
+see `_densities`).  On a fixed mode d_phi is multiplication by i m_phi, so
+the seven words reduce to four base fields, psi, D psi, D^2 psi and Q psi,
+weighted 1 + m_phi^2 + m_phi^4, 1 + m_phi^2, 1 and 1 (`_base_weights`);
+`_base_fields` forms them, one at a time, for `_densities` and
+`pointwise_norm`.  Slice integrals use the measure `WaveGrid.measure`, and
+the stress and current read g and ginv once per call, point axes first.
 
 The report pass.  `evolve` samples (t, E_model,3, Morawetz bulk) at each
-report time while it steps; after the last step it accumulates the bulk by
-the trapezoid rule in time and forms the `EnergyReport`s.
+report time while it steps, by one `_densities` pass over its live 7-level
+window: every level-sized result is formed in place in a `_Workspace`
+allocated once per evolve, and every factor that depends on the grid alone
+is a profile cached on the grid (`_profiles`).  Each difference, product
+and sum is the one a stacked evaluation forms, in the same order, so the
+reports do not depend on where the values are held.  After the last step
+`evolve` accumulates the bulk by the trapezoid rule in time and forms the
+`EnergyReport`s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._stencils import STENCILS, _diff
+from ._stencils import STENCILS, _diff, combine
 from .errors import DomainError, StabilityError
 from .kerr import KerrParams, _at
 
-MAX_GRID_POINTS = 10**6  # n_r * n_theta of one grid (about 0.5 GB in a wave run)
+MAX_GRID_POINTS = 10**6  # n_r * n_theta of one grid (0.4 to 0.7 GB in a wave run)
 MAX_STEP_POINTS = 10**10  # steps times n_r * n_theta of one evolve (minutes of work)
+MAX_REPORTS = 10**4  # report passes of one evolve (criterion 4's evolves make 31)
 
 # ---------------------------------------------------------------------------
 # tortoise coordinate
@@ -241,6 +249,7 @@ class WaveGrid:
         self.edge_speed = [math.sqrt(float(np.max(self.c1[side]))) for side in (0, -1)]  # r* ends
         self._diagonals = self._diagonals_pair = None  # _operator's, built on first use
         self._rotation = {}  # _step_factors by step value
+        self._profiles = None  # the report pass's grid factors, built on first use
 
     @property
     def measure(self):
@@ -259,18 +268,25 @@ class WaveGrid:
         return float(np.max(lam))
 
 
-def _ghost_pad_theta(psi, parity):
-    """Pad the theta (last) axis with reflection ghosts: psi(-theta) = parity * psi(theta)."""
-    return np.concatenate(
-        [parity * psi[..., :1], psi, parity * psi[..., -1:]], axis=-1
-    )
+def _ghost_pad_theta(psi, parity, out=None):
+    """Pad the theta (last) axis with reflection ghosts: psi(-theta) = parity * psi(theta),
+    in `out` if given."""
+    if out is None:
+        out = np.empty(psi.shape[:-1] + (psi.shape[-1] + 2,), np.result_type(psi, parity))
+    out[..., 1:-1] = psi
+    np.multiply(parity, psi[..., :1], out=out[..., :1])
+    np.multiply(parity, psi[..., -1:], out=out[..., -1:])
+    return out
 
 
-def _lambda_theta_flux(grid: WaveGrid, psi, face_weight):
-    """(1/sin) d_theta (w d_theta psi) in flux form, w given at faces 0..n_theta."""
+def _lambda_theta_flux(grid: WaveGrid, psi, face_weight, work=None, out=None):
+    """(1/sin) d_theta (w d_theta psi) in flux form, w given at faces 0..n_theta;
+    in `out` if given, and with a `_Workspace`'s pad and flux if given."""
     h = grid.h_theta
-    flux = _diff(_ghost_pad_theta(psi, grid.parity), "d1_face", h, axis=-1) * face_weight
-    return _diff(flux, "d1_face", h * grid.sin_theta, axis=-1)
+    pad, flux = (None, None) if work is None else (work.pad, work.flux)
+    flux = _diff(_ghost_pad_theta(psi, grid.parity, pad), "d1_face", h, axis=-1, out=flux)
+    flux *= face_weight
+    return _diff(flux, "d1_face", h * grid.sin_theta, axis=-1, out=out)
 
 
 def lambda_theta_conservative(grid: WaveGrid, psi):
@@ -278,7 +294,7 @@ def lambda_theta_conservative(grid: WaveGrid, psi):
     return _lambda_theta_flux(grid, psi, grid.sin_face)
 
 
-def lambda_theta_trapezoid(grid: WaveGrid, psi):
+def lambda_theta_trapezoid(grid: WaveGrid, psi, work=None, out=None):
     """Flux form of Lambda_theta with trapezoid-averaged face weights (Q's variant).
 
     The face coefficient is (sin theta_j + sin theta_{j+1})/2 over cell centers
@@ -288,20 +304,21 @@ def lambda_theta_trapezoid(grid: WaveGrid, psi):
     discrepancy with the conservative variant stays uniformly O(h^2) after
     division by sin(theta_j), including at the pole cells.
     """
-    return _lambda_theta_flux(grid, psi, grid.sin_face_trap)
+    return _lambda_theta_flux(grid, psi, grid.sin_face_trap, work, out)
 
 
-def d_rstar(grid: WaveGrid, psi):
+def d_rstar(grid: WaveGrid, psi, out=None):
     """Central first tortoise derivative (axis -2); one-sided second order at the ends."""
-    return _diff(psi, "d1", grid.h_r, axis=-2, end="d1_end")
+    return _diff(psi, "d1", grid.h_r, axis=-2, end="d1_end", out=out)
 
 
 def d2_rstar(grid: WaveGrid, psi):
     return _diff(psi, "d2", grid.h_r, axis=-2, end="d2_end")
 
 
-def d_theta(grid: WaveGrid, psi):
-    return _diff(_ghost_pad_theta(psi, grid.parity), "d1", grid.h_theta, axis=-1)
+def d_theta(grid: WaveGrid, psi, work=None, out=None):
+    pad = None if work is None else work.pad
+    return _diff(_ghost_pad_theta(psi, grid.parity, pad), "d1", grid.h_theta, axis=-1, out=out)
 
 
 def _spatial(grid: WaveGrid, psi):
@@ -422,19 +439,83 @@ class ModeField2p1:
 # ---------------------------------------------------------------------------
 
 
-def _stack(stack, k, who):
-    """The stack as float (real data) or complex levels, refused with a
-    DomainError naming the caller `who` unless it holds at least k levels."""
-    stack = np.asarray(stack)
-    stack = np.asarray(stack, dtype=np.result_type(stack, float))
-    if stack.shape[0] < k:
+def _depth(stack, k, who):
+    """Refuse, with a DomainError naming the caller `who`, a stack of fewer than k levels."""
+    if len(stack) < k:
         raise DomainError(f"{who} needs at least {k} time levels")
-    return stack
+
+
+def _stack(stack, k, who):
+    """The stack as one float (real data) or complex array of at least k levels."""
+    stack = np.asarray(stack)
+    _depth(stack, k, who)
+    return np.asarray(stack, dtype=np.result_type(stack, float))
+
+
+def _levels(stack, k, who):
+    """The stack (an array, or a sequence of levels) as a list of at least k
+    float (real data) or complex levels, none of them copied unless its
+    dtype must change."""
+    _depth(stack, k, who)
+    levels = [np.asarray(level) for level in stack]
+    dtype = np.result_type(*levels, float)
+    return [level.astype(dtype, copy=False) for level in levels]
 
 
 def _centered_dt(stack, dt):
     """D: the centered d_t of the interior levels."""
     return _diff(stack, "d1", dt)
+
+
+def _dt_at(later, earlier, dt, out=None):
+    """D at one level, from the levels one step later and one earlier; in `out` if given."""
+    return combine([later, earlier], STENCILS["d1"], dt, out=out)
+
+
+class _Workspace:
+    """Buffers of one level shape and dtype, each allocated on first use and
+    then reused: by `evolve` for all its reports.  `fields` holds the three
+    base fields of `_base_fields`; `pad` (the ghost-padded level of d_theta and
+    Lambda_theta) and `flux` (its n_theta + 1 face values) are the scratch of
+    the derivatives and of Q; `sums` holds `_densities`' four sums."""
+
+    def __init__(self, shape, dtype):
+        self.shape, self.dtype = tuple(shape), np.dtype(dtype)
+
+    @cached_property
+    def fields(self):
+        return [np.empty(self.shape, self.dtype) for _ in range(3)]
+
+    @cached_property
+    def pad(self):
+        return np.empty(self.shape[:-1] + (self.shape[-1] + 2,), self.dtype)
+
+    @cached_property
+    def flux(self):
+        return np.empty(self.shape[:-1] + (self.shape[-1] + 1,), self.dtype)
+
+    @cached_property
+    def sums(self):
+        return np.empty((4,) + self.shape)
+
+    def level(self, buf, dtype=None, k=None):
+        """A level at the front of buf, or a stack of k, read as dtype if given."""
+        flat = buf.reshape(-1) if dtype is None else buf.reshape(-1).view(dtype)
+        shape = self.shape if k is None else (k,) + self.shape
+        return flat[:math.prod(shape)].reshape(shape)
+
+
+def _profiles(grid: WaveGrid):
+    """The grid factors of Q and of the report densities as profiles, cached on
+    the grid: in r*, w_t = (r^2+a^2)^2/Delta, ((r^2+a^2)/r^2)^2, r^2 and
+    chi/r with the trapping cutoff chi; in theta, m_phi^2/sin^2 and a^2 sin^2."""
+    if grid._profiles is None:
+        a, r, sin2 = grid.params.a, grid.r, grid.sin_theta**2
+        radial = {"w_t": (r**2 + a**2) ** 2 / grid.delta, "w_r": ((r**2 + a**2) / r**2) ** 2,
+                  "r2": r**2, "chi_r": cutoff_bump(r, grid.params.m) / r}
+        grid._profiles = {key: v[:, None] for key, v in radial.items()}
+        grid._profiles.update(m2_sin2=grid.m_phi**2 / sin2, a2_sin2=a**2 * sin2)
+    return grid._profiles
 
 
 def sigma_box_stack(grid: WaveGrid, stack, dt):
@@ -457,19 +538,26 @@ def box_stack(grid: WaveGrid, stack, dt):
     return sigma_box_stack(grid, stack, dt) / grid.sigma
 
 
-def carter_q_stack(grid: WaveGrid, stack, dt):
+def carter_q_stack(grid: WaveGrid, stack, dt, out=None, work=None):
     """Carter operator Q = Lambda_theta + (1/sin^2) d_phi^2 + a^2 sin^2 d_t^2.
 
     Uses the trapezoid-face theta stencil (see module docstring); consumes one
-    level per end of the stack for the centered d_t^2.
+    level per end of the stack for the centered d_t^2.  Q is applied one level
+    at a time, each written into `out` (a new stack, or the given level
+    buffers), with a `_Workspace`'s pad and flux as scratch.
     """
-    stack = _stack(stack, 3, "carter_q_stack")
-    sin2 = grid.sin_theta**2
-    return (
-        lambda_theta_trapezoid(grid, stack[1:-1])
-        - grid.m_phi**2 / sin2 * stack[1:-1]
-        + grid.params.a**2 * sin2 * _diff(stack, "d2", dt)
-    )
+    levels = _levels(stack, 3, "carter_q_stack")
+    if out is None:
+        out = np.empty((len(levels) - 2,) + levels[0].shape, levels[0].dtype)
+    work = _Workspace(levels[0].shape, levels[0].dtype) if work is None else work
+    factors = _profiles(grid)
+    term = work.level(work.pad)  # free once Lambda_theta is formed
+    for q, prev, psi, nxt in zip(out, levels, levels[1:], levels[2:]):
+        lambda_theta_trapezoid(grid, psi, work, out=q)
+        q -= np.multiply(factors["m2_sin2"], psi, out=term)
+        d2 = combine([nxt, psi, prev], STENCILS["d2"], dt, out=term)
+        q += np.multiply(factors["a2_sin2"], d2, out=term)
+    return out
 
 
 def carter_Q(field: ModeField2p1):
@@ -582,9 +670,10 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
     """Leapfrog evolution to t_end; returns (final field, [EnergyReport...]).
 
     cfl scales the explicit-stability step estimate.  Reports are emitted
-    every report_dt of coordinate time (default: 8 report times total),
-    computed from centered 5-level stacks; the ratio column is
-    bulk_cumulative / e_model3(t=0).
+    every report_dt of coordinate time (default: 8 report times total), at
+    most MAX_REPORTS of them; each is one `_densities` pass over the live
+    7-level window centred on its time, in report buffers allocated once per
+    evolve.  The ratio column is bulk_cumulative / e_model3(t=0).
 
     Without the rotation term (grid.rotates false) and with real data, the
     levels and the returned history are float64, otherwise complex; the
@@ -602,6 +691,10 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
     if report_dt is None:
         report_dt = t_end / 8.0
     report_stride = max(int(round(report_dt / dt)), 1)
+    n_reports = -(-n_steps // report_stride) + 1  # centres 0, stride, 2 stride, ... and n_steps
+    if diagnostics and n_reports > MAX_REPORTS:
+        raise DomainError(f"an evolve to t = {t_end:.3g} reporting every {report_stride} x "
+                          f"{dt:.3g} makes {n_reports} reports, more than {MAX_REPORTS}")
 
     # build levels at t = -3dt .. +3dt around t=0 (leapfrog is reversible);
     # diagnostics need 3 extra levels on each side of a report time
@@ -615,8 +708,9 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
         levels.append(_step(grid, levels[-2], levels[-1], dt))
 
     # march a rolling 7-level window whose centre levels[3] sits at center * dt,
-    # and sample (t, E, B) at each report time
-    samples = []
+    # and sample (t, E, B) at each report time from the live levels, in one
+    # set of buffers
+    samples, work = [], _Workspace(psi0.shape, psi0.dtype)
     for center in range(n_steps + 1):
         if center:
             new = _step(grid, levels[-2], levels[-1], dt)
@@ -625,8 +719,7 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
             levels.append(new)
             levels.pop(0)
         if diagnostics and (center % report_stride == 0 or center == n_steps):
-            # no density outlives its integral, so none is held through the next report
-            e, b = (_slice_integral(grid, d) for d in _densities(grid, np.array(levels), dt))
+            e, b = (_slice_integral(grid, d) for d in _densities(grid, levels, dt, work))
             samples.append((center * dt, e, b))
 
     # the reports: the bulk accumulated by the trapezoid rule in time, and
@@ -642,7 +735,7 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
 
     # final state at t_end = n_steps * dt sits at the window center
     psi_final = levels[-4]
-    psi_t_final = _centered_dt(np.array(levels[-5:-2]), dt)[0]
+    psi_t_final = _dt_at(levels[-3], levels[-5], dt)
     hist = (np.array(levels), dt)
     out = ModeField2p1(grid=grid, psi=psi_final, psi_t=psi_t_final,
                        time=n_steps * dt, history=hist)
@@ -685,29 +778,52 @@ def _base_weights(m_phi, n=2):
     return [sum(w[:n + 1]) for w in by_order]
 
 
-def _sq(x):
-    """|x|^2 elementwise: x*x for real x, re^2 + im^2 (no square root) for complex x."""
-    return x.real**2 + x.imag**2 if np.iscomplexobj(x) else x * x
+def _sq(x, out=None):
+    """|x|^2 elementwise: x*x for real x, re^2 + im^2 (no square root) for
+    complex x; in out[0] if given, with out[1] as the scratch of im^2."""
+    if not np.iscomplexobj(x):
+        return np.multiply(x, x, out=None if out is None else out[0])
+    if out is None:
+        return x.real**2 + x.imag**2
+    return np.add(np.square(x.real, out=out[0]), np.square(x.imag, out=out[1]), out=out[0])
 
 
-def _base_fields(grid: WaveGrid, stack, dt, n, who, half=0):
-    """The base fields of `_base_weights` for the words of S_0..S_n, each on
-    the 2 half + 1 levels around the central level of the stack: psi, then
-    D psi (n >= 1), then D^2 psi and Q psi (n = 2).
+def _base_fields(grid: WaveGrid, stack, dt, n, who, rates=False, work=None):
+    """Yield (f, f_t) for the base fields f of `_base_weights` for the words of
+    S_0..S_n, at the central level of the stack: psi, then D psi (n >= 1),
+    then D^2 psi and Q psi (n = 2).  f_t, with `rates`, is f's centred d_t:
+    the next field for psi and D psi, D^3 psi for D^2 psi, and the D of Q psi
+    on the levels either side; without, None.
 
-    Needs 2 (n + half) + 1 levels; `who` names the caller in the refusal.
+    Needs 2 (n + rates) + 1 levels; `who` names the caller in the refusal.
+    The fields are formed in `work`'s three field buffers (and, for D^3 psi,
+    its flux), so a pair holds only until the next one is drawn.
     """
-    k = n + half
-    stack = _stack(stack, 2 * k + 1, who)
-    mid = stack.shape[0] // 2
-    levels = d = stack[mid - k: mid + k + 1]
-    fields = [d[n: n + 2 * half + 1]]
-    for j in range(1, n + 1):  # D^j psi holds 2 (k - j) + 1 levels
-        d = _centered_dt(d, dt)
-        fields.append(d[n - j: n - j + 2 * half + 1])
-    if n == 2:
-        fields.append(carter_q_stack(grid, levels[1: 2 * half + 4], dt))
-    return fields
+    k = n + rates
+    s = _levels(stack, 2 * k + 1, who)
+    s = s[len(s) // 2 - k: len(s) // 2 + k + 1]  # the central level is s[k]
+    work = _Workspace(s[0].shape, s[0].dtype) if work is None else work
+    f1, f2, f3 = work.fields
+    if k:
+        _dt_at(s[k + 1], s[k - 1], dt, f1)  # D psi
+    yield s[k], (f1 if rates else None)
+    if n == 0:
+        return
+    if k > 1:  # D^2 psi, from D psi one level either side
+        _dt_at(_dt_at(s[k + 2], s[k], dt, f3), _dt_at(s[k], s[k - 2], dt, f2), dt, f2)
+    yield f1, (f2 if rates else None)
+    if n == 1:
+        return
+    if rates:  # D^3 psi, from D^2 psi one level either side (over D psi)
+        above = _dt_at(_dt_at(s[k + 3], s[k + 1], dt, f3), f1, dt, f3)
+        below = _dt_at(f1, _dt_at(s[k - 1], s[k - 3], dt, work.level(work.flux)), dt, f1)
+        _dt_at(above, below, dt, f1)
+    yield f2, (f1 if rates else None)
+    if rates:
+        below, q, above = carter_q_stack(grid, s[k - 2: k + 3], dt, out=work.fields, work=work)
+        yield q, _dt_at(above, below, dt, below)
+    else:
+        yield carter_q_stack(grid, s[k - 1: k + 2], dt, out=[f1], work=work)[0], None
 
 
 def pointwise_norm(grid: WaveGrid, stack, dt, n: int):
@@ -718,8 +834,8 @@ def pointwise_norm(grid: WaveGrid, stack, dt, n: int):
     """
     if not 0 <= n <= 2:
         raise DomainError(f"pointwise norms of order {n} are not implemented")
-    fields = _base_fields(grid, stack, dt, n, "pointwise_norm")
-    return sum(w * _sq(f[0]) for w, f in zip(_base_weights(grid.m_phi, n), fields))
+    pairs = _base_fields(grid, stack, dt, n, "pointwise_norm")
+    return sum(w * _sq(f) for w, (f, _) in zip(_base_weights(grid.m_phi, n), pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +849,13 @@ def _slice_integral(grid: WaveGrid, density):
     dr = (Delta / (r^2+a^2)) dr* (`WaveGrid.measure`); trapezoid in r*,
     midpoint in theta, 2 pi for the phi circle.
     """
-    integrand = density * grid.measure
+    integrand = grid.measure
+    integrand *= density
     theta_sum = integrand.sum(axis=1) * grid.h_theta
     return 2.0 * math.pi * float(np.trapezoid(theta_sum, dx=grid.h_r))
 
 
-def _densities(grid: WaveGrid, stack, dt):
+def _densities(grid: WaveGrid, stack, dt, work=None):
     """The E_model,3 and Morawetz bulk densities on the grid (see energy_model3
     and morawetz_bulk), at the central level of a stack of >= 7 levels.
 
@@ -750,29 +867,47 @@ def _densities(grid: WaveGrid, stack, dt):
     1/sin^2 factor on a field that no longer vanishes there), so the
     word-first ordering is the one that keeps the continuum quantities finite.
 
-    The sums run over the four base fields of `_base_weights`.  A field's d_t
-    is its D, so only D^3 psi and D Q psi are new differences.
+    The sums run over the four base fields of `_base_weights`, drawn one at a
+    time with their d_t from `_base_fields`.  The stack's levels are read in
+    place (a list of levels is not stacked), and every level-sized result is
+    formed in the buffers of `work` (a `_Workspace` of the levels' shape and
+    dtype), so one pass holds about 7 levels' worth of complex data, or 9 of
+    real data; the two densities returned live there too, until the next pass
+    with the same `work`.
     """
-    fields = _base_fields(grid, stack, dt, 2, "_densities", half=1)
-    rates = [fields[1][1], fields[2][1]] + [_centered_dt(f, dt)[0] for f in fields[2:]]
-    # sums over words of |f|^2, |d_t f|^2, |d_r* f|^2 and |d_theta f|^2, one
-    # base field at a time (stacking the four fields raises the peak memory)
-    f2, ft2, fr2, fth2 = (np.zeros((grid.n_r, grid.n_theta)) for _ in range(4))
-    for w, f3, f_t in zip(_base_weights(grid.m_phi), fields, rates):
-        f = f3[1]
-        f2 += w * _sq(f)
-        ft2 += w * _sq(f_t)
-        fr2 += w * _sq(d_rstar(grid, f))
-        fth2 += w * _sq(d_theta(grid, f))
+    levels = _levels(stack, 7, "_densities")
+    work = _Workspace(levels[0].shape, levels[0].dtype) if work is None else work
+    # sums over words of |f|^2, |d_t f|^2, |d_r* f|^2 and |d_theta f|^2
+    f2, ft2, fr2, fth2 = sums = work.sums
+    sums.fill(0.0)
+    scratch = work.level(work.flux)
+    # |x|^2 (and im^2) in the pad's floats, which no derivative holds while squared
+    sq = work.level(work.pad, np.float64, 2 if work.dtype.kind == "c" else 1)
 
-    a = grid.params.a
-    r = grid.r[:, None]
-    # d_r = ((r^2+a^2)/Delta) d_r*, so Delta |d_r f|^2 = w_t |d_r* f|^2
-    w_t = ((grid.r**2 + a**2) ** 2 / grid.delta)[:, None]
-    chi = cutoff_bump(grid.r, grid.params.m)[:, None]
-    angular = fth2 + grid.m_phi**2 / grid.sin_theta**2 * f2
-    energy = w_t * (ft2 + fr2) + angular
-    bulk = ((r**2 + a**2) / r**2) ** 2 * fr2 + f2 / r**2 + chi / r * (ft2 + angular / r**2)
+    def add(total, x, w):  # total += w |x|^2
+        total += np.multiply(w, _sq(x, sq), out=sq[0])
+
+    pairs = _base_fields(grid, levels, dt, 2, "_densities", rates=True, work=work)
+    for w, (f, f_t) in zip(_base_weights(grid.m_phi), pairs):
+        add(f2, f, w)
+        add(ft2, f_t, w)
+        add(fr2, d_rstar(grid, f, out=scratch), w)
+        add(fth2, d_theta(grid, f, work, out=scratch), w)
+
+    # Delta |d_r f|^2 = w_t |d_r* f|^2, as d_r = ((r^2+a^2)/Delta) d_r*; each
+    # factor is a cached profile, and each product and sum is formed in place
+    factors = _profiles(grid)
+    angular = fth2
+    angular += np.multiply(factors["m2_sin2"], f2, out=sq[0])
+    energy = np.add(ft2, fr2, out=work.level(work.fields[0], np.float64))
+    energy *= factors["w_t"]
+    energy += angular
+    bulk = fr2
+    bulk *= factors["w_r"]
+    bulk += np.divide(f2, factors["r2"], out=f2)
+    angular /= factors["r2"]
+    ft2 += angular
+    bulk += np.multiply(factors["chi_r"], ft2, out=ft2)
     return energy, bulk
 
 

@@ -347,6 +347,9 @@ OVERSIZE_WAVES_GEODESIC = [
     # more steps times points than waves.MAX_STEP_POINTS, refused before a step
     ["wave-evolve", "--m-phi=100000"], ["wave-evolve", "--t-end=1e300"],
     ["morawetz", "--t-end=1e9"],
+    # a report at every step of a long run: more than waves.MAX_REPORTS reports
+    *([sub, "--n-r=16", "--n-theta=8", "--t-end=20000", "--report-dt=1e-300"]
+      for sub in ("wave-evolve", "morawetz")),
 ]
 
 
@@ -650,6 +653,20 @@ def test_kerr_check_maxima_match_the_one_point_residuals(tmp_path):
     assert all(close(got[k], v) for k, v in expected.items()), (got, expected)
     for k, v in expected_orders.items():
         assert all(map(close, rep["results"]["observed_orders"][k], v)), k
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9])
+def test_kerr_check_residuals_are_even_in_the_spin(tmp_path, a):
+    # a -> -a with phi -> -phi maps Kerr onto itself, and every residual is a
+    # norm of a tensor that the map carries into its counterpart: the two
+    # reports' results must agree.  Tolerance 0: each closed form is exactly
+    # even or odd in a, entry by entry, so every residual and order is equal
+    # bit for bit, not only to rounding.
+    (code, rep), (code_rev, rep_rev) = (
+        run_json(tmp_path, ["kerr-check", f"--a={s * a}", "--n-points", "3"], name=f"{s}.json")
+        for s in (1, -1))
+    assert code == code_rev == 0
+    assert rep_rev["results"] == rep["results"]
 
 
 def test_geometry_subcommands_run_without_sympy(tmp_path):

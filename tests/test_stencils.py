@@ -50,6 +50,19 @@ def test_each_entry_matches_its_formula_bit_for_bit(name, complex_data):
 
 
 @pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name, end", [(name, None) for name in sorted(STENCILS)]
+                         + [("d1", "d1_end"), ("d2", "d2_end")])
+def test_a_difference_formed_in_out_is_the_new_one_bit_for_bit(name, end, complex_data):
+    # with `out`, a scaled second term is formed in out itself: the same
+    # operations in the same order, and no temporary of the output's size
+    u, h = _data((17, 3, 5), complex_data), 0.037
+    ref = _diff(u, name, h, end=end)
+    out = np.full_like(ref, np.nan)
+    assert _diff(u, name, h, end=end, out=out) is out
+    assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("name, end", [("d1", "d1_end"), ("d2", "d2_end")])
 def test_end_rows_are_the_one_sided_rules(name, end, complex_data):
     u, h = _data((11, 4), complex_data), 0.25

@@ -314,6 +314,35 @@ def test_evolve_refuses_more_step_points_than_the_bound_before_a_step(monkeypatc
             evolve(field, t_end=t_end)
 
 
+def test_evolve_refuses_more_reports_than_the_bound_before_a_step(monkeypatch):
+    # the report count is known from the step and the cadence before the
+    # first step: a run of more reports than MAX_REPORTS is an input error,
+    # and a run of exactly that many goes ahead
+    import kerrlab.waves as waves
+
+    grid = make_grid(n_r=40, n_theta=8)
+    psi, psi_t = initial_data(grid, family="gaussian-static", center=5.0, width=3.0)
+    field = ModeField2p1(grid=grid, psi=psi, psi_t=psi_t)
+    step, bound = waves._step, waves.MAX_REPORTS
+
+    def refused(*args):
+        raise AssertionError("stepped past the bound")
+
+    # 39 steps of 0.51: a report at every step, and strides of 2, 6 and 8, none of
+    # which divides 39, so that the last report is an extra one
+    for report_dt in (1e-300, 1.2, 2.9, 4.0):
+        monkeypatch.setattr(waves, "_step", step)
+        monkeypatch.setattr(waves, "MAX_REPORTS", bound)
+        n = len(evolve(field, t_end=20.0, report_dt=report_dt)[1])
+        monkeypatch.setattr(waves, "MAX_REPORTS", n)
+        evolve(field, t_end=20.0, report_dt=report_dt)
+        monkeypatch.setattr(waves, "MAX_REPORTS", n - 1)
+        evolve(field, t_end=20.0, report_dt=report_dt, diagnostics=False)  # no report, no bound
+        monkeypatch.setattr(waves, "_step", refused)
+        with pytest.raises(DomainError, match=f"makes {n} reports, more than {n - 1}"):
+            evolve(field, t_end=20.0, report_dt=report_dt)
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         make_grid(n_r=8)
@@ -551,6 +580,40 @@ def test_densities_are_the_word_by_word_sum(a, m_phi, real):
     for got, ref in zip(_densities(grid, stack, 0.05), _word_by_word_densities(grid, stack, 0.05)):
         assert got.dtype == np.float64
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_densities_read_a_list_of_levels_as_the_stacked_array(real):
+    # evolve hands _densities its live levels, not a stacked copy: the same
+    # bits, also in a workspace reused from one pass to the next
+    from kerrlab.waves import _Workspace
+
+    grid = make_grid(a=0.5, m_phi=0 if real else 1, n_r=60, n_theta=12)
+    rng = np.random.default_rng(31)
+    stacks = [_random_stack(grid, 7, rng, real) for _ in range(2)]
+    work = _Workspace(stacks[0].shape[1:], stacks[0].dtype)
+    for stack in stacks:
+        ref = [d.copy() for d in _densities(grid, stack, 0.05)]
+        for got in (_densities(grid, list(stack), 0.05), _densities(grid, list(stack), 0.05, work)):
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    with pytest.raises(DomainError, match="_densities needs at least 7 time levels"):
+        _densities(grid, list(stacks[0][:6]), 0.05, work)
+
+
+def test_one_report_pass_holds_at_most_ten_levels():
+    # the densities are formed from the live levels in one set of buffers:
+    # no stacked copy of the 7-level window, and no temporary per term
+    import tracemalloc
+
+    grid = make_grid(a=0.1, m_phi=1, n_r=400, n_theta=32, lo=-80.0, hi=220.0)
+    levels = list(_random_stack(grid, 7, np.random.default_rng(5), real=False))
+    tracemalloc.start()
+    try:
+        _densities(grid, levels, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * levels[0].nbytes
 
 
 @pytest.mark.parametrize("m_phi", [0, 1, 2])
