@@ -8,17 +8,15 @@ after `import kerrlab`."""
 
 __version__ = "0.1.0"
 
-from .errors import (CalibrationError, ChartMismatchError, DomainError,
-                     GuardBandError, KerrlabError, StabilityError)
-from .tensors import (MetricData, TensorValue, cov_deriv_fd, hodge_dual2,
-                      index_ops)
+from .errors import (CalibrationError, DomainError, GuardBandError,
+                     KerrlabError, StabilityError)
+from .tensors import MetricData, TensorValue
 from .kerr import (BLPoint, KerrParams, carter_tensor, conformal_ky_residual,
                    coulomb_F_unit, kappa_scalars, kerr_metric,
                    killing_tensor_residual, killing_tensor_residual_fd,
-                   killing_yano, killing_yano_residual,
-                   killing_yano_residual_fd, principal_tetrad,
-                   random_exterior_points, tetrad_reconstruction_residual,
-                   uniform_F_unit, xi_oneform)
+                   killing_yano_residual, killing_yano_residual_fd,
+                   principal_tetrad, random_exterior_points,
+                   tetrad_reconstruction_residual, uniform_F_unit, xi_oneform)
 from .geodesics import (ConservedSet, GeodesicState, Trajectory,
                         circular_orbit_state, conserved_drift,
                         conserved_quantities, integrate_geodesic,
@@ -26,15 +24,12 @@ from .geodesics import (ConservedSet, GeodesicState, Trajectory,
 from .slices import (SliceData, constraint_residual, flat_slice,
                      round_sphere_slice, scalar_curvature,
                      schwarzschild_slice)
-from .waves import (EnergyReport, ModeField2p1, WaveGrid, assemble_current,
-                    carter_Q, energy_model3, evolve, initial_data,
-                    morawetz_bulk, pointwise_norm, polarized_stress,
-                    radius_from_tortoise, reduced_wave_apply, symmetry_apply,
-                    tortoise_from_radius)
-from .maxwell import (CurrentReport, MaxwellSample, V_tensor, Z_form,
-                      coulomb_field, dominant_energy_value, eta_oneform,
-                      maxwell_divergence_residual, np_scalars, stress_tensor,
-                      uniform_field)
+from .waves import (EnergyReport, ModeField2p1, WaveGrid, carter_Q, evolve,
+                    initial_data, radius_from_tortoise, reduced_wave_apply,
+                    symmetry_apply, tortoise_from_radius)
+from .maxwell import (CurrentReport, MaxwellSample, V_tensor, coulomb_field,
+                      dominant_energy_value, maxwell_divergence_residual,
+                      np_scalars, uniform_field)
 from .hyperbolic1d import (DiracData1p1, GoursatField, Grid1p1, apply_dirac,
                            apply_wave_operator, cauchy_solve,
                            causal_propagator, cone_containment,

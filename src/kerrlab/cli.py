@@ -34,8 +34,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import (CalibrationError, ChartMismatchError, DomainError,
-                     GuardBandError, StabilityError)
+from .errors import (CalibrationError, DomainError, GuardBandError,
+                     StabilityError)
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -291,6 +291,8 @@ def parse_config(argv):
             raise DomainError(f"{key} must be positive")
     if cfg.get("seed") is not None and cfg["seed"] < 0:
         raise DomainError("seed must be non-negative")
+    if cfg.get("strength") == 0:  # every Z, eta, V and residual would read 0
+        raise DomainError("strength must be non-zero: a vanishing field has no currents to check")
     if cfg.get("width") is not None and not sys.float_info.min <= cfg["width"] * cfg["width"] < math.inf:
         raise DomainError(f"width = {cfg['width']:g} does not square to a normal double")
     for key, bound in (("n_points", MAX_POINTS), ("n_samples", MAX_SAMPLES)):
@@ -786,7 +788,7 @@ def main(argv=None):
     try:
         subcommand, cfg = parse_config(sys.argv[1:] if argv is None else argv)
         return run(subcommand, cfg)
-    except (DomainError, ChartMismatchError, GuardBandError) as exc:
+    except (DomainError, GuardBandError) as exc:
         print(f"kerrlab: input error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:  # e.g. a mass whose geometry exceeds float64

@@ -9,10 +9,6 @@ class DomainError(KerrlabError):
     """A chart point lies outside the admissible domain (exterior, axis guard, ...)."""
 
 
-class ChartMismatchError(KerrlabError):
-    """Tensor and metric live in different charts."""
-
-
 class CalibrationError(KerrlabError):
     """An internal self-check of a closed-form object failed (wrong ansatz or constant)."""
 

@@ -73,10 +73,6 @@ class GeodesicState:
                 f"4-velocity norm {norm} does not match {self.causal_type} target {target}"
             )
 
-    @property
-    def params(self):
-        return self.x.params
-
 
 @dataclass(frozen=True)
 class ConservedSet:
@@ -240,8 +236,9 @@ def photon_orbit_radius(params: KerrParams, prograde=True) -> float:
 def normalize_velocity(params: KerrParams, p: BLPoint, u_spatial, causal_type="timelike"):
     """Complete (u^r, u^theta, u^phi) to a future-directed 4-velocity.
 
-    Solves the quadratic normalization condition for u^t > 0.  DomainError
-    if float64 rounding of g_ab u^a u^b (large speeds) exceeds NORM_TOL.
+    Solves the quadratic normalization condition A (u^t)^2 + B u^t + C = 0
+    for u^t > 0.  DomainError if float64 rounding of g_ab u^a u^b (large
+    speeds) exceeds NORM_TOL.
     """
     g = _eval("g", params, p)
     ur, uth, uph = u_spatial
@@ -252,10 +249,16 @@ def normalize_velocity(params: KerrParams, p: BLPoint, u_spatial, causal_type="t
     disc = B * B - 4 * A * C
     if disc < 0:
         raise DomainError("no real future-directed completion exists")
-    # A = g_tt < 0 outside the ergoregion; take the root with u^t > 0
-    ut = (-B - math.sqrt(disc)) / (2 * A)
-    if ut <= 0:
-        ut = (-B + math.sqrt(disc)) / (2 * A)
+    if A == 0 and B == 0:
+        raise DomainError("g_tt = 0 and g_tphi u^phi = 0: the normalization leaves u^t free")
+    # the roots q/A and C/q with q = -(B + sign(B) sqrt(disc))/2, free of
+    # cancellation; on the ergosurface, A = g_tt = 0, the one root is
+    # C/q = -C/B, and q = 0 only for the double root 0.  Outside the
+    # ergoregion A < 0 < C and one root is positive; inside it u^t is the
+    # smaller positive root
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    roots = () if q == 0 else (C / q,) if A == 0 else (q / A, C / q)
+    ut = min((root for root in roots if root > 0), default=0.0)
     if ut <= 0:
         raise DomainError("no future-directed completion exists")
     u = TensorValue((UP,), np.array([ut, ur, uth, uph]))

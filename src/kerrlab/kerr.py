@@ -157,7 +157,6 @@ def kerr_metric(params: KerrParams, p: BLPoint) -> MetricData:
         g_inv=TensorValue((UP, UP), _eval("ginv", params, p)),
         sqrt_abs_det=float(_eval("sqrtg", params, p)),
         christoffel=_eval("gamma", params, p),
-        point=p.coords,
     )
 
 
@@ -187,13 +186,6 @@ def _ky_calibration(params: KerrParams):
     if res > 1e-10:
         raise CalibrationError(f"Killing-Yano residual {res} too large")
     return 1.0
-
-
-def killing_yano(params: KerrParams, p: BLPoint) -> TensorValue:
-    """Calibrated Killing-Yano 2-form Y_ab."""
-    _check_point(params, p)
-    sign = _ky_calibration(params)
-    return TensorValue((DOWN, DOWN), sign * _eval("Y", params, p))
 
 
 def _analytic_nabla(params: KerrParams, r, th, name: str):

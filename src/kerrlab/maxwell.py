@@ -1,8 +1,8 @@
 """Test Maxwell fields on Kerr and the hidden-symmetry conserved tensor V_ab.
 
-Ships the stationary Coulomb-type closed-form field (validated against the
-Maxwell divergence residual before being trusted) and computes, at arbitrary
-exterior points: Newman-Penrose scalars, the stress tensor, the 2-form
+Ships the stationary Coulomb-type and uniform closed-form fields (validated
+against the Maxwell divergence residual before being trusted) and computes,
+at arbitrary exterior points: Newman-Penrose scalars, the 2-form
 Z_ab = -(4/3)(*F)_[a^c Y_b]c, the complex current eta_a, and the symmetric
 conserved tensor V_ab together with a nested-finite-difference residual of
 its conservation law.
@@ -33,17 +33,13 @@ from .kerr import (
     KerrParams,
     _at,
     _check_exterior,
-    _eval,
     _ky_calibration,
     coulomb_F_unit,
-    kerr_metric,
-    killing_yano,
     random_exterior_points,
     uniform_F_unit,
 )
 from ._stencils import central_d1
-from .tensors import (DOWN, UP, TensorValue, _cov_fd, _hodge, _partial_fd, _stencil,
-                      hodge_dual2)
+from .tensors import DOWN, UP, TensorValue, _cov_fd, _hodge, _partial_fd, _stencil
 
 
 def _check_antisymmetric(F):
@@ -185,35 +181,10 @@ def np_scalars(sample: MaxwellSample, tetrad):
     return tuple(map(complex, _np_scalars(sample.F.components, legs, p.r, p.theta, p.params.a)))
 
 
-def stress_tensor(sample: MaxwellSample) -> TensorValue:
-    """T_ab = F_ac F_b^c - (1/4) F_cd F^cd g_ab (symmetric, traceless)."""
-    params = sample.point.params
-    g = _eval("g", params, sample.point)
-    ginv = _eval("ginv", params, sample.point)
-    F = sample.F.components.real
-    Fup = np.einsum("ac,bd,cd->ab", ginv, ginv, F)  # F^{ab}
-    invariant = np.einsum("ab,ab->", F, Fup)
-    T = np.einsum("ac,cd,bd->ab", F, ginv, F)  # F_ac F_b{}^c
-    T -= 0.25 * invariant * g
-    return TensorValue((DOWN, DOWN), T)
-
-
 def _Z(starF, ginv, Y):
     """Z_ab = -(4/3) (*F)_[a^c Y_b]c over leading point axes."""
     M = np.einsum("...ad,...dc,...bc->...ab", starF, ginv, Y)  # (*F)_a{}^c Y_bc
     return -(2.0 / 3.0) * (M - np.swapaxes(M, -1, -2))
-
-
-def Z_form(sample: MaxwellSample, metric=None) -> TensorValue:
-    """Z_ab = -(4/3) (*F)_[a^c Y_b]c with the calibrated Killing-Yano form.
-
-    metric, when given, is the Kerr metric at the sample's point."""
-    params = sample.point.params
-    if metric is None:
-        metric = kerr_metric(params, sample.point)
-    starF = hodge_dual2(sample.F, metric).components
-    Y = killing_yano(params, sample.point).components.real
-    return TensorValue((DOWN, DOWN), _Z(starF, metric.g_inv.components.real, Y))
 
 
 def _leading(eta, g, ginv):
@@ -246,13 +217,6 @@ def _eta(F, geo, step, name):
     W = np.einsum("...ac,...cb->...ab", Z + 1j * _hodge(Z, ginv, sqrtg), ginv)  # W_a{}^b
     nabla = _cov_fd(W, geo["gamma"][..., 0, :, :, :], (DOWN, UP), step, name)
     return Z, starF, np.einsum("...bab->...a", nabla)
-
-
-def eta_oneform(params: KerrParams, F_field, p: BLPoint, step=1e-3, order=2) -> TensorValue:
-    """eta_a = nabla_b Z_a^b + i nabla_b (*Z)_a^b by covariant finite differences."""
-    name = central_d1(order)
-    F, geo = _sample(params, F_field, _stencil(p.coords, step, name))
-    return TensorValue((DOWN,), _eta(F, geo, step, name)[2])
 
 
 def _lie(X, F, step, name):

@@ -3,8 +3,8 @@
 The field psi(t, r*, theta) e^{i m_phi phi} is evolved on a uniform
 (tortoise, polar-angle) lattice with a second-order leapfrog scheme.  The
 module provides the reduced wave operator, the Carter operator Q, the
-second-order symmetry-algebra pointwise norms, the model energy, and the
-Morawetz bulk integral with a trapping cutoff.
+second-order symmetry algebra, and the densities of the model energy and of
+the Morawetz bulk integral with a trapping cutoff.
 
 Operator conventions.  With Sigma = r^2 + a^2 cos^2 theta the combination
 Sigma Box splits as R(r) + Q + d_phi^2-terms where R involves only (t, r)
@@ -49,9 +49,8 @@ symmetry word of S_0..S_2 before the first derivatives (word-first ordering,
 see `_densities`).  On a fixed mode d_phi is multiplication by i m_phi, so
 the seven words reduce to four base fields, psi, D psi, D^2 psi and Q psi,
 weighted 1 + m_phi^2 + m_phi^4, 1 + m_phi^2, 1 and 1 (`_base_weights`);
-`_base_fields` forms them, one at a time, for `_densities` and
-`pointwise_norm`.  Slice integrals use the measure `WaveGrid.measure`, and
-the stress and current read g and ginv once per call, point axes first.
+`_base_fields` forms them, one at a time, for `_densities`.  Slice
+integrals use the measure `WaveGrid.measure`.
 
 The report pass.  `evolve` samples (t, E_model,3, Morawetz bulk) at each
 report time while it steps, by one `_densities` pass over its live 7-level
@@ -74,7 +73,7 @@ import numpy as np
 
 from ._stencils import STENCILS, _diff, combine
 from .errors import DomainError, StabilityError
-from .kerr import KerrParams, _at
+from .kerr import KerrParams
 
 MAX_GRID_POINTS = 10**6  # n_r * n_theta of one grid (0.4 to 0.7 GB in a wave run)
 MAX_STEP_POINTS = 10**10  # steps times n_r * n_theta of one evolve (minutes of work)
@@ -231,10 +230,8 @@ class WaveGrid:
             delta[:, None] / (self.Pi * sin[None, :] ** 2) - a**2 / self.Pi
         )
         self.c5 = 4 * m * a * r[:, None] / self.Pi
-        # dr/dr* = Delta/(r^2+a^2), the radial factor of `measure`, and its
-        # inverse: d_r = ((r^2+a^2)/Delta) d_r*
+        # dr/dr* = Delta/(r^2+a^2), the radial factor of `measure`
         self.dr_drstar = (delta / (r**2 + a**2))[:, None]
-        self.drstar_dr = ((r**2 + a**2) / delta)[:, None]
 
         # Lambda_theta face weights, both exactly 0 at the poles: sin(theta)
         # at the faces (conservative), and the mean of the two neighbouring
@@ -424,14 +421,6 @@ class ModeField2p1:
     def check_finite(self):
         if not (np.all(np.isfinite(self.psi)) and np.all(np.isfinite(self.psi_t))):
             raise StabilityError("non-finite field values")
-
-    @property
-    def m_phi(self):
-        return self.grid.m_phi
-
-    @property
-    def params(self):
-        return self.grid.params
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +732,7 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
 
 
 # ---------------------------------------------------------------------------
-# symmetry algebra and norms
+# symmetry algebra and the base fields of the report densities
 # ---------------------------------------------------------------------------
 
 S2_WORDS = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1))  # d_t^2, d_t d_phi, d_phi^2, Q
@@ -769,73 +758,44 @@ def symmetry_apply(grid: WaveGrid, stack, dt, word):
     return stack
 
 
-def _base_weights(m_phi, n=2):
-    """Weights of psi, D psi, D^2 psi and Q psi in sum_S |S f|^2 over S_0..S_n:
-    d_phi is i m_phi, so psi stands for the words 1, d_phi and d_phi^2, D psi
-    for d_t and d_t d_phi, D^2 psi for d_t^2 and Q psi for Q, by order."""
+def _base_weights(m_phi):
+    """Weights of psi, D psi, D^2 psi and Q psi in sum_S |S f|^2 over the seven
+    words of S_0..S_2: d_phi is i m_phi, so psi stands for the words 1, d_phi
+    and d_phi^2, D psi for d_t and d_t d_phi, D^2 psi for d_t^2 and Q psi for Q."""
     m2 = float(m_phi) ** 2
-    by_order = ((1.0, m2, m2 * m2), (0.0, 1.0, m2), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
-    return [sum(w[:n + 1]) for w in by_order]
+    return [1.0 + m2 + m2 * m2, 1.0 + m2, 1.0, 1.0]
 
 
-def _sq(x, out=None):
-    """|x|^2 elementwise: x*x for real x, re^2 + im^2 (no square root) for
-    complex x; in out[0] if given, with out[1] as the scratch of im^2."""
+def _sq(x, out):
+    """|x|^2 elementwise in out[0]: x*x for real x, re^2 + im^2 (no square
+    root) for complex x, with out[1] as the scratch of im^2."""
     if not np.iscomplexobj(x):
-        return np.multiply(x, x, out=None if out is None else out[0])
-    if out is None:
-        return x.real**2 + x.imag**2
+        return np.multiply(x, x, out=out[0])
     return np.add(np.square(x.real, out=out[0]), np.square(x.imag, out=out[1]), out=out[0])
 
 
-def _base_fields(grid: WaveGrid, stack, dt, n, who, rates=False, work=None):
-    """Yield (f, f_t) for the base fields f of `_base_weights` for the words of
-    S_0..S_n, at the central level of the stack: psi, then D psi (n >= 1),
-    then D^2 psi and Q psi (n = 2).  f_t, with `rates`, is f's centred d_t:
-    the next field for psi and D psi, D^3 psi for D^2 psi, and the D of Q psi
-    on the levels either side; without, None.
+def _base_fields(grid: WaveGrid, s, dt, work):
+    """Yield (f, f_t) for the base fields f of `_base_weights` at the central
+    level s[3] of seven levels s: psi, D psi, D^2 psi and Q psi, each with its
+    centred d_t f_t: the next field for psi and D psi, D^3 psi for D^2 psi,
+    and the D of Q psi on the levels either side.
 
-    Needs 2 (n + rates) + 1 levels; `who` names the caller in the refusal.
     The fields are formed in `work`'s three field buffers (and, for D^3 psi,
     its flux), so a pair holds only until the next one is drawn.
     """
-    k = n + rates
-    s = _levels(stack, 2 * k + 1, who)
-    s = s[len(s) // 2 - k: len(s) // 2 + k + 1]  # the central level is s[k]
-    work = _Workspace(s[0].shape, s[0].dtype) if work is None else work
     f1, f2, f3 = work.fields
-    if k:
-        _dt_at(s[k + 1], s[k - 1], dt, f1)  # D psi
-    yield s[k], (f1 if rates else None)
-    if n == 0:
-        return
-    if k > 1:  # D^2 psi, from D psi one level either side
-        _dt_at(_dt_at(s[k + 2], s[k], dt, f3), _dt_at(s[k], s[k - 2], dt, f2), dt, f2)
-    yield f1, (f2 if rates else None)
-    if n == 1:
-        return
-    if rates:  # D^3 psi, from D^2 psi one level either side (over D psi)
-        above = _dt_at(_dt_at(s[k + 3], s[k + 1], dt, f3), f1, dt, f3)
-        below = _dt_at(f1, _dt_at(s[k - 1], s[k - 3], dt, work.level(work.flux)), dt, f1)
-        _dt_at(above, below, dt, f1)
-    yield f2, (f1 if rates else None)
-    if rates:
-        below, q, above = carter_q_stack(grid, s[k - 2: k + 3], dt, out=work.fields, work=work)
-        yield q, _dt_at(above, below, dt, below)
-    else:
-        yield carter_q_stack(grid, s[k - 1: k + 2], dt, out=[f1], work=work)[0], None
-
-
-def pointwise_norm(grid: WaveGrid, stack, dt, n: int):
-    """|psi|_n^2 = sum over the words S of S_0..S_n of |S psi|^2 on the grid at
-    the central level of the stack, from the base fields of `_base_weights`.
-
-    Requires a stack of at least 2n+1 levels (5 for n = 2).
-    """
-    if not 0 <= n <= 2:
-        raise DomainError(f"pointwise norms of order {n} are not implemented")
-    pairs = _base_fields(grid, stack, dt, n, "pointwise_norm")
-    return sum(w * _sq(f) for w, (f, _) in zip(_base_weights(grid.m_phi, n), pairs))
+    _dt_at(s[4], s[2], dt, f1)  # D psi
+    yield s[3], f1
+    # D^2 psi, from D psi one level either side
+    _dt_at(_dt_at(s[5], s[3], dt, f3), _dt_at(s[3], s[1], dt, f2), dt, f2)
+    yield f1, f2
+    # D^3 psi, from D^2 psi one level either side (over D psi)
+    above = _dt_at(_dt_at(s[6], s[4], dt, f3), f1, dt, f3)
+    below = _dt_at(f1, _dt_at(s[2], s[0], dt, work.level(work.flux)), dt, f1)
+    _dt_at(above, below, dt, f1)
+    yield f2, f1
+    below, q, above = carter_q_stack(grid, s[1:6], dt, out=work.fields, work=work)
+    yield q, _dt_at(above, below, dt, below)
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +816,19 @@ def _slice_integral(grid: WaveGrid, density):
 
 
 def _densities(grid: WaveGrid, stack, dt, work=None):
-    """The E_model,3 and Morawetz bulk densities on the grid (see energy_model3
-    and morawetz_bulk), at the central level of a stack of >= 7 levels.
+    """The E_model,3 and Morawetz bulk densities on the grid, at the central
+    level of a stack of >= 7 levels.  Their slice integrals (`_slice_integral`)
+    are the model energy
+
+        E_model,3 = int ((r^2+a^2)^2/Delta)|d_t psi|_2^2 + Delta |d_r psi|_2^2
+                        + |d_theta psi|_2^2 + (1/sin^2)|d_phi psi|_2^2
+
+    and the Morawetz bulk
+
+        int (Delta^2/r^4)|d_r psi|_2^2 + r^-2 |psi|_2^2
+            + cutoff(r) r^-1 (|d_t psi|_2^2 + |angular gradient psi|_2^2),
+
+    with |angular gradient f|^2 = r^-2 (|d_theta f|^2 + m^2/sin^2 |f|^2).
 
     The composite quantities |d_x psi|_2^2 are evaluated with the symmetry
     word applied first: |d_x psi|_2^2 means sum_S |d_x (S psi)|^2 over the
@@ -876,6 +847,7 @@ def _densities(grid: WaveGrid, stack, dt, work=None):
     with the same `work`.
     """
     levels = _levels(stack, 7, "_densities")
+    levels = levels[len(levels) // 2 - 3: len(levels) // 2 + 4]  # the central seven
     work = _Workspace(levels[0].shape, levels[0].dtype) if work is None else work
     # sums over words of |f|^2, |d_t f|^2, |d_r* f|^2 and |d_theta f|^2
     f2, ft2, fr2, fth2 = sums = work.sums
@@ -887,7 +859,7 @@ def _densities(grid: WaveGrid, stack, dt, work=None):
     def add(total, x, w):  # total += w |x|^2
         total += np.multiply(w, _sq(x, sq), out=sq[0])
 
-    pairs = _base_fields(grid, levels, dt, 2, "_densities", rates=True, work=work)
+    pairs = _base_fields(grid, levels, dt, work)
     for w, (f, f_t) in zip(_base_weights(grid.m_phi), pairs):
         add(f2, f, w)
         add(ft2, f_t, w)
@@ -909,105 +881,6 @@ def _densities(grid: WaveGrid, stack, dt, work=None):
     ft2 += angular
     bulk += np.multiply(factors["chi_r"], ft2, out=ft2)
     return energy, bulk
-
-
-def energy_model3(grid: WaveGrid, stack, dt) -> float:
-    """E_model,3: integral of
-    ((r^2+a^2)^2/Delta)|d_t psi|_2^2 + Delta |d_r psi|_2^2 + |d_theta psi|_2^2
-    + (1/sin^2)|d_phi psi|_2^2 over the slice, in the word-first ordering,
-    from the four base fields psi, D psi, D^2 psi, Q psi (see _densities)."""
-    return _slice_integral(grid, _densities(grid, stack, dt)[0])
-
-
-def morawetz_bulk(grid: WaveGrid, stack, dt) -> float:
-    """Morawetz bulk density integrated over the slice:
-    (Delta^2/r^4)|d_r psi|_2^2 + r^-2 |psi|_2^2
-    + cutoff(r) r^-1 (|d_t psi|_2^2 + |angular gradient psi|_2^2),
-    with |angular gradient f|^2 = r^-2 (|d_theta f|^2 + m^2/sin^2 |f|^2),
-    in the word-first ordering, from the four base fields psi, D psi,
-    D^2 psi, Q psi (see _densities)."""
-    return _slice_integral(grid, _densities(grid, stack, dt)[1])
-
-
-# ---------------------------------------------------------------------------
-# polarized stress and currents
-# ---------------------------------------------------------------------------
-
-
-def _gradient4(grid: WaveGrid, stack3, dt):
-    """Coordinate-basis gradient (d_t, d_r, d_theta, d_phi) f at the middle level."""
-    f = stack3[1]
-    dt1 = _centered_dt(stack3, dt)[0]
-    dr1 = grid.drstar_dr * d_rstar(grid, f)
-    dth1 = d_theta(grid, f)
-    dph1 = 1j * grid.m_phi * f
-    return np.array([dt1, dr1, dth1, dph1])
-
-
-def _stress_from_gradient(grad, g, ginv):
-    """Scalar-field stress T_ab = Re(d_a f conj(d_b f)) - 1/2 g_ab |df|^2, with
-    g and ginv point axes first."""
-    outer = np.real(np.einsum("axy,bxy->abxy", grad, grad.conj()))
-    trace = np.real(np.einsum("xyab,axy,bxy->xy", ginv, grad, grad.conj()))
-    return outer - np.einsum("xyab,xy->abxy", g, 0.5 * trace)
-
-
-def polarized_stress(grid: WaveGrid, stack, dt, word_a, word_b):
-    """T_ab[S_a psi, S_b psi] = 1/4 (T[S_a psi + S_b psi] - T[S_a psi - S_b psi]).
-
-    Returns an array of shape (4, 4, n_r, n_theta) at the central time level.
-    """
-    g, ginv = _at(grid.params, grid.r[:, None], grid.theta[None, :], "g", "ginv")
-    return _polarized_stress(grid, stack, dt, word_a, word_b, g, ginv)
-
-
-def _polarized_stress(grid: WaveGrid, stack, dt, word_a, word_b, g, ginv):
-    """`polarized_stress` with g and ginv given on the grid, point axes first."""
-    reach = [w[0] + w[2] for w in (word_a, word_b)]  # levels a word consumes per end
-    stack = _stack(stack, 2 * max(reach) + 3, "polarized_stress")
-    mid = stack.shape[0] // 2
-    # each word on the central 3 levels, for the centered d_t of the gradient
-    fa, fb = (symmetry_apply(grid, stack[mid - 1 - k: mid + 2 + k], dt, w)
-              for w, k in zip((word_a, word_b), reach))
-    gp = _gradient4(grid, fa + fb, dt)
-    gm = _gradient4(grid, fa - fb, dt)
-    return 0.25 * (_stress_from_gradient(gp, g, ginv) - _stress_from_gradient(gm, g, ginv))
-
-
-def assemble_current(grid: WaveGrid, stack, dt, coefficients):
-    """J_a = sum over entries of T_ab[S_a psi, S_b psi] A^b.
-
-    coefficients: iterable of (word_a, word_b, direction index 0..3,
-    radial function of r).  Returns (J with shape (4, n_r, n_theta),
-    interior-integrated divergence diagnostic).
-    """
-    stack = _stack(stack, 7, "assemble_current")
-    mid = stack.shape[0] // 2
-    g, ginv = _at(grid.params, grid.r[:, None], grid.theta[None, :], "g", "ginv")
-    terms = [(word_a, word_b, direction, np.asarray(radial(grid.r), dtype=float)[:, None])
-             for word_a, word_b, direction, radial in coefficients]
-
-    def current_at(center):
-        J = np.zeros((4, grid.n_r, grid.n_theta))
-        for word_a, word_b, direction, amp in terms:
-            T = _polarized_stress(grid, stack[center - 2: center + 3], dt, word_a, word_b, g, ginv)
-            J += T[:, direction] * amp
-        return J
-
-    J = current_at(mid)
-    Jum, Ju, Jup = (np.einsum("xyab,bxy->axy", ginv, Jc)
-                    for Jc in (current_at(mid - 1), J, current_at(mid + 1)))
-    sqrtg = grid.sigma * grid.sin_theta[None, :]
-    # div J = (1/sqrtg)[d_t(sqrtg J^t) + d_r(sqrtg J^r) + d_theta(sqrtg J^theta)];
-    # the phi derivative of an e^{i m phi} bilinear vanishes identically.
-    div = _centered_dt(sqrtg * np.array([Jum[0], Ju[0], Jup[0]]), dt)[0]
-    div += grid.drstar_dr * d_rstar(grid, sqrtg * Ju[1])
-    div += d_theta(grid, sqrtg * Ju[2])
-    div /= sqrtg
-
-    # interior integral of the divergence (diagnostic); skip boundary cells
-    total = 2.0 * math.pi * float(np.sum(div[2:-2] * grid.measure[2:-2]) * grid.h_theta * grid.h_r)
-    return J, total
 
 
 # ---------------------------------------------------------------------------

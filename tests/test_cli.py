@@ -243,21 +243,28 @@ EDGE_1P1 = [[sub, f"--{key.replace('_', '-')}={value}"]
             for value in ("0", "-1", "1e300" if caster is float else str(10**18))]
 EDGE_1P1 += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_1P1]
 
-# Seeds, counts, strengths and tolerances the geometry subcommands cannot
-# use: each must be refused as an input error.  A field strength of 1e300
-# overflows V_ab, one of 1e308 the field itself; an integrator tolerance of
-# 1e300 lets DOP853 step where the geodesic right-hand side is NaN.
+# Seeds, counts, strengths, tolerances and starts the geometry subcommands
+# cannot use: each must be refused as an input error.  A field strength of
+# 1e300 overflows V_ab, one of 1e308 the field itself, and one of 0 makes
+# every current and residual 0; an integrator tolerance of 1e300 lets the
+# integrator step where the geodesic right-hand side is NaN.  On the
+# ergosurface (r = 2m on the equator, g_tt = 0) with u^phi = 0 the
+# normalization does not fix u^t.
 EDGE_GEOMETRY = [
     ["kerr-check", "--seed=-1"], ["maxwell-currents", "--seed=-1"],
     ["kerr-check", f"--n-points={10**18}"], ["maxwell-currents", f"--n-points={10**18}"],
     ["geodesic", f"--n-samples={10**18}"],
     ["maxwell-currents", "--strength=1e300"], ["maxwell-currents", "--strength=1e308"],
+    ["maxwell-currents", "--strength=0"],
     ["geodesic", "--tol=1e300"],
+    ["geodesic", "--r0=2", "--uphi0=0"],
 ]
 # Valid inputs at the edge of the geometry: each must run to a report.  The
-# random point of this one lies in the ergoregion, where d_t is spacelike.
+# random point of the first lies in the ergoregion, where d_t is spacelike;
+# the geodesic starts on the ergosurface, where u^t solves a linear equation.
 VALID_GEOMETRY = [
     ["maxwell-currents", "--field=uniform", "--a=0.857895", "--n-points=1", "--seed=798987954"],
+    ["geodesic", "--r0=2"],
 ]
 EDGE_GEOMETRY += VALID_GEOMETRY
 

@@ -67,6 +67,33 @@ def test_normalize_velocity_targets():
     assert abs(u0 @ g @ u0) < 1e-12
 
 
+def test_normalize_velocity_on_and_next_to_the_ergosurface():
+    # on the equator r = 2m is the ergosurface, where A = g_tt = 0 and u^t
+    # solves the linear B u^t + C = 0; just outside it the quadratic's root
+    # must not cancel.  u^t is checked to 1e-13 relative against the root of
+    # the same coefficients in 50-digit decimal arithmetic
+    from decimal import Decimal, localcontext
+
+    from kerrlab import DomainError
+    from kerrlab.kerr import kerr_metric
+
+    params = KerrParams(1.0, 0.5)
+    uth, uph = 0.02, 0.03
+    for r in (2.0, 2.0 * (1.0 + 1e-12)):
+        pt = BLPoint(0.0, r, math.pi / 2, 0.0, params)
+        g = [[Decimal(float(x)) for x in row] for row in kerr_metric(params, pt).g.components.real]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            A, B = g[0][0], 2 * g[0][3] * Decimal(uph)
+            C = g[2][2] * Decimal(uth) ** 2 + g[3][3] * Decimal(uph) ** 2 + 1
+            exact = float(-C / B if A == 0 else (-B - (B * B - 4 * A * C).sqrt()) / (2 * A))
+        ut = normalize_velocity(params, pt, (0.0, uth, uph)).u.real_part()[0]
+        assert abs(ut - exact) <= 1e-13 * exact, r
+    # with u^phi = 0 on the ergosurface, B = 0 too and nothing fixes u^t
+    with pytest.raises(DomainError, match="leaves u\\^t free"):
+        normalize_velocity(params, BLPoint(0.0, 2.0, math.pi / 2, 0.0, params), (0.0, uth, 0.0))
+
+
 @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
 def test_conserved_drift_long_integration(a):
     params = KerrParams(1.0, a)

@@ -143,3 +143,17 @@ def test_charge_report_samples_the_profile_once():
     assert 2001 <= len(seen) < 2001 + 20
     assert set(seen) == {float}
     assert report == charge_report(ramp, k_max=8)
+
+
+@pytest.mark.parametrize("a0, a1", [(0.3, 1.3), (0.3, -1.7), (0.25, 2.75), (0.0, 1.0)])
+def test_index_report_is_invariant_under_integer_shifts_of_the_connection(a0, a1):
+    # a -> a + k for an integer k relabels the boundary spectra {k' + a}: the
+    # kernel dimensions and the index are equal, and the relative and chiral
+    # charges agree to 1e-12
+    ref = charge_report(ramp_profile(a0, a1))
+    for k in (-2, 1, 5):
+        r = charge_report(ramp_profile(a0 + k, a1 + k))
+        assert (r.dim_ker_aps, r.dim_ker_aaps, r.index_lhs) == \
+            (ref.dim_ker_aps, ref.dim_ker_aaps, ref.index_lhs), k
+        for name in ("q_left", "q_right", "q_chiral"):
+            assert abs(getattr(r, name) - getattr(ref, name)) <= 1e-12, (k, name)

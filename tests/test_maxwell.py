@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from kerrlab import (BLPoint, DomainError, KerrParams, V_tensor,
-                     Z_form, coulomb_field, dominant_energy_value, eta_oneform,
-                     hodge_dual2, kerr_metric, killing_yano,
+from kerrlab import (BLPoint, DomainError, KerrParams, V_tensor, coulomb_field,
+                     dominant_energy_value, kerr_metric,
                      maxwell_divergence_residual, np_scalars, principal_tetrad,
-                     random_exterior_points, stress_tensor, uniform_field)
-from kerrlab.maxwell import _coulomb_F, _uniform_F
+                     random_exterior_points, uniform_field)
+from kerrlab.kerr import _ky_calibration
+from kerrlab.maxwell import _coulomb_F, _eta, _sample, _uniform_F
+from kerrlab.tensors import _hodge, _stencil
 
 PARAMS = KerrParams(1.0, 0.5)
 
@@ -50,29 +51,19 @@ def test_uniform_np_scalars_not_aligned():
     assert max(abs(phi0), abs(phi2)) > 1e-6
 
 
-def test_stress_tensor_symmetric_traceless():
-    p = pts(1, seed=25)[0]
-    sample = uniform_field(PARAMS, 2.0, p)
-    T = stress_tensor(sample).components.real
-    assert np.allclose(T, T.T, atol=1e-12 * max(1.0, np.max(np.abs(T))))
-    ginv = kerr_metric(PARAMS, p).g_inv.components.real
-    assert abs(np.einsum("ab,ab->", ginv, T)) < 1e-10 * max(1.0, np.max(np.abs(T)))
-
-
 def test_coulomb_Z_vanishes_identically():
     # alignment with the principal directions makes the polarization 2-form
     # Z vanish pointwise for the Coulomb field
     for p in pts(3, seed=26):
-        Z = Z_form(coulomb_field(PARAMS, 1.0, p))
+        Z = V_tensor(PARAMS, lambda q: _coulomb_F(PARAMS, q), p).Z
         assert np.max(np.abs(Z.components)) < 1e-10
 
 
 def test_uniform_Z_and_eta_nonzero():
     p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
-    Z = Z_form(uniform_field(PARAMS, 1.0, p))
-    assert np.max(np.abs(Z.components)) > 1e-4
-    eta = eta_oneform(PARAMS, lambda q: _uniform_F(PARAMS, q), p)
-    assert np.max(np.abs(eta.components)) > 1e-6
+    rep = V_tensor(PARAMS, lambda q: _uniform_F(PARAMS, q), p)
+    assert np.max(np.abs(rep.Z.components)) > 1e-4
+    assert np.max(np.abs(rep.eta.components)) > 1e-6
 
 
 def test_V_tensor_conserved_uniform_field():
@@ -98,15 +89,15 @@ def test_dominant_energy_leading_part():
 def test_hodge_dual_of_coulomb_antisymmetric():
     p = pts(1, seed=27)[0]
     sample = coulomb_field(PARAMS, 1.0, p)
-    dual = hodge_dual2(sample.F, kerr_metric(PARAMS, p))
-    c = dual.components
+    metric = kerr_metric(PARAMS, p)
+    c = _hodge(sample.F.components.real, metric.g_inv.components.real, metric.sqrt_abs_det)
     assert np.max(np.abs(c + c.T)) < 1e-10 * max(1.0, np.max(np.abs(c)))
 
 
 def test_V_tensor_evaluates_each_point_once(monkeypatch):
     # the 17-point outer stencil times the 9-point inner one: the field is
     # called once, on all 153 points, each of them distinct, and the reported
-    # eta is the one eta_oneform gives at the centre
+    # eta is the one the inner 9-point stencil alone gives at the centre
     p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
     calls = []
 
@@ -117,8 +108,8 @@ def test_V_tensor_evaluates_each_point_once(monkeypatch):
     rep = V_tensor(PARAMS, F, p, step=1e-3)
     assert len(calls) == 1 and calls[0].shape == (17, 9, 4)
     assert len(set(map(tuple, calls[0].reshape(-1, 4)))) == 153
-    eta = eta_oneform(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
-    assert np.array_equal(rep.eta.components, eta.components)
+    F, geo = _sample(PARAMS, lambda q: _uniform_F(PARAMS, q), _stencil(p.coords, 1e-3, "d1"))
+    assert np.array_equal(rep.eta.components, _eta(F, geo, 1e-3, "d1")[2])
 
 
 def test_V_tensor_geometry_evaluation_counts(monkeypatch):
@@ -126,10 +117,9 @@ def test_V_tensor_geometry_evaluation_counts(monkeypatch):
     # broadcasting closed-form call per quantity, and no per-point metric is
     # built
     import kerrlab.kerr as kerr
-    import kerrlab.maxwell as maxwell
 
     p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
-    killing_yano(PARAMS, p)  # the cached Killing-Yano calibration evaluates xi once
+    _ky_calibration(PARAMS)  # the cached Killing-Yano calibration evaluates xi once
     forms = kerr._forms()
     counts = {}
 
@@ -144,7 +134,6 @@ def test_V_tensor_geometry_evaluation_counts(monkeypatch):
 
     counted = {name: counted_form(name) for name in forms}
     monkeypatch.setattr(kerr, "_forms", lambda: counted)
-    monkeypatch.setattr(maxwell, "kerr_metric", no_metric)
     monkeypatch.setattr(kerr, "kerr_metric", no_metric)
     V_tensor(PARAMS, lambda q: _uniform_F(PARAMS, q), p, step=1e-3)
     assert counts == {name: 1 for name in ("g", "ginv", "sqrtg", "gamma", "Y", "xi", "F_uniform")}
@@ -211,7 +200,6 @@ def test_calibration_calls_the_field_once_per_step(monkeypatch):
         raise AssertionError("the calibration called kerr_metric")
 
     monkeypatch.setitem(maxwell._CALIBRATIONS, "uniform", ("uniform-field", F, 4321, 1e-5, 1e-9))
-    monkeypatch.setattr(maxwell, "kerr_metric", no_metric)
     monkeypatch.setattr(kerr, "kerr_metric", no_metric)
     assert maxwell._calibration.__wrapped__(PARAMS, "uniform")
     assert [q.shape for q in calls] == [(5, 17, 4), (5, 17, 4)]

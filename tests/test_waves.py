@@ -4,22 +4,25 @@ import numpy as np
 import pytest
 
 from kerrlab import (DomainError, EnergyReport, KerrParams, ModeField2p1,
-                     StabilityError, WaveGrid, carter_Q, energy_model3, evolve,
-                     initial_data, morawetz_bulk, pointwise_norm,
+                     StabilityError, WaveGrid, carter_Q, evolve, initial_data,
                      radius_from_tortoise, reduced_wave_apply, symmetry_apply,
                      tortoise_from_radius)
 from kerrlab.kerr import _at
 from kerrlab.waves import (S0_WORDS, S1_WORDS, S2_WORDS, _densities,
-                           _operator, _product, _spatial, _step, assemble_current,
+                           _operator, _product, _slice_integral, _spatial, _step,
                            box_stack, carter_q_stack, cutoff_bump, d2_rstar, d_rstar, d_theta,
                            horizon_gap_from_tortoise, lambda_theta_conservative,
-                           lambda_theta_trapezoid, polarized_stress,
-                           sigma_box_stack)
+                           lambda_theta_trapezoid, sigma_box_stack)
 
 
 def make_grid(a=0.5, m_phi=0, n_r=120, n_theta=16, lo=-20.0, hi=30.0):
     return WaveGrid(params=KerrParams(1.0, a), m_phi=m_phi, n_r=n_r,
                     n_theta=n_theta, rstar_min=lo, rstar_max=hi)
+
+
+def _report(grid, stack, dt):
+    """(E_model,3, Morawetz bulk) of one report pass over the stack's central 7 levels."""
+    return tuple(_slice_integral(grid, d) for d in _densities(grid, stack, dt))
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
@@ -215,32 +218,21 @@ def test_symmetry_apply_time_and_phi_words():
         symmetry_apply(grid, stack, dt, (2, 0, 1))
 
 
-def test_pointwise_norm_counts_words():
-    grid = make_grid(m_phi=0, n_r=32, n_theta=8)
-    f = np.ones((grid.n_r, grid.n_theta), dtype=complex)
-    stack = np.array([f] * 5)
-    n0 = pointwise_norm(grid, stack, 0.1, 0)
-    assert np.allclose(n0, 1.0)
-    # static constant field: d_t, d_phi words vanish, Q reduces to 0 for m=0
-    n2 = pointwise_norm(grid, stack, 0.1, 2)
-    assert np.allclose(n2, 1.0, atol=1e-10)
-
-
 def test_energy_and_bulk_positive_and_scale_quadratically():
     grid = make_grid(a=0.1, m_phi=1, n_r=120, n_theta=16)
     psi, psi_t = initial_data(grid, family="gaussian-wide", center=5.0, width=3.0)
     field, _ = evolve(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t), t_end=1.0)
     stack, dt = field.history
-    e = energy_model3(grid, stack, dt)
-    b = morawetz_bulk(grid, stack, dt)
+    e, b = _report(grid, stack, dt)
     assert e > 0 and b > 0
-    e9 = energy_model3(grid, 3.0 * stack, dt)
+    e9 = _report(grid, 3.0 * stack, dt)[0]
     assert abs(e9 - 9.0 * e) < 1e-9 * e9
 
 
 def test_evolve_reports_from_one_diagnostics_pass(monkeypatch):
     # each report applies the Q word once (one carter_q_stack call) for the
-    # energy and the bulk together, and gives the public functions' values
+    # energy and the bulk together, and gives the slice integrals of the
+    # densities of its 7-level window
     import kerrlab.waves as waves
 
     calls = []
@@ -257,8 +249,9 @@ def test_evolve_reports_from_one_diagnostics_pass(monkeypatch):
     assert len(calls) == len(reports) > 1
     # the last report is centred on the final 7-level history
     stack, dt = field.history
-    assert reports[-1].e_model3 == energy_model3(grid, stack, dt)
-    assert reports[-1].bulk_increment == morawetz_bulk(grid, stack, dt)
+    e, b = _report(grid, stack, dt)
+    assert reports[-1].e_model3 == e
+    assert reports[-1].bulk_increment == b
 
 
 def test_morawetz_ratio_scaling_invariant():
@@ -267,30 +260,6 @@ def test_morawetz_ratio_scaling_invariant():
     _, r1 = evolve(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t), t_end=3.0)
     _, r2 = evolve(ModeField2p1(grid=grid, psi=5.0 * psi, psi_t=5.0 * psi_t), t_end=3.0)
     assert abs(r1[-1].ratio - r2[-1].ratio) < 1e-12 * max(r1[-1].ratio, 1e-30)
-
-
-def test_polarized_stress_polarization_identity():
-    grid = make_grid(a=0.5, m_phi=1, n_r=100, n_theta=12)
-    psi, psi_t = initial_data(grid, family="gaussian-static", center=5.0, width=3.0)
-    field, _ = evolve(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t), t_end=1.0)
-    stack, dt = field.history
-    T = polarized_stress(grid, stack[1:6], dt, (0, 0, 0), (0, 0, 0))
-    assert np.allclose(T, T.transpose(1, 0, 2, 3), atol=1e-12)
-    # symmetric in the two word arguments
-    Tab = polarized_stress(grid, stack[1:6], dt, (0, 0, 0), (1, 0, 0))
-    Tba = polarized_stress(grid, stack[1:6], dt, (1, 0, 0), (0, 0, 0))
-    assert np.allclose(Tab, Tba, atol=1e-11 * max(1.0, np.max(np.abs(Tab))))
-
-
-def test_assemble_current_shapes_and_divergence_finite():
-    grid = make_grid(a=0.5, m_phi=1, n_r=100, n_theta=12)
-    psi, psi_t = initial_data(grid, family="gaussian-static", center=5.0, width=3.0)
-    field, _ = evolve(ModeField2p1(grid=grid, psi=psi, psi_t=psi_t), t_end=1.0)
-    stack, dt = field.history
-    coeffs = [((0, 0, 0), (1, 0, 0), 0, lambda r: np.ones_like(r))]
-    J, div = assemble_current(grid, stack, dt, coeffs)
-    assert J.shape == (4, grid.n_r, grid.n_theta)
-    assert math.isfinite(div)
 
 
 def test_evolve_refuses_more_step_points_than_the_bound_before_a_step(monkeypatch):
@@ -393,15 +362,11 @@ def test_stack_operators_refuse_short_stacks_naming_the_caller():
     # each takes exactly the levels it needs, and refuses one fewer
     grid = make_grid(a=0.5, m_phi=1, n_r=40, n_theta=12)
     stack, dt = _random_stack(grid, 7, np.random.default_rng(43), real=False), 0.05
-    coeffs = [((0, 0, 0), (1, 0, 0), 0, lambda r: np.ones_like(r))]
     cases = [
         ("sigma_box_stack", 3, lambda s: sigma_box_stack(grid, s, dt)),
         ("carter_q_stack", 3, lambda s: carter_q_stack(grid, s, dt)),
         ("symmetry_apply", 5, lambda s: symmetry_apply(grid, s, dt, (1, 0, 1))),
-        ("pointwise_norm", 5, lambda s: pointwise_norm(grid, s, dt, 2)),
         ("_densities", 7, lambda s: _densities(grid, s, dt)),
-        ("polarized_stress", 5, lambda s: polarized_stress(grid, s, dt, (0, 0, 0), (1, 0, 0))),
-        ("assemble_current", 7, lambda s: assemble_current(grid, s, dt, coeffs)),
     ]
     for who, k, op in cases:
         op(stack[:k])
@@ -431,36 +396,13 @@ def test_evolution_keeps_the_equatorial_reflection(a, m_phi, family, parity):
 
 
 def test_metric_on_grid_inverts():
-    # the one metric read of polarized_stress and assemble_current: g and
-    # ginv at the grid points, point axes first
+    # the closed forms broadcast over the grid's (r, theta) lattice: g and
+    # ginv at the grid points, point axes first, invert each other
     grid = make_grid(a=0.7, m_phi=1, n_r=20, n_theta=8, lo=-5.0, hi=30.0)
     g, ginv = _at(grid.params, grid.r[:, None], grid.theta[None, :], "g", "ginv")
     assert g.shape == ginv.shape == (grid.n_r, grid.n_theta, 4, 4)
     assert np.max(np.abs(g @ ginv - np.eye(4))) < 1e-10
     assert np.allclose(g[..., 2, 2], grid.sigma, rtol=1e-14, atol=0.0)
-
-
-def test_assemble_current_reads_the_metric_once(monkeypatch):
-    # one read of g and one of ginv per call, whatever the number of
-    # coefficients and time levels
-    import kerrlab.kerr as kerr
-
-    forms, calls = kerr._forms(), []
-
-    def counted(name):
-        def form(*args):
-            calls.append(name)
-            return forms[name](*args)
-        return form
-
-    counting = {name: counted(name) for name in forms}
-    monkeypatch.setattr(kerr, "_forms", lambda: counting)
-    grid = make_grid(a=0.5, m_phi=1, n_r=40, n_theta=8)
-    stack = _random_stack(grid, 7, np.random.default_rng(41), real=False)
-    coeffs = [((0, 0, 0), (1, 0, 0), 0, lambda r: np.ones_like(r)),
-              ((1, 0, 0), (0, 1, 0), 1, lambda r: 1.0 / r)]
-    assemble_current(grid, stack, 0.05, coeffs)
-    assert sorted(calls) == ["g", "ginv"]
 
 
 def test_energy_report_rejects_small_negative_values():
@@ -614,20 +556,6 @@ def test_one_report_pass_holds_at_most_ten_levels():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * levels[0].nbytes
-
-
-@pytest.mark.parametrize("m_phi", [0, 1, 2])
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_pointwise_norm_is_the_word_by_word_sum(m_phi, n):
-    grid = make_grid(a=0.5, m_phi=m_phi, n_r=40, n_theta=12)
-    stack = _random_stack(grid, 5, np.random.default_rng(23), real=False)
-    words = (S0_WORDS + S1_WORDS + S2_WORDS)[: (1, 3, 7)[n]]
-    ref = 0.0
-    for word in words:
-        res = symmetry_apply(grid, stack, 0.05, word)
-        ref = ref + np.abs(res[res.shape[0] // 2]) ** 2
-    got = pointwise_norm(grid, stack, 0.05, n)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
 
 
 def test_stack_operators_keep_real_data_real():
