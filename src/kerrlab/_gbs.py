@@ -66,7 +66,7 @@ def crossing(fun, tau, y, y1, h, k, i, value):
 
 
 @np.errstate(all="ignore")  # a step into a non-finite RHS is rejected, not reported
-def solve_ivp(fun, t_span, y0, tol, max_step=np.inf, events=()):
+def solve_ivp(fun, t_span, y0, tol, events=()):
     """Integrate y' = fun(tau, y) over t_span at relative and absolute tolerance tol.  An
     event (i, value, direction) ends the run where y[i] crosses value upwards (+1) or
     downwards (-1), and a step controlled like any other lands on it.  sol(taus) takes
@@ -77,7 +77,7 @@ def solve_ivp(fun, t_span, y0, tol, max_step=np.inf, events=()):
     lo = min(K_MIN, max(2, int(1.5 - 0.6 * math.log10(tol))) - 1)
     h, k, event = 1e-3 * (t_end - tau), lo, None
     while tau < t_end:
-        y, h = ys[-1], min(h, max_step, t_end - tau)
+        y, h = ys[-1], min(h, t_end - tau)
         y1, cols = step(fun, tau, y, h, k)
         scale = tol * (1.0 + np.maximum(abs(y), abs(y1)))
         err = [max(math.sqrt(np.mean((DIFF[j] @ cols[:j + 1] / scale) ** 2)), 1e-10) for j in (k - 1, k)]

@@ -24,13 +24,6 @@ STENCILS = {
 }
 
 
-def central_d1(order):
-    """The name of the centred first difference of order 2 or 4."""
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    return "d1" if order == 2 else "d1_4"
-
-
 def mirror(entry):
     """The entry with offsets negated and weights times (-1)^p."""
     offsets, weights, c, p = entry

@@ -336,7 +336,8 @@ def _run_kerr_check(cfg):
     r = np.array([p.r for p in points])
     th = np.array([p.theta for p in points])
     ginv, xi = _at(params, r, th, "ginv", "xi")
-    xi_up = np.einsum("...ab,...b->...a", ginv, _ky_calibration(params) * xi)
+    _ky_calibration(params)  # xi is validated before it is used
+    xi_up = np.einsum("...ab,...b->...a", ginv, xi)
     res = {
         "ky": _symmetrized_max(_analytic_nabla(params, r, th, "Y"), (-3, -2)),
         "conformal_ky": _conformal_ky(params, r, th),
@@ -565,7 +566,7 @@ def _run_maxwell_currents(cfg):
         Z, eta, _, div, F = _currents(params, F_field, block, step)
         blocks.append((np.max(np.abs(Z), axis=(-2, -1)), eta, div,
                        _currents(params, F_field, block, 2 * step)[3],
-                       _divergence(params, F_field, block, step, 4), F))
+                       _divergence(params, F_field, block, step), F))
     Z_max, eta, div, div2, maxwell_res, F = map(np.concatenate, zip(*blocks))
 
     r, th = centres[:, 1], centres[:, 2]

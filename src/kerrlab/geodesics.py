@@ -135,29 +135,27 @@ def integrate_geodesic(
     s0: GeodesicState,
     t_max: float,
     tol: float = 1e-10,
-    max_tau: float = None,
     n_samples: int = 200,
-    max_step: float = np.inf,
 ) -> Trajectory:
-    """Integrate until coordinate time t_max (or affine parameter max_tau).
+    """Integrate until coordinate time t_max.
 
     Plunging trajectories stop at r = r_plus + 1e-2 m and the partial
-    trajectory is returned with plunged=True.  The n_samples evenly spaced
-    samples are extrapolated steps from the nearest accepted step; max_step
-    caps the integrator's step.
+    trajectory is returned with plunged=True.  The n_samples (at least 2)
+    evenly spaced samples are extrapolated steps from the nearest accepted
+    step.
     """
     if not 0 < t_max <= MAX_TIME * params.m:
         raise DomainError(f"t_max must be positive and at most {MAX_TIME:g} m")
     if not 0 < tol <= MAX_TOL:
         raise DomainError(f"tol must be positive and at most {MAX_TOL}")
+    if n_samples < 2:  # one sample is the initial state, whose drifts all read 0
+        raise DomainError("n_samples must be at least 2")
     y0 = np.concatenate([s0.x.coords, s0.u.real_part()])
     r_stop = params.r_plus + PLUNGE_GUARD * params.m
-    if max_tau is None:
-        # u^t >= 1 outside the ergoregion for the states of interest; the
-        # coordinate-time event below is what actually ends the run.
-        max_tau = 10.0 * t_max
-    # events: t reaches t_max, r falls to r_stop
-    sol = solve_ivp(_geodesic_rhs(params), (0.0, max_tau), y0, tol, max_step,
+    # events: t reaches t_max, r falls to r_stop.  u^t >= 1 outside the
+    # ergoregion for the states of interest, so the affine span 10 t_max is
+    # never reached: the coordinate-time event is what ends the run.
+    sol = solve_ivp(_geodesic_rhs(params), (0.0, 10.0 * t_max), y0, tol,
                     events=((0, t_max, 1), (1, r_stop, -1)))
     if sol.message is not None:
         raise StabilityError(f"geodesic integration failed: {sol.message}")

@@ -48,6 +48,16 @@ SIGMA = -GAMMA0  # Clifford multiplication by the t = 0 unit normal
 SIGMA_INV = GAMMA0
 MAX_LATTICE_POINTS = 10**7  # nodes of one sampled field (160 MB complex)
 GOURSAT_BLOCK_CELLS = 2**14  # source cells per block of the Goursat march
+# Numerical support, for cone_containment and the support clauses of
+# green_clause_residuals: where |u| exceeds SUPPORT_THRESHOLD times the peak
+# amplitude, allowed SUPPORT_COLLAR_CELLS cells beyond the light cone.  Below
+# about one part in 10^3 of the peak, the leapfrog scheme's dispersive
+# (Airy-type) front, of width ~ (t/h)^(1/3) cells straddling the exact cone
+# and decaying super-exponentially with distance, sets the support radius,
+# not the causal propagation.  Everything beyond one cell per time step is
+# exactly zero (the hard discrete domain of dependence).
+SUPPORT_THRESHOLD = 1e-3
+SUPPORT_COLLAR_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -183,22 +193,17 @@ def support_radius(u_slice, x, center, threshold):
     return float(rad) if rad.ndim == 0 else rad
 
 
-def cone_containment(grid: Grid1p1, u, center, radius0, collar_cells=2, rel_threshold=1e-3):
+def cone_containment(grid: Grid1p1, u, center, radius0):
     """Check supp u(t) stays inside the light cone of the initial support.
 
     Returns the worst excess (in cells) of the numerical support radius over
-    radius0 + t + collar_cells * h_x, using a relative amplitude threshold.
-    The default threshold 1e-3 defines numerical support as the region holding
-    all but one part in 10^3 of the peak amplitude: the leapfrog scheme has a
-    dispersive (Airy-type) front of width ~ (t/h)^(1/3) cells straddling the
-    exact cone whose amplitude decays super-exponentially with distance, and
-    below roughly that level the front, not the causal propagation, sets the
-    support radius.  Everything beyond one cell per time step is exactly zero
-    (the hard discrete domain of dependence).
+    radius0 + t + SUPPORT_COLLAR_CELLS * h_x, at the relative amplitude
+    threshold SUPPORT_THRESHOLD of the peak of u.
     """
     u = np.asarray(u)
-    rad = support_radius(u, grid.x, center, rel_threshold * np.max(np.abs(u)))
-    allowed = np.minimum(radius0 + np.arange(u.shape[0]) * grid.h_t + collar_cells * grid.h_x, math.pi)
+    rad = support_radius(u, grid.x, center, SUPPORT_THRESHOLD * np.max(np.abs(u)))
+    allowed = np.minimum(radius0 + np.arange(u.shape[0]) * grid.h_t + SUPPORT_COLLAR_CELLS * grid.h_x,
+                         math.pi)
     return float(np.max((rad - allowed) / grid.h_x))
 
 
@@ -309,8 +314,8 @@ def _goursat_error(field: GoursatField, exact):
 
 @dataclass(frozen=True)
 class DiracData1p1:
-    """Initial spinor u0 (shape (2, n_x)), optional source f(t, x) -> (2,) or
-    sampled (n_t+1, 2, n_x), optional connection coefficient a(t)."""
+    """Initial spinor u0 (shape (2, n_x)), optional source f(t, x) -> (2, n_x)
+    on the circle's points x, optional connection coefficient a(t)."""
 
     u0: np.ndarray
     f: object = None
@@ -325,17 +330,13 @@ class DiracData1p1:
         object.__setattr__(self, "u0", u0)
 
     def source_samples(self, grid: Grid1p1):
+        """f on every level of the grid, shape (n_t+1, 2, n_x); None without f."""
         if self.f is None:
             return None
-        f = np.asarray(self.f, dtype=complex) if not callable(self.f) else None
-        if f is None:
-            out = np.empty((grid.n_t + 1, 2, grid.n_x), dtype=complex)
-            for n, t in enumerate(grid.t):
-                out[n] = np.asarray(self.f(t, grid.x), dtype=complex)
-            return out
-        if f.shape != (grid.n_t + 1, 2, grid.n_x):
-            raise DomainError("sampled Dirac source has the wrong shape")
-        return f
+        out = np.empty((grid.n_t + 1, 2, grid.n_x), dtype=complex)
+        for n, t in enumerate(grid.t):
+            out[n] = np.asarray(self.f(t, grid.x), dtype=complex)
+        return out
 
 
 def dirac_solve_direct(data: DiracData1p1, grid: Grid1p1):
@@ -494,14 +495,14 @@ def green_clause_residuals(grid: Grid1p1, f, potential=None):
         # clause (i): G P f = f for compactly supported f
         gpf = green(grid, direction, Pf, potential)
         out[f"GP_{direction}"] = float(np.max(np.abs(gpf - f)) / scale)
-        # clause (iii): support containment in J^{+/-}(supp f) with a collar
-        # (same numerical-support threshold as cone_containment); a level
-        # before the source in the direction's time is allowed no support
-        thr = 1e-3 * max(float(np.max(np.abs(u))), scale)
+        # clause (iii): support containment in J^{+/-}(supp f) with a collar,
+        # by the numerical-support policy above; a level before the source in
+        # the direction's time is allowed no support
+        thr = SUPPORT_THRESHOLD * max(float(np.max(np.abs(u))), scale)
         n = np.arange(grid.n_t + 1)
         gap = ((n - supp[0]) if direction == "retarded" else (supp[1] - n)) * grid.h_t
         allowed = np.where(gap < 0, np.where(np.max(np.abs(u), axis=1) > thr, 0.0, math.pi),
-                           np.minimum(radius0 + gap + 2 * grid.h_x, math.pi))
+                           np.minimum(radius0 + gap + SUPPORT_COLLAR_CELLS * grid.h_x, math.pi))
         rad = support_radius(u, grid.x, center, thr)
         out[f"support_{direction}"] = float(np.max((rad - allowed) / grid.h_x))
 

@@ -198,13 +198,14 @@ def eta_h_circle(a_value: float):
     return 1.0 - 2.0 * frac, 0
 
 
-def eta_abel_oracle(a_value: float, s: float = 1e-4) -> float:
-    """Abel-summed eta series sum_k sign(k + a) exp(-s |k + a|).
+def eta_abel_oracle(a_value: float) -> float:
+    """Abel-summed eta series sum_k sign(k + a) exp(-s |k + a|) at s = 1e-4.
 
     Independent check of the closed form in eta_h_circle; converges to
     1 - 2 frac(a) as s -> 0 for non-integer a.  The two geometric tails are
     summed in closed form so s can be taken small.
     """
+    s = 1e-4
     frac = a_value - math.floor(a_value)
     if frac == 0.0:
         return 0.0

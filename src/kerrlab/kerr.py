@@ -11,8 +11,8 @@ needs numpy only.  At first use `_forms` scatters each kernel's entries
 back into an array of the form's shape.  Real forms return float arrays;
 only xi, U, kappa1 and m_vec are complex.  Every form broadcasts over
 arrays of (r, theta), with the point axes leading.  The Killing-Yano sign
-is calibrated, not assumed: construction fails loudly unless the associated
-Killing field comes out as +d/dt.
+is validated, not assumed: `_ky_calibration` fails loudly unless the
+associated Killing field comes out as +d/dt.
 
 Conventions: signature (-,+,+,+); orientation eps_{t r theta phi} = +sqrt|g|;
 tetrad inner products are quoted with respect to the reversed-signature
@@ -171,7 +171,8 @@ def _ky_calibration(params: KerrParams):
 
     Checks, at a reference exterior point: (a) vanishing symmetrized
     gradient of Y, (b) the conformal Killing-Yano residual, (c) the
-    associated complex 1-form raising to +d/dt.  Returns the frozen sign.
+    associated complex 1-form raising to +d/dt.  Raises CalibrationError if
+    any check fails; Y is used as generated.
     """
     p = BLPoint(0.0, 3.0 * params.m + 1.0, 1.0, 0.3, params)
     # (c): xi must be +d/dt with vanishing imaginary part
@@ -185,7 +186,6 @@ def _ky_calibration(params: KerrParams):
     res = killing_yano_residual(params, p)
     if res > 1e-10:
         raise CalibrationError(f"Killing-Yano residual {res} too large")
-    return 1.0
 
 
 def _analytic_nabla(params: KerrParams, r, th, name: str):
@@ -213,7 +213,7 @@ def _fd_nabla(params: KerrParams, r, th, name: str, step: float):
 def _symmetrized_max(nabla, slots):
     """max |nabla_(a T_b)c| (slots -3, -2) or max |nabla_(a T_bc)| (slots -3,
     -2, -1) at each point of the leading axes."""
-    return np.max(np.abs(_projector(nabla, slots, antisym=False)), axis=(-3, -2, -1))
+    return np.max(np.abs(_projector(nabla, slots)), axis=(-3, -2, -1))
 
 
 def _conformal_ky(params: KerrParams, r, th):
@@ -222,7 +222,7 @@ def _conformal_ky(params: KerrParams, r, th):
     nabla = _analytic_nabla(params, r, th, "Y")  # [..., c, a, b]
     # div_a = nabla_d Y_a{}^d = nabla_d Y_ac g^{cd}
     div = np.einsum("...dac,...cd->...a", nabla, ginv)
-    lhs = _projector(nabla, (-3, -2), antisym=False)
+    lhs = _projector(nabla, (-3, -2))
     # lhs[a,b,c] = nabla_(a Y_b)c; rhs from the conformal Killing-Yano equation
     rhs = (
         -np.einsum("...ab,...c->...abc", g, div) / 3.0
@@ -273,8 +273,8 @@ def xi_oneform(params: KerrParams, p: BLPoint) -> TensorValue:
     """Complex 1-form built from first derivatives of Y; real and equal to
     (d/dt)-flat for the calibrated Kerr Y."""
     _check_point(params, p)
-    sign = _ky_calibration(params)
-    return TensorValue((DOWN,), sign * _eval("xi", params, p))
+    _ky_calibration(params)
+    return TensorValue((DOWN,), _eval("xi", params, p))
 
 
 def kappa_scalars(params: KerrParams, p: BLPoint):
@@ -310,23 +310,24 @@ def _tetrad(params: KerrParams, r, th):
     return (l, n, mv, mb), normalization, np.max(np.abs(recon - gh), axis=(-2, -1))
 
 
-def _principal_tetrad(params: KerrParams, r, th, tol=1e-11):
-    """`_tetrad`'s legs at the points (r, th), its residuals checked at every point."""
+def _principal_tetrad(params: KerrParams, r, th):
+    """`_tetrad`'s legs at the points (r, th), its residuals checked to 1e-11
+    at every point."""
     legs, normalization, reconstruction = _tetrad(params, r, th)
     worst = np.max(np.maximum(normalization, reconstruction))
-    if worst > tol:
-        raise CalibrationError(f"tetrad normalization residual {worst} above {tol}")
+    if worst > 1e-11:
+        raise CalibrationError(f"tetrad normalization residual {worst} above 1e-11")
     return legs
 
 
-def principal_tetrad(params: KerrParams, p: BLPoint, tol=1e-11):
+def principal_tetrad(params: KerrParams, p: BLPoint):
     """Principal null tetrad (l, n, m, mbar) as contravariant TensorValues.
 
     Normalized against ghat = -g: ghat(l,n) = 1, ghat(m,mbar) = -1, and
     ghat_ab = 2(l_(a n_b) - m_(a mbar_b)); verified before returning.
     """
     _check_point(params, p)
-    return tuple(TensorValue((UP,), v) for v in _principal_tetrad(params, p.r, p.theta, tol))
+    return tuple(TensorValue((UP,), v) for v in _principal_tetrad(params, p.r, p.theta))
 
 
 def tetrad_reconstruction_residual(params: KerrParams, p: BLPoint) -> float:
@@ -345,9 +346,9 @@ def uniform_F_unit(params: KerrParams, p: BLPoint) -> np.ndarray:
     return _eval("F_uniform", params, p)
 
 
-def random_exterior_points(params: KerrParams, n, rng, r_range=(None, None), t_range=(0.0, 0.0)):
-    """Sample points uniformly in r, theta, phi over a safe exterior box
-    (by default r_plus + 0.3 m < r < 12 m)."""
+def random_exterior_points(params: KerrParams, n, rng, r_range=(None, None)):
+    """Sample points at t = 0, uniformly in r, theta, phi over a safe
+    exterior box (by default r_plus + 0.3 m < r < 12 m)."""
     r_lo = r_range[0] if r_range[0] is not None else params.r_plus + 0.3 * params.m
     r_hi = r_range[1] if r_range[1] is not None else 12.0 * params.m
     pts = []
@@ -355,6 +356,6 @@ def random_exterior_points(params: KerrParams, n, rng, r_range=(None, None), t_r
         r = rng.uniform(r_lo, r_hi)
         th = rng.uniform(0.3, math.pi - 0.3)
         ph = rng.uniform(0.0, 2 * math.pi)
-        t = rng.uniform(*t_range)
-        pts.append(BLPoint(t, r, th, ph, params))
+        rng.random()  # the draw of a time, kept so that each seed gives the same points
+        pts.append(BLPoint(0.0, r, th, ph, params))
     return pts

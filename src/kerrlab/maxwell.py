@@ -38,7 +38,6 @@ from .kerr import (
     random_exterior_points,
     uniform_F_unit,
 )
-from ._stencils import central_d1
 from .tensors import DOWN, UP, TensorValue, _cov_fd, _hodge, _partial_fd, _stencil
 
 
@@ -56,7 +55,6 @@ class MaxwellSample:
 
     F: TensorValue
     point: BLPoint
-    provenance: str = "user"
 
     def __post_init__(self):
         if self.F.variance != (DOWN, DOWN):
@@ -72,7 +70,6 @@ class CurrentReport:
     eta: TensorValue
     V: TensorValue
     div_V_residual: float
-    fd_step: float
 
 
 def _coulomb_F(params, pts):
@@ -100,14 +97,14 @@ def _field(params, F_field, pts):
     return F
 
 
-def _divergence(params, F_field, centres, step, order):
-    """max_b |nabla^a F_ab| at each of the chart points centres[n, 4], from the
-    field on the stencil of every centre (one call) and ginv, gamma at the
-    centres (one broadcasting closed-form call each)."""
-    name = central_d1(order)
-    F = _field(params, F_field, _stencil(centres, step, name))
+def _divergence(params, F_field, centres, step):
+    """max_b |nabla^a F_ab| at each of the chart points centres[n, 4], by
+    fourth-order central differences: from the field on the stencil of every
+    centre (one call) and ginv, gamma at the centres (one broadcasting
+    closed-form call each)."""
+    F = _field(params, F_field, _stencil(centres, step, "d1_4"))
     ginv, gamma = _at(params, centres[..., 1], centres[..., 2], "ginv", "gamma")
-    nabla = _cov_fd(F, gamma, (DOWN, DOWN), step, name)
+    nabla = _cov_fd(F, gamma, (DOWN, DOWN), step, "d1_4")
     return np.max(np.abs(np.einsum("...ca,...cab->...b", ginv, nabla)), axis=-1)
 
 
@@ -128,8 +125,8 @@ def _calibration(params: KerrParams, field: str):
     rng = np.random.default_rng(seed)
     pts = random_exterior_points(params, 5, rng, r_range=(None, 10.0 * params.m))
     centres = np.array([p.coords for p in pts])
-    residuals = zip(_divergence(params, F_field, centres, 1e-2, 4),
-                    _divergence(params, F_field, centres, 5e-3, 4))
+    residuals = zip(_divergence(params, F_field, centres, 1e-2),
+                    _divergence(params, F_field, centres, 5e-3))
     for p, (res_h, res_h2) in zip(pts, residuals):
         if not (res_h2 <= tol and (res_h2 < res_h or res_h < floor)):
             raise CalibrationError(
@@ -143,7 +140,7 @@ def coulomb_field(params: KerrParams, q: float, p: BLPoint) -> MaxwellSample:
     construction)."""
     _calibration(params, "coulomb")
     F = q * coulomb_F_unit(params, p)
-    return MaxwellSample(TensorValue((DOWN, DOWN), F), p, provenance="coulomb")
+    return MaxwellSample(TensorValue((DOWN, DOWN), F), p)
 
 
 def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
@@ -153,12 +150,13 @@ def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
     directions, so it produces nonzero Z, eta and V."""
     _calibration(params, "uniform")
     F = b * uniform_F_unit(params, p)
-    return MaxwellSample(TensorValue((DOWN, DOWN), F), p, provenance="uniform")
+    return MaxwellSample(TensorValue((DOWN, DOWN), F), p)
 
 
-def maxwell_divergence_residual(params, F_field, p: BLPoint, step=1e-3, order=4) -> float:
-    """max_b |nabla^a F_ab| at p for a field (pts[..., 4] -> F[..., 4, 4])."""
-    return float(_divergence(params, F_field, p.coords[None], step, order)[0])
+def maxwell_divergence_residual(params, F_field, p: BLPoint, step=1e-3) -> float:
+    """max_b |nabla^a F_ab| at p for a field (pts[..., 4] -> F[..., 4, 4]), by
+    fourth-order central differences."""
+    return float(_divergence(params, F_field, p.coords[None], step)[0])
 
 
 def _np_scalars(F, legs, r, theta, a):
@@ -204,7 +202,7 @@ def _sample(params, F_field, pts):
     F = _field(params, F_field, pts)
     names = ("g", "ginv", "sqrtg", "gamma", "Y", "xi")
     geo = dict(zip(names, _at(params, pts[..., 1], pts[..., 2], *names)))
-    geo["Y"] = _ky_calibration(params) * geo["Y"]
+    _ky_calibration(params)  # Y is validated before it is used
     return F, geo
 
 
@@ -289,7 +287,6 @@ def V_tensor(params: KerrParams, F_field, p: BLPoint, step=1e-3) -> CurrentRepor
         eta=TensorValue((DOWN,), eta),
         V=TensorValue((DOWN, DOWN), V),
         div_V_residual=float(div),
-        fd_step=step,
     )
 
 

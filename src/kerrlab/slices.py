@@ -33,7 +33,6 @@ class SliceData:
 
     h_sampler: object
     k_sampler: object
-    chart: str = "cartesian"
 
 
 def _sample(sampler, name, pts):
@@ -76,9 +75,9 @@ def _curvature(data, points, step):
     return np.einsum("...ab,...ab->...", hinv[:, 0], ricci), outer, hinv, g0
 
 
-def scalar_curvature(data: SliceData, p, step=1e-3) -> float:
-    """Ricci scalar of h at p by nested finite differences."""
-    return float(_curvature(data, [p], step)[0][0])
+def scalar_curvature(data: SliceData, p) -> float:
+    """Ricci scalar of h at p by nested finite differences of step 1e-3."""
+    return float(_curvature(data, [p], 1e-3)[0][0])
 
 
 def constraint_residual(data: SliceData, points, step=1e-3):
@@ -105,7 +104,6 @@ def flat_slice() -> SliceData:
     return SliceData(
         h_sampler=lambda p: np.eye(3),
         k_sampler=lambda p: np.zeros((3, 3)),
-        chart="cartesian",
     )
 
 
@@ -122,7 +120,7 @@ def schwarzschild_slice(m: float) -> SliceData:
         f = 1.0 - 2.0 * m / r
         return np.diag([1.0 / f, r**2, r**2 * np.sin(th) ** 2])
 
-    return SliceData(h_sampler=h, k_sampler=lambda p: np.zeros((3, 3)), chart="schwarzschild-polar")
+    return SliceData(h_sampler=h, k_sampler=lambda p: np.zeros((3, 3)))
 
 
 def round_sphere_slice(radius: float = 1.0) -> SliceData:
@@ -135,4 +133,4 @@ def round_sphere_slice(radius: float = 1.0) -> SliceData:
         s = radius**2
         return np.diag([s, s * np.sin(chi) ** 2, s * np.sin(chi) ** 2 * np.sin(th) ** 2])
 
-    return SliceData(h_sampler=h, k_sampler=lambda p: np.zeros((3, 3)), chart="hyperspherical")
+    return SliceData(h_sampler=h, k_sampler=lambda p: np.zeros((3, 3)))

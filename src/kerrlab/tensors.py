@@ -6,7 +6,7 @@ Hodge dual is eps_{t r theta phi} = +sqrt|g| (coordinate order of the
 chart is positively oriented).
 
 The finite-difference helpers (stencil points, coordinate derivatives and
-covariant derivatives over a stencil), the (anti)symmetrizing projector and
+covariant derivatives over a stencil), the symmetrizing projector and
 the Hodge formula act on plain arrays and broadcast over leading point axes,
 so a caller can evaluate a whole nested stencil at once.  The stencil
 helpers take the chart dimension from the points, so the same layer serves
@@ -67,10 +67,11 @@ class TensorValue:
         object.__setattr__(self, "components", comp)
         object.__setattr__(self, "variance", tuple(self.variance))
 
-    def real_part(self, tol=1e-12):
-        """Return the real components, asserting the imaginary part is below tol."""
+    def real_part(self):
+        """Return the real components, asserting that the imaginary part is
+        below 1e-12 times max(1, max |components|)."""
         scale = max(1.0, np.max(np.abs(self.components)))
-        if np.max(np.abs(self.components.imag)) > tol * scale:
+        if np.max(np.abs(self.components.imag)) > 1e-12 * scale:
             raise ValueError("tensor has a non-negligible imaginary part")
         return self.components.real
 
@@ -92,7 +93,8 @@ class MetricData:
             raise ValueError("sqrt_abs_det must be positive")
 
 
-def _projector(comp, slots, antisym):
+def _projector(comp, slots):
+    """The symmetrization of comp over the given slots."""
     # negative slots count from the last axis, leaving leading point axes alone
     slots = [s % comp.ndim for s in slots]
     out = np.zeros_like(comp)
@@ -101,11 +103,7 @@ def _projector(comp, slots, antisym):
         axes = axes_base.copy()
         for pos, p in enumerate(perm):
             axes[slots[pos]] = slots[p]
-        term = np.transpose(comp, axes)
-        if antisym:
-            out += _permutation_sign(perm) * term
-        else:
-            out += term
+        out += np.transpose(comp, axes)
     out /= float(math.factorial(len(slots)))
     return out
 

@@ -253,7 +253,7 @@ EDGE_1P1 += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_1P1]
 EDGE_GEOMETRY = [
     ["kerr-check", "--seed=-1"], ["maxwell-currents", "--seed=-1"],
     ["kerr-check", f"--n-points={10**18}"], ["maxwell-currents", f"--n-points={10**18}"],
-    ["geodesic", f"--n-samples={10**18}"],
+    ["geodesic", f"--n-samples={10**18}"], ["geodesic", "--n-samples=1"],
     ["maxwell-currents", "--strength=1e300"], ["maxwell-currents", "--strength=1e308"],
     ["maxwell-currents", "--strength=0"],
     ["geodesic", "--tol=1e300"],

@@ -118,6 +118,18 @@ def test_plunge_detected():
     assert traj.x[-1, 1] < 4.0
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_fewer_than_two_samples_are_refused(n_samples):
+    # one sample is the initial state alone: every drift would read 0
+    from kerrlab import DomainError
+
+    params = KerrParams(1.0, 0.5)
+    s0 = normalize_velocity(params, BLPoint(0.0, 8.0, math.pi / 2, 0.0, params),
+                            (0.0, 0.02, 0.03), "timelike")
+    with pytest.raises(DomainError, match="n_samples"):
+        integrate_geodesic(params, s0, 20.0, n_samples=n_samples)
+
+
 def test_conserved_series_matches_pointwise_integrals():
     from kerrlab.geodesics import conserved_series
 

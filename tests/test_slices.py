@@ -72,7 +72,7 @@ def test_constraint_residual_samples_each_stencil_point_once():
             return sampler(p)
         return wrapped
 
-    data = SliceData(counted("h", base.h_sampler), counted("k", base.k_sampler), base.chart)
+    data = SliceData(counted("h", base.h_sampler), counted("k", base.k_sampler))
     hams, moms = constraint_residual(data, SCHW_POINTS[:2], step=1e-2)
     assert calls == {"h": 2 * 169, "k": 2 * 13}
     ref_hams, ref_moms = constraint_residual(base, SCHW_POINTS[:2], step=1e-2)
