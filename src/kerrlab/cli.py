@@ -379,8 +379,7 @@ def _run_geodesic(cfg):
                               n_samples=cfg["n_samples"])
 
     conserved = conserved_series(params, traj.x, traj.u)
-    rows = [(float(tau), *map(float, x), *map(float, u), *map(float, c))
-            for tau, x, u, c in zip(traj.tau, traj.x, traj.u, conserved)]
+    rows = np.column_stack([traj.tau, traj.x, traj.u, conserved]).tolist()
     header = ["tau", "t", "r", "theta", "phi", "ut", "ur", "utheta", "uphi",
               "e", "lz", "k", "norm"]
 

@@ -374,14 +374,16 @@ def dirac_solve_direct(data: DiracData1p1, grid: Grid1p1):
 
     out = np.empty((grid.n_t + 1, 2, grid.n_x), dtype=complex)
     out[0] = data.u0
-    for n, (a0, am, a1) in enumerate(a_stages.tolist()):
-        t0 = n * h_t
-        u = out[n]
-        k1 = rhs(t0, a0, u)
-        k2 = rhs(t0 + 0.5 * h_t, am, u + 0.5 * h_t * k1)
-        k3 = rhs(t0 + 0.5 * h_t, am, u + 0.5 * h_t * k2)
-        k4 = rhs(t0 + h_t, a1, u + h_t * k3)
-        out[n + 1] = u + (h_t / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # a diverging solve overflows quietly: the finiteness check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, (a0, am, a1) in enumerate(a_stages.tolist()):
+            t0 = n * h_t
+            u = out[n]
+            k1 = rhs(t0, a0, u)
+            k2 = rhs(t0 + 0.5 * h_t, am, u + 0.5 * h_t * k1)
+            k3 = rhs(t0 + 0.5 * h_t, am, u + 0.5 * h_t * k2)
+            k4 = rhs(t0 + h_t, a1, u + h_t * k3)
+            out[n + 1] = u + (h_t / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise StabilityError("non-finite values in the direct Dirac solution")
     return out

@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError
 from .kerr import (
     BLPoint,
     KerrParams,

@@ -664,6 +664,10 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
     7-level window centred on its time, in report buffers allocated once per
     evolve.  The ratio column is bulk_cumulative / e_model3(t=0).
 
+    The returned field's history is the final 7-level window as one array,
+    filled after the report buffers are freed, so that a run's memory peak
+    is its stepping, not the window and its copy side by side.
+
     Without the rotation term (grid.rotates false) and with real data, the
     levels and the returned history are float64, otherwise complex; the
     returned field is complex either way.
@@ -689,9 +693,8 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
     # diagnostics need 3 extra levels on each side of a report time
     real = not grid.rotates and not (field.psi.imag.any() or field.psi_t.imag.any())
     psi0, psi_t = ((x.real if real else x).copy() for x in (field.psi, field.psi_t))
-    prev = _bootstrap_prev(grid, psi0, psi_t, dt)
-    nxt = _bootstrap_prev(grid, psi0, psi_t, -dt)
-    levels = [prev, psi0, nxt]
+    levels = [_bootstrap_prev(grid, psi0, psi_t, dt), psi0, _bootstrap_prev(grid, psi0, psi_t, -dt)]
+    del psi0, psi_t  # the window alone holds levels
     for _ in range(2):
         levels.insert(0, _step(grid, levels[1], levels[0], -dt))
         levels.append(_step(grid, levels[-2], levels[-1], dt))
@@ -699,7 +702,7 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
     # march a rolling 7-level window whose centre levels[3] sits at center * dt,
     # and sample (t, E, B) at each report time from the live levels, in one
     # set of buffers
-    samples, work = [], _Workspace(psi0.shape, psi0.dtype)
+    samples, work = [], _Workspace(levels[3].shape, levels[3].dtype)
     for center in range(n_steps + 1):
         if center:
             new = _step(grid, levels[-2], levels[-1], dt)
@@ -722,12 +725,17 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
         reports.append(EnergyReport(time=t, e_model3=e, bulk_increment=b,
                                     bulk_cumulative=bulk_cum, ratio=bulk_cum / e0))
 
-    # final state at t_end = n_steps * dt sits at the window center
+    # final state at t_end = n_steps * dt sits at the window center; each
+    # level leaves the window once copied into the history
+    del work
     psi_final = levels[-4]
     psi_t_final = _dt_at(levels[-3], levels[-5], dt)
-    hist = (np.array(levels), dt)
+    history = np.empty((len(levels),) + psi_final.shape, psi_final.dtype)
+    for k in range(len(levels)):
+        history[k] = levels[k]
+        levels[k] = None
     out = ModeField2p1(grid=grid, psi=psi_final, psi_t=psi_t_final,
-                       time=n_steps * dt, history=hist)
+                       time=n_steps * dt, history=(history, dt))
     return out, reports
 
 

@@ -321,6 +321,15 @@ def test_1p1_edge_values_end_in_an_exit_code(edge_1p1_outcomes, case):
     assert "Warning" not in err
 
 
+def test_diverging_dirac_solve_fails_without_a_warning(tmp_path_factory):
+    # a connection of 1e15 overflows the direct RK4 solve: an invariant
+    # violation, reported without numpy's overflow and invalid-value warnings
+    [(code, err)] = edge_outcomes(tmp_path_factory, [["dirac", "--twist-a0=1e15"]])
+    assert code == 1, err
+    assert "non-finite values in the direct Dirac solution" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 @pytest.fixture(scope="module")
 def edge_geometry_outcomes(tmp_path_factory):
     return edge_outcomes(tmp_path_factory, EDGE_GEOMETRY)

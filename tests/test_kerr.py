@@ -150,6 +150,98 @@ def test_compiled_forms_match_plain_lambdify():
             assert err <= 1e-13 * scale, (name, a, r, th, err / scale)
 
 
+def _numpy_point(name, m, a, r, th):
+    """The named form at one point as the numpy kernel gives it, scattered
+    into its shape."""
+    from kerrlab._closed_forms import FORMS
+
+    kernel, shape, idx, dtype = FORMS[name]
+    out = np.zeros(math.prod(shape), dtype=dtype)
+    out[list(idx)] = kernel(m, a, r, th)
+    return out.reshape(shape)
+
+
+def _one_point_mismatches(forms, points):
+    """(name, m, a, r, th) wherever a real form's one-point result differs in
+    any bit from the numpy kernel's."""
+    from kerrlab.kerr import COMPLEX_FORMS
+
+    return [(name, m, a, r, th) for name in sorted(set(forms) - COMPLEX_FORMS)
+            for m, a, r, th in points
+            if forms[name](m, a, r, th).tobytes() != _numpy_point(name, m, a, r, th).tobytes()]
+
+
+def _exterior_sweep(n, seed):
+    """(m, a, r, th) at n points outside the horizon and inside the axis
+    guard band, for masses 0.5-2 and spins up to 0.999 m of either sign."""
+    from kerrlab.kerr import THETA_GUARD
+
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n):
+        m = rng.uniform(0.5, 2.0)
+        params = KerrParams(m, m * rng.uniform(-0.999, 0.999))
+        points.append((m, params.a, rng.uniform(params.r_plus * (1 + 1e-9), 100.0 * m),
+                       rng.uniform(THETA_GUARD, math.pi - THETA_GUARD)))
+    return points
+
+
+def test_one_point_real_forms_keep_the_numpy_kernels_bits():
+    # a real form's one-point path runs its kernel on Python floats with the
+    # math module's cos, sin and sqrt; every entry must keep the numpy
+    # kernel's bits, at Python floats and at the numpy scalars a geodesic
+    # state yields
+    from kerrlab.kerr import _forms
+
+    points = [(1.0, a, r, th) for a, r, th in FORM_POINTS] + _exterior_sweep(1000, 30)
+    assert _one_point_mismatches(_forms(), points) == []
+    as_numpy = [tuple(map(np.float64, p)) for p in points[::10]]
+    assert _one_point_mismatches(_forms(), as_numpy) == []
+
+
+def test_the_bit_parity_check_sees_a_one_ulp_error(monkeypatch):
+    # forms built on a cos one ulp off must fail the check above
+    from kerrlab import kerr
+    from kerrlab._closed_forms import FORMS
+
+    planted = dict(kerr._MATH_GLOBALS, cos=lambda x: math.nextafter(math.cos(x), math.inf))
+    monkeypatch.setattr(kerr, "_MATH_GLOBALS", planted)
+    forms = {name: kerr._scatter(*entry) for name, entry in FORMS.items()}
+    assert _one_point_mismatches(forms, [(1.0, a, r, th) for a, r, th in FORM_POINTS])
+
+
+def _outcome(form, *args):
+    """(bytes of the result or the exception's type, the warnings' texts)."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            value = form(*args).tobytes()
+        except ArithmeticError as exc:
+            value = type(exc)
+    return value, sorted({str(w.message) for w in seen})
+
+
+@pytest.mark.parametrize("r", [KerrParams(1.0, 0.5).r_plus, 1e200, math.inf, math.nan],
+                         ids=["horizon", "overflow", "inf", "nan"])
+def test_one_point_forms_where_python_floats_fail_keep_the_numpy_outcome(r):
+    # at r = r+ (Delta = 0) and at r = 1e200 (r**2 overflows) the Python
+    # float evaluation raises, and at a non-finite r its NaNs can differ from
+    # numpy's in the sign bit; the form then returns the numpy kernel's
+    # inf/NaN with its warnings, as it does for a geodesic state there
+    from kerrlab.kerr import COMPLEX_FORMS, _forms
+
+    for name, form in _forms().items():
+        if name in COMPLEX_FORMS:
+            continue
+        for args in ((1.0, 0.5, np.float64(r), np.float64(1.1)), (1.0, 0.5, r, 1.1)):
+            want = _outcome(lambda *p: _numpy_point(name, *p), *args)
+            assert _outcome(form, *args) == want, (name, args)
+        value, _ = _outcome(form, 1.0, 0.5, np.float64(r), np.float64(1.1))
+        assert isinstance(value, bytes), name  # no exception at a numpy scalar
+
+
 def _evalf(args, expr, values):
     import sympy as sp
 

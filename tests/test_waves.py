@@ -558,6 +558,29 @@ def test_one_report_pass_holds_at_most_ten_levels():
     assert peak <= 10 * levels[0].nbytes
 
 
+@pytest.mark.parametrize("diagnostics, most_levels", [(True, 17), (False, 16)])
+def test_evolve_fills_its_history_without_a_second_window(diagnostics, most_levels):
+    # the returned history is filled after the report buffers are freed, one
+    # level at a time with each window level dropped once copied: the peak is
+    # that of the stepping (window, report buffers, a step's temporaries) or
+    # the history beside the window and psi_t (15 levels), never a copy of
+    # the window beside the report buffers (26 levels here)
+    import tracemalloc
+
+    grid = make_grid(a=0.9, m_phi=1, n_r=260, n_theta=32, lo=-40.0, hi=80.0)
+    psi, psi_t = initial_data(grid, family="gaussian-static", center=10.0, width=6.0)
+    field = ModeField2p1(grid=grid, psi=psi, psi_t=psi_t)
+    evolve(field, 0.5, diagnostics=diagnostics)  # the grid's cached factors
+    tracemalloc.start()
+    try:
+        out, _ = evolve(field, 0.5, diagnostics=diagnostics)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.history[0].shape == (7, 260, 32) and out.history[0].dtype == np.complex128
+    assert peak <= most_levels * out.history[0][0].nbytes
+
+
 def test_stack_operators_keep_real_data_real():
     # float64 levels give float64 results, the complex path's to rounding
     rng = np.random.default_rng(29)
