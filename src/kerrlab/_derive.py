@@ -217,8 +217,9 @@ def _kernel(name, args, expr):
     return f"def {name}(" + source[len(head):], names, entries.shape, tuple(int(i) for i in idx)
 
 
+@lru_cache(maxsize=1)
 def emit() -> str:
-    """The source of `_closed_forms.py`."""
+    """The source of `_closed_forms.py`, derived once per process."""
     args, exprs = _exprs()
     blocks, numpy_names = [], set()
     for name, expr in exprs.items():

@@ -3,9 +3,10 @@
 Contract:
   * one subcommand per invocation; JSON config file via --config, individual
     flags override file values, unknown config keys are rejected;
-  * exit 0 when every checked invariant passes, 1 when a numeric invariant
-    is violated (the report lists which residual, its value and tolerance),
-    2 for input errors (bad flags, bad config, out-of-domain parameters);
+  * exit 0 when every check passes its bound, fixed beside `_check` (no flag
+    or config key moves one), 1 when a numeric invariant is violated (the
+    report lists which residual, its value and bound), 2 for input errors
+    (bad flags, bad config, out-of-domain parameters);
   * all artifacts are written atomically (temp file + rename); CSV uses '.'
     decimals, '\\n' line endings and a mandatory header row; JSON reports
     embed the fully resolved config and the code version, never timestamps,
@@ -85,27 +86,15 @@ def _finite(x):
     return x
 
 
-def _bool(text):
-    if isinstance(text, bool):
-        return text
-    if str(text).lower() in ("1", "true", "yes"):
-        return True
-    if str(text).lower() in ("0", "false", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
-
-
 # Each subcommand: ordered {key: (caster, default, help)}.  None defaults are
-# filled by the handler; tolerances must be positive.
+# filled by the handler.  No key moves a check's bound (see _check).
 SCHEMAS = {
     "kerr-check": {
         "m": (float, 1.0, "black-hole mass"),
         "a": (float, 0.5, "specific angular momentum"),
         "n_points": (int, 50, "number of random exterior sample points"),
         "seed": (int, 1, "RNG seed"),
-        "tol": (float, 1e-8, "residual tolerance"),
         "fd_step": (float, 1e-3, "finite-difference step for the FD variants"),
-        "order_min": (float, 1.9, "minimum FD convergence order"),
     },
     "geodesic": {
         "m": (float, 1.0, "black-hole mass"),
@@ -120,7 +109,6 @@ SCHEMAS = {
         "t_max": (float, 200.0, "coordinate-time horizon"),
         "tol": (float, 1e-13, "integrator tolerance"),
         "n_samples": (int, 200, "number of output samples"),
-        "drift_tol": (float, 1e-9, "max relative drift of conserved quantities"),
         "csv": (str, None, "optional trajectory CSV path"),
     },
     "wave-evolve": {
@@ -153,7 +141,6 @@ SCHEMAS = {
         "t_end": (float, 30.0, "final time"),
         "cfl": (float, 0.5, "CFL fraction"),
         "report_dt": (float, None, "report cadence (default t_end / 8)"),
-        "stability_tol": (float, 0.10, "allowed ratio drift between grids"),
         "csv": (str, None, "optional coarse-run energy-series CSV path"),
     },
     "maxwell-currents": {
@@ -164,23 +151,17 @@ SCHEMAS = {
         "n_points": (int, 5, "number of random exterior sample points"),
         "seed": (int, 2, "RNG seed"),
         "step": (float, 1e-3, "finite-difference step"),
-        "tol": (float, 1e-5, "divergence-residual tolerance"),
-        "order_min": (float, 1.5, "minimum convergence order under step halving"),
     },
     "green": {
         "T": (float, 1.5, "time extent"),
         "n_x": (int, 256, "spatial points on the circle"),
         "cfl": (float, 0.85, "CFL number (must stay below 0.9)"),
         "potential": (float, 0.0, "amplitude of a smooth confining potential"),
-        "tol": (float, 1e-8, "residual tolerance for the operator clauses"),
     },
     "goursat": {
         "extent": (float, 1.0, "null-rectangle edge length"),
         "n": (int, 64, "null cells per edge (order check doubles this)"),
         "data": (str, "trig", "test data: linear (exact) or trig"),
-        "tol": (float, 1e-12, "exactness tolerance for the linear data"),
-        "order_min": (float, 1.8, "minimum observed order (trig data)"),
-        "order_max": (float, 2.2, "maximum observed order (trig data)"),
     },
     "dirac": {
         "T": (float, 1.0, "time extent"),
@@ -188,23 +169,19 @@ SCHEMAS = {
         "cfl": (float, 0.8, "CFL number"),
         "twist_a0": (float, 0.3, "constant part of the connection a(t)"),
         "twist_a1": (float, 0.2, "oscillating part of the connection a(t)"),
-        "order_min": (float, 1.8, "minimum squaring-vs-direct order"),
-        "order_max": (float, 2.2, "maximum squaring-vs-direct order"),
     },
     "index": {
         "T": (float, 10.0, "cylinder time extent"),
         "kmax": (int, None, "mode cutoff (default: automatic from endpoints)"),
         "profile": (str, "ramp:0.3:1.3",
                     "'ramp:a0:a1' or a JSON file with sampled {t: [...], a: [...]}"),
-        "collar": (_bool, True, "require a constant collar at both ends"),
     },
 }
 
-# Keys that must be positive: tolerances and steps, sample counts, and the
-# time extents, report cadence and pulse shape that set a run's step size.
-# Every float value must also be finite.
-POSITIVE_KEYS = ("tol", "drift_tol", "stability_tol", "order_min", "order_max",
-                 "fd_step", "step", "n_points", "n_samples", "n_x", "t_end", "t_max",
+# Keys that must be positive: the integrator's tolerance and the steps, sample
+# counts, and the time extents, report cadence and pulse shape that set a
+# run's step size.  Every float value must also be finite.
+POSITIVE_KEYS = ("tol", "fd_step", "step", "n_points", "n_samples", "n_x", "t_end", "t_max",
                  "cfl", "width", "report_dt")
 # Largest counts of sample points and of trajectory samples: a larger count is
 # refused before it can exhaust the memory or run for hours.  A trajectory and
@@ -260,7 +237,7 @@ def parse_config(argv):
             if key in schema and value is not None:
                 try:
                     cfg[key] = schema[key][0](value)
-                except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+                except (ValueError, TypeError) as exc:
                     raise DomainError(f"config value for {key} is invalid: {exc}")
             elif key in ("out", "threads"):
                 cfg[key] = value
@@ -312,6 +289,22 @@ def _order(coarse, fine):
     return math.log2(coarse / fine)
 
 
+# The bound of each check, with its unit and (in parentheses) its acceptance
+# criterion in tests/test_acceptance.py.  An order has no unit.
+KERR_RESIDUAL_MAX = 1e-8       # kerr-check residuals, absolute, at the run's m (1)
+KERR_FD_ORDER_MIN = 1.9        # kerr-check FD orders (1)
+CONSERVED_DRIFT_MAX = 1e-9     # geodesic drifts over max(|initial value|, 1) (2)
+GRID_DRIFT_MAX = 0.10          # morawetz ratio, fine grid against coarse, relative (4)
+SCALING_DEVIATION_MAX = 1e-12  # morawetz ratio, data x3 against x1, relative (4)
+DIV_V_RESIDUAL_MAX = 1e-5      # maxwell-currents max_b |nabla^a V_ab|, absolute (5)
+DIV_V_ORDER_MIN = 1.5          # maxwell-currents orders of that residual (5)
+LEADING_ENERGY_MIN = -1e-12    # maxwell-currents V's leading part on the unit normal, absolute (5)
+GREEN_CLAUSE_MAX = 1e-8        # green clauses over max |f| (6, which asks 1e-10 on its grid)
+GREEN_SUPPORT_MAX = 0.0        # green support beyond the causal collar, in cells (6)
+LINEAR_EXACTNESS_MAX = 1e-12   # goursat --data linear: max |phi - (u + v)|, absolute (no criterion)
+SECOND_ORDER = (1.8, 2.2)      # goursat --data trig and dirac orders (6)
+
+
 def _check(failures, name, value, lo=None, hi=None):
     """Append the failure {"check": name, "value": value, "tolerance": ...} to
     failures unless value lies within its bounds: a one-sided bound or a range
@@ -356,9 +349,9 @@ def _run_kerr_check(cfg):
     failures = []
     maxima = {k: float(np.max(v)) for k, v in res.items()}
     for name, value in maxima.items():
-        _check(failures, f"{name}_residual", value, hi=cfg["tol"])
+        _check(failures, f"{name}_residual", value, hi=KERR_RESIDUAL_MAX)
     for name, vals in orders.items():
-        _check(failures, f"{name}_order", float(np.min(vals)), lo=cfg["order_min"])
+        _check(failures, f"{name}_order", float(np.min(vals)), lo=KERR_FD_ORDER_MIN)
     results = {"max_residuals": maxima, "observed_orders": orders,
                "n_points": len(points)}
     return results, failures, None
@@ -387,7 +380,7 @@ def _run_geodesic(cfg):
     names = ("e", "lz", "k", "norm")
     failures = []
     for name, d in zip(names, drifts):
-        _check(failures, f"{name}_drift", float(d), hi=cfg["drift_tol"])
+        _check(failures, f"{name}_drift", float(d), hi=CONSERVED_DRIFT_MAX)
     results = {"drifts": dict(zip(names, map(float, drifts))),
                "plunged": traj.plunged,
                "initial_conserved": conserved_quantities(params, s0).__dict__,
@@ -532,8 +525,8 @@ def _run_morawetz(cfg):
 
     drift = abs(ratios["fine"] - ratios["coarse"]) / max(abs(ratios["coarse"]), 1e-300)
     failures = []
-    _check(failures, "ratio_grid_drift", drift, hi=cfg["stability_tol"])
-    _check(failures, "ratio_scaling_invariance", scale_dev, hi=1e-12)
+    _check(failures, "ratio_grid_drift", drift, hi=GRID_DRIFT_MAX)
+    _check(failures, "ratio_scaling_invariance", scale_dev, hi=SCALING_DEVIATION_MAX)
     results = {"ratio_coarse": ratios["coarse"], "ratio_fine": ratios["fine"],
                "ratio_grid_drift": drift, "ratio_scaling_deviation": scale_dev}
     return results, failures, series
@@ -589,9 +582,9 @@ def _run_maxwell_currents(cfg):
             "div_V_order": order,
             "leading_energy_density": energy[i],
         })
-        _check(failures, f"div_V_residual[{i}]", div[i], hi=cfg["tol"])
-        _check(failures, f"div_V_order[{i}]", order, lo=cfg["order_min"])
-        _check(failures, f"leading_energy_density[{i}]", energy[i], lo=-1e-12)
+        _check(failures, f"div_V_residual[{i}]", div[i], hi=DIV_V_RESIDUAL_MAX)
+        _check(failures, f"div_V_order[{i}]", order, lo=DIV_V_ORDER_MIN)
+        _check(failures, f"leading_energy_density[{i}]", energy[i], lo=LEADING_ENERGY_MIN)
     results = {
         "per_point": per_point,
         "max_div_V_residual": float(max(pp["div_V_residual"] for pp in per_point)),
@@ -643,7 +636,8 @@ def _run_green(cfg):
 
     failures = []
     for name, value in residuals.items():
-        _check(failures, name, value, hi=0.0 if name.startswith("support_") else cfg["tol"])
+        _check(failures, name, value,
+               hi=GREEN_SUPPORT_MAX if name.startswith("support_") else GREEN_CLAUSE_MAX)
     results = {"clause_residuals": residuals, "n_t": grid.n_t,
                "clause_residuals_with_potential": residuals_v}
     return results, failures, None
@@ -656,7 +650,7 @@ def _run_goursat(cfg):
     if cfg["data"] == "linear":
         field = goursat_solve(lambda u: u, lambda v: v, cfg["extent"], cfg["n"])
         err = _goursat_error(field, lambda u, v: u + v)
-        _check(failures, "linear_exactness", err, hi=cfg["tol"])
+        _check(failures, "linear_exactness", err, hi=LINEAR_EXACTNESS_MAX)
         results = {"max_error": err, "observed_orders": {}}
     elif cfg["data"] == "trig":
         # phi = sin(u) sin(v): d_u d_v phi = cos(u) cos(v), so the wave
@@ -667,7 +661,7 @@ def _run_goursat(cfg):
             field = goursat_solve(lambda u: 0.0, lambda v: 0.0, cfg["extent"], n, f=f)
             errs.append(_goursat_error(field, lambda u, v: np.sin(u) * np.sin(v)))
         order = _order(errs[0], errs[1])
-        _check(failures, "goursat_order", order, cfg["order_min"], cfg["order_max"])
+        _check(failures, "goursat_order", order, *SECOND_ORDER)
         results = {"errors": errs, "observed_orders": {"goursat": order}}
     else:
         raise DomainError("data must be 'linear' or 'trig'")
@@ -690,7 +684,7 @@ def _run_dirac(cfg):
         errs.append(float(np.max(np.abs(u_sq - u_dir))))
     order = _order(errs[0], errs[1])
     failures = []
-    _check(failures, "dirac_squaring_order", order, cfg["order_min"], cfg["order_max"])
+    _check(failures, "dirac_squaring_order", order, *SECOND_ORDER)
     results = {"errors": errs, "observed_orders": {"dirac_squaring": order}}
     return results, failures, None
 
@@ -730,8 +724,7 @@ def _load_profile(cfg):
         raise DomainError("profile samples must be finite")
     if not np.all(np.diff(ts) > 0):
         raise DomainError("profile times must be strictly increasing")
-    return ConnectionProfile(a=lambda t: float(np.interp(t, ts, avals)), T=T,
-                             collar=cfg["collar"])
+    return ConnectionProfile(a=lambda t: float(np.interp(t, ts, avals)), T=T)
 
 
 def _run_index(cfg):

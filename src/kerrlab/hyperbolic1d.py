@@ -114,6 +114,11 @@ def _dx(u, name, h):
     return _diff(np.concatenate((u[..., -r:], u, u[..., :r]), axis=-1), name, h, axis=-1)
 
 
+def _potential(grid, potential):
+    """V(x) on the circle's points; zeros without a potential."""
+    return np.zeros(grid.n_x) if potential is None else np.asarray(potential(grid.x), dtype=float)
+
+
 def _twist(twist, t, h):
     """a(t) and its centered rate (a(t + h) - a(t - h)) / 2h on an array of
     times; zeros without a twist.  One scalar call per value, on Python
@@ -143,7 +148,7 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
         f = np.asarray(f, dtype=complex)
         if f.shape != (n_t + 1, n_x):
             raise DomainError(f"source must have shape ({n_t + 1}, {n_x})")
-    V = np.zeros(n_x) if potential is None else np.asarray(potential(grid.x), dtype=float)
+    V = _potential(grid, potential)
 
     out = np.empty((n_t + 1, n_x), dtype=complex)
     out[0] = u0
@@ -172,7 +177,7 @@ def apply_wave_operator(grid: Grid1p1, u, potential=None, twist=None):
     """Discrete P u at the interior time levels 1..n_t-1, shape (n_t-1, n_x)."""
     u = np.asarray(u, dtype=complex)
     h_t, h_x = grid.h_t, grid.h_x
-    V = np.zeros(grid.n_x) if potential is None else np.asarray(potential(grid.x), dtype=float)
+    V = _potential(grid, potential)
     a, ap = (v[:, None] for v in _twist(twist, np.arange(1, grid.n_t) * h_t, h_t))
     mid = u[1:-1]
     return (
@@ -536,7 +541,7 @@ def formal_dual_residual(grid: Grid1p1, f, phi, potential=None):
     for name, arr in (("f", f), ("phi", phi)):
         if np.max(np.abs(arr[:2])) > 0 or np.max(np.abs(arr[-2:])) > 0:
             raise DomainError(f"{name} must vanish on the temporal collar")
-    V = np.zeros(grid.n_x) if potential is None else np.asarray(potential(grid.x), dtype=float)
+    V = _potential(grid, potential)
 
     def apply4(u):
         out = np.zeros_like(u)

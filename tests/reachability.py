@@ -29,7 +29,10 @@ the calling module first, and a wrapper that passes on its own *args and
     `_closed_forms` kernels excepted: they all take (m, a, r, th));
   * each dataclass field that no program code reads as an attribute, unless
     the program reads the instance whole (`asdict`, or `__dict__` of a
-    function's annotated result).
+    function's annotated result);
+  * each CLI config key whose every read in its subcommand's handler (and
+    in the `cli` functions that the handler passes its config to) is a
+    bound of `cli._check`: a key that can only move a check's bound.
 What is listed but kept on purpose is named under KEPT, with the reason.
 
 Run from anywhere, with numpy and pytest installed:
@@ -216,10 +219,59 @@ def _callee(call):
     return getattr(call.func, "id", getattr(call.func, "attr", None))
 
 
+def _bound_keys(tree):
+    """(label, note, line) of each key of `cli.SCHEMAS` whose every read in its
+    handler is a bound (lo or hi) of a `_check` call."""
+    top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    tables = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)}
+    schemas = {sub.value: [k.value for k in keys.keys]
+               for sub, keys in zip(tables["SCHEMAS"].keys, tables["SCHEMAS"].values)}
+    handlers = dict(zip((k.value for k in tables["HANDLERS"].keys),
+                        (v.id for v in tables["HANDLERS"].values)))
+
+    def reached(name):
+        """The handler and the cli functions it passes cfg to, transitively."""
+        found, todo = [], [name]
+        while todo:
+            fn = top[todo.pop()]
+            if fn in found:
+                continue
+            found.append(fn)
+            todo += [_callee(n) for n in ast.walk(fn) if isinstance(n, ast.Call)
+                     and _callee(n) in top
+                     and any(getattr(a, "id", None) == "cfg" for a in n.args)]
+        return found
+
+    rows = []
+    for sub, keys in schemas.items():
+        functions = reached(handlers[sub])
+        bounds = {id(n) for fn in functions for call in ast.walk(fn)
+                  if isinstance(call, ast.Call) and _callee(call) == "_check"
+                  for arg in call.args[3:] + [k.value for k in call.keywords if k.arg in ("lo", "hi")]
+                  for n in ast.walk(arg)}
+        reads = {}  # key -> its reads: cfg["key"] and cfg.get("key")
+        for fn in functions:
+            for n in ast.walk(fn):
+                if (isinstance(n, ast.Subscript) and getattr(n.value, "id", None) == "cfg"
+                        and isinstance(n.slice, ast.Constant)):
+                    reads.setdefault(n.slice.value, []).append(n)
+                elif (isinstance(n, ast.Call) and _callee(n) == "get" and n.args
+                      and getattr(getattr(n.func, "value", None), "id", None) == "cfg"
+                      and isinstance(n.args[0], ast.Constant)):
+                    reads.setdefault(n.args[0].value, []).append(n)
+        for key in keys:
+            found = reads.get(key, [])
+            if found and all(id(n) in bounds for n in found):
+                rows.append((f"cli.SCHEMAS[{sub!r}][{key!r}]",
+                             f"read only as a bound of _check ({len(found)} reads)", found[0].lineno))
+    return rows
+
+
 def census():
     """Print the parameters and dataclass fields that no program caller
-    varies, the parameters that their function never reads, and what of
-    these is kept."""
+    varies, the parameters that their function never reads, the CLI config
+    keys that only move a check's bound, and what of these is kept."""
     trees = {path: ast.parse(open(path).read(), path) for path in PROGRAM}
     defs = [(path, c) for path in PROGRAM if os.path.dirname(path) == PACKAGE
             for c in _callables(os.path.basename(path)[:-3], trees[path])]
@@ -305,11 +357,14 @@ def census():
             fields += [(f"{c.module}.{c.qualname}.{f}", "", c.node.lineno)
                        for f, _ in c.params if f not in loads]
 
+    bound_keys = _bound_keys(trees[os.path.join(PACKAGE, "cli.py")])
+
     kept = []
     for title, rows in (("parameters with a default that no program caller sets", unset),
                         ("parameters that every program call passes at one value", one_value),
                         ("parameters that their function never reads", unread),
-                        ("dataclass fields that no program code reads", fields)):
+                        ("dataclass fields that no program code reads", fields),
+                        ("CLI config keys read only as a bound of a check", bound_keys)):
         listed = [row for row in rows if row[0] not in KEPT]
         kept += [row for row in rows if row[0] in KEPT]
         print(f"\n{title} ({len(listed)}):")

@@ -200,17 +200,53 @@ def test_violated_index_theorem_is_a_reported_failure(tmp_path, monkeypatch):
     assert "not integral" in rep["failures"][0]["value"]
 
 
-def test_invariant_violation_exits_one(tmp_path):
-    # an impossible drift tolerance cannot be met: exit code 1, report written
+def test_invariant_violation_exits_one(tmp_path, monkeypatch):
+    # a Carter-constant drift past the fixed bound: exit code 1, report written
+    monkeypatch.setattr("kerrlab.geodesics.conserved_drift",
+                        lambda params, traj, causal_type: np.array([0.0, 0.0, 1e-6, 0.0]))
     out = tmp_path / "geo.json"
-    code = main(["geodesic", "--t-max", "50", "--drift-tol", "1e-18",
-                 "--out", str(out)])
+    code = main(["geodesic", "--t-max", "50", "--out", str(out)])
     assert code == 1
     rep = json.loads(out.read_text())
     assert rep["passed"] is False
     assert rep["failures"]
     f = rep["failures"][0]
     assert {"check", "value", "tolerance"} <= set(f)
+    assert f == {"check": "k_drift", "value": 1e-6, "tolerance": 1e-9}
+
+
+# The config keys that could only move a check's bound, and index's collar,
+# which no profile could use: each is unknown, as a flag and as a config key.
+REMOVED_KEYS = [("kerr-check", "tol"), ("kerr-check", "order_min"), ("geodesic", "drift_tol"),
+                ("morawetz", "stability_tol"), ("maxwell-currents", "tol"),
+                ("maxwell-currents", "order_min"), ("green", "tol"), ("goursat", "tol"),
+                ("goursat", "order_min"), ("goursat", "order_max"), ("dirac", "order_min"),
+                ("dirac", "order_max"), ("index", "collar")]
+
+
+@pytest.mark.parametrize("sub,key", REMOVED_KEYS, ids=lambda v: v)
+def test_removed_bound_keys_are_input_errors(tmp_path, capsys, sub, key):
+    with pytest.raises(SystemExit) as exc:  # argparse's exit
+        main([sub, f"--{key.replace('_', '-')}", "1", "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert f"input error: unknown config keys: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_looser_drift_bound_cannot_pass_a_failing_orbit(tmp_path, capsys):
+    # the plunge at a = 0.999 fails the fixed drift bound (ROADMAP item 4),
+    # and no flag can loosen that bound into a pass
+    argv = ["geodesic", "--a", "0.999", "--r0", "4", "--out", str(tmp_path / "r.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--drift-tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --drift-tol 1e-8" in capsys.readouterr().err
+    assert main(argv) == 1
 
 
 @pytest.mark.parametrize("args", [
@@ -218,7 +254,7 @@ def test_invariant_violation_exits_one(tmp_path):
     ["maxwell-currents", "--n-points", "0"],
     ["geodesic", "--n-samples", "0"],
     ["wave-evolve", "--t-end", "-1"],
-    ["kerr-check", "--tol", "inf"],
+    ["kerr-check", "--fd-step", "inf"],
     ["kerr-check", "--m", "nan"],
     ["goursat", "--extent", "nan"],
     ["index", "--profile", "ramp:inf:1"],
@@ -242,6 +278,11 @@ EDGE_1P1 = [[sub, f"--{key.replace('_', '-')}={value}"]
             for key, (caster, _default, _help) in SCHEMAS[sub].items() if caster in (int, float)
             for value in ("0", "-1", "1e300" if caster is float else str(10**18))]
 EDGE_1P1 += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_1P1]
+# the removed bound keys of these subcommands, at the same values: unknown flags
+REMOVED_1P1 = [[sub, f"--{key.replace('_', '-')}={value}"]
+               for sub, key in REMOVED_KEYS if sub in ("green", "goursat", "dirac")
+               for value in ("0", "-1", "1e300")]
+EDGE_1P1 += REMOVED_1P1
 
 # Seeds, counts, strengths, tolerances and starts the geometry subcommands
 # cannot use: each must be refused as an input error.  A field strength of
@@ -316,7 +357,8 @@ def edge_1p1_outcomes(tmp_path_factory):
 @pytest.mark.parametrize("case", range(len(EDGE_1P1)), ids=[" ".join(a) for a in EDGE_1P1])
 def test_1p1_edge_values_end_in_an_exit_code(edge_1p1_outcomes, case):
     code, err = edge_1p1_outcomes[case]
-    assert code in ((2,) if EDGE_1P1[case] in OVERSIZE_1P1 else (0, 1, 2)), err
+    refused = EDGE_1P1[case] in OVERSIZE_1P1 + REMOVED_1P1
+    assert code in ((2,) if refused else (0, 1, 2)), err
     assert "Traceback" not in err
     assert "Warning" not in err
 
@@ -552,9 +594,10 @@ def test_morawetz_builds_each_grid_once(tmp_path, monkeypatch):
     assert grids == [32, 64]
 
 
-# a rotating mode on a grid too coarse for the 10 % grid drift, hence the tolerance
-MORAWETZ_SMALL = ["morawetz", "--t-end", "1", "--n-r", "32", "--n-theta", "8",
-                  "--a", "0.1", "--m-phi", "1", "--stability-tol", "0.5"]
+# a rotating mode on a grid fine enough for the fixed 10 % grid drift: its
+# drift reads 0.028, against 0.106 at --n-r 32
+MORAWETZ_SMALL = ["morawetz", "--t-end", "1", "--n-r", "48", "--n-theta", "8",
+                  "--a", "0.1", "--m-phi", "1"]
 
 
 def _count_forks(monkeypatch):
@@ -616,7 +659,7 @@ def test_morawetz_threads_leave_the_report_identical(tmp_path, monkeypatch):
     _assert_no_child_left(pids)
 
 
-@pytest.mark.parametrize("failing_n_r", [64, 32])  # the forked fine run, the parent's coarse run
+@pytest.mark.parametrize("failing_n_r", [96, 48])  # the forked fine run, the parent's coarse run
 def test_morawetz_failure_on_either_side_of_the_fork(tmp_path, capfd, monkeypatch, failing_n_r):
     # a StabilityError in the child reaches the parent's exit code and
     # message; one in the parent kills the child; no traceback either way
