@@ -1,18 +1,22 @@
 """Command-line front end: config ingestion, subcommand dispatch, reports.
 
 Contract:
-  * one subcommand per invocation; JSON config file via --config, individual
-    flags override file values, unknown config keys are rejected;
+  * one subcommand per invocation; each key of SCHEMAS and COMMON (`out`,
+    `threads`) is a flag and a key of the --config JSON file, and resolves to
+    the flag, else the file value, else the default.  Unknown keys are
+    rejected; a file value must have its key's JSON type (FILE_TYPES), as
+    strictly as argparse reads the flag, and null means the default;
   * exit 0 when every check passes its bound, fixed beside `_check` (no flag
     or config key moves one), 1 when a numeric invariant is violated (the
     report lists which residual, its value and bound), 2 for input errors
-    (bad flags, bad config, out-of-domain parameters);
+    (bad flags, bad config, out-of-domain parameters; an `out` or `csv` path
+    that names a directory or lies in none is refused before any work);
   * all artifacts are written atomically (temp file + rename); CSV uses '.'
     decimals, '\\n' line endings and a mandatory header row; JSON reports
     embed the fully resolved config and the code version, never timestamps,
     so identical configs produce byte-identical reports.
 
-The --threads flag (fallback: env var BHL_THREADS, default 1) caps internal
+The threads key (fallback: env var BHL_THREADS, default 1) caps internal
 parallelism; it is recorded in every report because it is part of the
 determinism contract.  At 2 or more, `morawetz` evolves its fine grid in
 one forked child process (never more, whatever the count; serially where
@@ -177,12 +181,20 @@ SCHEMAS = {
                     "'ramp:a0:a1' or a JSON file with sampled {t: [...], a: [...]}"),
     },
 }
+# Keys of every subcommand, merged into each schema above.
+COMMON = {
+    "out": (str, None, "JSON report path (default: stdout)"),
+    "threads": (int, None, "parallelism cap (fallback: BHL_THREADS, then 1)"),
+}
+# The JSON types a config-file value may have, by caster (a bool is none of them).
+FILE_TYPES = {str: ((str,), "a string"), int: ((int,), "an integer"),
+              float: ((int, float), "a number")}
 
 # Keys that must be positive: the integrator's tolerance and the steps, sample
 # counts, and the time extents, report cadence and pulse shape that set a
-# run's step size.  Every float value must also be finite.
+# run's step size, and the thread count.  Every float value must also be finite.
 POSITIVE_KEYS = ("tol", "fd_step", "step", "n_points", "n_samples", "n_x", "t_end", "t_max",
-                 "cfl", "width", "report_dt")
+                 "cfl", "width", "report_dt", "threads")
 # Largest counts of sample points and of trajectory samples: a larger count is
 # refused before it can exhaust the memory or run for hours.  A trajectory and
 # a sweep's results are held whole; maxwell-currents holds the nested stencils
@@ -190,6 +202,17 @@ POSITIVE_KEYS = ("tol", "fd_step", "step", "n_points", "n_samples", "n_x", "t_en
 MAX_POINTS = 10**4
 MAX_SAMPLES = 10**5
 MAXWELL_BLOCK_CENTRES = 32
+
+
+def _read_json(path, what):
+    """The JSON value in the file at path; what names the file in errors."""
+    try:
+        with open(path, "r") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read {what} file: {exc}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise DomainError(f"{what} file is not valid JSON: {exc}")
 
 
 def parse_config(argv):
@@ -207,59 +230,31 @@ def parse_config(argv):
         sp = subs.add_parser(name)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON config file (flags override its values)")
-        sp.add_argument("--out", type=str, default=None,
-                        help="JSON report path (default: stdout)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="parallelism cap (fallback: BHL_THREADS, then 1)")
-        for key, (caster, _default, help_text) in schema.items():
+        for key, (caster, _default, help_text) in {**schema, **COMMON}.items():
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster,
                             default=None, help=help_text)
 
     ns = parser.parse_args(argv)
-    schema = SCHEMAS[ns.subcommand]
-    cfg = {key: default for key, (_c, default, _h) in schema.items()}
+    schema = {**SCHEMAS[ns.subcommand], **COMMON}
+    file_cfg = {} if ns.config is None else _read_json(ns.config, "config")
+    if not isinstance(file_cfg, dict):
+        raise DomainError("config file must contain a JSON object")
+    unknown = sorted(set(file_cfg) - set(schema))
+    if unknown:
+        raise DomainError(f"unknown config keys: {', '.join(unknown)}")
+    cfg = {}
+    for key, (caster, default, _help) in schema.items():  # flag, else file value, else default
+        value, (types, kind) = file_cfg.get(key), FILE_TYPES[caster]
+        if value is not None and type(value) not in types:
+            raise DomainError(f"config value for {key} must be {kind}, not {json.dumps(value)}")
+        flag = getattr(ns, key)
+        cfg[key] = flag if flag is not None else default if value is None else caster(value)
 
-    if ns.config is not None:
+    if cfg["threads"] is None:
         try:
-            with open(ns.config, "r") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise DomainError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"config file is not valid JSON: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise DomainError("config file must contain a JSON object")
-        allowed = set(schema) | {"out", "threads"}
-        unknown = sorted(set(file_cfg) - allowed)
-        if unknown:
-            raise DomainError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in file_cfg.items():
-            if key in schema and value is not None:
-                try:
-                    cfg[key] = schema[key][0](value)
-                except (ValueError, TypeError) as exc:
-                    raise DomainError(f"config value for {key} is invalid: {exc}")
-            elif key in ("out", "threads"):
-                cfg[key] = value
-
-    for key in schema:
-        flag_value = getattr(ns, key)
-        if flag_value is not None:
-            cfg[key] = flag_value
-
-    out = ns.out if ns.out is not None else cfg.get("out")
-    threads = ns.threads if ns.threads is not None else cfg.get("threads")
-    if threads is None:
-        try:
-            threads = int(os.environ.get("BHL_THREADS", "1"))
+            cfg["threads"] = int(os.environ.get("BHL_THREADS", "1"))
         except ValueError:
             raise DomainError("BHL_THREADS must be an integer")
-    if type(threads) is not int or threads < 1:
-        raise DomainError("thread count must be an integer of at least 1")
-    if not (out is None or isinstance(out, str)):
-        raise DomainError("out must be a path")
-    cfg["out"] = out
-    cfg["threads"] = threads
 
     for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -275,6 +270,12 @@ def parse_config(argv):
     for key, bound in (("n_points", MAX_POINTS), ("n_samples", MAX_SAMPLES)):
         if cfg.get(key) is not None and cfg[key] > bound:
             raise DomainError(f"{key} = {cfg[key]:.3g} exceeds {bound}")
+    for key in ("out", "csv"):  # refused here, before any work, not after it
+        path = cfg.get(key)
+        if path and os.path.isdir(path):
+            raise DomainError(f"{key} = {path!r} is a directory")
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise DomainError(f"{key} = {path!r} is in no existing directory")
     return ns.subcommand, cfg
 
 
@@ -705,13 +706,7 @@ def _load_profile(cfg):
         if not (math.isfinite(a0) and math.isfinite(a1)):
             raise DomainError("ramp endpoints must be finite")
         return ramp_profile(a0, a1, T)
-    try:
-        with open(spec, "r") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"cannot read profile file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"profile file is not valid JSON: {exc}")
+    data = _read_json(spec, "profile")
     if not isinstance(data, dict) or "t" not in data or "a" not in data:
         raise DomainError("profile file must contain 't' and 'a' arrays")
     try:

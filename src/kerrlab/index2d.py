@@ -55,23 +55,21 @@ MAX_MODE_SAMPLES = 2 * 10**6  # RK4 nodes times counted modes in the mode check
 class ConnectionProfile:
     """Smooth holonomy parameter a(t) on [0, T].
 
-    collar=True asserts a is constant on the first and last 5% of [0, T]
+    a must be constant on the first and last 5% of [0, T], its collars
     (product form near the boundary, so the transgression term vanishes).
     """
 
     a: object  # callable t -> float
     T: float
-    collar: bool = True
 
     def __post_init__(self):
         if self.T <= 0:
             raise DomainError("time extent must be positive")
-        if self.collar:
-            for t0, t1 in ((0.0, 0.05 * self.T), (0.95 * self.T, self.T)):
-                ts = np.linspace(t0, t1, 16)
-                vals = np.array([self.a(t) for t in ts])
-                if np.max(np.abs(vals - vals[0])) > 1e-12:
-                    raise DomainError("collar mode requires a constant near the ends")
+        for t0, t1 in ((0.0, 0.05 * self.T), (0.95 * self.T, self.T)):
+            ts = np.linspace(t0, t1, 16)
+            vals = np.array([self.a(t) for t in ts])
+            if np.max(np.abs(vals - vals[0])) > 1e-12:
+                raise DomainError("a profile must be constant on its collars near the ends")
 
     @property
     def endpoints(self):
@@ -101,7 +99,7 @@ def ramp_profile(a0: float, a1: float, T: float = 10.0) -> ConnectionProfile:
         s = (t - 0.05 * T) / (0.9 * T)
         return a0 + (a1 - a0) * _smootherstep(s)
 
-    return ConnectionProfile(a=a, T=T, collar=True)
+    return ConnectionProfile(a=a, T=T)
 
 
 def _snap(value):
@@ -271,8 +269,6 @@ def chern_integral(profile: ConnectionProfile) -> float:
 
 def index_rhs_components(profile: ConnectionProfile):
     """(ch_integral, (eta1, h1), (eta2, h2), transgression=0) for a collar profile."""
-    if not profile.collar:
-        raise DomainError("index evaluation requires collar (product-form) profiles")
     ch = chern_integral(profile)
     a0, aT = profile.endpoints
     eta1, h1 = eta_h_circle(a0)
@@ -310,5 +306,4 @@ def charge_report(profile: ConnectionProfile, k_max: int = None) -> IndexReport:
 
 def reversed_profile(profile: ConnectionProfile) -> ConnectionProfile:
     """Time reflection t -> T - t."""
-    return ConnectionProfile(a=lambda t: profile.a(profile.T - t), T=profile.T,
-                             collar=profile.collar)
+    return ConnectionProfile(a=lambda t: profile.a(profile.T - t), T=profile.T)

@@ -24,7 +24,10 @@ the calling module first, and a wrapper that passes on its own *args and
   * each parameter with a default that no program caller sets;
   * each parameter that every program call passes at one fixed value (a
     literal or a numpy or math constant), where that value is the default
-    or more than one call passes it;
+    or more than one call passes it.  A class constructor called with
+    `f=x.f` only passes on the field f of another instance: that argument
+    adds no value of its own, so a field that is copied from instance to
+    instance and otherwise always set to one value is listed;
   * each parameter that its function never reads (the generated
     `_closed_forms` kernels excepted: they all take (m, a, r, th));
   * each dataclass field that no program code reads as an attribute, unless
@@ -316,7 +319,10 @@ def census():
                 params = c.params[int(c.bound):]
                 given = dict(zip((p for p, _ in params), call.args))
                 given.update((k.arg, k.value) for k in call.keywords)
+                constructor = isinstance(c.node, ast.ClassDef) or c.node.name == "__init__"
                 for p, _ in params:
+                    if constructor and getattr(given.get(p), "attr", None) == p:
+                        continue  # a field passed on, f=x.f, adds no value of its own
                     values.setdefault((c.module, c.qualname, p), []).append(
                         _constant(given[p]) if p in given else UNSET)
 

@@ -265,7 +265,7 @@ def test_criterion_7_index_theorem():
         return 0.3 + ease + 0.3 * math.sin(math.pi * ease) * ease * (1 - ease)
 
     ra = charge_report(ramp_profile(0.3, 1.3))
-    rb = charge_report(ConnectionProfile(a=wiggly, T=10.0, collar=True))
+    rb = charge_report(ConnectionProfile(a=wiggly, T=10.0))
     assert ra.as_dict() == pytest.approx(rb.as_dict(), abs=1e-9)
     # frozen examples
     assert ra.dim_ker_aps == 1 and ra.dim_ker_aaps == 0

@@ -14,7 +14,7 @@ from kerrlab import (DomainError, KerrParams, conformal_ky_residual, kerr_metric
                      killing_tensor_residual, killing_tensor_residual_fd,
                      killing_yano_residual, killing_yano_residual_fd,
                      random_exterior_points, tetrad_reconstruction_residual, xi_oneform)
-from kerrlab.cli import SCHEMAS, main, parse_config
+from kerrlab.cli import COMMON, SCHEMAS, main, parse_config
 
 
 def subprocess_env():
@@ -483,6 +483,78 @@ def test_threads_and_out_in_a_config_file_are_type_checked(tmp_path, capsys, con
     cfg.write_text(json.dumps(content))
     assert main(["goursat", "--data", "linear", "--config", str(cfg)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+# A config-file value of each caster's key at a JSON type that argparse
+# refuses for its flag; a bool is refused for every key.
+WRONG_TYPE = {int: 1.5, str: 5, float: "1.5"}
+
+
+@pytest.mark.parametrize("sub, keys",
+                         [(sub, SCHEMAS[sub]) for sub in SCHEMAS] + [("goursat", COMMON)],
+                         ids=list(SCHEMAS) + ["out,threads"])
+def test_config_file_values_of_the_wrong_json_type_are_input_errors(tmp_path, sub, keys):
+    cfg = tmp_path / "cfg.json"
+    for key, (caster, _default, _help) in keys.items():
+        for value in (True, WRONG_TYPE[caster]):
+            cfg.write_text(json.dumps({key: value}))
+            with pytest.raises(DomainError, match=f"config value for {key} must be"):
+                parse_config([sub, "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("sub", SCHEMAS)
+def test_config_file_values_resolve_as_their_flags_do(tmp_path, monkeypatch, sub):
+    # every key at once, at a value of its JSON type (a float key also at an
+    # integer): the resolved config, types included, is that of the flags;
+    # null is the default
+    monkeypatch.delenv("BHL_THREADS", raising=False)
+    schema = {**SCHEMAS[sub], **COMMON}
+    cfg = tmp_path / "cfg.json"
+    for number in (0.75, 2):
+        values = {key: {int: 7, float: number, str: str(tmp_path / key)}[caster]
+                  for key, (caster, _default, _help) in schema.items()}
+        cfg.write_text(json.dumps(values))
+        from_file = parse_config([sub, "--config", str(cfg)])
+        from_flags = parse_config([sub] + [f"--{key.replace('_', '-')}={value}"
+                                           for key, value in values.items()])
+        assert from_file == from_flags
+        assert [type(v) for v in from_file[1].values()] == [type(v) for v in from_flags[1].values()]
+    cfg.write_text(json.dumps(dict.fromkeys(schema)))
+    assert parse_config([sub, "--config", str(cfg)]) == parse_config([sub])
+
+
+@pytest.mark.parametrize("content", [b"\x80\xff{}", b"[" * 10**5], ids=["not-utf8", "nested"])
+@pytest.mark.parametrize("sub, profile", [("kerr-check", False), ("index", True)])
+def test_undecodable_json_files_are_input_errors(tmp_path, capsys, sub, profile, content):
+    # bytes that are not UTF-8, and arrays nested beyond the recursion limit
+    path = tmp_path / "bytes.json"
+    path.write_bytes(content)
+    argv = [sub, "--profile" if profile else "--config", str(path),
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+# A report or CSV path that cannot be written: each is refused before any work.
+UNWRITABLE = {
+    "out-directory": lambda d: ["goursat", "--data", "linear", "--out", str(d)],
+    "out-missing-parent": lambda d: ["goursat", "--data", "linear",
+                                     "--out", str(d / "no" / "r.json")],
+    "csv-directory": lambda d: ["geodesic", "--t-max", "10", "--csv", str(d),
+                                "--out", str(d.parent / "r.json")],
+    "csv-missing-parent": lambda d: ["geodesic", "--t-max", "10", "--csv", str(d / "no" / "x.csv"),
+                                     "--out", str(d.parent / "r.json")],
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_unwritable_out_and_csv_paths_are_input_errors(tmp_path, capsys, case):
+    directory = tmp_path / "d"
+    directory.mkdir()
+    assert main(UNWRITABLE[case](directory)) == 2
+    assert "input error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(directory) == []  # nothing written
 
 
 def test_non_integer_threads_env_is_an_input_error(tmp_path, monkeypatch, capsys):

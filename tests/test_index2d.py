@@ -5,7 +5,7 @@ import pytest
 
 from kerrlab import (ConnectionProfile, DomainError, GuardBandError,
                      charge_report, chern_integral, eta_abel_oracle,
-                     eta_h_circle, index_rhs_components, mode_kernel_count,
+                     eta_h_circle, mode_kernel_count,
                      ramp_profile, reversed_profile)
 from kerrlab.index2d import _mode_solution_moduli
 
@@ -72,11 +72,10 @@ def test_mode_check_above_the_sample_limit_rejected(monkeypatch):
 
 
 def test_collar_required():
-    with pytest.raises(DomainError):
-        ConnectionProfile(a=lambda t: t, T=10.0, collar=True)
-    free = ConnectionProfile(a=lambda t: t / 10.0, T=10.0, collar=False)
-    with pytest.raises(DomainError):
-        index_rhs_components(free)
+    # a profile that is not constant on its collars is refused when it is built
+    for a in (lambda t: t, lambda t: t / 10.0):
+        with pytest.raises(DomainError, match="constant on its collars"):
+            ConnectionProfile(a=a, T=10.0)
 
 
 def test_chern_integral_matches_endpoints():
@@ -95,7 +94,7 @@ def test_homotopy_invariance():
     # two different interior paths with identical endpoints give the same
     # index data
     base = ramp_profile(0.3, 2.3)
-    other = ConnectionProfile(a=wiggly, T=10.0, collar=True)
+    other = ConnectionProfile(a=wiggly, T=10.0)
     ra, rb = charge_report(base), charge_report(other)
     assert ra.as_dict() == pytest.approx(rb.as_dict(), abs=1e-9)
 
@@ -117,7 +116,7 @@ def test_mode_counts_match_closed_form():
 
 
 @pytest.mark.parametrize("profile", [ramp_profile(0.3, -2.6),
-                                     ConnectionProfile(a=wiggly, T=10.0, collar=True)],
+                                     ConnectionProfile(a=wiggly, T=10.0)],
                          ids=["ramp", "wiggly"])
 def test_batched_mode_moduli_stay_one(profile):
     # c' = -i (k + a) c is a pure phase, so |c(T)/c(0)| = 1 up to the RK4 error
@@ -136,7 +135,7 @@ def test_charge_report_samples_the_profile_once():
         seen.append(type(t))
         return ramp.a(t)
 
-    profile = ConnectionProfile(a=a, T=ramp.T, collar=True)
+    profile = ConnectionProfile(a=a, T=ramp.T)
     seen.clear()
     report = charge_report(profile, k_max=8)
     assert report.dim_ker_aps == 1 and report.index_lhs == 1
