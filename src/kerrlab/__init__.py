@@ -12,11 +12,11 @@ from .errors import (CalibrationError, DomainError, GuardBandError,
                      KerrlabError, StabilityError)
 from .tensors import MetricData, TensorValue
 from .kerr import (BLPoint, KerrParams, carter_tensor, conformal_ky_residual,
-                   coulomb_F_unit, kappa_scalars, kerr_metric,
-                   killing_tensor_residual, killing_tensor_residual_fd,
-                   killing_yano_residual, killing_yano_residual_fd,
-                   principal_tetrad, random_exterior_points,
-                   tetrad_reconstruction_residual, uniform_F_unit, xi_oneform)
+                   kappa_scalars, kerr_metric, killing_tensor_residual,
+                   killing_tensor_residual_fd, killing_yano_residual,
+                   killing_yano_residual_fd, principal_tetrad,
+                   random_exterior_points, tetrad_reconstruction_residual,
+                   xi_oneform)
 from .geodesics import (ConservedSet, GeodesicState, Trajectory,
                         circular_orbit_state, conserved_drift,
                         conserved_quantities, integrate_geodesic,

@@ -9,8 +9,8 @@ Contract:
   * exit 0 when every check passes its bound, fixed beside `_check` (no flag
     or config key moves one), 1 when a numeric invariant is violated (the
     report lists which residual, its value and bound), 2 for input errors
-    (bad flags, bad config, out-of-domain parameters; an `out` or `csv` path
-    that names a directory or lies in none is refused before any work);
+    (bad flags, bad config, out-of-domain parameters; `out` and `csv` paths
+    that name a directory, lie in none or name one file are refused first);
   * all artifacts are written atomically (temp file + rename); CSV uses '.'
     decimals, '\\n' line endings and a mandatory header row; JSON reports
     embed the fully resolved config and the code version, never timestamps,
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -215,11 +216,9 @@ def _read_json(path, what):
         raise DomainError(f"{what} file is not valid JSON: {exc}")
 
 
-def parse_config(argv):
-    """Resolve (subcommand, config dict) from argv plus an optional JSON file.
-
-    Flags override file values; unknown config-file keys are rejected.
-    """
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The argparse tree of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kerrlab",
         description="Kerr hidden-symmetry and hyperbolic-theory numerics",
@@ -233,8 +232,15 @@ def parse_config(argv):
         for key, (caster, _default, help_text) in {**schema, **COMMON}.items():
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster,
                             default=None, help=help_text)
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def parse_config(argv):
+    """Resolve (subcommand, config dict) from argv plus an optional JSON file.
+
+    Flags override file values; unknown config-file keys are rejected.
+    """
+    ns = _parser().parse_args(argv)
     schema = {**SCHEMAS[ns.subcommand], **COMMON}
     file_cfg = {} if ns.config is None else _read_json(ns.config, "config")
     if not isinstance(file_cfg, dict):
@@ -276,6 +282,8 @@ def parse_config(argv):
             raise DomainError(f"{key} = {path!r} is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise DomainError(f"{key} = {path!r} is in no existing directory")
+    if cfg["out"] and cfg.get("csv") and os.path.realpath(cfg["out"]) == os.path.realpath(cfg["csv"]):
+        raise DomainError(f"out and csv both name {cfg['out']!r}: the CSV would replace the report")
     return ns.subcommand, cfg
 
 
@@ -359,8 +367,8 @@ def _run_kerr_check(cfg):
 
 
 def _run_geodesic(cfg):
-    from .geodesics import (conserved_drift, conserved_quantities, conserved_series,
-                            integrate_geodesic, normalize_velocity)
+    from .geodesics import (_drift, conserved_quantities, conserved_series, integrate_geodesic,
+                            normalize_velocity)
     from .kerr import BLPoint, KerrParams
 
     params = KerrParams(m=cfg["m"], a=cfg["a"])
@@ -374,11 +382,10 @@ def _run_geodesic(cfg):
 
     conserved = conserved_series(params, traj.x, traj.u)
     rows = np.column_stack([traj.tau, traj.x, traj.u, conserved]).tolist()
-    header = ["tau", "t", "r", "theta", "phi", "ut", "ur", "utheta", "uphi",
-              "e", "lz", "k", "norm"]
+    names = ("e", "lz", "k", "norm")  # the columns of the series
+    header = ["tau", "t", "r", "theta", "phi", "ut", "ur", "utheta", "uphi", *names]
 
-    drifts = conserved_drift(params, traj, cfg["causal"])
-    names = ("e", "lz", "k", "norm")
+    drifts = _drift(conserved)
     failures = []
     for name, d in zip(names, drifts):
         _check(failures, f"{name}_drift", float(d), hi=CONSERVED_DRIFT_MAX)
@@ -594,10 +601,8 @@ def _run_maxwell_currents(cfg):
     return results, failures, None
 
 
-def _space_bump(x, center, radius):
-    """C^infinity bump on the circle, supported in |x - center| < radius."""
-    d = np.angle(np.exp(1j * (x - center)))
-    s = np.clip(np.abs(d) / radius, 0.0, 1.0)
+def _bump(s):
+    """exp(1 - 1/(1 - s^2)) for 0 <= s < 1, else 0: the C^infinity bump of s = distance / radius."""
     out = np.zeros_like(s)
     inside = s < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
@@ -620,11 +625,10 @@ def _run_green(cfg):
 
     grid = _cfl_grid(cfg["T"], cfg["n_x"], cfg["cfl"])
 
-    def source(t, x):
+    def source(t, x):  # a bump in time about T / 2 times one on the circle about pi
         t_c, t_r = 0.5 * cfg["T"], 0.18 * cfg["T"]
-        s = np.clip(np.abs(t - t_c) / t_r, 0.0, 1.0)
-        env = np.where(s < 1.0, np.exp(1.0 - 1.0 / (1.0 - np.minimum(s, 0.999999) ** 2)), 0.0)
-        return env * _space_bump(x, math.pi, 0.5)
+        arc = np.abs(np.angle(np.exp(1j * (x - math.pi))))  # distance from pi on the circle
+        return _bump(np.abs(t - t_c) / t_r) * _bump(arc / 0.5)
 
     f = sample(grid, source)
     residuals = green_clause_residuals(grid, f)

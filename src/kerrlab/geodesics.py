@@ -4,6 +4,8 @@ The equations of motion are integrated directly in Christoffel form by
 Gragg-Bulirsch-Stoer extrapolation; integrability is exercised by checking
 constancy of the four integrals (norm, energy e, axial angular momentum l_z,
 and the quadratic Carter invariant k) rather than by quadratures.
+`conserved_series` is their one formula: the norm check of a state,
+`conserved_quantities` and the drifts all read it.
 
 Sign conventions: e = -g(u, d/dt) (positive for future-directed orbits at
 infinity), l_z = +g(u, d/dphi).  The Carter invariant uses K_ab = Y_ac Y^c_b,
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .kerr import BLPoint, KerrParams, _eval, _forms, carter_tensor
+from .kerr import BLPoint, KerrParams, _check_point, _eval, _forms, _ky_calibration
 from .tensors import UP, TensorValue
 
 # Trajectories stop at r_plus + PLUNGE_GUARD * m.  Boyer-Lindquist components
@@ -65,8 +67,7 @@ class GeodesicState:
         uc = self.u.real_part()
         if uc[0] <= 0:
             raise ValueError("4-velocity must be future-directed (u^t > 0)")
-        g = _eval("g", self.x.params, self.x)
-        norm = uc @ g @ uc
+        norm = conserved_series(self.x.params, self.x.coords[None], uc[None])[0, 3]
         target = -1.0 if self.causal_type == "timelike" else 0.0
         if abs(norm - target) > NORM_TOL:
             raise ValueError(
@@ -89,15 +90,13 @@ class ConservedSet:
 
 
 def conserved_quantities(params: KerrParams, s: GeodesicState) -> ConservedSet:
-    """e = -g(u, d/dt), l_z = g(u, d/dphi), k = K_ab u^a u^b."""
-    g = _eval("g", params, s.x)
-    u = s.u.real_part()
-    K = carter_tensor(params, s.x).real_part()
-    return ConservedSet(
-        e=float(-(g @ u)[0]),
-        lz=float((g @ u)[3]),
-        k=float(u @ K @ u),
-    )
+    """e, l_z and k of the state s: its row of `conserved_series`, after the
+    checks of `carter_tensor` (s is a point of params, and the Killing-Yano
+    form calibrates, else CalibrationError)."""
+    _check_point(params, s.x)
+    _ky_calibration(params)
+    e, lz, k, _norm = conserved_series(params, s.x.coords[None], s.u.real_part()[None])[0]
+    return ConservedSet(e=float(e), lz=float(lz), k=float(k))
 
 
 def _geodesic_rhs(params):
@@ -165,11 +164,13 @@ def integrate_geodesic(
 
 
 def conserved_series(params: KerrParams, x, u) -> np.ndarray:
-    """(e, l_z, k, norm) at every sample of chart positions x and velocities
-    u (both shape (n, 4)), in one broadcasting pass over the closed forms.
+    """(e, l_z, k, norm) = (-g(u, d/dt), g(u, d/dphi), K_ab u^a u^b, g(u, u)) at
+    every sample of chart positions x and velocities u (both shape (n, 4)), in
+    one broadcasting pass over the closed forms.
 
-    Unlike conserved_quantities this validates nothing, so the integrator's
-    O(tol) norm drift shows up in the values instead of aborting them.
+    It validates nothing, so the integrator's O(tol) norm drift shows up in
+    the values instead of aborting them.  A row's e, l_z and k keep their
+    bits in a batch of any size; its norm may differ in the last bit.
     """
     forms = _forms()
     g = forms["g"](params.m, params.a, x[:, 1], x[:, 2])
@@ -180,12 +181,14 @@ def conserved_series(params: KerrParams, x, u) -> np.ndarray:
                      np.einsum("na,na->n", u, gu)], axis=1)
 
 
+def _drift(series):
+    """Max drift of each column from the first row, over max(|first row|, 1)."""
+    return np.max(np.abs(series - series[0]) / np.maximum(np.abs(series[0]), 1.0), axis=0)
+
+
 def conserved_drift(params: KerrParams, traj: Trajectory, causal_type: str):
     """Max relative drift of (e, l_z, k, norm) along a sampled trajectory."""
-    vals = conserved_series(params, traj.x, traj.u)
-    ref = vals[0]
-    scale = np.maximum(np.abs(ref), 1.0)
-    return np.max(np.abs(vals - ref) / scale, axis=0)
+    return _drift(conserved_series(params, traj.x, traj.u))
 
 
 def _angular_velocity(A, B, C, prograde, no_root):
@@ -209,8 +212,7 @@ def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> Geodesi
     gamma = _eval("gamma", params, p)
     omega = _angular_velocity(gamma[1, 3, 3], 2.0 * gamma[1, 0, 3], gamma[1, 0, 0], prograde,
                               f"no circular orbit at r={r}")
-    g = _eval("g", params, p)
-    quad = g[0, 0] + 2 * omega * g[0, 3] + omega**2 * g[3, 3]
+    quad = conserved_series(params, p.coords[None], np.array([[1.0, 0.0, 0.0, omega]]))[0, 3]
     if quad >= 0:
         raise DomainError(f"circular orbit at r={r} is not timelike")
     ut = 1.0 / math.sqrt(-quad)
@@ -235,8 +237,8 @@ def normalize_velocity(params: KerrParams, p: BLPoint, u_spatial, causal_type="t
     """Complete (u^r, u^theta, u^phi) to a future-directed 4-velocity.
 
     Solves the quadratic normalization condition A (u^t)^2 + B u^t + C = 0
-    for u^t > 0.  DomainError if float64 rounding of g_ab u^a u^b (large
-    speeds) exceeds NORM_TOL.
+    for u^t > 0.  DomainError if the state's norm check fails: at large
+    speeds the float64 rounding of g_ab u^a u^b exceeds NORM_TOL.
     """
     g = _eval("g", params, p)
     ur, uth, uph = u_spatial
@@ -260,7 +262,7 @@ def normalize_velocity(params: KerrParams, p: BLPoint, u_spatial, causal_type="t
     if ut <= 0:
         raise DomainError("no future-directed completion exists")
     u = TensorValue((UP,), np.array([ut, ur, uth, uph]))
-    norm = u.real_part() @ g @ u.real_part()  # as GeodesicState computes it
-    if abs(norm - target) > NORM_TOL:
-        raise DomainError(f"4-velocity norm {norm} misses target {target}: speed too large")
-    return GeodesicState(p, u, causal_type)
+    try:
+        return GeodesicState(p, u, causal_type)
+    except ValueError as exc:  # u^t > 0, so the norm or the causal type
+        raise DomainError(str(exc)) from None

@@ -268,12 +268,12 @@ def chern_integral(profile: ConnectionProfile) -> float:
 
 
 def index_rhs_components(profile: ConnectionProfile):
-    """(ch_integral, (eta1, h1), (eta2, h2), transgression=0) for a collar profile."""
+    """(ch_integral, (eta1, h1), (eta2, h2)) for a collar profile: no transgression."""
     ch = chern_integral(profile)
     a0, aT = profile.endpoints
     eta1, h1 = eta_h_circle(a0)
     eta2, h2 = eta_h_circle(aT)
-    return ch, (eta1, h1), (eta2, h2), 0.0
+    return ch, (eta1, h1), (eta2, h2)
 
 
 def charge_report(profile: ConnectionProfile, k_max: int = None) -> IndexReport:
@@ -283,8 +283,8 @@ def charge_report(profile: ConnectionProfile, k_max: int = None) -> IndexReport:
         k_max = int(math.ceil(max(abs(a0), abs(aT)))) + 2
     aps = mode_kernel_count(profile, k_max, "APS")
     aaps = mode_kernel_count(profile, k_max, "aAPS")
-    ch, (eta1, h1), (eta2, h2), transgression = index_rhs_components(profile)
-    rhs = ch + transgression - (h1 + h2 + eta1 - eta2) / 2.0
+    ch, (eta1, h1), (eta2, h2) = index_rhs_components(profile)
+    rhs = ch - (h1 + h2 + eta1 - eta2) / 2.0
     q_left = ch - (h1 - h2 + eta1 - eta2) / 2.0
     q_right = -q_left
     q_chiral = -2.0 * ch + h1 - h2 + eta1 - eta2

@@ -374,16 +374,6 @@ def tetrad_reconstruction_residual(params: KerrParams, p: BLPoint) -> float:
     return _tetrad(params, *_one(p))[2].item()
 
 
-def coulomb_F_unit(params: KerrParams, p: BLPoint) -> np.ndarray:
-    """Closed-form F = dA for the unit-charge Coulomb potential (real array)."""
-    return _eval("F_coulomb", params, p)
-
-
-def uniform_F_unit(params: KerrParams, p: BLPoint) -> np.ndarray:
-    """Closed-form uniform-magnetic-field Maxwell test solution, unit strength."""
-    return _eval("F_uniform", params, p)
-
-
 def random_exterior_points(params: KerrParams, n, rng, r_range=(None, None)):
     """Sample points at t = 0, uniformly in r, theta, phi over a safe
     exterior box (by default r_plus + 0.3 m < r < 12 m)."""

@@ -13,10 +13,12 @@ the field at all of its points in one call, checked over the whole array,
 and the geometry in one broadcasting closed-form call per quantity; the
 rest is array arithmetic over the leading point axes.
 
-The currents have one core, `_currents`, over any number of centres; V_tensor,
-np_scalars and dominant_energy_value are one-point wrappers of array forms.
-`maxwell-currents` runs the cores on blocks of centres, so that a sweep holds
-the nested stencils of one block at a time.
+The currents have one core, `_currents`, over any number of centres, and F
+and V one divergence, `_tensor_divergence`.  The one-point functions wrap
+array forms: coulomb_field `_coulomb_F`, uniform_field `_uniform_F`, V_tensor
+`_currents`, and the others the array form of their name (`_divergence` for
+maxwell_divergence_residual).  `maxwell-currents` runs the cores on blocks of
+centres, so that a sweep holds the nested stencils of one block at a time.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from .kerr import (
     _at,
     _check_exterior,
     _ky_calibration,
-    coulomb_F_unit,
     random_exterior_points,
-    uniform_F_unit,
 )
 from .tensors import DOWN, UP, TensorValue, _cov_fd, _hodge, _partial_fd, _stencil
 
@@ -97,6 +97,13 @@ def _field(params, F_field, pts):
     return F
 
 
+def _tensor_divergence(T, ginv, gamma, step):
+    """g^{ca} nabla_c T_ab from samples T[..., s, a, b] on d1_4 stencils of the
+    step, with ginv and gamma at their centres."""
+    nabla = _cov_fd(T, gamma, (DOWN, DOWN), step, "d1_4")
+    return np.einsum("...ca,...cab->...b", ginv, nabla)
+
+
 def _divergence(params, F_field, centres, step):
     """max_b |nabla^a F_ab| at each of the chart points centres[n, 4], by
     fourth-order central differences: from the field on the stencil of every
@@ -104,8 +111,7 @@ def _divergence(params, F_field, centres, step):
     closed-form call each)."""
     F = _field(params, F_field, _stencil(centres, step, "d1_4"))
     ginv, gamma = _at(params, centres[..., 1], centres[..., 2], "ginv", "gamma")
-    nabla = _cov_fd(F, gamma, (DOWN, DOWN), step, "d1_4")
-    return np.max(np.abs(np.einsum("...ca,...cab->...b", ginv, nabla)), axis=-1)
+    return np.max(np.abs(_tensor_divergence(F, ginv, gamma, step)), axis=-1)
 
 
 # field -> (label, pts -> F given params, point seed, tolerance at the finer
@@ -139,8 +145,7 @@ def coulomb_field(params: KerrParams, q: float, p: BLPoint) -> MaxwellSample:
     """Stationary Coulomb-type Maxwell field of charge q (F = dA closed by
     construction)."""
     _calibration(params, "coulomb")
-    F = q * coulomb_F_unit(params, p)
-    return MaxwellSample(TensorValue((DOWN, DOWN), F), p)
+    return MaxwellSample(TensorValue((DOWN, DOWN), q * _coulomb_F(params, p.coords)), p)
 
 
 def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
@@ -149,8 +154,7 @@ def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
     Unlike the Coulomb field this one is not aligned with the principal null
     directions, so it produces nonzero Z, eta and V."""
     _calibration(params, "uniform")
-    F = b * uniform_F_unit(params, p)
-    return MaxwellSample(TensorValue((DOWN, DOWN), F), p)
+    return MaxwellSample(TensorValue((DOWN, DOWN), b * _uniform_F(params, p.coords)), p)
 
 
 def maxwell_divergence_residual(params, F_field, p: BLPoint, step=1e-3) -> float:
@@ -266,8 +270,7 @@ def _currents(params: KerrParams, F_field, centres, step):
         V = (_leading(eta, g, ginv)
              - _coupling(_lie(xi_up.real, F, step, "d1"), Z, g, ginv)
              + _coupling(_lie(xi_up.imag, starF, step, "d1"), Z, g, ginv))
-        nabla = _cov_fd(V, geo["gamma"][..., 0, 0, :, :, :], (DOWN, DOWN), h, "d1_4")
-        div = np.einsum("...ca,...cab->...b", ginv[..., 0, :, :], nabla)
+        div = _tensor_divergence(V, ginv[..., 0, :, :], geo["gamma"][..., 0, 0, :, :, :], h)
     Z, eta, V = Z[..., 0, :, :], eta[..., 0, :], V[..., 0, :, :]  # at the centres
     if not all(np.all(np.isfinite(x)) for x in (Z, eta, V, div)):
         raise OverflowError("V_ab of this field overflows double precision")

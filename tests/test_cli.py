@@ -202,8 +202,8 @@ def test_violated_index_theorem_is_a_reported_failure(tmp_path, monkeypatch):
 
 def test_invariant_violation_exits_one(tmp_path, monkeypatch):
     # a Carter-constant drift past the fixed bound: exit code 1, report written
-    monkeypatch.setattr("kerrlab.geodesics.conserved_drift",
-                        lambda params, traj, causal_type: np.array([0.0, 0.0, 1e-6, 0.0]))
+    monkeypatch.setattr("kerrlab.geodesics._drift",
+                        lambda series: np.array([0.0, 0.0, 1e-6, 0.0]))
     out = tmp_path / "geo.json"
     code = main(["geodesic", "--t-max", "50", "--out", str(out)])
     assert code == 1
@@ -555,6 +555,34 @@ def test_unwritable_out_and_csv_paths_are_input_errors(tmp_path, capsys, case):
     assert main(UNWRITABLE[case](directory)) == 2
     assert "input error" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["d"] and os.listdir(directory) == []  # nothing written
+
+
+SAME_FILE_RUNS = {"geodesic": ["geodesic", "--t-max", "10"],
+                  "wave-evolve": ["wave-evolve", "--t-end", "1", "--n-r", "16", "--n-theta", "8"]}
+
+
+@pytest.mark.parametrize("csv_path", ["same.json", "./same.json", "sub/../same.json"])
+@pytest.mark.parametrize("sub", SAME_FILE_RUNS)
+def test_out_and_csv_naming_one_file_is_an_input_error(tmp_path, monkeypatch, capsys, sub, csv_path):
+    # the CSV would replace the report: refused before any work, nothing written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(SAME_FILE_RUNS[sub] + ["--out", "same.json", "--csv", csv_path]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["sub"]
+
+
+def test_geodesic_initial_conserved_is_the_first_csv_row(tmp_path):
+    # the report's integrals and the CSV's come from one formula
+    out, csv_out = tmp_path / "g.json", tmp_path / "g.csv"
+    argv = ["geodesic", "--a", "0.9", "--r0", "6", "--t-max", "50", "--out", str(out),
+            "--csv", str(csv_out)]
+    assert main(argv) == 0
+    initial = json.loads(out.read_text())["results"]["initial_conserved"]
+    with open(csv_out, newline="") as fh:
+        header, first = list(csv.reader(fh))[:2]
+    row = dict(zip(header, map(float, first)))
+    assert initial == {"e": row["e"], "lz": row["lz"], "k": row["k"]}
 
 
 def test_non_integer_threads_env_is_an_input_error(tmp_path, monkeypatch, capsys):

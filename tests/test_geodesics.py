@@ -145,6 +145,27 @@ def test_conserved_series_matches_pointwise_integrals():
     assert np.allclose(series[:, 3], -1.0, atol=1e-10)
 
 
+def test_conserved_quantities_are_their_series_row_bit_for_bit():
+    # conserved_series is the one formula for e, l_z and k: a state's integrals
+    # are its row of a series over many states, to the last bit
+    from kerrlab.geodesics import conserved_series
+
+    rng = np.random.default_rng(35)
+    for a in (0.0, 0.3, 0.9, 0.999):
+        params = KerrParams(1.0, a)
+        states = []
+        for _ in range(30):
+            pt = BLPoint(0.0, rng.uniform(3.0, 12.0), rng.uniform(0.3, math.pi - 0.3),
+                         rng.uniform(0.0, 2 * math.pi), params)
+            u_spatial = (rng.uniform(-0.3, 0.3), rng.uniform(-0.05, 0.05), rng.uniform(-0.1, 0.1))
+            states.append(normalize_velocity(params, pt, u_spatial, "timelike"))
+        series = conserved_series(params, np.array([s.x.coords for s in states]),
+                                  np.array([s.u.real_part() for s in states]))
+        for s, row in zip(states, series):
+            c = conserved_quantities(params, s)
+            assert np.array([c.e, c.lz, c.k]).tobytes() == row[:3].tobytes(), (a, s.x.coords)
+
+
 def test_integrate_geodesic_calls_the_module_solve_ivp(monkeypatch):
     # integrate_geodesic reaches its integrator through the module attribute, so a
     # replacement there sees every right-hand side evaluation

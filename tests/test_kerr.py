@@ -282,3 +282,16 @@ def test_derive_check_rejects_a_stale_module(tmp_path, monkeypatch):
     assert _derive.main(["--check"]) == 1
     assert _derive.main([]) == 0 and _derive.main(["--check"]) == 0
     assert stale.read_text() == _derive.emit()
+
+
+def test_a_killing_yano_residual_just_past_its_bound_fails_the_calibration(monkeypatch):
+    # _ky_calibration refuses a residual above 1e-10 and accepts one at it;
+    # __wrapped__ runs it past its cache
+    from kerrlab import CalibrationError, kerr
+
+    params = KerrParams(1.0, 0.5)
+    monkeypatch.setattr(kerr, "killing_yano_residual", lambda params, p: 1e-10)
+    assert kerr._ky_calibration.__wrapped__(params) is None
+    monkeypatch.setattr(kerr, "killing_yano_residual", lambda params, p: np.nextafter(1e-10, 1.0))
+    with pytest.raises(CalibrationError, match="Killing-Yano residual"):
+        kerr._ky_calibration.__wrapped__(params)

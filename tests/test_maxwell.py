@@ -205,3 +205,27 @@ def test_calibration_calls_the_field_once_per_step(monkeypatch):
     assert [q.shape for q in calls] == [(5, 17, 4), (5, 17, 4)]
     for q in calls:
         assert len(set(map(tuple, q.reshape(-1, 4)))) == 85
+
+
+def test_an_imaginary_part_of_V_just_past_its_bound_fails_the_calibration(monkeypatch):
+    # _currents refuses max |Im V| above 1e-11 max(1, max |V|) and accepts it
+    # at that bound.  The patched leading part of V has the imaginary part
+    # delta at every entry; the coupling terms are real, so max |Im V| = delta.
+    from kerrlab import CalibrationError, maxwell
+
+    field = lambda q: _uniform_F(PARAMS, q)
+    p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
+    scale = max(1.0, float(np.max(np.abs(V_tensor(PARAMS, field, p).V.components))))
+    assert scale > 1.0  # so the test also sees the scale
+    bound = 1e-11 * scale
+    leading = maxwell._leading
+
+    def with_imaginary_part(delta):
+        monkeypatch.setattr(maxwell, "_leading",
+                            lambda eta, g, ginv: leading(eta, g, ginv).real + 1j * delta)
+
+    with_imaginary_part(bound)
+    V_tensor(PARAMS, field, p)
+    with_imaginary_part(np.nextafter(bound, 1.0))
+    with pytest.raises(CalibrationError, match="imaginary part"):
+        V_tensor(PARAMS, field, p)
