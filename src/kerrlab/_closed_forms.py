@@ -1,9 +1,10 @@
 """Kerr closed forms in Boyer-Lindquist coordinates: one kernel per form.
 
 Generated by `python -m kerrlab._derive` from the symbolic forms in
-`kerrlab._derive`; do not edit.  Each kernel (m, a, r, th) returns the
-non-zero entries of its form in flat order, with common subexpressions
-eliminated.  `kerr._forms` scatters them into arrays.
+`kerrlab._derive`; do not edit.  Each kernel of (m, a, r, th), and `accel`
+of (m, a, r, th, u0, u1, u2, u3), returns the entries of its form that are
+not identically zero, in flat order, with common subexpressions eliminated.
+`kerr._forms` scatters them into arrays, except accel's, which are all four.
 """
 
 from numpy import cos, sin, sqrt
@@ -180,22 +181,16 @@ def K(m, a, r, th):
     x22 = x21*x8
     x23 = x11*x22
     x24 = x22*(x0 - x11 - x3 + x4)
-    x25 = -x20*x23 - x20*x24
-    x26 = x3*x5
-    x27 = a*x5
-    x28 = x12**2
-    x29 = x22*(x13*x3 - x28)
-    x30 = x18*x23*x5 + x27*x29
-    x31 = r*x1
-    x32 = x12*x31
-    x33 = a*x31
-    x34 = x1*x10*x21*x9
-    x35 = r*x12*x24/x1 + x0*x34
-    x36 = -x16*x34 - x29*x33
-    return [-x14*x7 - x3*x9, x19, x25*x26 - x27*x30, -x25*x32 + x30*x33, x26*x35 - x27*x36, -x32*x35 + x33*x36, x19, -a**4*x1**4*x17 - x15*x28]
+    x25 = a*x5
+    x26 = x12**2
+    x27 = x22*(x13*x3 - x26)
+    x28 = x1*x10*x21*x9
+    x29 = r*x1
+    x30 = a*x29
+    return [-x14*x7 - x3*x9, x19, -x25*(x18*x23*x5 + x25*x27) + x3*x5*(-x20*x23 - x20*x24), -x12*x29*(r*x12*x24/x1 + x0*x28) + x30*(-x16*x28 - x27*x30), x19, -a**4*x1**4*x17 - x15*x26]
 
 
-FORMS['K'] = (K, (4, 4), (0, 3, 5, 6, 9, 10, 12, 15), float)
+FORMS['K'] = (K, (4, 4), (0, 3, 5, 10, 12, 15), float)
 
 
 def dK(m, a, r, th):
@@ -230,97 +225,87 @@ def dK(m, a, r, th):
     x28 = a**3
     x29 = x2*x28
     x30 = a*x14*x25 + x11*x26 - x15*x26 - x24*x29*x6 + x27*x29
-    x31 = x22**(-1.0)
-    x32 = x31*x9
-    x33 = x0*x5
-    x34 = x32*x33
-    x35 = x16*x34
-    x36 = x19*x31
+    x31 = x0*x5
+    x32 = x22**(-1.0)
+    x33 = x32*x9
+    x34 = x16*x33
+    x35 = x31*x34
+    x36 = x19*x32
     x37 = x17/x22**2
     x38 = x37*x9
     x39 = x0 - x20 - x3 + x4
-    x40 = x33*x39
-    x41 = 4*m*x0*x12*x31*x4*x5 + 2*r*x0*x12*x31*x39*x5 - x20*x33*x38 - x33*x36 - x35 - x38*x40
-    x42 = x3*x5
-    x43 = x25*x28*x5
-    x44 = x31*x43
-    x45 = x29*x5
-    x46 = x12*x31
-    x47 = m*x46
-    x48 = 4*x47
-    x49 = x4*x45*x48
-    x50 = r*x21
-    x51 = 4*x50
-    x52 = x18*x3 - x51
-    x53 = a*x5
-    x54 = x32*x53
-    x55 = x21**2
-    x56 = x22*x3 - x55
-    x57 = x53*x56
-    x58 = x10*x46
-    x59 = x16*x44 + x20*x37*x43 + x38*x57 - x49 + x52*x54 - x57*x58
-    x60 = x32*x39
-    x61 = -x20*x34 - x33*x60
-    x62 = 2*x1
-    x63 = x4*x62
-    x64 = x1*x21
-    x65 = x20*x44 + x54*x56
-    x66 = x1*x50
-    x67 = x0*x1
-    x68 = m*x32
-    x69 = 4*r*x68
-    x70 = 4*x13
-    x71 = x16*x4
-    x72 = x38*x71
-    x73 = x1**(-1.0)
-    x74 = x50*x73
-    x75 = x60*x73
-    x76 = 2*x4
-    x77 = x12*x76
-    x78 = -x21*x31*x39*x73*x77 + x21*x75 + x36*x74 + x38*x39*x74 - x47*x67*x70 + x67*x69 + x67*x72 + x75*x76
-    x79 = a*x1
-    x80 = x68*x79
-    x81 = r*x79
-    x82 = x32*x56
-    x83 = x79*x82
-    x84 = 4*a*m*x1*x12*x13*x21*x31 + 2*a*x1*x12*x31*x4*x56 - x21*x72*x79 - x32*x52*x81 - x38*x56*x81 - x51*x80 - x70*x80 - x83
-    x85 = x32*x67
-    x86 = x50*x75 + x71*x85
-    x87 = x21*x71
-    x88 = -x32*x79*x87 - x81*x82
-    x89 = a**4
-    x90 = x1**4
-    x91 = x63*x9
-    x92 = x1**3
-    x93 = x5*x92
-    x94 = x77*x93
-    x95 = x5**3
-    x96 = x23*x95
-    x97 = x62*x89
-    x98 = x62*x9
-    x99 = x22*x9
-    x100 = 2*x96
-    x101 = a**5*x92
-    x102 = x100*x101 + x21*x28*x94 + x22*x28*x95*x98 - 2*x28*x93*x99 + x53*x64*x76*x9
-    x103 = x0*x92
-    x104 = x62*x7
-    x105 = x6*x97
-    x106 = r*x6
-    x107 = 4*x89
-    x108 = x107*x47
-    x109 = -x1*x106*x108 + x105*x32 - x105*x39*x46 + x20*x85 + x60*x67
-    x110 = x28*x6
-    x111 = x1*x110*x69 + x101*x106*x48 + x110*x46*x56*x62 + x110*x98 - x20*x28*x32*x92 - x83
-    x112 = x5*x50
-    x113 = r*x53
-    x114 = -x11*x45 - x113*x82 - x21*x49 - x45*x56*x58 - x54*x87
-    x115 = x108*x2*x4*x5 - x11*x21*x31*x33 - x112*x60/x2 + x21*x40*x58 + x35*x4
-    x116 = x5*x55
-    x117 = x1**5
-    return [-x11*x3 + x15*x3 - x19*x7 + x24*x7, x30, x41*x42 - x53*x59, a*r*x1*x59 + a*x1*x65 - x41*x66 - x61*x63 - x61*x64, x42*x78 - x53*x84, a*r*x1*x84 + a*x1*x88 - x63*x86 - x64*x86 - x66*x78, x30, 2*r*x12*x22*x6*x89*x90 - x11*x2*x55 + 2*x12*x13*x2*x55 - x21*x25*x70 - x27*x89*x90, 2*x0*x1*x22*x5*x9 - x33*x91 - x89*x94 - x96*x97, x102, -x103*x61 + x104*x61 + x109*x42 - x111*x53 + x65*x79, -x109*x66 + x111*x81 - x112*x61 + x113*x65, -x103*x86 + x104*x86 - x114*x53 + x115*x42 + x79*x88, -x112*x86 + x113*x88 + x114*x81 - x115*x66, x102, -a**6*x100*x117 - x103*x116*x77 - x107*x92*x95*x99 - x116*x91 + 2*x117*x22*x5*x89*x9]
+    x40 = x31*x39
+    x41 = x3*x5
+    x42 = x25*x28*x5
+    x43 = x32*x42
+    x44 = x29*x5
+    x45 = x12*x32
+    x46 = m*x45
+    x47 = 4*x46
+    x48 = x4*x44*x47
+    x49 = r*x21
+    x50 = 4*x49
+    x51 = x18*x3 - x50
+    x52 = a*x5
+    x53 = x33*x52
+    x54 = x21**2
+    x55 = x22*x3 - x54
+    x56 = x52*x55
+    x57 = x10*x45
+    x58 = x0*x1
+    x59 = x34*x4
+    x60 = x1**(-1.0)
+    x61 = x33*x39
+    x62 = x60*x61
+    x63 = x49*x62 + x58*x59
+    x64 = x1*x63
+    x65 = 2*x4
+    x66 = a*x1
+    x67 = x21*x66
+    x68 = r*x66
+    x69 = x33*x55
+    x70 = -x59*x67 - x68*x69
+    x71 = m*x33
+    x72 = 4*r*x71
+    x73 = 4*x13
+    x74 = x16*x4
+    x75 = x38*x74
+    x76 = x49*x60
+    x77 = x12*x65
+    x78 = x1*x49
+    x79 = x66*x71
+    x80 = x66*x69
+    x81 = a**4
+    x82 = x1**4
+    x83 = x1*x65*x9
+    x84 = x1**3
+    x85 = x5*x84
+    x86 = x77*x85
+    x87 = x5**3
+    x88 = x23*x87
+    x89 = 2*x1
+    x90 = x81*x89
+    x91 = x89*x9
+    x92 = x22*x9
+    x93 = 2*x88
+    x94 = a**5*x84
+    x95 = x21*x28*x86 + x21*x52*x83 + x22*x28*x87*x91 - 2*x28*x85*x92 + x93*x94
+    x96 = x20*x33
+    x97 = -x31*x61 - x31*x96
+    x98 = x0*x84
+    x99 = x6*x90
+    x100 = r*x6
+    x101 = 4*x81
+    x102 = x101*x46
+    x103 = x28*x6
+    x104 = x49*x5
+    x105 = r*x52
+    x106 = x5*x54
+    x107 = x1**5
+    return [-x11*x3 + x15*x3 - x19*x7 + x24*x7, x30, x41*(4*m*x0*x12*x32*x4*x5 + 2*r*x0*x12*x32*x39*x5 - x20*x31*x38 - x31*x36 - x35 - x38*x40) - x52*(x16*x43 + x20*x37*x42 + x38*x56 - x48 + x51*x53 - x56*x57), a*r*x1*(4*a*m*x1*x12*x13*x21*x32 + 2*a*x1*x12*x32*x4*x55 - x33*x51*x68 - x38*x55*x68 - x50*x79 - x67*x75 - x73*x79 - x80) + a*x1*x70 - x21*x64 - x64*x65 - x78*(-x21*x32*x39*x60*x77 + x21*x62 + x36*x76 + x38*x39*x76 - x46*x58*x73 + x58*x72 + x58*x75 + x62*x65), x30, 2*r*x12*x22*x6*x81*x82 - x11*x2*x54 + 2*x12*x13*x2*x54 - x21*x25*x73 - x27*x81*x82, 2*x0*x1*x22*x5*x9 - x31*x83 - x81*x86 - x88*x90, x95, x41*(-x1*x100*x102 + x33*x99 - x39*x45*x99 + x58*x61 + x58*x96) - x52*(x1*x103*x72 + x100*x47*x94 + x103*x45*x55*x89 + x103*x91 - x28*x84*x96 - x80) + x66*(x20*x43 + x53*x55) + x7*x89*x97 - x97*x98, -x104*x63 + x105*x70 + x68*(-x105*x69 - x11*x44 - x21*x48 - x21*x53*x74 - x44*x55*x57) - x78*(x102*x2*x4*x5 - x104*x61/x2 - x11*x21*x31*x32 + x21*x40*x57 + x35*x4), x95, -a**6*x107*x93 - x101*x84*x87*x92 - x106*x77*x98 - x106*x83 + 2*x107*x22*x5*x81*x9]
 
 
-FORMS['dK'] = (dK, (4, 4, 4), (16, 19, 21, 22, 25, 26, 28, 31, 32, 35, 37, 38, 41, 42, 44, 47), float)
+FORMS['dK'] = (dK, (4, 4, 4), (16, 19, 21, 26, 28, 31, 32, 35, 37, 42, 44, 47), float)
 
 
 def xi(m, a, r, th):
@@ -575,3 +560,67 @@ def F_uniform(m, a, r, th):
 
 
 FORMS['F_uniform'] = (F_uniform, (4, 4), (1, 2, 4, 7, 8, 11, 13, 14), float)
+
+
+def accel(m, a, r, th, u0, u1, u2, u3):
+    x0 = 2*m
+    x1 = r*x0
+    x2 = a**2
+    x3 = r**2
+    x4 = x2 + x3
+    x5 = -x1 + x4
+    x6 = x5**(-1.0)
+    x7 = sin(th)
+    x8 = x7**2
+    x9 = x2*x8
+    x10 = -x4**2 + x5*x9
+    x11 = 4*r
+    x12 = cos(th)
+    x13 = x12**2*x2 + x3
+    x14 = x13**(-3.0)
+    x15 = x12*x2*x7
+    x16 = x13**(-1.0)
+    x17 = x16*x7
+    x18 = x11*x12
+    x19 = x7**3
+    x20 = a**3
+    x21 = x13**(-2.0)
+    x22 = m*x21
+    x23 = a*m*x17*x18 + x18*x19*x20*x22
+    x24 = -x23
+    x25 = x16*x6
+    x26 = a*x1
+    x27 = x25*x26
+    x28 = x24*x27
+    x29 = u0*u2
+    x30 = a*x8
+    x31 = 4*x22*x3
+    x32 = -x0*x16*x30 + x30*x31
+    x33 = x25*x26*x32
+    x34 = -2*m*x16 + x31
+    x35 = -x34
+    x36 = u0*u1
+    x37 = -2*r + x0
+    x38 = 2*r
+    x39 = -x10
+    x40 = x21*x39
+    x41 = -x16*x8*(4*r*x4 + x37*x9) + x38*x40*x8
+    x42 = -x41
+    x43 = u1*u3
+    x44 = x16*x5
+    x45 = 2*x12
+    x46 = x19*x2*x45
+    x47 = x17*x39*x45 + x40*x46 - x44*x46
+    x48 = u2*u3
+    x49 = u2**2
+    x50 = u0**2
+    x51 = (1/2)*x44
+    x52 = u0*u3
+    x53 = u1**2
+    x54 = (1/2)*u3**2
+    x55 = x8**(-1.0)
+    x56 = -x1 + x2 + x3 - x9
+    return [-x29*(m*x10*x11*x14*x15*x6 - x28) - x36*(x10*x16*x35*x6 - x33) - x43*(x10*x16*x32*x6 - x27*x42) - x48*(x10*x16*x24*x6 - x27*x47), r*x16*x49*x5 + 2*u1*u2*x12*x16*x2*x7 + x32*x44*x52 - x34*x50*x51 - x41*x44*x54 - x51*x53*(x13*x37/x5**2 + x38*x6), 2*m*r*x12*x14*x2*x50*x7 - u1*u2*x16*x38 + x12*x16*x2*x49*x7 - x15*x25*x53 - x16*x23*x52 + x16*x47*x54, -x29*(-8*m**2*x12*x14*x20*x3*x6*x7 + x16*x24*x55*x56*x6) - x36*(x16*x32*x55*x56*x6 - x27*x35) - x43*(x16*x42*x55*x56*x6 - x33) - x48*(x16*x47*x55*x56*x6 - x28)]
+
+
+FORMS['accel'] = (accel, (4,), (0, 1, 2, 3), float)

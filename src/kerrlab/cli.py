@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -66,12 +64,8 @@ def _json_text(obj):
 
 
 def _csv_text(header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    # rows of ints and floats need no quoting: each line is one join of reprs
+    return "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _finite(x):

@@ -1,9 +1,11 @@
 """Geodesic integration on Kerr with complete-integrability diagnostics.
 
 The equations of motion are integrated directly in Christoffel form by
-Gragg-Bulirsch-Stoer extrapolation; integrability is exercised by checking
-constancy of the four integrals (norm, energy e, axial angular momentum l_z,
-and the quadratic Carter invariant k) rather than by quadratures.
+Gragg-Bulirsch-Stoer extrapolation, on one generated kernel of the position
+and the 4-velocity, the acceleration a^c = -Gamma^c_ab u^a u^b (`accel`: no
+Christoffel array is built).  Integrability is exercised by checking
+constancy of the four integrals (norm, energy e, axial angular momentum
+l_z, and the quadratic Carter invariant k) rather than by quadratures.
 `conserved_series` is their one formula: the norm check of a state,
 `conserved_quantities` and the drifts all read it.
 
@@ -100,16 +102,13 @@ def conserved_quantities(params: KerrParams, s: GeodesicState) -> ConservedSet:
 
 
 def _geodesic_rhs(params):
-    gamma_f = _forms()["gamma"]
+    accel = _forms()["accel"]
     m, a = params.m, params.a
 
     def rhs(tau, y):
-        # one state (8,) or a batch (n, 8); du^c = -Gamma^c_ab u^a u^b
-        u = y[..., 4:]
-        G = gamma_f(m, a, y.T[1], y.T[2])
-        du = (G @ u @ u if y.ndim == 1 else
-              (G.reshape(-1, 4, 16) @ (u[:, :, None] * u[:, None]).reshape(-1, 16, 1))[..., 0])
-        return np.concatenate([u, -du], axis=-1)
+        # one state (8,), as Python floats, or a batch (n, 8); du^c = -Gamma^c_ab u^a u^b
+        _t, r, th, _phi, *u = y.tolist() if y.ndim == 1 else y.T
+        return np.array([*u, *accel(m, a, r, th, *u)]).T
 
     return rhs
 

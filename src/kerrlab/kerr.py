@@ -1,23 +1,24 @@
 """Closed-form Kerr/Schwarzschild geometry in Boyer-Lindquist coordinates.
 
-All closed forms (metric, Christoffel symbols, Killing-Yano 2-form and its
-square, principal tetrad, Coulomb test field) are derived symbolically
-ahead of time in `_derive`, which needs sympy: each tensor expression is
-flattened, its identically zero entries are dropped, and the remaining
-entries are lambdified together with common-subexpression elimination into
-one flat kernel.  The kernels are emitted to the generated module
-`_closed_forms.py` (`python -m kerrlab._derive` rewrites it), so run time
-needs numpy only.  At first use `_forms` scatters each kernel's entries
-back into an array of the form's shape.  Real forms return float arrays;
-only xi, U, kappa1 and m_vec are complex.  Every form broadcasts over
-arrays of (r, theta), with the point axes leading.  At one point (the
-geodesic right-hand side calls gamma so, tens of times per integrator
-step) a real form evaluates its kernel on Python floats with the `math`
-module's functions, which gives the numpy kernel's bits in a third to a
-half of the time, and falls back to the numpy kernel where that raises (see
-`_one_point`).  The Killing-Yano sign is validated, not assumed:
-`_ky_calibration` fails loudly unless the associated Killing field comes
-out as +d/dt.
+All closed forms (metric, Christoffel symbols and the geodesic acceleration
+they give, Killing-Yano 2-form and its square, principal tetrad, Coulomb
+test field) are derived symbolically ahead of time in `_derive`, which
+needs sympy: each tensor expression is flattened, its identically zero
+entries are dropped, and the remaining entries are lambdified together with
+common-subexpression elimination into one flat kernel.  The kernels are
+emitted to the generated module `_closed_forms.py` (`python -m
+kerrlab._derive` rewrites it), so run time needs numpy only.  At first use
+`_forms` scatters each kernel's entries back into an array of the form's
+shape; the acceleration `accel`, also of the 4-velocity, keeps its list.
+Real forms return float arrays; only xi, U, kappa1 and m_vec are complex.
+Every form broadcasts over arrays of (r, theta), with the point axes
+leading.  At one point (the geodesic right-hand side calls accel so, tens
+of times per integrator step) a real form evaluates its kernel on Python
+floats with the `math` module's functions, which gives the numpy kernel's
+bits in a third to a half of the time, and falls back to the numpy kernel
+where that raises (see `_one_point`).  The Killing-Yano sign is validated,
+not assumed: `_ky_calibration` fails loudly unless the associated Killing
+field comes out as +d/dt.
 
 Conventions: signature (-,+,+,+); orientation eps_{t r theta phi} = +sqrt|g|;
 tetrad inner products are quoted with respect to the reversed-signature
@@ -107,25 +108,28 @@ COMPLEX_FORMS = frozenset({"xi", "U", "kappa1", "m_vec"})
 _MATH_GLOBALS = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt}
 
 
-def _one_point(kernel):
+def _one_point(kernel, fallback=None):
     """The real kernel at one point, run on Python floats.
 
     The twin is the kernel's generated code object under globals that bind
     cos, sin and sqrt to the `math` module's: no second compile, 2-3 times
     faster than on numpy scalars, and the same bits.  Where it raises
-    (Delta = 0, overflow, a math domain error) or the point is not finite
-    (its NaNs could differ from numpy's in the sign bit), the numpy kernel
-    runs instead, with its inf/NaN, warnings and exceptions.
+    (Delta = 0, overflow, a math domain error) or an argument is not finite
+    (its NaNs could differ from numpy's in the sign bit), the fallback runs
+    instead: by default the numpy kernel on the arguments as given, with its
+    inf/NaN, warnings and exceptions.
     """
     twin = types.FunctionType(kernel.__code__, _MATH_GLOBALS, kernel.__name__)
+    fallback = fallback or kernel
 
-    def point(m, a, r, th):
-        if math.isfinite(r) and math.isfinite(th):
-            try:
-                return twin(float(m), float(a), float(r), float(th))
-            except (ArithmeticError, ValueError):
-                pass
-        return kernel(m, a, r, th)
+    def point(*args):
+        try:
+            x = tuple(map(float, args))
+            if math.isfinite(sum(x)):  # no inf or NaN (nor an overflowing sum)
+                return twin(*x)
+        except (ArithmeticError, ValueError):
+            pass
+        return fallback(*args)
 
     return point
 
@@ -166,10 +170,17 @@ def _scatter(kernel, shape, idx, dtype):
 
 @lru_cache(maxsize=1)
 def _forms():
-    """name -> numeric callable (m, a, r, th) -> array."""
+    """name -> numeric callable (m, a, r, th) -> array, but for `accel`:
+    (m, a, r, th, u0, u1, u2, u3) -> the list of a^c = -Gamma^c_ab u^a u^b,
+    Python floats at one point (r a float) and arrays for arrays of states."""
     from ._closed_forms import FORMS
 
-    return {name: _scatter(*entry) for name, entry in FORMS.items()}
+    forms = {name: _scatter(*entry) for name, entry in FORMS.items() if name != "accel"}
+    kernel = FORMS["accel"][0]
+    # a state of Python floats where the twin fails gets numpy's inf/NaN, not an exception
+    point = _one_point(kernel, lambda *args: kernel(*map(np.float64, args)))
+    forms["accel"] = lambda m, a, r, *rest: (point if isinstance(r, float) else kernel)(m, a, r, *rest)
+    return forms
 
 
 def _eval(name, params: KerrParams, p: BLPoint):

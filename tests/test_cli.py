@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -105,6 +106,36 @@ def test_wave_csv_schema(tmp_path):
     dt = rep["results"]["dt"]
     assert all(int(row[0]) == round(float(row[1]) / dt) for row in rows[1:])
     assert int(rows[-1][0]) * dt == pytest.approx(rep["results"]["final_time"])
+
+
+def _stdlib_csv(header, rows):
+    """The CSV that csv.writer writes of repr'd floats and plain values."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def test_csv_text_writes_the_stdlib_writers_bytes():
+    # the wave handlers' rows (an int step, then floats) and geodesic's
+    # all-float rows, with every special value a series can hold
+    from types import SimpleNamespace
+
+    from kerrlab.cli import _csv_text, _energy_rows
+
+    values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300, 1e300, 5e-324,
+              -5e-324, 2.0 / 3.0, -1.5e-7, 123456789.0]
+    reports = [SimpleNamespace(time=0.25 * i, e_model3=v, bulk_increment=-v,
+                               bulk_cumulative=values[i - 1], ratio=v / 3.0)
+               for i, v in enumerate(values)]
+    waves = _energy_rows(reports, 0.25)
+    geodesic = (["tau", "t", "r", "theta", "phi", "ut", "ur", "utheta", "uphi",
+                 "e", "lz", "k", "norm"],
+                np.resize(np.array(values), (len(values), 13)).tolist())
+    for header, rows in (waves, geodesic, (waves[0], [])):
+        assert _csv_text(header, rows) == _stdlib_csv(header, rows)
+    assert "\n1,0.25,-inf,inf,inf,-inf\n" in _csv_text(*waves)
 
 
 def test_wave_subcommands_do_not_build_kerr_forms(tmp_path):

@@ -189,6 +189,29 @@ def test_integrate_geodesic_calls_the_module_solve_ivp(monkeypatch):
     assert np.array_equal(traj.tau, plain.tau)
 
 
+def test_one_state_rhs_at_the_horizon_returns_the_numpy_kernels_values():
+    # at r = r+ (Delta = 0) accel's twin on Python floats raises; the one-state
+    # right-hand side must return the numpy kernel's inf/NaN instead, which the
+    # integrator rejects as a step, and raise nothing
+    import types
+
+    from kerrlab import kerr
+    from kerrlab._closed_forms import FORMS
+
+    params = KerrParams(1.0, 0.5)
+    y = np.array([0.0, params.r_plus, 1.1, 0.0, 1.2, -0.3, 0.01, 0.02])
+    state = (params.m, params.a, *y[[1, 2, 4, 5, 6, 7]])
+    kernel = FORMS["accel"][0]
+    twin = types.FunctionType(kernel.__code__, kerr._MATH_GLOBALS)
+    with pytest.raises(ZeroDivisionError):
+        twin(*map(float, state))
+    with np.errstate(all="ignore"):
+        got = geodesics._geodesic_rhs(params)(0.0, y)
+        want = np.array([*y[4:], *kernel(*state)])
+    assert not np.all(np.isfinite(got))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gbs_integrates_the_harmonic_oscillator_to_its_tolerance():
     from kerrlab._gbs import solve_ivp
 

@@ -119,20 +119,25 @@ FORM_POINTS = [(0.0, 4.0, 1.1), (0.0, 7.5, 2.0e-6), (0.5, 3.0, 0.7),
                (0.9, 2.5, math.pi - 2.0e-6), (0.9, 11.0, 1.9)]
 
 
+# a velocity for the forms that take one (accel)
+FORM_VELOCITY = (1.3, -0.2, 0.05, 0.11)
+
+
 def test_compiled_forms_match_plain_lambdify():
     import sympy as sp
 
     from kerrlab._derive import _exprs
     from kerrlab.kerr import COMPLEX_FORMS, _forms
 
-    args, exprs = _exprs()
+    exprs = _exprs()
     forms = _forms()
-    assert set(forms) == set(exprs) and len(forms) == 16
-    for name, expr in exprs.items():
+    assert set(forms) == set(exprs) and len(forms) == 17
+    for name, (args, expr) in exprs.items():
         plain = sp.lambdify(args, expr, modules="numpy")
         for a, r, th in FORM_POINTS:
-            ref = np.array(plain(1.0, a, r, th), dtype=complex)
-            got = forms[name](1.0, a, r, th)
+            point = ((1.0, a, r, th) + FORM_VELOCITY)[:len(args)]
+            ref = np.array(plain(*point), dtype=complex)
+            got = np.array(forms[name](*point))
             assert got.shape == ref.shape, name
             if name in COMPLEX_FORMS:
                 assert got.dtype == np.complex128, name
@@ -145,9 +150,20 @@ def test_compiled_forms_match_plain_lambdify():
                 # next to the axis the unfactored expression cancels terms of
                 # order 1/sin^2 theta (dK at a = 0 loses 3e-10 there); the
                 # compiled form must then match the 40-digit value instead
-                exact = _evalf(args, expr, (1.0, a, r, th))
+                exact = _evalf(args, expr, point)
                 err = np.max(np.abs(got - exact), initial=0.0)
             assert err <= 1e-13 * scale, (name, a, r, th, err / scale)
+
+
+def test_identically_zero_entries_read_exactly_zero():
+    # K_r theta, K_theta r and four entries of dK vanish identically; emitted
+    # as kernels they computed rounding noise (K_r theta read -8.9e-16 here),
+    # which reached the Carter constant through 2 K_r theta u^r u^theta
+    from kerrlab.kerr import _forms
+
+    K, dK = (_forms()[name](1.0, 0.9, 2.5, 1.9) for name in ("K", "dK"))
+    assert K[1, 2] == K[2, 1] == 0.0
+    assert np.all(dK.ravel()[[22, 25, 38, 41]] == 0.0)
 
 
 def _numpy_point(name, m, a, r, th):
@@ -162,11 +178,11 @@ def _numpy_point(name, m, a, r, th):
 
 
 def _one_point_mismatches(forms, points):
-    """(name, m, a, r, th) wherever a real form's one-point result differs in
-    any bit from the numpy kernel's."""
+    """(name, m, a, r, th) wherever a real form of (m, a, r, th) differs at one
+    point in any bit from the numpy kernel's."""
     from kerrlab.kerr import COMPLEX_FORMS
 
-    return [(name, m, a, r, th) for name in sorted(set(forms) - COMPLEX_FORMS)
+    return [(name, m, a, r, th) for name in sorted(set(forms) - COMPLEX_FORMS - {"accel"})
             for m, a, r, th in points
             if forms[name](m, a, r, th).tobytes() != _numpy_point(name, m, a, r, th).tobytes()]
 
@@ -210,6 +226,66 @@ def test_the_bit_parity_check_sees_a_one_ulp_error(monkeypatch):
     assert _one_point_mismatches(forms, [(1.0, a, r, th) for a, r, th in FORM_POINTS])
 
 
+def _accel_states(n, seed):
+    """(m, a, r, th, u0, u1, u2, u3) at n states: the points of
+    `_exterior_sweep` with normally distributed velocities."""
+    u = np.random.default_rng(seed).normal(size=(n, 4))
+    return np.column_stack([np.array(_exterior_sweep(n, seed)), u])
+
+
+def test_accel_is_minus_gamma_u_u():
+    # accel's kernel is generated from gamma's expressions, not from gamma's
+    # kernel.  Over 300 states, at one state and in a batch, it must equal
+    # -Gamma^c_ab u^a u^b contracted from gamma's form within 8 ulps of the
+    # largest sum of |Gamma^c_ab u^a u^b| over a and b.  (Componentwise the two
+    # differ by up to 1e4 ulps of that sum in c = t at large r, where both lie
+    # as far from the 40-digit value: gamma's own entries cancel there.)
+    from kerrlab.kerr import _forms
+
+    forms = _forms()
+    states = _accel_states(300, 38)
+    m, a, r, th, *u = states.T
+    u = np.array(u).T
+    G = forms["gamma"](m, a, r, th)
+    want = -np.einsum("ncab,na,nb->nc", G, u, u)
+    scale = np.max(np.einsum("ncab,na,nb->nc", np.abs(G), np.abs(u), np.abs(u)), axis=1)
+    batch = np.array(forms["accel"](m, a, r, th, *u.T)).T
+    one = np.array([forms["accel"](*map(float, state)) for state in states])
+    for got in (batch, one):
+        ulps = np.max(np.abs(got - want), axis=1) / (np.finfo(float).eps * scale)
+        assert np.max(ulps) <= 8.0, (np.max(ulps), states[np.argmax(ulps)])
+
+
+def _accel_mismatches(point, states):
+    """The states (m, a, r, th, u0..u3), given as numpy scalars, at which
+    point(*state) differs in any bit from the numpy kernel of accel."""
+    from kerrlab._closed_forms import FORMS
+
+    kernel = FORMS["accel"][0]
+    return [state for state in map(tuple, states)
+            if np.array(point(*state)).tobytes() != np.array(kernel(*state)).tobytes()]
+
+
+def test_one_state_accel_keeps_the_numpy_kernels_bits():
+    # the geodesic right-hand side evaluates accel on one state's numpy scalars
+    # through the twin on Python floats; each entry keeps the numpy kernel's
+    # bits.  (A batch of states runs the numpy kernel on arrays, whose powers
+    # may round differently from pow() in the last bit.)
+    from kerrlab.kerr import _forms
+
+    assert _accel_mismatches(_forms()["accel"], _accel_states(1000, 30)) == []
+
+
+def test_the_accel_bit_parity_check_sees_a_one_ulp_error(monkeypatch):
+    # a twin built on a sin one ulp off must fail the check above
+    from kerrlab import kerr
+    from kerrlab._closed_forms import FORMS
+
+    planted = dict(kerr._MATH_GLOBALS, sin=lambda x: math.nextafter(math.sin(x), math.inf))
+    monkeypatch.setattr(kerr, "_MATH_GLOBALS", planted)
+    assert _accel_mismatches(kerr._one_point(FORMS["accel"][0]), _accel_states(20, 30))
+
+
 def _outcome(form, *args):
     """(bytes of the result or the exception's type, the warnings' texts)."""
     import warnings
@@ -233,7 +309,7 @@ def test_one_point_forms_where_python_floats_fail_keep_the_numpy_outcome(r):
     from kerrlab.kerr import COMPLEX_FORMS, _forms
 
     for name, form in _forms().items():
-        if name in COMPLEX_FORMS:
+        if name in COMPLEX_FORMS or name == "accel":  # accel: test_one_state_rhs_at_the_horizon
             continue
         for args in ((1.0, 0.5, np.float64(r), np.float64(1.1)), (1.0, 0.5, r, 1.1)):
             want = _outcome(lambda *p: _numpy_point(name, *p), *args)
@@ -258,6 +334,8 @@ def test_compiled_forms_broadcast_over_points():
     th = np.array([0.4, 1.6, math.pi - 2.0e-6])  # broadcast against r's rows
     for a in (0.0, 0.6):
         for name, form in _forms().items():
+            if name == "accel":  # of states, not points: test_accel_is_minus_gamma_u_u
+                continue
             batch = form(1.0, a, r, th)
             single = np.array([[form(1.0, a, r[i, j], th[j]) for j in range(3)]
                                for i in range(2)])

@@ -75,9 +75,11 @@ def run_case(argv, directory):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(args)
-    texts = {}
+    texts = dict.fromkeys(paths)
     for key, path in paths.items():
-        texts[key] = open(path).read() if os.path.exists(path) else None
+        if os.path.exists(path):
+            with open(path) as f:
+                texts[key] = f.read()
     report = texts["out"]
     if report is not None:
         for key, path in paths.items():
