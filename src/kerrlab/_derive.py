@@ -23,8 +23,6 @@ import mpmath
 import numpy as np
 import sympy as sp
 
-from .kerr import COMPLEX_FORMS
-
 TARGET = Path(__file__).with_name("_closed_forms.py")
 
 
@@ -196,7 +194,8 @@ def _nonzero(args, flat):
 
 
 def _kernel(name, args, expr):
-    """(source, numpy names used, shape, non-zero flat indices) of the named kernel."""
+    """(source, numpy names used, shape, non-zero flat indices, dtype) of the
+    named kernel: its dtype is complex where an emitted entry holds i, else float."""
     entries = np.array(expr.tolist() if isinstance(expr, sp.MatrixBase) else expr, dtype=object)
     flat = entries.ravel()
     idx = _nonzero(args, flat)
@@ -209,7 +208,8 @@ def _kernel(name, args, expr):
     head = f"def {kernel.__name__}("
     if not source.startswith(head) or name in names:
         raise RuntimeError(f"{name}: cannot rename the kernel {source[:40]!r}")
-    return f"def {name}(" + source[len(head):], names, entries.shape, tuple(idx)
+    dtype = "complex" if any(e.has(sp.I) for e in flat[idx]) else "float"
+    return f"def {name}(" + source[len(head):], names, entries.shape, tuple(idx), dtype
 
 
 @lru_cache(maxsize=1)
@@ -217,9 +217,8 @@ def emit() -> str:
     """The source of `_closed_forms.py`, derived once per process."""
     blocks, numpy_names = [], set()
     for name, (args, expr) in _exprs().items():
-        source, names, shape, idx = _kernel(name, args, expr)
+        source, names, shape, idx, dtype = _kernel(name, args, expr)
         numpy_names |= names
-        dtype = "complex" if name in COMPLEX_FORMS else "float"
         blocks.append(f"{source}\n\n\nFORMS[{name!r}] = ({name}, {shape}, {idx}, {dtype})\n")
     return "\n\n".join([PREAMBLE.format(names=", ".join(sorted(numpy_names)))] + blocks)
 

@@ -78,6 +78,8 @@ def solve_ivp(fun, t_span, y0, tol, events=()):
     h, k, event = 1e-3 * (t_end - tau), lo, None
     while tau < t_end:
         y, h = ys[-1], min(h, t_end - tau)
+        if tau + h == tau:  # e.g. a first step 1e-3 (t_end - tau) that underflows to 0
+            return Solution(ts, ys, None, f"step {h:.3g} at tau = {tau!r} does not advance tau", None)
         y1, cols = step(fun, tau, y, h, k)
         scale = tol * (1.0 + np.maximum(abs(y), abs(y1)))
         err = [max(math.sqrt(np.mean((DIFF[j] @ cols[:j + 1] / scale) ** 2)), 1e-10) for j in (k - 1, k)]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 # name -> (offsets k, weights w in summation order, c, p): the stencil is
 # sum_k w_k u(. + k h) / (c h^p).  "d1_face" is the compact difference at
 # the face between two points; the "_end" entries are the forward one-sided
@@ -22,6 +24,13 @@ STENCILS = {
     "d1_end": ((0, 1, 2), (-3.0, 4.0, -1.0), 2.0, 1),
     "d2_end": ((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0), 1.0, 2),
 }
+
+
+def require_normal(what, h, p=1):
+    """Refuse (DomainError) a step h whose h^p, which a quotient divides by,
+    is not a normal double: it would divide by 0, overflow, or lose bits."""
+    if not np.finfo(float).tiny <= (h * h if p == 2 else h) < np.inf:
+        raise DomainError(f"{what} = {h:g} {'does not square to' if p == 2 else 'is not'} a normal double")
 
 
 def mirror(entry):

@@ -38,6 +38,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
+from ._stencils import require_normal
 from .errors import (CalibrationError, DomainError, GuardBandError,
                      StabilityError)
 
@@ -265,8 +266,9 @@ def parse_config(argv):
         raise DomainError("seed must be non-negative")
     if cfg.get("strength") == 0:  # every Z, eta, V and residual would read 0
         raise DomainError("strength must be non-zero: a vanishing field has no currents to check")
-    if cfg.get("width") is not None and not sys.float_info.min <= cfg["width"] * cfg["width"] < math.inf:
-        raise DomainError(f"width = {cfg['width']:g} does not square to a normal double")
+    for key, p in (("width", 2), ("fd_step", 1)):  # the data divide by width^2
+        if cfg.get(key) is not None:
+            require_normal(key, cfg[key], p)
     for key, bound in (("n_points", MAX_POINTS), ("n_samples", MAX_SAMPLES)):
         if cfg.get(key) is not None and cfg[key] > bound:
             raise DomainError(f"{key} = {cfg[key]:.3g} exceeds {bound}")
@@ -609,8 +611,7 @@ def _cfl_grid(T, n_x, cfl):
     from .hyperbolic1d import Grid1p1
 
     h_x = 2.0 * math.pi / n_x
-    if cfl * h_x == 0.0:
-        raise DomainError("time step below double precision")
+    require_normal("the time step's bound cfl * h_x", cfl * h_x)
     return Grid1p1(T=T, n_x=n_x, n_t=int(math.ceil(T / (cfl * h_x))))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .kerr import BLPoint, KerrParams, _check_point, _eval, _forms, _ky_calibration
+from .kerr import BLPoint, KerrParams, _at, _check_point, _eval, _forms, _ky_calibration
 from .tensors import UP, TensorValue
 
 # Trajectories stop at r_plus + PLUNGE_GUARD * m.  Boyer-Lindquist components
@@ -171,9 +171,7 @@ def conserved_series(params: KerrParams, x, u) -> np.ndarray:
     the values instead of aborting them.  A row's e, l_z and k keep their
     bits in a batch of any size; its norm may differ in the last bit.
     """
-    forms = _forms()
-    g = forms["g"](params.m, params.a, x[:, 1], x[:, 2])
-    K = forms["K"](params.m, params.a, x[:, 1], x[:, 2])
+    g, K = _at(params, x[:, 1], x[:, 2], "g", "K")
     gu = np.einsum("nab,nb->na", g, u)
     return np.stack([-gu[:, 0], gu[:, 3],
                      np.einsum("na,nab,nb->n", u, K, u),

@@ -42,6 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._stencils import require_normal
 from .errors import DomainError, GuardBandError, StabilityError
 
 GUARD_LOW = 1e-12
@@ -65,6 +66,7 @@ class ConnectionProfile:
     def __post_init__(self):
         if self.T <= 0:
             raise DomainError("time extent must be positive")
+        require_normal(f"the sample spacing T / {2 * _BASE_STEPS}", self.T / (2 * _BASE_STEPS))
         for t0, t1 in ((0.0, 0.05 * self.T), (0.95 * self.T, self.T)):
             ts = np.linspace(t0, t1, 16)
             vals = np.array([self.a(t) for t in ts])

@@ -8,17 +8,15 @@ entries are dropped, and the remaining entries are lambdified together with
 common-subexpression elimination into one flat kernel.  The kernels are
 emitted to the generated module `_closed_forms.py` (`python -m
 kerrlab._derive` rewrites it), so run time needs numpy only.  At first use
-`_forms` scatters each kernel's entries back into an array of the form's
-shape; the acceleration `accel`, also of the 4-velocity, keeps its list.
-Real forms return float arrays; only xi, U, kappa1 and m_vec are complex.
-Every form broadcasts over arrays of (r, theta), with the point axes
-leading.  At one point (the geodesic right-hand side calls accel so, tens
-of times per integrator step) a real form evaluates its kernel on Python
-floats with the `math` module's functions, which gives the numpy kernel's
-bits in a third to a half of the time, and falls back to the numpy kernel
-where that raises (see `_one_point`).  The Killing-Yano sign is validated,
-not assumed: `_ky_calibration` fails loudly unless the associated Killing
-field comes out as +d/dt.
+`_forms` scatters each kernel's entries into an array of the form's shape
+and of the dtype the generated table records; `accel`, the acceleration,
+also of the 4-velocity, keeps its list.  Every form runs its numpy kernel
+and broadcasts over arrays of (r, theta), point axes leading.  Only accel,
+which the geodesic right-hand side calls at one state tens of times per
+integrator step, has a second path there: its kernel on Python floats
+(see `_accel`).  The Killing-Yano sign is validated, not assumed:
+`_ky_calibration` fails loudly unless the associated Killing field comes
+out as +d/dt.
 
 Conventions: signature (-,+,+,+); orientation eps_{t r theta phi} = +sqrt|g|;
 tetrad inner products are quoted with respect to the reversed-signature
@@ -101,37 +99,33 @@ def _check_exterior(params: KerrParams, r, th):
 # compiled closed forms (generated ahead of time, scattered at first use)
 # ---------------------------------------------------------------------------
 
-# Forms with genuinely complex values; every other form is real.
-COMPLEX_FORMS = frozenset({"xi", "U", "kappa1", "m_vec"})
-
-# The globals of a real kernel's one-point twin (see `_one_point`).
+# The globals of accel's twin on Python floats (see `_accel`).
 _MATH_GLOBALS = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt}
 
 
-def _one_point(kernel, fallback=None):
-    """The real kernel at one point, run on Python floats.
-
-    The twin is the kernel's generated code object under globals that bind
-    cos, sin and sqrt to the `math` module's: no second compile, 2-3 times
-    faster than on numpy scalars, and the same bits.  Where it raises
-    (Delta = 0, overflow, a math domain error) or an argument is not finite
-    (its NaNs could differ from numpy's in the sign bit), the fallback runs
-    instead: by default the numpy kernel on the arguments as given, with its
-    inf/NaN, warnings and exceptions.
+def _accel(kernel):
+    """accel's form: its numpy kernel on arrays of states, and at one state
+    (r a float, np.float64 included) its twin on Python floats: the kernel's
+    code object under globals that bind cos, sin and sqrt to the `math`
+    module's, 2-3 times faster than on numpy scalars with the same bits.
+    Where the twin raises (Delta = 0, overflow) or an argument is not finite
+    (NaN signs could differ), the numpy kernel runs on the state as
+    np.float64 and returns inf/NaN, not an exception.
     """
     twin = types.FunctionType(kernel.__code__, _MATH_GLOBALS, kernel.__name__)
-    fallback = fallback or kernel
 
-    def point(*args):
+    def form(*args):
+        if not isinstance(args[2], float):
+            return kernel(*args)
         try:
             x = tuple(map(float, args))
             if math.isfinite(sum(x)):  # no inf or NaN (nor an overflowing sum)
                 return twin(*x)
         except (ArithmeticError, ValueError):
             pass
-        return fallback(*args)
+        return kernel(*map(np.float64, args))
 
-    return point
+    return form
 
 
 def _scatter(kernel, shape, idx, dtype):
@@ -139,24 +133,14 @@ def _scatter(kernel, shape, idx, dtype):
 
     The kernel returns the form's non-zero entries at the flat indices idx.
     m and a are scalars; r and theta are scalars or broadcastable arrays.
-    The entries are scattered into a fresh array of shape
-    broadcast(r, th).shape + shape, broadcasting the constant ones.
-
-    At one point (r and theta floats, np.float64 included) a real form
-    evaluates through `_one_point`, with the numpy kernel's bits.  Complex
-    forms and arrays of points run the numpy kernel: complex division on
-    Python complex numbers differs from numpy's in the last bit.
+    The entries are scattered into a fresh array of the given dtype and of
+    shape broadcast(r, th).shape + shape, broadcasting the constant ones: at
+    one point, an array of the form's shape.
     """
     size = math.prod(shape)
-    idx = np.array(idx)
     form_axes = range(len(shape))
-    point = _one_point(kernel) if dtype is float else kernel
 
     def form(m, a, r, th):
-        if isinstance(r, float) and isinstance(th, float):  # one point: the hot path
-            out = np.zeros(size, dtype=dtype)
-            out[idx] = point(m, a, r, th)
-            return out.reshape(shape)
         vals = kernel(m, a, r, th)
         points = np.broadcast(m, a, r, th).shape
         out = np.zeros((size,) + points, dtype=dtype)
@@ -176,10 +160,7 @@ def _forms():
     from ._closed_forms import FORMS
 
     forms = {name: _scatter(*entry) for name, entry in FORMS.items() if name != "accel"}
-    kernel = FORMS["accel"][0]
-    # a state of Python floats where the twin fails gets numpy's inf/NaN, not an exception
-    point = _one_point(kernel, lambda *args: kernel(*map(np.float64, args)))
-    forms["accel"] = lambda m, a, r, *rest: (point if isinstance(r, float) else kernel)(m, a, r, *rest)
+    forms["accel"] = _accel(FORMS["accel"][0])
     return forms
 
 

@@ -71,7 +71,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._stencils import STENCILS, _diff, combine
+from ._stencils import STENCILS, _diff, combine, require_normal
 from .errors import DomainError, StabilityError
 from .kerr import KerrParams
 
@@ -676,11 +676,13 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
         raise DomainError("cfl must lie in (0, 1)")
     grid = field.grid
     dt = cfl * 2.0 / math.sqrt(grid.max_wave_speed_sq())
+    require_normal("the stable time step", dt)  # t_end / dt
     if not t_end / dt * grid.n_r * grid.n_theta <= MAX_STEP_POINTS:  # inf and NaN included
         raise DomainError(f"an evolve to t = {t_end:.3g} in steps of {dt:.3g} on {grid.n_r} x "
                           f"{grid.n_theta} points exceeds {MAX_STEP_POINTS:.0e} step-points")
     n_steps = max(int(math.ceil(t_end / dt)), 5)
     dt = t_end / n_steps
+    require_normal("the time step dt", dt, 2)  # the d2 stencils divide by dt^2
     if report_dt is None:
         report_dt = t_end / 8.0
     report_stride = max(int(round(report_dt / dt)), 1)

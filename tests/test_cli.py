@@ -427,6 +427,41 @@ def test_geometry_edge_points_run_to_a_passing_report(edge_geometry_outcomes, ar
     assert "Traceback" not in err and "Warning" not in err
 
 
+# every float key of every subcommand at a tiny value
+EDGE_TINY = [[sub, f"--{key.replace('_', '-')}={value}"]
+             for sub, schema in SCHEMAS.items()
+             for key, (caster, _default, _help) in schema.items() if caster is float
+             for value in ("1e-300", "5e-324")]
+# The tiny values that hung, or ended in a traceback or a warning, and their
+# exit codes.  Where a run divides by h^p for a step h (the wave runs' dt with
+# p = 2; kerr-check's fd_step and index's sample spacing T / 2000 with p = 1)
+# an h^p below the smallest normal double is an input error.  A geodesic whose
+# first step underflows to 0 cannot advance: an invariant violation.
+TINY_EXITS = {
+    ("geodesic", "--t-max=5e-324"): 1, ("geodesic", "--t-max=1e-322"): 1,
+    ("wave-evolve", "--t-end=1e-300"): 2, ("wave-evolve", "--t-end=5e-324"): 2,
+    ("wave-evolve", "--t-end=1e-160"): 2, ("wave-evolve", "--cfl=5e-324"): 2,
+    ("morawetz", "--t-end=1e-300"): 2, ("morawetz", "--t-end=5e-324"): 2,
+    ("index", "--T=5e-324"): 2, ("kerr-check", "--fd-step=5e-324"): 2,
+}
+EDGE_TINY += [list(argv) for argv in TINY_EXITS if list(argv) not in EDGE_TINY]
+
+
+@pytest.fixture(scope="module")
+def edge_tiny_outcomes(tmp_path_factory):
+    return edge_outcomes(tmp_path_factory, EDGE_TINY)
+
+
+@pytest.mark.parametrize("case", range(len(EDGE_TINY)), ids=[" ".join(a) for a in EDGE_TINY])
+def test_tiny_values_end_in_an_exit_code(edge_tiny_outcomes, case):
+    code, err = edge_tiny_outcomes[case]
+    want = TINY_EXITS.get(tuple(EDGE_TINY[case]))
+    assert code in ((0, 1, 2) if want is None else (want,)), err
+    assert want != 2 or "input error" in err
+    assert "Traceback" not in err
+    assert "Warning" not in err
+
+
 # Wave grids and orbit spans too large to hold or to integrate: each must be
 # refused as an input error before any array exists (for morawetz, before
 # its fine run is forked).

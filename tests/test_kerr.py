@@ -126,8 +126,9 @@ FORM_VELOCITY = (1.3, -0.2, 0.05, 0.11)
 def test_compiled_forms_match_plain_lambdify():
     import sympy as sp
 
+    from kerrlab._closed_forms import FORMS
     from kerrlab._derive import _exprs
-    from kerrlab.kerr import COMPLEX_FORMS, _forms
+    from kerrlab.kerr import _forms
 
     exprs = _exprs()
     forms = _forms()
@@ -139,7 +140,7 @@ def test_compiled_forms_match_plain_lambdify():
             ref = np.array(plain(*point), dtype=complex)
             got = np.array(forms[name](*point))
             assert got.shape == ref.shape, name
-            if name in COMPLEX_FORMS:
+            if FORMS[name][3] is complex:
                 assert got.dtype == np.complex128, name
             else:
                 assert got.dtype == np.float64, name
@@ -180,9 +181,10 @@ def _numpy_point(name, m, a, r, th):
 def _one_point_mismatches(forms, points):
     """(name, m, a, r, th) wherever a real form of (m, a, r, th) differs at one
     point in any bit from the numpy kernel's."""
-    from kerrlab.kerr import COMPLEX_FORMS
+    from kerrlab._closed_forms import FORMS
 
-    return [(name, m, a, r, th) for name in sorted(set(forms) - COMPLEX_FORMS - {"accel"})
+    return [(name, m, a, r, th) for name in sorted(forms)
+            if FORMS[name][3] is float and name != "accel"
             for m, a, r, th in points
             if forms[name](m, a, r, th).tobytes() != _numpy_point(name, m, a, r, th).tobytes()]
 
@@ -203,27 +205,15 @@ def _exterior_sweep(n, seed):
 
 
 def test_one_point_real_forms_keep_the_numpy_kernels_bits():
-    # a real form's one-point path runs its kernel on Python floats with the
-    # math module's cos, sin and sqrt; every entry must keep the numpy
-    # kernel's bits, at Python floats and at the numpy scalars a geodesic
-    # state yields
+    # a real form at one point must keep the numpy kernel's bits in every
+    # entry, at Python floats and at the numpy scalars a geodesic state
+    # yields: a guard for any one-point path other than the array one
     from kerrlab.kerr import _forms
 
     points = [(1.0, a, r, th) for a, r, th in FORM_POINTS] + _exterior_sweep(1000, 30)
     assert _one_point_mismatches(_forms(), points) == []
     as_numpy = [tuple(map(np.float64, p)) for p in points[::10]]
     assert _one_point_mismatches(_forms(), as_numpy) == []
-
-
-def test_the_bit_parity_check_sees_a_one_ulp_error(monkeypatch):
-    # forms built on a cos one ulp off must fail the check above
-    from kerrlab import kerr
-    from kerrlab._closed_forms import FORMS
-
-    planted = dict(kerr._MATH_GLOBALS, cos=lambda x: math.nextafter(math.cos(x), math.inf))
-    monkeypatch.setattr(kerr, "_MATH_GLOBALS", planted)
-    forms = {name: kerr._scatter(*entry) for name, entry in FORMS.items()}
-    assert _one_point_mismatches(forms, [(1.0, a, r, th) for a, r, th in FORM_POINTS])
 
 
 def _accel_states(n, seed):
@@ -283,7 +273,7 @@ def test_the_accel_bit_parity_check_sees_a_one_ulp_error(monkeypatch):
 
     planted = dict(kerr._MATH_GLOBALS, sin=lambda x: math.nextafter(math.sin(x), math.inf))
     monkeypatch.setattr(kerr, "_MATH_GLOBALS", planted)
-    assert _accel_mismatches(kerr._one_point(FORMS["accel"][0]), _accel_states(20, 30))
+    assert _accel_mismatches(kerr._accel(FORMS["accel"][0]), _accel_states(20, 30))
 
 
 def _outcome(form, *args):
@@ -306,10 +296,11 @@ def test_one_point_forms_where_python_floats_fail_keep_the_numpy_outcome(r):
     # float evaluation raises, and at a non-finite r its NaNs can differ from
     # numpy's in the sign bit; the form then returns the numpy kernel's
     # inf/NaN with its warnings, as it does for a geodesic state there
-    from kerrlab.kerr import COMPLEX_FORMS, _forms
+    from kerrlab._closed_forms import FORMS
+    from kerrlab.kerr import _forms
 
     for name, form in _forms().items():
-        if name in COMPLEX_FORMS or name == "accel":  # accel: test_one_state_rhs_at_the_horizon
+        if FORMS[name][3] is complex or name == "accel":  # accel: test_one_state_rhs_at_the_horizon
             continue
         for args in ((1.0, 0.5, np.float64(r), np.float64(1.1)), (1.0, 0.5, r, 1.1)):
             want = _outcome(lambda *p: _numpy_point(name, *p), *args)
