@@ -172,7 +172,6 @@ SCHEMAS = {
     },
     "index": {
         "T": (float, 10.0, "cylinder time extent"),
-        "kmax": (int, None, "mode cutoff (default: automatic from endpoints)"),
         "profile": (str, "ramp:0.3:1.3",
                     "'ramp:a0:a1' or a JSON file with sampled {t: [...], a: [...]}"),
     },
@@ -269,6 +268,8 @@ def parse_config(argv):
     for key, p in (("width", 2), ("fd_step", 1)):  # the data divide by width^2
         if cfg.get(key) is not None:
             require_normal(key, cfg[key], p)
+    if cfg.get("fd_step") is not None:  # kerr-check's FD orders also step by 2 fd_step
+        require_normal("2 fd_step", 2.0 * cfg["fd_step"])
     for key, bound in (("n_points", MAX_POINTS), ("n_samples", MAX_SAMPLES)):
         if cfg.get(key) is not None and cfg[key] > bound:
             raise DomainError(f"{key} = {cfg[key]:.3g} exceeds {bound}")
@@ -325,8 +326,8 @@ def _check(failures, name, value, lo=None, hi=None):
 
 
 def _run_kerr_check(cfg):
-    from .kerr import (KerrParams, _analytic_nabla, _at, _conformal_ky, _fd_nabla,
-                       _ky_calibration, _symmetrized_max, _tetrad, random_exterior_points)
+    from .kerr import (KerrParams, _at, _conformal_ky, _killing, _ky_calibration, _tetrad,
+                       random_exterior_points)
 
     params = KerrParams(m=cfg["m"], a=cfg["a"])
     rng = np.random.default_rng(cfg["seed"])
@@ -337,18 +338,17 @@ def _run_kerr_check(cfg):
     _ky_calibration(params)  # xi is validated before it is used
     xi_up = np.einsum("...ab,...b->...a", ginv, xi)
     res = {
-        "ky": _symmetrized_max(_analytic_nabla(params, r, th, "Y"), (-3, -2)),
+        "ky": _killing(params, r, th, "Y"),
         "conformal_ky": _conformal_ky(params, r, th),
-        "killing_tensor": _symmetrized_max(_analytic_nabla(params, r, th, "K"), (-3, -2, -1)),
+        "killing_tensor": _killing(params, r, th, "K"),
         "tetrad": _tetrad(params, r, th)[2],
         "xi": np.max(np.abs(xi_up - np.array([1, 0, 0, 0])), axis=-1),
     }
 
     h = cfg["fd_step"]
     orders = {}
-    for name, form, slots in (("ky_fd", "Y", (-3, -2)), ("killing_tensor_fd", "K", (-3, -2, -1))):
-        coarse, fine = (_symmetrized_max(_fd_nabla(params, r[:3], th[:3], form, step), slots)
-                        for step in (2 * h, h))
+    for name, form in (("ky_fd", "Y"), ("killing_tensor_fd", "K")):
+        coarse, fine = (_killing(params, r[:3], th[:3], form, step) for step in (2 * h, h))
         orders[name] = [_order(c, f) for c, f in zip(coarse, fine)]
 
     failures = []
@@ -618,6 +618,9 @@ def _cfl_grid(T, n_x, cfl):
 def _run_green(cfg):
     from .hyperbolic1d import green_clause_residuals, sample
 
+    potential = cfg["potential"]
+    if not math.isfinite(2.0 * potential):
+        raise DomainError(f"potential = {potential:g}: its peak 2 potential is not finite")
     grid = _cfl_grid(cfg["T"], cfg["n_x"], cfg["cfl"])
 
     def source(t, x):  # a bump in time about T / 2 times one on the circle about pi
@@ -627,7 +630,6 @@ def _run_green(cfg):
 
     f = sample(grid, source)
     residuals = green_clause_residuals(grid, f)
-    potential = cfg["potential"]
     if potential != 0.0:
         pot = lambda x: potential * (1.0 + np.cos(x))
         residuals_v = green_clause_residuals(grid, f, potential=pot)
@@ -727,7 +729,7 @@ def _run_index(cfg):
     profile = _load_profile(cfg)
     failures = []
     try:
-        report = charge_report(profile, k_max=cfg["kmax"])
+        report = charge_report(profile)
     except IndexTheoremError as exc:
         # IndexReport construction rejects any violated index-theorem
         # invariant; surface it as a numeric failure, not an input error

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .kerr import BLPoint, KerrParams, _at, _check_point, _eval, _forms, _ky_calibration
+from .kerr import BLPoint, KerrParams, _at, _check_point, _forms, _ky_calibration
 from .tensors import UP, TensorValue
 
 # Trajectories stop at r_plus + PLUNGE_GUARD * m.  Boyer-Lindquist components
@@ -206,7 +206,7 @@ def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> Geodesi
     4-velocity is normalized to g(u,u) = -1.
     """
     p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
-    gamma = _eval("gamma", params, p)
+    [gamma] = _at(params, p.r, p.theta, "gamma")
     omega = _angular_velocity(gamma[1, 3, 3], 2.0 * gamma[1, 0, 3], gamma[1, 0, 0], prograde,
                               f"no circular orbit at r={r}")
     quad = conserved_series(params, p.coords[None], np.array([[1.0, 0.0, 0.0, omega]]))[0, 3]
@@ -237,7 +237,7 @@ def normalize_velocity(params: KerrParams, p: BLPoint, u_spatial, causal_type="t
     for u^t > 0.  DomainError if the state's norm check fails: at large
     speeds the float64 rounding of g_ab u^a u^b exceeds NORM_TOL.
     """
-    g = _eval("g", params, p)
+    [g] = _at(params, p.r, p.theta, "g")
     ur, uth, uph = u_spatial
     A = g[0, 0]
     B = 2 * g[0, 3] * uph

@@ -154,13 +154,12 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
     out[0] = u0
     a, ap = (v.tolist() for v in _twist(twist, np.arange(n_t) * h_t, h_t))
 
-    # Taylor start: u_tt(0) = f - V u0 + u_xx(0) - 2 i a u1 - (i a' - a^2) u0
-    f0 = f[0] if f is not None else 0.0
-    utt = f0 - V * u0 + _dx(u0, "d2", h_x) - 2j * a[0] * u1 - (1j * ap[0] - a[0]**2) * u0
-    out[1] = u0 + h_t * u1 + 0.5 * h_t**2 * utt
-
-    # a diverging solve overflows quietly: the finiteness check below reports it
+    # a diverging solve, Taylor start included, overflows quietly: checked below
     with np.errstate(over="ignore", invalid="ignore"):
+        # Taylor start: u_tt(0) = f - V u0 + u_xx(0) - 2 i a u1 - (i a' - a^2) u0
+        f0 = f[0] if f is not None else 0.0
+        utt = f0 - V * u0 + _dx(u0, "d2", h_x) - 2j * a[0] * u1 - (1j * ap[0] - a[0]**2) * u0
+        out[1] = u0 + h_t * u1 + 0.5 * h_t**2 * utt
         for n in range(1, n_t):
             fn = f[n] if f is not None else 0.0
             u, up = out[n], out[n - 1]
@@ -267,8 +266,8 @@ def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
     depend on the block size, bit for bit: each sum adds the same terms in
     the same order as the row loop phi[i+1, 1:] += h^2 cumsum(column sums).
     """
-    if extent <= 0:
-        raise DomainError("extent must be positive")
+    if not 0.0 < 2.0 * extent < math.inf:  # u + v reaches 2 extent
+        raise DomainError("extent must be positive, and 2 extent finite")
     if n < 8:
         raise DomainError("need at least 8 null cells")
     if (n + 1) ** 2 > MAX_LATTICE_POINTS:

@@ -22,6 +22,9 @@ eta(a) = 1 - 2 frac(a) for non-integer a, 0 otherwise.  The relative charges
 are Q_L = ch - (h1 - h2 + eta1 - eta2)/2, Q_R = -Q_L, and the chiral charge
 Q_chir = -2 ch + h1 - h2 + eta1 - eta2 = -2 Q_L.
 
+Only for k between -a(0) and -a(T) can k + a change sign between the ends,
+so the count examines those k and one more on either side: no cutoff to set.
+
 Boundary eigenvalues within the guard band (1e-12, 1e-9) of zero are treated
 as undecidable and raise GuardBandError; magnitudes at or below 1e-12 are
 snapped to exact zero and handled by the half-open conventions.
@@ -48,7 +51,7 @@ from .errors import DomainError, GuardBandError, StabilityError
 GUARD_LOW = 1e-12
 GUARD_HIGH = 1e-9
 _BASE_STEPS = 1000  # RK4 steps of the mode check, unless a moves too fast
-MAX_K = 10**5  # largest mode cutoff k_max
+MAX_K = 10**5  # largest ceil(max(|a(0)|, |a(T)|)) + 2 of a counted profile
 MAX_MODE_SAMPLES = 2 * 10**6  # RK4 nodes times counted modes in the mode check
 
 
@@ -152,7 +155,7 @@ def _mode_solution_moduli(profile: ConnectionProfile, ks) -> np.ndarray:
     return np.abs(np.prod(factors, axis=0))
 
 
-def mode_kernel_count(profile: ConnectionProfile, k_max: int, conditions: str) -> int:
+def mode_kernel_count(profile: ConnectionProfile, conditions: str) -> int:
     """Kernel dimension under APS or aAPS conditions by mode counting.
 
     The admissible modes are integrated across [0, T] to confirm each
@@ -161,20 +164,12 @@ def mode_kernel_count(profile: ConnectionProfile, k_max: int, conditions: str) -
     if conditions not in ("APS", "aAPS"):
         raise DomainError(f"unknown boundary conditions {conditions!r}")
     a0, aT = profile.endpoints
-    needed = int(math.ceil(max(abs(a0), abs(aT)))) + 1
-    if k_max < needed:
-        raise DomainError(f"k_max={k_max} too small; need at least {needed}")
-    if k_max > MAX_K:
-        raise DomainError(f"mode cutoff k_max above {MAX_K} (endpoints {a0:g}, {aT:g})")
+    if math.ceil(max(abs(a0), abs(aT))) + 2 > MAX_K:
+        raise DomainError(f"endpoints {a0:g}, {aT:g} beyond the mode bound |k| <= {MAX_K}")
     ks = []
-    for k in range(-k_max, k_max + 1):
-        lam1 = _snap(k + a0)
-        lam2 = _snap(k + aT)
-        if conditions == "APS":
-            hit = lam1 < 0.0 and lam2 > 0.0
-        else:
-            hit = lam1 >= 0.0 and lam2 <= 0.0
-        if hit:
+    for k in range(math.floor(-max(a0, aT)) - 1, math.ceil(-min(a0, aT)) + 2):
+        lam1, lam2 = _snap(k + a0), _snap(k + aT)
+        if (lam1 < 0.0 < lam2) if conditions == "APS" else (lam2 <= 0.0 <= lam1):
             ks.append(k)
     if ks:
         for k, modulus in zip(ks, _mode_solution_moduli(profile, ks).tolist()):
@@ -191,10 +186,8 @@ def eta_h_circle(a_value: float):
     """
     a_value = float(a_value)
     frac = a_value - math.floor(a_value)
-    if min(frac, 1.0 - frac) <= GUARD_LOW:
+    if _snap(min(frac, 1.0 - frac)) == 0.0:
         return 0.0, 1
-    if min(frac, 1.0 - frac) < GUARD_HIGH:
-        raise GuardBandError(f"holonomy {a_value} inside the integer guard band")
     return 1.0 - 2.0 * frac, 0
 
 
@@ -278,13 +271,10 @@ def index_rhs_components(profile: ConnectionProfile):
     return ch, (eta1, h1), (eta2, h2)
 
 
-def charge_report(profile: ConnectionProfile, k_max: int = None) -> IndexReport:
+def charge_report(profile: ConnectionProfile) -> IndexReport:
     """Full index and relative-charge report for a collar profile."""
-    a0, aT = profile.endpoints
-    if k_max is None:
-        k_max = int(math.ceil(max(abs(a0), abs(aT)))) + 2
-    aps = mode_kernel_count(profile, k_max, "APS")
-    aaps = mode_kernel_count(profile, k_max, "aAPS")
+    aps = mode_kernel_count(profile, "APS")
+    aaps = mode_kernel_count(profile, "aAPS")
     ch, (eta1, h1), (eta2, h2) = index_rhs_components(profile)
     rhs = ch - (h1 + h2 + eta1 - eta2) / 2.0
     q_left = ch - (h1 - h2 + eta1 - eta2) / 2.0

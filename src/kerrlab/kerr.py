@@ -34,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError, DomainError
-from .tensors import DOWN, UP, MetricData, TensorValue, _cov_fd, _projector, _stencil
+from .tensors import (DOWN, UP, MetricData, TensorValue, _cov_fd, _covariant, _projector,
+                      _stencil)
 
 THETA_GUARD = 1e-6
 
@@ -164,10 +165,6 @@ def _forms():
     return forms
 
 
-def _eval(name, params: KerrParams, p: BLPoint):
-    return _forms()[name](params.m, params.a, p.r, p.theta)
-
-
 def _at(params: KerrParams, r, th, *names):
     """The named forms at the points (r, th), point axes leading."""
     forms = _forms()
@@ -182,12 +179,9 @@ def _at(params: KerrParams, r, th, *names):
 def kerr_metric(params: KerrParams, p: BLPoint) -> MetricData:
     """Kerr metric, inverse, volume density and Christoffels at a point."""
     _check_point(params, p)
-    return MetricData(
-        g=TensorValue((DOWN, DOWN), _eval("g", params, p)),
-        g_inv=TensorValue((UP, UP), _eval("ginv", params, p)),
-        sqrt_abs_det=float(_eval("sqrtg", params, p)),
-        christoffel=_eval("gamma", params, p),
-    )
+    g, ginv, sqrtg, gamma = _at(params, p.r, p.theta, "g", "ginv", "sqrtg", "gamma")
+    return MetricData(g=TensorValue((DOWN, DOWN), g), g_inv=TensorValue((UP, UP), ginv),
+                      sqrt_abs_det=float(sqrtg), christoffel=gamma)
 
 
 def _check_point(params, p):
@@ -206,11 +200,10 @@ def _ky_calibration(params: KerrParams):
     """
     p = BLPoint(0.0, 3.0 * params.m + 1.0, 1.0, 0.3, params)
     # (c): xi must be +d/dt with vanishing imaginary part
-    xi_up = _eval("ginv", params, p) @ _eval("xi", params, p)
+    xi_up = np.matmul(*_at(params, p.r, p.theta, "ginv", "xi"))
     if np.max(np.abs(xi_up.imag)) > 1e-8:
         raise CalibrationError("xi is not real for a Killing-Yano normalized Y")
-    target = np.array([1.0, 0.0, 0.0, 0.0])
-    if np.max(np.abs(xi_up.real - target)) > 1e-8:
+    if np.max(np.abs(xi_up.real - [1.0, 0.0, 0.0, 0.0])) > 1e-8:
         raise CalibrationError(f"xi does not calibrate to +d/dt: got {xi_up.real}")
     # (a) and (b): analytic Killing-Yano residual
     res = killing_yano_residual(params, p)
@@ -222,9 +215,7 @@ def _analytic_nabla(params: KerrParams, r, th, name: str):
     """nabla_c T_ab of the named all-down closed form from its analytic
     partials 'd<name>', at the points (r, th), point axes leading."""
     T, gamma, dT = _at(params, r, th, name, "gamma", "d" + name)
-    # nabla_c T_ab = d_c T_ab - Gamma^e_ca T_eb - Gamma^e_cb T_ae
-    return (dT - np.einsum("...eca,...eb->...cab", gamma, T)
-            - np.einsum("...ecb,...ae->...cab", gamma, T))
+    return _covariant(dT, gamma, T, (DOWN, DOWN))
 
 
 def _fd_nabla(params: KerrParams, r, th, name: str, step: float):
@@ -240,10 +231,18 @@ def _fd_nabla(params: KerrParams, r, th, name: str, step: float):
     return _cov_fd(samples, gamma, (DOWN, DOWN), step, "d1")
 
 
-def _symmetrized_max(nabla, slots):
-    """max |nabla_(a T_b)c| (slots -3, -2) or max |nabla_(a T_bc)| (slots -3,
-    -2, -1) at each point of the leading axes."""
-    return np.max(np.abs(_projector(nabla, slots)), axis=(-3, -2, -1))
+# The slots of nabla_c T_ab that the Killing equations nabla_(a Y_b)c = 0
+# and nabla_(a K_bc) = 0 symmetrize.
+_KILLING_SLOTS = {"Y": (-3, -2), "K": (-3, -2, -1)}
+
+
+def _killing(params: KerrParams, r, th, name: str, step=None):
+    """The Killing residual of the form Y or K at the points (r, th), point axes
+    leading: max over a, b, c of |nabla_(a Y_b)c| or |nabla_(a K_bc)|, by
+    analytic derivatives or, given a step, second-order central differences."""
+    nabla = (_analytic_nabla(params, r, th, name) if step is None
+             else _fd_nabla(params, r, th, name, step))
+    return np.max(np.abs(_projector(nabla, _KILLING_SLOTS[name])), axis=(-3, -2, -1))
 
 
 def _conformal_ky(params: KerrParams, r, th):
@@ -252,7 +251,7 @@ def _conformal_ky(params: KerrParams, r, th):
     nabla = _analytic_nabla(params, r, th, "Y")  # [..., c, a, b]
     # div_a = nabla_d Y_a{}^d = nabla_d Y_ac g^{cd}
     div = np.einsum("...dac,...cd->...a", nabla, ginv)
-    lhs = _projector(nabla, (-3, -2))
+    lhs = _projector(nabla, _KILLING_SLOTS["Y"])
     # lhs[a,b,c] = nabla_(a Y_b)c; rhs from the conformal Killing-Yano equation
     rhs = (
         -np.einsum("...ab,...c->...abc", g, div) / 3.0
@@ -269,7 +268,7 @@ def _one(p: BLPoint):
 
 def killing_yano_residual(params: KerrParams, p: BLPoint) -> float:
     """max |nabla_(a Y_b)c| with analytic derivatives."""
-    return _symmetrized_max(_analytic_nabla(params, *_one(p), "Y"), (-3, -2)).item()
+    return _killing(params, *_one(p), "Y").item()
 
 
 def conformal_ky_residual(params: KerrParams, p: BLPoint) -> float:
@@ -279,24 +278,24 @@ def conformal_ky_residual(params: KerrParams, p: BLPoint) -> float:
 
 def killing_tensor_residual(params: KerrParams, p: BLPoint) -> float:
     """max |nabla_(a K_bc)| with analytic derivatives."""
-    return _symmetrized_max(_analytic_nabla(params, *_one(p), "K"), (-3, -2, -1)).item()
+    return _killing(params, *_one(p), "K").item()
 
 
 def killing_yano_residual_fd(params: KerrParams, p: BLPoint, step=1e-3) -> float:
     """max |nabla_(a Y_b)c| with second-order central differences."""
-    return _symmetrized_max(_fd_nabla(params, *_one(p), "Y", step), (-3, -2)).item()
+    return _killing(params, *_one(p), "Y", step).item()
 
 
 def killing_tensor_residual_fd(params: KerrParams, p: BLPoint, step=1e-3) -> float:
     """max |nabla_(a K_bc)| with second-order central differences."""
-    return _symmetrized_max(_fd_nabla(params, *_one(p), "K", step), (-3, -2, -1)).item()
+    return _killing(params, *_one(p), "K", step).item()
 
 
 def carter_tensor(params: KerrParams, p: BLPoint) -> TensorValue:
     """Carter Killing tensor K_ab = Y_ac Y^c_b (sign-invariant in Y)."""
     _check_point(params, p)
     _ky_calibration(params)
-    return TensorValue((DOWN, DOWN), _eval("K", params, p))
+    return TensorValue((DOWN, DOWN), *_at(params, p.r, p.theta, "K"))
 
 
 def xi_oneform(params: KerrParams, p: BLPoint) -> TensorValue:
@@ -304,15 +303,14 @@ def xi_oneform(params: KerrParams, p: BLPoint) -> TensorValue:
     (d/dt)-flat for the calibrated Kerr Y."""
     _check_point(params, p)
     _ky_calibration(params)
-    return TensorValue((DOWN,), _eval("xi", params, p))
+    return TensorValue((DOWN,), *_at(params, p.r, p.theta, "xi"))
 
 
 def kappa_scalars(params: KerrParams, p: BLPoint):
     """Killing-spinor scalar kappa1 = -(r - i a cos theta)/3 and U = -d log kappa1."""
     _check_point(params, p)
-    k1 = complex(_eval("kappa1", params, p))
-    U = TensorValue((DOWN,), _eval("U", params, p))
-    return k1, U
+    k1, U = _at(params, p.r, p.theta, "kappa1", "U")
+    return complex(k1), TensorValue((DOWN,), U)
 
 
 def _tetrad(params: KerrParams, r, th):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tensors import _partial_fd, _stencil
+from .tensors import DOWN, _cov_fd, _partial_fd, _stencil
 
 _D3 = 3
 
@@ -90,11 +90,8 @@ def constraint_residual(data: SliceData, points, step=1e-3):
     trk = np.einsum("...ab,...ab->...", hinv, k)
     hinv0, k0 = hinv[:, 0], k[:, 0]
     ksq = np.einsum("...ab,...cd,...ac,...bd->...", k0, k0, hinv0, hinv0)
-    # (div k)_a = h^{bc} nabla_b k_{ca} with
-    # nabla_b k_{ca} = partial_b k_ca - Gamma^d_bc k_da - Gamma^d_ba k_cd
-    nk = (_partial_fd(k, step, "d1_4", 2)
-          - np.einsum("...dbc,...da->...bca", gamma, k0)
-          - np.einsum("...dba,...cd->...bca", gamma, k0))
+    # (div k)_a = h^{bc} nabla_b k_{ca}
+    nk = _cov_fd(k, gamma, (DOWN, DOWN), step, "d1_4")
     div_k = np.einsum("...bc,...bca->...a", hinv0, nk)
     return scal + trk[:, 0] ** 2 - ksq, div_k - _partial_fd(trk, step, "d1_4", 0)
 

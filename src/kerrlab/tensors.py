@@ -5,10 +5,11 @@ explicit up/down flag per slot.  The orientation convention used by the
 Hodge dual is eps_{t r theta phi} = +sqrt|g| (coordinate order of the
 chart is positively oriented).
 
-The finite-difference helpers (stencil points, coordinate derivatives and
-covariant derivatives over a stencil), the symmetrizing projector and
-the Hodge formula act on plain arrays and broadcast over leading point axes,
-so a caller can evaluate a whole nested stencil at once.  The stencil
+`_covariant`, the one holder of the Christoffel terms of a covariant
+derivative, the finite-difference helpers (stencil points, coordinate and
+covariant derivatives over a stencil), the symmetrizing projector and the
+Hodge formula act on plain arrays and broadcast over leading point axes, so
+a caller can evaluate a whole nested stencil at once.  The stencil
 helpers take the chart dimension from the points, so the same layer serves
 the 4D spacetime chart and the 3D slices.
 """
@@ -135,13 +136,12 @@ def _partial_fd(samples, step, name, rank):
     return np.moveaxis(partial, -1, axis)
 
 
-def _cov_fd(samples, gamma, variance, step, name):
-    """nabla_c T[..., c, slots] from samples T[..., s, slots] on a _stencil and
-    the Christoffel symbols gamma[..., e, a, b] = Gamma^e_ab at the centre."""
-    rank = len(variance)
-    t0 = np.take(samples, 0, axis=samples.ndim - rank - 1)
-    out = _partial_fd(samples, step, name, rank)
-    slots = "pqrs"[:rank]
+def _covariant(partial, gamma, t0, variance):
+    """nabla_c T[..., c, slots] from partial[..., c, slots] = d_c T (analytic or
+    finite-difference), t0[..., slots] = T and gamma[..., e, a, b] = Gamma^e_ab
+    at the same points: one Christoffel term per slot, + if up and - if down."""
+    out = partial
+    slots = "pqrs"[:len(variance)]
     for s, var in enumerate(variance):
         summed = slots[:s] + "e" + slots[s + 1:]
         if var == UP:
@@ -149,3 +149,11 @@ def _cov_fd(samples, gamma, variance, step, name):
         else:
             out = out - np.einsum(f"...ec{slots[s]},...{summed}->...c{slots}", gamma, t0)
     return out
+
+
+def _cov_fd(samples, gamma, variance, step, name):
+    """nabla_c T[..., c, slots] from samples T[..., s, slots] on a _stencil and
+    the Christoffel symbols gamma[..., e, a, b] = Gamma^e_ab at the centre."""
+    rank = len(variance)
+    t0 = np.take(samples, 0, axis=samples.ndim - rank - 1)
+    return _covariant(_partial_fd(samples, step, name, rank), gamma, t0, variance)

@@ -34,8 +34,7 @@ def run_json(tmp_path, args, name="report.json"):
 
 def test_index_example(tmp_path):
     code, rep = run_json(tmp_path,
-                         ["index", "--T", "10", "--profile", "ramp:0.3:1.3",
-                          "--kmax", "8"])
+                         ["index", "--T", "10", "--profile", "ramp:0.3:1.3"])
     assert code == 0
     r = rep["results"]["report"]
     assert r["index_lhs"] == 1 and round(r["index_rhs"]) == 1
@@ -246,13 +245,14 @@ def test_invariant_violation_exits_one(tmp_path, monkeypatch):
     assert f == {"check": "k_drift", "value": 1e-6, "tolerance": 1e-9}
 
 
-# The config keys that could only move a check's bound, and index's collar,
-# which no profile could use: each is unknown, as a flag and as a config key.
+# The config keys that could only move a check's bound, index's collar, which
+# no profile could use, and its mode cutoff, which the endpoints fix: each is
+# unknown, as a flag and as a config key.
 REMOVED_KEYS = [("kerr-check", "tol"), ("kerr-check", "order_min"), ("geodesic", "drift_tol"),
                 ("morawetz", "stability_tol"), ("maxwell-currents", "tol"),
                 ("maxwell-currents", "order_min"), ("green", "tol"), ("goursat", "tol"),
                 ("goursat", "order_min"), ("goursat", "order_max"), ("dirac", "order_min"),
-                ("dirac", "order_max"), ("index", "collar")]
+                ("dirac", "order_max"), ("index", "collar"), ("index", "kmax")]
 
 
 @pytest.mark.parametrize("sub,key", REMOVED_KEYS, ids=lambda v: v)
@@ -300,20 +300,23 @@ def test_degenerate_counts_and_extents_are_input_errors(args, capsys):
 OVERSIZE_1P1 = [
     ["green", "--cfl=1e-300"], ["dirac", "--cfl=1e-300"],
     ["green", f"--n-x={10**18}"], ["dirac", f"--n-x={10**18}"], ["goursat", f"--n={10**18}"],
-    ["index", f"--kmax={10**18}"], ["index", "--profile=ramp:1e300:0"], ["index", "--T=1e300"],
+    ["index", "--profile=ramp:1e300:0"], ["index", "--T=1e300"],
     ["green", "--cfl=1e-300", f"--n-x={10**30}"],  # a time step that underflows to 0
 ]
-# every numeric key of the 1+1 subcommands at 0, -1 and a value far too large
-EDGE_1P1 = [[sub, f"--{key.replace('_', '-')}={value}"]
-            for sub in ("green", "goursat", "dirac", "index")
-            for key, (caster, _default, _help) in SCHEMAS[sub].items() if caster in (int, float)
-            for value in ("0", "-1", "1e300" if caster is float else str(10**18))]
-EDGE_1P1 += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_1P1]
-# the removed bound keys of these subcommands, at the same values: unknown flags
+# every numeric key of every subcommand at 0, -1 and a value far too large,
+# and every float key at 1e308, whose double overflows
+EDGE_SWEEP = [[sub, f"--{key.replace('_', '-')}={value}"]
+              for sub, schema in SCHEMAS.items()
+              for key, (caster, _default, _help) in schema.items() if caster in (int, float)
+              for value in ("0", "-1", *(("1e300", "1e308") if caster is float else (str(10**18),)))]
+EDGE_SWEEP += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_SWEEP]
+# the removed bound keys of the 1+1 subcommands, at the same values: unknown flags
 REMOVED_1P1 = [[sub, f"--{key.replace('_', '-')}={value}"]
                for sub, key in REMOVED_KEYS if sub in ("green", "goursat", "dirac")
                for value in ("0", "-1", "1e300")]
-EDGE_1P1 += REMOVED_1P1
+EDGE_SWEEP += REMOVED_1P1
+EDGE_1P1 = [argv for argv in EDGE_SWEEP if argv[0] in ("green", "goursat", "dirac", "index")]
+EDGE_KERR = [argv for argv in EDGE_SWEEP if argv not in EDGE_1P1]
 
 # Seeds, counts, strengths, tolerances and starts the geometry subcommands
 # cannot use: each must be refused as an input error.  A field strength of
@@ -381,17 +384,26 @@ def edge_outcomes(tmp_path_factory, cases):
 
 
 @pytest.fixture(scope="module")
-def edge_1p1_outcomes(tmp_path_factory):
-    return edge_outcomes(tmp_path_factory, EDGE_1P1)
+def edge_sweep_outcomes(tmp_path_factory):
+    return dict(zip(map(tuple, EDGE_SWEEP), edge_outcomes(tmp_path_factory, EDGE_SWEEP)))
 
 
-@pytest.mark.parametrize("case", range(len(EDGE_1P1)), ids=[" ".join(a) for a in EDGE_1P1])
-def test_1p1_edge_values_end_in_an_exit_code(edge_1p1_outcomes, case):
-    code, err = edge_1p1_outcomes[case]
-    refused = EDGE_1P1[case] in OVERSIZE_1P1 + REMOVED_1P1
+def _assert_edge_exit(outcomes, argv):
+    code, err = outcomes[tuple(argv)]
+    refused = argv in OVERSIZE_1P1 + REMOVED_1P1
     assert code in ((2,) if refused else (0, 1, 2)), err
     assert "Traceback" not in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", EDGE_1P1, ids=" ".join)
+def test_1p1_edge_values_end_in_an_exit_code(edge_sweep_outcomes, argv):
+    _assert_edge_exit(edge_sweep_outcomes, argv)
+
+
+@pytest.mark.parametrize("argv", EDGE_KERR, ids=" ".join)
+def test_kerr_edge_values_end_in_an_exit_code(edge_sweep_outcomes, argv):
+    _assert_edge_exit(edge_sweep_outcomes, argv)
 
 
 def test_diverging_dirac_solve_fails_without_a_warning(tmp_path_factory):

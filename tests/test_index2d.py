@@ -7,11 +7,12 @@ from kerrlab import (ConnectionProfile, DomainError, GuardBandError,
                      charge_report, chern_integral, eta_abel_oracle,
                      eta_h_circle, mode_kernel_count,
                      ramp_profile, reversed_profile)
+from kerrlab import index2d
 from kerrlab.index2d import _mode_solution_moduli
 
 
 def test_example_ramp_03_to_13():
-    r = charge_report(ramp_profile(0.3, 1.3), k_max=8)
+    r = charge_report(ramp_profile(0.3, 1.3))
     assert r.dim_ker_aps == 1 and r.dim_ker_aaps == 0
     assert r.index_lhs == 1 and round(r.index_rhs) == 1
     assert abs(r.q_chiral + 2.0) < 1e-12
@@ -55,12 +56,7 @@ def test_guard_band_raises():
     with pytest.raises(GuardBandError):
         eta_h_circle(1.0 + 1e-10)
     with pytest.raises(GuardBandError):
-        mode_kernel_count(ramp_profile(0.0, 1.0 + 1e-10), 4, "APS")
-
-
-def test_kmax_too_small_rejected():
-    with pytest.raises(DomainError):
-        mode_kernel_count(ramp_profile(0.3, 3.3), 2, "APS")
+        mode_kernel_count(ramp_profile(0.0, 1.0 + 1e-10), "APS")
 
 
 def test_mode_check_above_the_sample_limit_rejected(monkeypatch):
@@ -68,7 +64,7 @@ def test_mode_check_above_the_sample_limit_rejected(monkeypatch):
     # 2001 base nodes
     monkeypatch.setattr("kerrlab.index2d.MAX_MODE_SAMPLES", 2000)
     with pytest.raises(DomainError):
-        mode_kernel_count(ramp_profile(0.3, 1.3), 4, "APS")
+        mode_kernel_count(ramp_profile(0.3, 1.3), "APS")
 
 
 def test_collar_required():
@@ -104,15 +100,38 @@ def test_complementarity_under_time_reflection():
     for a0, a1 in ((0.3, 1.3), (0.25, -2.75), (0.5, 1.5), (0.3, -1.7)):
         p = ramp_profile(a0, a1)
         q = reversed_profile(p)
-        assert mode_kernel_count(p, 8, "APS") == mode_kernel_count(q, 8, "aAPS")
-        assert mode_kernel_count(p, 8, "aAPS") == mode_kernel_count(q, 8, "APS")
+        assert mode_kernel_count(p, "APS") == mode_kernel_count(q, "aAPS")
+        assert mode_kernel_count(p, "aAPS") == mode_kernel_count(q, "APS")
+
+
+@pytest.mark.parametrize("a0, a1", [(50.3, 51.3), (0.3, -1.7), (-7.5, 3.25), (2.0, 2.0)])
+def test_mode_count_examines_only_the_modes_between_the_endpoints(monkeypatch, a0, a1):
+    # only k between -a(0) and -a(T) can change the sign of k + a, so each
+    # condition snaps two eigenvalues of at most ceil|a(T) - a(0)| + 4 modes,
+    # however far the endpoints lie from 0; eta_h_circle snaps one per end
+    calls = []
+    snap = index2d._snap
+    monkeypatch.setattr(index2d, "_snap", lambda value: calls.append(value) or snap(value))
+    charge_report(ramp_profile(a0, a1))
+    assert len(calls) <= 2 * 2 * (math.ceil(abs(a1 - a0)) + 4) + 2
+
+
+@pytest.mark.parametrize("a0, a1, refused", [(99997.3, 99996.3, False), (-99997.3, -99996.3, False),
+                                             (99998.3, 99997.3, True), (0.0, -99998.3, True)])
+def test_endpoints_beyond_the_mode_bound_are_refused(a0, a1, refused):
+    # the bound of the endpoints: ceil(max(|a(0)|, |a(T)|)) + 2 <= MAX_K
+    if refused:
+        with pytest.raises(DomainError, match="beyond the mode bound"):
+            charge_report(ramp_profile(a0, a1))
+    else:
+        assert charge_report(ramp_profile(a0, a1)).index_lhs == math.floor(a1) - math.floor(a0)
 
 
 def test_mode_counts_match_closed_form():
     # APS kernel: modes with k + a(0) < 0 < k + a(T)
     p = ramp_profile(0.25, 3.25)
-    assert mode_kernel_count(p, 8, "APS") == 3
-    assert mode_kernel_count(p, 8, "aAPS") == 0
+    assert mode_kernel_count(p, "APS") == 3
+    assert mode_kernel_count(p, "aAPS") == 0
 
 
 @pytest.mark.parametrize("profile", [ramp_profile(0.3, -2.6),
@@ -137,11 +156,11 @@ def test_charge_report_samples_the_profile_once():
 
     profile = ConnectionProfile(a=a, T=ramp.T)
     seen.clear()
-    report = charge_report(profile, k_max=8)
+    report = charge_report(profile)
     assert report.dim_ker_aps == 1 and report.index_lhs == 1
     assert 2001 <= len(seen) < 2001 + 20
     assert set(seen) == {float}
-    assert report == charge_report(ramp, k_max=8)
+    assert report == charge_report(ramp)
 
 
 @pytest.mark.parametrize("a0, a1", [(0.3, 1.3), (0.3, -1.7), (0.25, 2.75), (0.0, 1.0)])
