@@ -671,13 +671,18 @@ def _run_goursat(cfg):
 
 
 def _run_dirac(cfg):
-    from .hyperbolic1d import DiracData1p1, dirac_solve_by_squaring, dirac_solve_direct
+    from .hyperbolic1d import DiracData1p1, Grid1p1, dirac_solve_by_squaring, dirac_solve_direct
 
     a0, a1 = cfg["twist_a0"], cfg["twist_a1"]
+    peak = abs(a0) + abs(a1)
+    if not math.isfinite(peak * peak):  # the solvers square the twist
+        raise DomainError(f"twist_a0 = {a0:g}, twist_a1 = {a1:g}: the square of the twist's "
+                          "peak |twist_a0| + |twist_a1| is not finite")
     twist = (lambda t: a0 + a1 * math.sin(t)) if (a0 or a1) else None
+    # the fine level halves both steps, so that _order's log2 is the order
+    coarse = _cfl_grid(cfg["T"], cfg["n_x"], cfg["cfl"])
     errs = []
-    for n_x in (cfg["n_x"], 2 * cfg["n_x"]):
-        grid = _cfl_grid(cfg["T"], n_x, cfg["cfl"])
+    for grid in (coarse, Grid1p1(T=coarse.T, n_x=2 * coarse.n_x, n_t=2 * coarse.n_t)):
         u0 = np.array([np.sin(grid.x), np.cos(2.0 * grid.x)], dtype=complex)
         source = lambda t, x: np.array([np.cos(x + t), 0.2 * np.sin(2 * x - t)])
         data = DiracData1p1(u0=u0, f=source, connection=twist)

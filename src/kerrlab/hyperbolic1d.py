@@ -22,6 +22,14 @@ solution is the only array of lattice size; every sum keeps the order of the
 additions of the row-by-row scheme, so the result does not depend on the
 block size, bit for bit.
 
+Real data stay real.  Without a twist, a scalar-wave problem whose fields
+(initial data, source, ray data, the field P acts on) are all real is held
+and stepped in float64, and its twist terms are left out; otherwise it is
+complex128.  A real result equals, bit for bit, the real part of the same
+problem run in complex, whose imaginary part is zero.  The Goursat solution
+turns complex at the first block of u-rows whose source values are complex.
+The Dirac solvers are always complex.
+
 Clifford representation (fixed choice; any unitarily equivalent one works):
 gamma^0 = i sigma_1, gamma^1 = sigma_2, so (gamma^0)^2 = -1, (gamma^1)^2 = +1
 and the Dirac operator is D = gamma^0 (d_t + i a(t)) + gamma^1 d_x, with
@@ -46,7 +54,7 @@ GAMMA0 = np.array([[0.0, 1j], [1j, 0.0]])
 GAMMA1 = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA = -GAMMA0  # Clifford multiplication by the t = 0 unit normal
 SIGMA_INV = GAMMA0
-MAX_LATTICE_POINTS = 10**7  # nodes of one sampled field (160 MB complex)
+MAX_LATTICE_POINTS = 10**7  # nodes of one sampled field (80 MB real, 160 MB complex)
 GOURSAT_BLOCK_CELLS = 2**14  # source cells per block of the Goursat march
 # Numerical support, for cone_containment and the support clauses of
 # green_clause_residuals: where |u| exceeds SUPPORT_THRESHOLD times the peak
@@ -101,10 +109,16 @@ class Grid1p1:
         return np.arange(self.n_t + 1) * self.h_t
 
 
+def _field(x):
+    """x as a scalar field: float64 when its values are real, else complex128."""
+    x = np.asarray(x)
+    return x.astype(float if x.dtype.kind in "biuf" else complex, copy=False)
+
+
 def sample(grid: Grid1p1, func):
     """Sample func(t, x) on the full space-time lattice, shape (n_t+1, n_x)."""
     T, X = np.meshgrid(grid.t, grid.x, indexing="ij")
-    return np.asarray(func(T, X), dtype=complex)
+    return _field(func(T, X))
 
 
 def _dx(u, name, h):
@@ -140,17 +154,19 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
     centered implicit average (scalar solve); second-order accurate.
     """
     n_x, n_t, h_x, h_t = grid.n_x, grid.n_t, grid.h_x, grid.h_t
-    u0 = np.zeros(n_x, dtype=complex) if u0 is None else np.asarray(u0, dtype=complex)
-    u1 = np.zeros(n_x, dtype=complex) if u1 is None else np.asarray(u1, dtype=complex)
+    u0, u1, f = (None if v is None else _field(v) for v in (u0, u1, f))
+    real = twist is None and not any(np.iscomplexobj(v) for v in (u0, u1, f))
+    dtype = float if real else complex
+    u0, u1 = (np.zeros(n_x, dtype) if v is None else v.astype(dtype, copy=False) for v in (u0, u1))
     if u0.shape != (n_x,) or u1.shape != (n_x,):
         raise DomainError(f"initial data must have shape ({n_x},)")
     if f is not None:
-        f = np.asarray(f, dtype=complex)
+        f = f.astype(dtype, copy=False)
         if f.shape != (n_t + 1, n_x):
             raise DomainError(f"source must have shape ({n_t + 1}, {n_x})")
     V = _potential(grid, potential)
 
-    out = np.empty((n_t + 1, n_x), dtype=complex)
+    out = np.empty((n_t + 1, n_x), dtype)
     out[0] = u0
     a, ap = (v.tolist() for v in _twist(twist, np.arange(n_t) * h_t, h_t))
 
@@ -158,15 +174,21 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
     with np.errstate(over="ignore", invalid="ignore"):
         # Taylor start: u_tt(0) = f - V u0 + u_xx(0) - 2 i a u1 - (i a' - a^2) u0
         f0 = f[0] if f is not None else 0.0
-        utt = f0 - V * u0 + _dx(u0, "d2", h_x) - 2j * a[0] * u1 - (1j * ap[0] - a[0]**2) * u0
+        utt = f0 - V * u0 + _dx(u0, "d2", h_x)
+        if not real:
+            utt = utt - 2j * a[0] * u1 - (1j * ap[0] - a[0]**2) * u0
         out[1] = u0 + h_t * u1 + 0.5 * h_t**2 * utt
         for n in range(1, n_t):
             fn = f[n] if f is not None else 0.0
             u, up = out[n], out[n - 1]
-            rhs = fn - V * u + _dx(u, "d2", h_x) - (1j * ap[n] - a[n]**2) * u
-            # centered implicit treatment of the 2 i a d_t term
-            denom = 1.0 + 1j * a[n] * h_t
-            out[n + 1] = (2.0 * u - up + h_t**2 * rhs + 1j * a[n] * h_t * up) / denom
+            rhs = fn - V * u + _dx(u, "d2", h_x)
+            if real:
+                out[n + 1] = 2.0 * u - up + h_t**2 * rhs
+            else:
+                rhs = rhs - (1j * ap[n] - a[n]**2) * u
+                # centered implicit treatment of the 2 i a d_t term
+                denom = 1.0 + 1j * a[n] * h_t
+                out[n + 1] = (2.0 * u - up + h_t**2 * rhs + 1j * a[n] * h_t * up) / denom
     if not np.all(np.isfinite(out)):
         raise StabilityError("non-finite values in the Cauchy solution")
     return out
@@ -174,18 +196,17 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
 
 def apply_wave_operator(grid: Grid1p1, u, potential=None, twist=None):
     """Discrete P u at the interior time levels 1..n_t-1, shape (n_t-1, n_x)."""
-    u = np.asarray(u, dtype=complex)
+    u = _field(u)
+    real = twist is None and not np.iscomplexobj(u)
+    u = u if real else u.astype(complex, copy=False)
     h_t, h_x = grid.h_t, grid.h_x
     V = _potential(grid, potential)
-    a, ap = (v[:, None] for v in _twist(twist, np.arange(1, grid.n_t) * h_t, h_t))
     mid = u[1:-1]
-    return (
-        _diff(u, "d2", h_t)
-        + 2j * a * _diff(u, "d1", h_t)
-        + (1j * ap - a**2) * mid
-        - _dx(mid, "d2", h_x)
-        + V * mid
-    )
+    out = _diff(u, "d2", h_t)
+    if not real:
+        a, ap = (v[:, None] for v in _twist(twist, np.arange(1, grid.n_t) * h_t, h_t))
+        out = out + 2j * a * _diff(u, "d1", h_t) + (1j * ap - a**2) * mid
+    return out - _dx(mid, "d2", h_x) + V * mid
 
 
 def support_radius(u_slice, x, center, threshold):
@@ -275,8 +296,8 @@ def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
     h = extent / n
     uu = np.arange(n + 1) * h
     vv = np.arange(n + 1) * h
-    pv = np.asarray([p(u) for u in uu], dtype=complex)
-    qv = np.asarray([q(v) for v in vv], dtype=complex)
+    pv = _field([p(u) for u in uu])
+    qv = _field([q(v) for v in vv])
     if abs(pv[0] - qv[0]) > 1e-12 * max(1.0, abs(pv[0])):
         raise DomainError("null data disagree at the vertex")
     # the scheme phi[i+1,j+1] = phi[i+1,j] + phi[i,j+1] - phi[i,j] + h^2 mid[i,j]
@@ -297,6 +318,8 @@ def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
             column_sums = block[-1].copy()
             np.cumsum(block, axis=1, out=block)
             block *= h * h
+            if np.iscomplexobj(block) and not np.iscomplexobj(phi):
+                phi = phi.astype(complex)
             phi[1 + i * rows:1 + i * rows + len(block), 1:] += block
     return GoursatField(uu=uu, vv=vv, phi=phi)
 
@@ -450,7 +473,7 @@ def green(grid: Grid1p1, direction: str, f, potential=None):
     """
     if direction not in ("retarded", "advanced"):
         raise DomainError(f"unknown direction {direction!r}")
-    f = np.asarray(f, dtype=complex)
+    f = _field(f)
     if f.shape != (grid.n_t + 1, grid.n_x):
         raise DomainError("source shape does not match the grid")
     supp = _source_time_support(f)
@@ -475,7 +498,7 @@ def green_clause_residuals(grid: Grid1p1, f, potential=None):
     (and the advanced mirrors) plus 'propagator_kernel' for P(Gf).
     Support excesses are in cells beyond the causal collar.
     """
-    f = np.asarray(f, dtype=complex)
+    f = _field(f)
     scale = float(np.max(np.abs(f)))
     if scale == 0.0:
         raise DomainError("empty source")
@@ -533,8 +556,7 @@ def formal_dual_residual(grid: Grid1p1, f, phi, potential=None):
     uniform lattice inner product, the discrete identity mirrors the
     continuum integration by parts and the residual is at rounding level.
     """
-    f = np.asarray(f, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
+    f, phi = _field(f), _field(phi)
     if f.shape != phi.shape or f.shape != (grid.n_t + 1, grid.n_x):
         raise DomainError("fields must be sampled on the full lattice")
     for name, arr in (("f", f), ("phi", phi)):

@@ -415,6 +415,35 @@ def test_diverging_dirac_solve_fails_without_a_warning(tmp_path_factory):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("key", ["twist_a0", "twist_a1"])
+def test_a_twist_whose_square_overflows_is_refused_by_its_key(tmp_path, capsys, key):
+    # the solvers square the connection: a peak |a0| + |a1| whose square is
+    # not a double is an input error naming the key, raised before any lattice
+    # is built; at 1e150 the square is a double and the solve diverges
+    flag = "--" + key.replace("_", "-")
+    out = str(tmp_path / "d.json")
+    assert main(["dirac", f"{flag}=1e160", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "beyond double precision" not in err, err
+    assert main(["dirac", f"{flag}=1e150", "--out", out]) == 1
+
+
+@pytest.mark.parametrize("argv", [["--n-x", "32"], ["--T", "0.5", "--n-x", "64"],
+                                  ["--T", "0.5", "--n-x", "32", "--twist-a0", "2", "--twist-a1", "1.5"]])
+def test_dirac_measures_its_order_over_halved_steps(tmp_path, monkeypatch, argv):
+    # the order is log2 of the error ratio, so the fine level halves both the
+    # space and the time step; the fewest steps within the CFL bound, taken
+    # per level, gave 7 and 13 steps at --n-x 32 and an order of 1.78
+    import kerrlab.hyperbolic1d as h1d
+    grids, direct = [], h1d.dirac_solve_direct
+    monkeypatch.setattr(h1d, "dirac_solve_direct",
+                        lambda data, grid: grids.append(grid) or direct(data, grid))
+    code, rep = run_json(tmp_path, ["dirac", *argv])
+    assert code == 0, rep["failures"]
+    coarse, fine = grids
+    assert (fine.n_x, fine.n_t) == (2 * coarse.n_x, 2 * coarse.n_t)
+
+
 @pytest.fixture(scope="module")
 def edge_geometry_outcomes(tmp_path_factory):
     return edge_outcomes(tmp_path_factory, EDGE_GEOMETRY)
@@ -951,6 +980,52 @@ for argv in (["green"], ["goursat", "--data", "linear"], ["goursat", "--data", "
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# beside cli, errors and _stencils, the kerrlab modules each subcommand may load
+SUBCOMMAND_MODULES = {
+    "green": {"hyperbolic1d"},
+    "goursat": {"hyperbolic1d"},
+    "dirac": {"hyperbolic1d"},
+    "index": {"index2d"},
+    "kerr-check": {"kerr", "tensors", "_closed_forms"},
+    "maxwell-currents": {"kerr", "tensors", "maxwell", "_closed_forms"},
+    "geodesic": {"geodesics", "kerr", "tensors", "_closed_forms", "_gbs"},
+    "wave-evolve": {"waves", "kerr", "tensors"},
+    "morawetz": {"waves", "kerr", "tensors"},
+}
+SMALL_RUNS = {
+    "goursat": ["--data", "trig"],
+    "kerr-check": ["--n-points", "2"],
+    "maxwell-currents": ["--n-points", "1"],
+    "geodesic": ["--t-max", "20"],
+    "wave-evolve": ["--t-end", "1", "--n-r", "16", "--n-theta", "8"],
+    "morawetz": ["--t-end", "1", "--n-r", "32", "--n-theta", "8"],
+}
+
+
+@pytest.mark.parametrize("sub", [None, *SUBCOMMAND_MODULES])
+def test_each_subcommand_loads_only_its_modules(tmp_path, sub):
+    # kerrlab registers its modules lazily: a module that a run never touches
+    # stays an unloaded entry of sys.modules, and importing the CLI alone
+    # loads no module beside cli, errors and _stencils
+    code = f"""
+import sys, types
+from kerrlab import cli
+sub = {sub!r}
+if sub is not None:
+    cfg = cli.parse_config([sub, *{SMALL_RUNS.get(sub, [])!r}, "--out", {str(tmp_path / "r.json")!r}])[1]
+    assert cli.run(sub, cfg) == 0, sub
+print(" ".join(name.split(".", 1)[1] for name, module in sys.modules.items()
+               if name.startswith("kerrlab.") and type(module) is types.ModuleType))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    allowed = {"cli", "errors", "_stencils", *SUBCOMMAND_MODULES.get(sub, ())}
+    assert loaded <= allowed, loaded - allowed
+    assert {"cli", "errors", "_stencils"} <= loaded
 
 
 @pytest.mark.parametrize("flag", ["--uphi0", "--ur0"])

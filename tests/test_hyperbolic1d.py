@@ -102,7 +102,10 @@ def _goursat_per_cell(f, extent, n):
     lambda t, x: 4.0 * math.cos(t - x) * math.cos(t + x),  # floats only
     lambda t, x: 0.0,  # a scalar for any input
     lambda t, x: 1.0 if t > 0.5 else 0.0,  # branches on a float
-], ids=["array", "math", "constant", "branching"])
+    # real on the first block of u-rows at n = 300 (t < 0.56 there), complex
+    # from t = 0.6 on: phi turns complex at the first complex block
+    lambda t, x: 0.5 * t if t < 0.6 else 0.5 * t + 1j * x,
+], ids=["array", "math", "constant", "branching", "complex_later"])
 def test_goursat_source_forms_match_the_per_cell_loop(f):
     rows = hyperbolic1d.GOURSAT_BLOCK_CELLS // 300
     assert 300 // rows >= 2 and 300 % rows  # n = 300: several blocks of u-rows, the last one short
@@ -346,3 +349,56 @@ def test_support_clauses_match_the_loop_over_levels(monkeypatch, noise):
             worst = max(worst, (support_radius_reference(u[n], g.x, center, thr) - allowed) / g.h_x)
         assert res[f"support_{direction}"] == worst
         assert (worst > 0.0) == (noise > 0.0)
+
+
+def _same_as_complex_run(real, cplx):
+    # a real problem is held in float64, bit for bit the real part of the same
+    # problem held in complex128, whose imaginary part is exactly zero
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert real.tobytes() == np.ascontiguousarray(cplx.real).tobytes()
+    assert not np.any(cplx.imag)
+
+
+def test_real_cauchy_data_stay_real():
+    g = make_grid(48, T=1.0)
+    rng = np.random.default_rng(41)
+    f = rng.normal(size=(g.n_t + 1, g.n_x))
+    u0, u1 = rng.normal(size=(2, g.n_x))
+    c = rng.uniform(0.2, 1.0, size=2)
+    V = lambda x: c[0] + c[1] * np.cos(x)
+    u = cauchy_solve(g, f=f, u0=u0, u1=u1, potential=V)
+    _same_as_complex_run(u, cauchy_solve(g, f=f.astype(complex), u0=u0, u1=u1, potential=V))
+    _same_as_complex_run(apply_wave_operator(g, u, potential=V),
+                         apply_wave_operator(g, u.astype(complex), potential=V))
+    # a twist makes the problem complex, whatever its data
+    twist = lambda t: 0.3 + 0.2 * math.sin(t)
+    assert cauchy_solve(g, f=f, u0=u0, u1=u1, twist=twist).dtype == np.complex128
+    assert apply_wave_operator(g, u, twist=twist).dtype == np.complex128
+
+
+def test_real_green_problems_stay_real():
+    g = make_grid(64, T=1.5, cfl=0.85)
+    rng = np.random.default_rng(42)
+    f = source_field(g) * rng.uniform(0.5, 2.0, size=g.n_x)
+    assert f.dtype == np.float64
+    c = rng.uniform(0.2, 1.0)
+    V = lambda x: c * (1.0 + np.cos(x))
+    for direction in ("retarded", "advanced"):
+        _same_as_complex_run(green(g, direction, f, V), green(g, direction, f.astype(complex), V))
+    assert green_clause_residuals(g, f, V) == green_clause_residuals(g, f.astype(complex), V)
+
+
+def test_real_goursat_data_stay_real():
+    rng = np.random.default_rng(43)
+    c = rng.normal(size=5)
+    p = lambda u: c[0] + c[1] * u + c[2] * u * u
+    q = lambda v: c[0] + c[3] * math.sin(v)
+    f = lambda t, x: c[4] * np.cos(2.0 * t - x) + t * x
+    n = 300  # several blocks of u-rows
+    real = goursat_solve(p, q, 0.9, n, f=f).phi
+    cplx = goursat_solve(lambda u: complex(p(u)), lambda v: complex(q(v)), 0.9, n,
+                         f=lambda t, x: f(t, x) + 0j).phi
+    _same_as_complex_run(real, cplx)
+    # real ray data with a complex source: phi is complex
+    assert goursat_solve(p, q, 0.9, n, f=lambda t, x: f(t, x) + 0j).phi.dtype == np.complex128
+
