@@ -616,7 +616,7 @@ def _cfl_grid(T, n_x, cfl):
 
 
 def _run_green(cfg):
-    from .hyperbolic1d import green_clause_residuals, sample
+    from .hyperbolic1d import _green_clause_residuals, sample
 
     potential = cfg["potential"]
     if not math.isfinite(2.0 * potential):
@@ -629,29 +629,28 @@ def _run_green(cfg):
         return _bump(np.abs(t - t_c) / t_r) * _bump(arc / 0.5)
 
     f = sample(grid, source)
-    residuals = green_clause_residuals(grid, f)
+    # without a potential and, unless it is 0, with one: all in one march
+    potentials = [None]
     if potential != 0.0:
-        pot = lambda x: potential * (1.0 + np.cos(x))
-        residuals_v = green_clause_residuals(grid, f, potential=pot)
-    else:
-        residuals_v = None
+        potentials.append(lambda x: potential * (1.0 + np.cos(x)))
+    residuals, *with_potential = _green_clause_residuals(grid, f, potentials)
 
     failures = []
     for name, value in residuals.items():
         _check(failures, name, value,
                hi=GREEN_SUPPORT_MAX if name.startswith("support_") else GREEN_CLAUSE_MAX)
     results = {"clause_residuals": residuals, "n_t": grid.n_t,
-               "clause_residuals_with_potential": residuals_v}
+               "clause_residuals_with_potential": with_potential[0] if with_potential else None}
     return results, failures, None
 
 
 def _run_goursat(cfg):
-    from .hyperbolic1d import _goursat_error, goursat_solve
+    from .hyperbolic1d import _goursat_error, _goursat_rows
 
     failures = []
     if cfg["data"] == "linear":
-        field = goursat_solve(lambda u: u, lambda v: v, cfg["extent"], cfg["n"])
-        err = _goursat_error(field, lambda u, v: u + v)
+        err = _goursat_error(*_goursat_rows(lambda u: u, lambda v: v, cfg["extent"], cfg["n"]),
+                             lambda u, v: u + v)
         _check(failures, "linear_exactness", err, hi=LINEAR_EXACTNESS_MAX)
         results = {"max_error": err, "observed_orders": {}}
     elif cfg["data"] == "trig":
@@ -659,9 +658,10 @@ def _run_goursat(cfg):
         # source is f = 4 cos(t - x) cos(t + x); vanishing null-ray data
         f = lambda t, x: 4.0 * np.cos(t - x) * np.cos(t + x)
         errs = []
+        # phi block by block: no array of lattice size, at n or at 2 n
         for n in (cfg["n"], 2 * cfg["n"]):
-            field = goursat_solve(lambda u: 0.0, lambda v: 0.0, cfg["extent"], n, f=f)
-            errs.append(_goursat_error(field, lambda u, v: np.sin(u) * np.sin(v)))
+            errs.append(_goursat_error(*_goursat_rows(lambda u: 0.0, lambda v: 0.0, cfg["extent"], n, f=f),
+                                       lambda u, v: np.sin(u) * np.sin(v)))
         order = _order(errs[0], errs[1])
         _check(failures, "goursat_order", order, *SECOND_ORDER)
         results = {"errors": errs, "observed_orders": {"goursat": order}}
@@ -709,8 +709,8 @@ def _load_profile(cfg):
             a0, a1 = float(parts[1]), float(parts[2])
         except ValueError:
             raise DomainError("ramp endpoints must be numbers")
-        if not (math.isfinite(a0) and math.isfinite(a1)):
-            raise DomainError("ramp endpoints must be finite")
+        if not math.isfinite(a1 - a0):
+            raise DomainError(f"profile = {spec}: ramp endpoints must be finite, and so must a1 - a0")
         return ramp_profile(a0, a1, T)
     data = _read_json(spec, "profile")
     if not isinstance(data, dict) or "t" not in data or "a" not in data:
@@ -725,7 +725,7 @@ def _load_profile(cfg):
         raise DomainError("profile samples must be finite")
     if not np.all(np.diff(ts) > 0):
         raise DomainError("profile times must be strictly increasing")
-    return ConnectionProfile(a=lambda t: float(np.interp(t, ts, avals)), T=T)
+    return ConnectionProfile(a=lambda t: np.interp(t, ts, avals), T=T)
 
 
 def _run_index(cfg):

@@ -18,9 +18,25 @@ end rows where u = D v needs every level.
 Each call samples the twist a(t) once, on all the times it needs.  Lattices
 of more than MAX_LATTICE_POINTS nodes are rejected before anything is
 allocated.  The Goursat problem is marched in blocks of u-rows, so that its
-solution is the only array of lattice size; every sum keeps the order of the
-additions of the row-by-row scheme, so the result does not depend on the
-block size, bit for bit.
+solution is the only array of lattice size (and a caller that reads the
+blocks as they come, `_goursat_rows`, holds none); every sum keeps the order
+of the additions of the row-by-row scheme, so the result does not depend on
+the block size, bit for bit.
+
+Independent problems on one lattice are marched together.  `cauchy_solve`
+takes a stack of k problems on an axis between time and x: source
+(n_t+1, k, n_x), data (k, n_x), one potential or one per problem.  Every
+update acts elementwise along x, so each problem's result equals its own
+solve, bit for bit.  `green_clause_residuals` marches its four Green
+problems (G_+ f, G_- f, G_+ P f, G_- P f) as one stack, the `green` command
+those of both of its potentials, and `dirac_solve_by_squaring` both spinor
+components.
+
+Sampling rule for callables: a source f(t, x) or a connection profile is
+called once on arrays where it accepts them, and by one scalar call per
+point on Python floats where it raises TypeError or ValueError or returns
+values of another shape (`_midpoint_blocks`, and `index2d._on_times`).
+A twist a(t) is called on floats only.
 
 Real data stay real.  Without a twist, a scalar-wave problem whose fields
 (initial data, source, ray data, the field P acts on) are all real is held
@@ -129,7 +145,10 @@ def _dx(u, name, h):
 
 
 def _potential(grid, potential):
-    """V(x) on the circle's points; zeros without a potential."""
+    """V(x) on the circle's points; zeros without a potential.  A list of
+    potentials (None for none) gives one row of V per problem of a stack."""
+    if isinstance(potential, list):
+        return np.array([_potential(grid, p) for p in potential])
     return np.zeros(grid.n_x) if potential is None else np.asarray(potential(grid.x), dtype=float)
 
 
@@ -152,21 +171,32 @@ def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=
     the circle (default zero).  Returns the field on the full lattice,
     shape (n_t+1, n_x).  Leapfrog with the first-order twist term handled by a
     centered implicit average (scalar solve); second-order accurate.
+
+    A stack of k independent problems is marched at once: f of shape
+    (n_t+1, k, n_x), u0 and u1 of shape (k, n_x), the result (n_t+1, k, n_x);
+    potential is one callable for all of them or a list of k (None for none).
+    Each problem's result equals its own solve, bit for bit.
     """
     n_x, n_t, h_x, h_t = grid.n_x, grid.n_t, grid.h_x, grid.h_t
     u0, u1, f = (None if v is None else _field(v) for v in (u0, u1, f))
     real = twist is None and not any(np.iscomplexobj(v) for v in (u0, u1, f))
     dtype = float if real else complex
-    u0, u1 = (np.zeros(n_x, dtype) if v is None else v.astype(dtype, copy=False) for v in (u0, u1))
-    if u0.shape != (n_x,) or u1.shape != (n_x,):
-        raise DomainError(f"initial data must have shape ({n_x},)")
+    # one level: (n_x,) for one problem, (k, n_x) for a stack of k
+    stack = f.shape[1:-1] if f is not None and f.ndim == 3 else \
+        next((v.shape[:-1] for v in (u0, u1) if v is not None and v.ndim == 2), ())
+    level = stack + (n_x,)
+    u0, u1 = (np.zeros(level, dtype) if v is None else v.astype(dtype, copy=False) for v in (u0, u1))
+    if u0.shape != level or u1.shape != level:
+        raise DomainError(f"initial data must have shape {level}")
     if f is not None:
         f = f.astype(dtype, copy=False)
-        if f.shape != (n_t + 1, n_x):
-            raise DomainError(f"source must have shape ({n_t + 1}, {n_x})")
+        if f.shape != (n_t + 1,) + level:
+            raise DomainError(f"source must have shape {(n_t + 1,) + level}")
     V = _potential(grid, potential)
+    if V.ndim == 2 and V.shape != level:
+        raise DomainError(f"{len(V)} potentials for levels of shape {level}: need one per problem")
 
-    out = np.empty((n_t + 1, n_x), dtype)
+    out = np.empty((n_t + 1,) + level, dtype)
     out[0] = u0
     a, ap = (v.tolist() for v in _twist(twist, np.arange(n_t) * h_t, h_t))
 
@@ -254,20 +284,27 @@ def _midpoint_blocks(f, um, rows):
     The first block decides how f is called, and every later block is called
     the same way: one call on the (t, x) arrays of the block's midpoints when
     f accepts arrays; otherwise (TypeError/ValueError, or a result that does
-    not broadcast to the block's shape) one scalar call per cell.
+    not broadcast to the block's shape) one scalar call per cell, on the
+    Python floats of those arrays.  A block is complex when any of its
+    values is.
     """
-    def array_call(i):
+    def midpoints(i):
         uu, vv = um[i:i + rows, None], um[None, :]
-        return np.broadcast_to(np.asarray(f(0.5 * (uu + vv), 0.5 * (vv - uu))),
-                               (uu.size, vv.size)) / 4.0
+        return 0.5 * (uu + vv), 0.5 * (vv - uu)
+
+    def array_call(i):
+        t, x = midpoints(i)
+        return np.broadcast_to(np.asarray(f(t, x)), t.shape) / 4.0
+
+    def scalar_calls(i):
+        t, x = midpoints(i)
+        return np.array(list(map(f, t.ravel().tolist(), x.ravel().tolist()))).reshape(t.shape) / 4.0
 
     starts = range(0, um.size, rows)
     try:
         first = array_call(0)
     except (TypeError, ValueError):
-        cells = um.tolist()
-        return (np.array([[f(0.5 * (u + v), 0.5 * (v - u)) / 4.0 for v in cells]
-                          for u in cells[i:i + rows]]) for i in starts)
+        return map(scalar_calls, starts)
     return itertools.chain([first], map(array_call, starts[1:]))
 
 
@@ -287,6 +324,21 @@ def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
     depend on the block size, bit for bit: each sum adds the same terms in
     the same order as the row loop phi[i+1, 1:] += h^2 cumsum(column sums).
     """
+    uu, vv, blocks = _goursat_rows(p, q, extent, n, f)
+    phi = None
+    for start, block in blocks:
+        if phi is None:
+            phi = np.empty((uu.size, vv.size), block.dtype)
+        elif np.iscomplexobj(block) and not np.iscomplexobj(phi):
+            phi = phi.astype(complex)
+        phi[start:start + len(block)] = block
+    return GoursatField(uu=uu, vv=vv, phi=phi)
+
+
+def _goursat_rows(p, q, extent, n, f=None):
+    """The checks of goursat_solve, then (uu, vv, blocks): blocks yields
+    (first row, phi on a block of u-rows) in order, from row 0, so that a
+    caller that reads phi block by block never holds the whole lattice."""
     if not 0.0 < 2.0 * extent < math.inf:  # u + v reaches 2 extent
         raise DomainError("extent must be positive, and 2 extent finite")
     if n < 8:
@@ -300,38 +352,42 @@ def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
     qv = _field([q(v) for v in vv])
     if abs(pv[0] - qv[0]) > 1e-12 * max(1.0, abs(pv[0])):
         raise DomainError("null data disagree at the vertex")
+    rows = max(1, GOURSAT_BLOCK_CELLS // n)
+
     # the scheme phi[i+1,j+1] = phi[i+1,j] + phi[i,j+1] - phi[i,j] + h^2 mid[i,j]
     # telescopes to the ray data plus a double cumulative sum of the source,
     # taken block by block: the running column sums carried into a block's
     # first row keep the order of the additions along u, and the sums along v
     # lie within one row
-    phi = pv[:, None] + qv[None, :]
-    phi -= qv[0]
-    phi[:, 0], phi[0, :] = pv, qv
-    if f is not None:
-        rows = max(1, GOURSAT_BLOCK_CELLS // n)
-        for i, block in enumerate(_midpoint_blocks(f, uu[:-1] + 0.5 * h, rows)):
-            if i:  # a source may give complex values in some blocks only
-                block = block.astype(np.result_type(block, column_sums), copy=False)
-                block[0] += column_sums
-            np.cumsum(block, axis=0, out=block)
-            column_sums = block[-1].copy()
-            np.cumsum(block, axis=1, out=block)
-            block *= h * h
-            if np.iscomplexobj(block) and not np.iscomplexobj(phi):
-                phi = phi.astype(complex)
-            phi[1 + i * rows:1 + i * rows + len(block), 1:] += block
-    return GoursatField(uu=uu, vv=vv, phi=phi)
+    def blocks():
+        yield 0, qv.astype(np.result_type(pv, qv))[None, :]
+        sources = _midpoint_blocks(f, uu[:-1] + 0.5 * h, rows) if f is not None else None
+        for i, start in enumerate(range(1, n + 1, rows)):
+            out = pv[start:start + rows, None] + qv[None, :]
+            out -= qv[0]
+            out[:, 0] = pv[start:start + rows]
+            if sources is not None:
+                block = next(sources)
+                if i:  # a source may give complex values in some blocks only
+                    block = block.astype(np.result_type(block, column_sums), copy=False)
+                    block[0] += column_sums
+                np.cumsum(block, axis=0, out=block)
+                column_sums = block[-1].copy()
+                np.cumsum(block, axis=1, out=block)
+                block *= h * h
+                out = out.astype(np.result_type(out, block), copy=False)
+                out[:, 1:] += block
+            yield start, out
+
+    return uu, vv, blocks()
 
 
-def _goursat_error(field: GoursatField, exact):
-    """max |phi - exact(u, v)| over the null lattice, where exact takes a
-    column of u and a row of v: one block of u-rows at a time, so that no
-    other array of lattice size is formed."""
-    rows = max(1, GOURSAT_BLOCK_CELLS // field.vv.size)
-    return max(float(np.max(np.abs(field.phi[i:i + rows]
-                                   - exact(field.uu[i:i + rows, None], field.vv[None, :]))))
-               for i in range(0, field.uu.size, rows))
+def _goursat_error(uu, vv, blocks, exact):
+    """max |phi - exact(u, v)| over the null lattice, from the blocks of
+    phi's u-rows that `_goursat_rows` yields; exact takes a column of u and
+    a row of v."""
+    return max(float(np.max(np.abs(block - exact(uu[start:start + len(block), None], vv[None, :]))))
+               for start, block in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +484,8 @@ def dirac_solve_by_squaring(data: DiracData1p1, grid: Grid1p1):
     fs = data.source_samples(grid)
 
     v1 = -np.einsum("ab,bx->ax", SIGMA_INV, data.u0)  # (d_t + ia) v at t=0; v=0 there
-    v = np.empty((grid.n_t + 1, 2, grid.n_x), dtype=complex)
-    for c in range(2):
-        src = None if fs is None else -fs[:, c]
-        v[:, c] = cauchy_solve(grid, f=src, u0=None, u1=v1[c], twist=data.connection)
+    # both components in one march: a stack of two scalar problems
+    v = cauchy_solve(grid, f=None if fs is None else -fs, u1=v1, twist=data.connection)
 
     # u = D v on every level: centered interior time stencil, one-sided
     # second order at the temporal ends
@@ -464,6 +518,18 @@ def _source_time_support(f):
     return (int(nz[0]), int(nz[-1])) if nz.size else None
 
 
+def _green_source(grid: Grid1p1, f):
+    """f as a Green's-operator source: sampled on the lattice, and vanishing
+    on a collar of two levels at both temporal ends."""
+    f = _field(f)
+    if f.shape != (grid.n_t + 1, grid.n_x):
+        raise DomainError("source shape does not match the grid")
+    supp = _source_time_support(f)
+    if supp is not None and (supp[0] < 2 or supp[1] > grid.n_t - 2):
+        raise DomainError("source support touches the temporal boundary")
+    return f
+
+
 def green(grid: Grid1p1, direction: str, f, potential=None):
     """Retarded (G_+) or advanced (G_-) Green's operator applied to f.
 
@@ -473,12 +539,7 @@ def green(grid: Grid1p1, direction: str, f, potential=None):
     """
     if direction not in ("retarded", "advanced"):
         raise DomainError(f"unknown direction {direction!r}")
-    f = _field(f)
-    if f.shape != (grid.n_t + 1, grid.n_x):
-        raise DomainError("source shape does not match the grid")
-    supp = _source_time_support(f)
-    if supp is not None and (supp[0] < 2 or supp[1] > grid.n_t - 2):
-        raise DomainError("source support touches the temporal boundary")
+    f = _green_source(grid, f)
     if direction == "retarded":
         return cauchy_solve(grid, f=f, potential=potential)
     # advanced: time-reflect, solve retarded, reflect back (the operator has
@@ -498,11 +559,18 @@ def green_clause_residuals(grid: Grid1p1, f, potential=None):
     (and the advanced mirrors) plus 'propagator_kernel' for P(Gf).
     Support excesses are in cells beyond the causal collar.
     """
+    return _green_clause_residuals(grid, f, [potential])[0]
+
+
+def _green_clause_residuals(grid: Grid1p1, f, potentials):
+    """green_clause_residuals of f for each potential of a list (None for
+    none): G_+ f, G_- f, G_+ P f and G_- P f of every potential are solved
+    in one march, the advanced ones time-reflected as `green` solves them."""
     f = _field(f)
     scale = float(np.max(np.abs(f)))
     if scale == 0.0:
         raise DomainError("empty source")
-    out = {}
+    f = _green_source(grid, f)
     supp = _source_time_support(f)
     nz_x = np.where(np.max(np.abs(f), axis=0) > 0)[0]
     xs = grid.x[nz_x]
@@ -511,35 +579,42 @@ def green_clause_residuals(grid: Grid1p1, f, potential=None):
         support_radius(np.max(np.abs(f), axis=0), grid.x, center, 0.0), grid.h_x
     )
 
-    # P f computed discretely, once for both directions (padding by zero rows
-    # matches the compact support)
-    Pf = np.zeros_like(f)
-    Pf[1:-1] = apply_wave_operator(grid, f, potential=potential)
-    solutions = {}
-    for direction in ("retarded", "advanced"):
-        u = solutions[direction] = green(grid, direction, f, potential)
-        # clause (ii): P G f = f at interior times
-        Pu = apply_wave_operator(grid, u, potential=potential)
-        out[f"PG_{direction}"] = float(np.max(np.abs(Pu - f[1:-1])) / scale)
-        # clause (i): G P f = f for compactly supported f
-        gpf = green(grid, direction, Pf, potential)
-        out[f"GP_{direction}"] = float(np.max(np.abs(gpf - f)) / scale)
-        # clause (iii): support containment in J^{+/-}(supp f) with a collar,
-        # by the numerical-support policy above; a level before the source in
-        # the direction's time is allowed no support
-        thr = SUPPORT_THRESHOLD * max(float(np.max(np.abs(u))), scale)
-        n = np.arange(grid.n_t + 1)
-        gap = ((n - supp[0]) if direction == "retarded" else (supp[1] - n)) * grid.h_t
-        allowed = np.where(gap < 0, np.where(np.max(np.abs(u), axis=1) > thr, 0.0, math.pi),
-                           np.minimum(radius0 + gap + SUPPORT_COLLAR_CELLS * grid.h_x, math.pi))
-        rad = support_radius(u, grid.x, center, thr)
-        out[f"support_{direction}"] = float(np.max((rad - allowed) / grid.h_x))
-
-    # the causal propagator G f = G_+ f - G_- f from the solutions above
-    g = solutions["retarded"] - solutions["advanced"]
-    Pg = apply_wave_operator(grid, g, potential=potential)
-    out["propagator_kernel"] = float(np.max(np.abs(Pg)) / scale)
-    return out
+    # per potential, P f computed discretely (padding by zero rows matches the
+    # compact support); then the problems f and P f, and both time-reflected
+    problems = []
+    for potential in potentials:
+        Pf = np.zeros_like(f)
+        Pf[1:-1] = apply_wave_operator(grid, f, potential=potential)
+        Pf = _green_source(grid, Pf)
+        problems += [f, Pf, f[::-1], Pf[::-1]]
+    solved = cauchy_solve(grid, f=np.stack(problems, axis=1),
+                          potential=[p for p in potentials for _ in range(4)])
+    n = np.arange(grid.n_t + 1)
+    reports = []
+    for i, potential in enumerate(potentials):
+        gf, gpf, gf_reflected, gpf_reflected = (solved[:, 4 * i + j] for j in range(4))
+        out = {}
+        for direction, u, gpf in (("retarded", gf, gpf),
+                                  ("advanced", gf_reflected[::-1], gpf_reflected[::-1])):
+            # clause (ii): P G f = f at interior times
+            Pu = apply_wave_operator(grid, u, potential=potential)
+            out[f"PG_{direction}"] = float(np.max(np.abs(Pu - f[1:-1])) / scale)
+            # clause (i): G P f = f for compactly supported f
+            out[f"GP_{direction}"] = float(np.max(np.abs(gpf - f)) / scale)
+            # clause (iii): support containment in J^{+/-}(supp f) with a
+            # collar, by the numerical-support policy above; a level before
+            # the source in the direction's time is allowed no support
+            thr = SUPPORT_THRESHOLD * max(float(np.max(np.abs(u))), scale)
+            gap = ((n - supp[0]) if direction == "retarded" else (supp[1] - n)) * grid.h_t
+            allowed = np.where(gap < 0, np.where(np.max(np.abs(u), axis=1) > thr, 0.0, math.pi),
+                               np.minimum(radius0 + gap + SUPPORT_COLLAR_CELLS * grid.h_x, math.pi))
+            rad = support_radius(u, grid.x, center, thr)
+            out[f"support_{direction}"] = float(np.max((rad - allowed) / grid.h_x))
+        # the causal propagator G f = G_+ f - G_- f from the solutions above
+        Pg = apply_wave_operator(grid, gf - gf_reflected[::-1], potential=potential)
+        out["propagator_kernel"] = float(np.max(np.abs(Pg)) / scale)
+        reports.append(out)
+    return reports
 
 
 # ---------------------------------------------------------------------------

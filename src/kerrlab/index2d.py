@@ -59,11 +59,15 @@ MAX_MODE_SAMPLES = 2 * 10**6  # RK4 nodes times counted modes in the mode check
 class ConnectionProfile:
     """Smooth holonomy parameter a(t) on [0, T].
 
-    a must be constant on the first and last 5% of [0, T], its collars
-    (product form near the boundary, so the transgression term vanishes).
+    a is a callable of t that takes an array of times and returns a's values
+    on them, or takes one float and returns one value: arrays of times are
+    sampled in one call when a accepts them, else by one call per time
+    (`_on_times`).  a must be constant on the first and last 5% of [0, T],
+    its collars (product form near the boundary, so the transgression term
+    vanishes).
     """
 
-    a: object  # callable t -> float
+    a: object  # callable t -> a(t), on an array of times or on a float
     T: float
 
     def __post_init__(self):
@@ -71,9 +75,8 @@ class ConnectionProfile:
             raise DomainError("time extent must be positive")
         require_normal(f"the sample spacing T / {2 * _BASE_STEPS}", self.T / (2 * _BASE_STEPS))
         for t0, t1 in ((0.0, 0.05 * self.T), (0.95 * self.T, self.T)):
-            ts = np.linspace(t0, t1, 16)
-            vals = np.array([self.a(t) for t in ts])
-            if np.max(np.abs(vals - vals[0])) > 1e-12:
+            vals = _on_times(self.a, np.linspace(t0, t1, 16))
+            if not np.max(np.abs(vals - vals[0])) <= 1e-12:  # NaN samples are refused too
                 raise DomainError("a profile must be constant on its collars near the ends")
 
     @property
@@ -87,18 +90,34 @@ class ConnectionProfile:
         return _sample_a(self, 2 * _BASE_STEPS + 1)
 
 
+def _on_times(a, ts):
+    """a on the array of times ts: one call on the array when a accepts it
+    and returns one value per time; otherwise (TypeError/ValueError, or a
+    result of another shape) one call per time, on Python floats."""
+    try:
+        vals = np.asarray(a(ts))
+        if vals.shape == ts.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array([a(t) for t in ts.tolist()])
+
+
 def _sample_a(profile: ConnectionProfile, count: int) -> np.ndarray:
-    """a on linspace(0, T, count), by scalar calls on Python floats."""
-    return np.array([profile.a(t) for t in np.linspace(0.0, profile.T, count).tolist()])
+    """a on linspace(0, T, count), by the rule of `_on_times`."""
+    return _on_times(profile.a, np.linspace(0.0, profile.T, count))
 
 
 def _smootherstep(s):
-    s = min(max(s, 0.0), 1.0)
-    return s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+    # products, not powers: numpy's array ** is not C pow, and a float call
+    # must give the bits of an array call
+    s = np.clip(s, 0.0, 1.0)
+    return s * s * s * (10.0 - 15.0 * s + 6.0 * (s * s))
 
 
 def ramp_profile(a0: float, a1: float, T: float = 10.0) -> ConnectionProfile:
-    """C^2 ramp from a0 to a1, constant on 5% collars at both ends."""
+    """C^2 ramp from a0 to a1, constant on 5% collars at both ends; a takes
+    an array of times or a float."""
 
     def a(t):
         s = (t - 0.05 * T) / (0.9 * T)
@@ -122,7 +141,7 @@ def _mode_solution_moduli(profile: ConnectionProfile, ks) -> np.ndarray:
     """|c(T)/c(0)| for the mode ODEs c' = -i (k + a(t)) c, one per k (each should be 1).
 
     Classical RK4 with n steps of h = T/n, all modes at once.  a is sampled
-    once, by scalar calls, on the nodes linspace(0, T, 2n + 1) (step ends and
+    once (`_sample_a`) on the nodes linspace(0, T, 2n + 1) (step ends and
     midpoints; at the base n these are the profile's shared samples); with
     z = -i h (k + a) on those nodes, one step multiplies c by
     R = 1 + (z0 + 2 zm s1 + 2 zm s2 + z1 s3) / 6, where s1 = 1 + z0/2,

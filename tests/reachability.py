@@ -120,6 +120,10 @@ KEPT = {
     "geodesics.photon_orbit_radius(prograde)":
         "the two orbit senses of Bardeen, Press & Teukolsky (1972)",
     "hyperbolic1d.causal_propagator(potential)": "the potential V of P = box + V, as green takes it",
+    "hyperbolic1d.green":
+        "the oracle that tests hold the stacked Green march of green_clause_residuals against",
+    "hyperbolic1d.green_clause_residuals(potential)":
+        "the one-potential form of the clause check; the green command marches its two at once",
     "hyperbolic1d.formal_dual_residual(potential)": "the potential V of P = box + V, as green takes it",
     "cli.main(argv)": "None reads sys.argv; an in-process caller passes a list",
     "_derive.main(argv)": "None reads sys.argv, as in cli.main",
@@ -425,7 +429,8 @@ def main():
 
     print(f"\nfunctions under src/kerrlab that never ran ({len(unreached)} of {total_functions}):")
     for module, name, first, lines in unreached:
-        print(f"  {lines:4d}  {module}.{name}  (line {first})")
+        reason = KEPT.get(f"{module}.{name}")
+        print(f"  {lines:4d}  {module}.{name}  (line {first}){': kept, ' + reason if reason else ''}")
     print(f"  {unreached_lines:4d}  lines in {len(unreached)} functions")
     census()
 

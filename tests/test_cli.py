@@ -415,6 +415,16 @@ def test_diverging_dirac_solve_fails_without_a_warning(tmp_path_factory):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("profile", ["ramp:1e308:-1e308", "ramp:-1e308:1e308"])
+def test_a_ramp_whose_rise_overflows_is_refused_by_its_key(tmp_path_factory, profile):
+    # a1 - a0 overflows to +-inf although both ends are finite, and inf * 0
+    # would be NaN on the collars: an input error, without numpy's warnings
+    [(code, err)] = edge_outcomes(tmp_path_factory, [["index", f"--profile={profile}"]])
+    assert code == 2, err
+    assert f"profile = {profile}" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("key", ["twist_a0", "twist_a1"])
 def test_a_twist_whose_square_overflows_is_refused_by_its_key(tmp_path, capsys, key):
     # the solvers square the connection: a peak |a0| + |a1| whose square is

@@ -10,6 +10,8 @@ from kerrlab import (DiracData1p1, DomainError, Grid1p1, apply_dirac,
                      dirac_solve_direct, formal_dual_residual, goursat_solve,
                      green, green_clause_residuals, hyperbolic1d, sample,
                      support_radius)
+from kerrlab._stencils import _diff
+from kerrlab.cli import main
 
 
 def make_grid(n_x, T=1.0, cfl=0.8):
@@ -207,18 +209,74 @@ def test_green_clauses_machine_level():
     assert res["support_advanced"] <= 0.0
 
 
-def test_green_clauses_solve_each_green_problem_once(monkeypatch):
-    # G_+ f, G_- f, G_+ P f and G_- P f; the propagator is G_+ f - G_- f
-    calls = []
+def test_green_clauses_solve_each_green_problem_once(monkeypatch, tmp_path):
+    # G_+ f, G_- f, G_+ P f and G_- P f in one march of four problems; the
+    # propagator is G_+ f - G_- f.  `green` marches those of both of its
+    # potentials (none, and potential (1 + cos x)) at once: eight problems
+    marches = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return cauchy_solve(*args, **kwargs)
+    def counted(grid, f=None, **kwargs):
+        marches.append(f.shape)
+        return cauchy_solve(grid, f=f, **kwargs)
 
     monkeypatch.setattr("kerrlab.hyperbolic1d.cauchy_solve", counted)
     g = make_grid(64, T=1.5, cfl=0.85)
     green_clause_residuals(g, source_field(g))
-    assert len(calls) == 4
+    assert marches == [(g.n_t + 1, 4, g.n_x)]
+    marches.clear()
+    assert main(["green", "--potential=0.5", "--out", str(tmp_path / "r.json")]) == 0
+    assert [shape[1] for shape in marches] == [8]
+
+
+def green_clause_residuals_reference(g, f, potential=None):
+    # the clauses from four separate `green` solves, the advanced ones
+    # time-reflected inside `green`: the loop that the stacked march replaced
+    scale = float(np.max(np.abs(f)))
+    nz_t = np.where(np.max(np.abs(f), axis=1) > 0)[0]
+    xs = g.x[np.max(np.abs(f), axis=0) > 0]
+    center = float(np.angle(np.mean(np.exp(1j * xs))) % (2.0 * math.pi))
+    radius0 = max(support_radius(np.max(np.abs(f), axis=0), g.x, center, 0.0), g.h_x)
+    Pf = np.zeros_like(f)
+    Pf[1:-1] = apply_wave_operator(g, f, potential=potential)
+    out, solutions, n = {}, {}, np.arange(g.n_t + 1)
+    for direction in ("retarded", "advanced"):
+        u = solutions[direction] = green(g, direction, f, potential)
+        Pu = apply_wave_operator(g, u, potential=potential)
+        out[f"PG_{direction}"] = float(np.max(np.abs(Pu - f[1:-1])) / scale)
+        out[f"GP_{direction}"] = float(np.max(np.abs(green(g, direction, Pf, potential) - f)) / scale)
+        thr = 1e-3 * max(float(np.max(np.abs(u))), scale)
+        gap = ((n - nz_t[0]) if direction == "retarded" else (nz_t[-1] - n)) * g.h_t
+        allowed = np.where(gap < 0, np.where(np.max(np.abs(u), axis=1) > thr, 0.0, math.pi),
+                           np.minimum(radius0 + gap + 2 * g.h_x, math.pi))
+        rad = support_radius(u, g.x, center, thr)
+        out[f"support_{direction}"] = float(np.max((rad - allowed) / g.h_x))
+    Pg = apply_wave_operator(g, solutions["retarded"] - solutions["advanced"], potential=potential)
+    out["propagator_kernel"] = float(np.max(np.abs(Pg)) / scale)
+    return out
+
+
+@pytest.mark.parametrize("complex_source", [False, True], ids=["real", "complex"])
+def test_stacked_green_clauses_equal_those_of_separate_solves(complex_source):
+    # one march of the Green problems of every potential gives, key for key
+    # and in the same order, the residuals of four separate `green` calls
+    g = make_grid(64, T=1.5, cfl=0.85)
+    rng = np.random.default_rng(45)
+    f = source_field(g) * rng.uniform(0.5, 2.0, size=g.n_x)
+    if complex_source:
+        f = f * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=g.n_x))
+    potentials = [None] + [lambda x, c=c: c * (1.0 + np.cos(x)) for c in rng.uniform(0.2, 1.0, 2)]
+    reports = hyperbolic1d._green_clause_residuals(g, f, potentials)
+    assert len(reports) == 3
+    for potential, report in zip(potentials, reports):
+        reference = green_clause_residuals_reference(g, f, potential)
+        assert list(report.items()) == list(reference.items())
+        assert green_clause_residuals(g, f, potential) == report
+    # every stacked source passes green's support check, P f as well as f
+    late = np.zeros_like(f)
+    late[-3, 5] = 1.0  # inside the collar, but P f reaches level n_t - 1
+    green(g, "retarded", late)
+    with pytest.raises(DomainError, match="touches the temporal boundary"):
+        hyperbolic1d._green_clause_residuals(g, late, potentials)
 
 
 def test_green_source_collar_enforced():
@@ -328,8 +386,19 @@ def test_support_clauses_match_the_loop_over_levels(monkeypatch, noise):
     f = source_field(g)
     rng = np.random.default_rng(5)
     jitter = noise * rng.normal(size=f.shape) * (rng.random(f.shape) < 0.05)
-    exact = hyperbolic1d.green
-    monkeypatch.setattr(hyperbolic1d, "green", lambda *args: exact(*args) + jitter)
+    jittered = {direction: green(g, direction, f) + jitter for direction in ("retarded", "advanced")}
+    exact = hyperbolic1d.cauchy_solve
+
+    def solve(*args, **kwargs):
+        # the march of G_+ f, G_+ P f and both time-reflected: each solution,
+        # once reflected back, carries the jitter
+        out = exact(*args, **kwargs)
+        assert out.shape == (g.n_t + 1, 4, g.n_x)
+        out[:, :2] += jitter[:, None]
+        out[:, 2:] += jitter[::-1, None]
+        return out
+
+    monkeypatch.setattr(hyperbolic1d, "cauchy_solve", solve)
     res = green_clause_residuals(g, f)
 
     scale = np.max(np.abs(f))
@@ -338,7 +407,7 @@ def test_support_clauses_match_the_loop_over_levels(monkeypatch, noise):
     center = float(np.angle(np.mean(np.exp(1j * xs))) % (2.0 * math.pi))
     radius0 = max(support_radius_reference(np.max(np.abs(f), axis=0), g.x, center, 0.0), g.h_x)
     for direction in ("retarded", "advanced"):
-        u = exact(g, direction, f) + jitter
+        u = jittered[direction]
         thr = 1e-3 * max(float(np.max(np.abs(u))), scale)
         worst = -np.inf
         for n in range(g.n_t + 1):
@@ -402,3 +471,49 @@ def test_real_goursat_data_stay_real():
     # real ray data with a complex source: phi is complex
     assert goursat_solve(p, q, 0.9, n, f=lambda t, x: f(t, x) + 0j).phi.dtype == np.complex128
 
+
+@pytest.mark.parametrize("kind", ["real", "complex", "twisted"])
+def test_a_stack_of_cauchy_problems_equals_each_solve(kind):
+    # k problems marched at once, each with its own potential or one shared
+    # potential: each equals its own solve, bit for bit, in the same dtype
+    g = make_grid(48, T=1.0)
+    rng = np.random.default_rng(46)
+    k = 3
+    f = rng.normal(size=(g.n_t + 1, k, g.n_x))
+    u0, u1 = rng.normal(size=(2, k, g.n_x))
+    if kind == "complex":
+        f = f + 1j * rng.normal(size=f.shape)
+    twist = (lambda t: 0.3 + 0.2 * math.sin(t)) if kind == "twisted" else None
+    potentials = [None] + [lambda x, c=c: c * (1.0 + np.cos(x)) for c in rng.uniform(0.2, 1.0, k - 1)]
+    for potential in (potentials, potentials[1]):
+        stacked = cauchy_solve(g, f=f, u0=u0, u1=u1, potential=potential, twist=twist)
+        assert stacked.shape == (g.n_t + 1, k, g.n_x)
+        assert stacked.dtype == (np.float64 if kind == "real" else np.complex128)
+        for j in range(k):
+            own = potential[j] if isinstance(potential, list) else potential
+            alone = cauchy_solve(g, f=f[:, j], u0=u0[j], u1=u1[j], potential=own, twist=twist)
+            assert alone.dtype == stacked.dtype
+            assert np.array_equal(stacked[:, j], alone), j
+    # initial data alone set the stack; a list of potentials needs one per problem
+    assert cauchy_solve(g, u1=u1, twist=twist).shape == (g.n_t + 1, k, g.n_x)
+    with pytest.raises(DomainError, match="one per problem"):
+        cauchy_solve(g, f=f, potential=potentials[:2])
+    with pytest.raises(DomainError, match=r"initial data must have shape \(3, 48\)"):
+        cauchy_solve(g, f=f, u0=u0[0])
+
+
+def test_dirac_squaring_equals_a_solve_of_each_component():
+    # both spinor components of D^2 v = f are marched at once; each equals
+    # the scalar solve of that component alone, and so does u = D v
+    twist = lambda t: 0.3 + 0.2 * math.sin(t)
+    source = lambda t, x: np.array([np.cos(x + t), 0.2 * np.sin(2 * x - t)])
+    g = make_grid(64)
+    u0 = np.array([np.sin(g.x), np.cos(2 * g.x)], dtype=complex)
+    for data in (DiracData1p1(u0=u0, f=source, connection=twist), DiracData1p1(u0=u0)):
+        fs = data.source_samples(g)
+        v1 = -np.einsum("ab,bx->ax", hyperbolic1d.SIGMA_INV, data.u0)
+        v = np.stack([cauchy_solve(g, f=None if fs is None else -fs[:, c], u1=v1[c],
+                                   twist=data.connection) for c in range(2)], axis=1)
+        a = hyperbolic1d._twist(data.connection, g.t, g.h_t)[0]
+        u = hyperbolic1d._dirac(a, v, _diff(v, "d1", g.h_t, end="d1_end"), g.h_x)
+        assert np.array_equal(dirac_solve_by_squaring(data, g), u)

@@ -69,7 +69,8 @@ def test_mode_check_above_the_sample_limit_rejected(monkeypatch):
 
 def test_collar_required():
     # a profile that is not constant on its collars is refused when it is built
-    for a in (lambda t: t, lambda t: t / 10.0):
+    # NaN samples are refused too: no comparison with a bound holds for them
+    for a in (lambda t: t, lambda t: t / 10.0, lambda t: math.nan, lambda t: 0.0 * t + math.nan):
         with pytest.raises(DomainError, match="constant on its collars"):
             ConnectionProfile(a=a, T=10.0)
 
@@ -145,22 +146,34 @@ def test_batched_mode_moduli_stay_one(profile):
 
 
 def test_charge_report_samples_the_profile_once():
-    # chern_integral and both mode checks read one set of 2001 samples of a,
-    # taken on Python floats; the other calls are the endpoints and collars
+    # chern_integral and both mode checks read one set of 2001 samples of a:
+    # one call on the array of times when a takes arrays (a ramp), else one
+    # call per time on Python floats; the other calls are the endpoints
     ramp = ramp_profile(0.3, 1.3)
-    seen = []
+    for takes_arrays in (True, False):
+        arrays, floats = [], []
 
-    def a(t):
-        seen.append(type(t))
-        return ramp.a(t)
+        def a(t):
+            if isinstance(t, np.ndarray):
+                arrays.append(t.size)
+                if not takes_arrays:
+                    raise TypeError("a float-only profile")
+            else:
+                floats.append(type(t))
+            return ramp.a(t)
 
-    profile = ConnectionProfile(a=a, T=ramp.T)
-    seen.clear()
-    report = charge_report(profile)
-    assert report.dim_ker_aps == 1 and report.index_lhs == 1
-    assert 2001 <= len(seen) < 2001 + 20
-    assert set(seen) == {float}
-    assert report == charge_report(ramp)
+        profile = ConnectionProfile(a=a, T=ramp.T)
+        assert arrays == [16, 16]  # the collars, each tried in one array call
+        assert len(floats) == (0 if takes_arrays else 32)
+        arrays.clear()
+        floats.clear()
+        report = charge_report(profile)
+        assert report.dim_ker_aps == 1 and report.index_lhs == 1
+        assert arrays == [2001]
+        assert set(floats) == {float}
+        scalar_samples = 0 if takes_arrays else 2001
+        assert scalar_samples <= len(floats) < scalar_samples + 20
+        assert report == charge_report(ramp)
 
 
 @pytest.mark.parametrize("a0, a1", [(0.3, 1.3), (0.3, -1.7), (0.25, 2.75), (0.0, 1.0)])
@@ -175,3 +188,18 @@ def test_index_report_is_invariant_under_integer_shifts_of_the_connection(a0, a1
             (ref.dim_ker_aps, ref.dim_ker_aaps, ref.index_lhs), k
         for name in ("q_left", "q_right", "q_chiral"):
             assert abs(getattr(r, name) - getattr(ref, name)) <= 1e-12, (k, name)
+
+
+def test_a_ramp_sampled_in_one_array_call_has_the_bits_of_scalar_calls():
+    # the ramp is written with products, not powers (numpy's array ** is not
+    # C pow), so that sampling it on an array of times gives, bit for bit,
+    # the values of one call per time on Python floats
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        a0, a1 = rng.uniform(-3.0, 3.0, size=2)
+        ramp = ramp_profile(a0, a1, T=rng.uniform(0.5, 20.0))
+        ts = np.linspace(0.0, ramp.T, 2001)
+        by_array = index2d._sample_a(ramp, 2001)
+        assert by_array.dtype == np.float64
+        assert np.array_equal(by_array, np.array([float(ramp.a(t)) for t in ts.tolist()]))
+        assert np.array_equal(np.asarray(ramp.a(ts)), by_array)
