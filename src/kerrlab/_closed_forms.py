@@ -461,22 +461,6 @@ def xi(m, a, r, th):
 FORMS['xi'] = (xi, (4,), (0, 3), complex)
 
 
-def kappa1(m, a, r, th):
-    return [(1/3)*1j*a*cos(th) - 1/3*r]
-
-
-FORMS['kappa1'] = (kappa1, (), (0,), complex)
-
-
-def U(m, a, r, th):
-    x0 = 1j*a
-    x1 = (1/3)/(-1/3*r + (1/3)*x0*cos(th))
-    return [x1, x0*x1*sin(th)]
-
-
-FORMS['U'] = (U, (4,), (1, 2), complex)
-
-
 def l(m, a, r, th):
     x0 = a**2 + r**2
     x1 = (-2*m*r + x0)**(-1.0)

@@ -113,9 +113,6 @@ def _exprs():
     divStarY = div_mixed(mixed(starY))
     xi = [sp.Rational(1, 3) * sp.I * divY[aa] - sp.Rational(1, 3) * divStarY[aa] for aa in range(4)]
 
-    kappa1 = -(r - sp.I * a * cos) / 3
-    U = [sp.Integer(0), -sp.diff(kappa1, r) / kappa1, -sp.diff(kappa1, th) / kappa1, sp.Integer(0)]
-
     # Kinnersley principal tetrad (contravariant components)
     sqrt2 = sp.sqrt(2)
     l_up = [(r**2 + a**2) / Delta, sp.Integer(1), sp.Integer(0), a / Delta]
@@ -147,8 +144,6 @@ def _exprs():
         "K": K,
         "dK": dK,
         "xi": xi,
-        "kappa1": kappa1,
-        "U": U,
         "l": l_up,
         "n": n_up,
         "m_vec": m_up,

@@ -92,9 +92,9 @@ class ConservedSet:
 
 
 def conserved_quantities(params: KerrParams, s: GeodesicState) -> ConservedSet:
-    """e, l_z and k of the state s: its row of `conserved_series`, after the
-    checks of `carter_tensor` (s is a point of params, and the Killing-Yano
-    form calibrates, else CalibrationError)."""
+    """e, l_z and k of the state s: its row of `conserved_series`, after
+    checking that s is a point of params and that the Killing-Yano form
+    calibrates (else CalibrationError)."""
     _check_point(params, s.x)
     _ky_calibration(params)
     e, lz, k, _norm = conserved_series(params, s.x.coords[None], s.u.real_part()[None])[0]
@@ -122,10 +122,6 @@ class Trajectory:
     u: np.ndarray  # shape (n, 4)
     plunged: bool
     params: KerrParams
-
-    def state(self, i, causal_type) -> GeodesicState:
-        p = BLPoint(*self.x[i], self.params)
-        return GeodesicState(p, TensorValue((UP,), self.u[i]), causal_type)
 
 
 def integrate_geodesic(
@@ -186,35 +182,6 @@ def _drift(series):
 def conserved_drift(params: KerrParams, traj: Trajectory, causal_type: str):
     """Max relative drift of (e, l_z, k, norm) along a sampled trajectory."""
     return _drift(conserved_series(params, traj.x, traj.u))
-
-
-def _angular_velocity(A, B, C, prograde, no_root):
-    """The prograde (larger) or retrograde root Omega of A Omega^2 + B Omega + C = 0;
-    DomainError(no_root) when there is no real root."""
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        raise DomainError(no_root)
-    roots = sorted(((-B - math.sqrt(disc)) / (2 * A), (-B + math.sqrt(disc)) / (2 * A)))
-    return roots[1] if prograde else roots[0]
-
-
-def circular_orbit_state(params: KerrParams, r: float, prograde=True) -> GeodesicState:
-    """Equatorial circular timelike orbit at Boyer-Lindquist radius r.
-
-    The angular velocity solves the radial geodesic equation
-    Gamma^r_tt + 2 Omega Gamma^r_tphi + Omega^2 Gamma^r_phiphi = 0 and the
-    4-velocity is normalized to g(u,u) = -1.
-    """
-    p = BLPoint(0.0, r, math.pi / 2, 0.0, params)
-    [gamma] = _at(params, p.r, p.theta, "gamma")
-    omega = _angular_velocity(gamma[1, 3, 3], 2.0 * gamma[1, 0, 3], gamma[1, 0, 0], prograde,
-                              f"no circular orbit at r={r}")
-    quad = conserved_series(params, p.coords[None], np.array([[1.0, 0.0, 0.0, omega]]))[0, 3]
-    if quad >= 0:
-        raise DomainError(f"circular orbit at r={r} is not timelike")
-    ut = 1.0 / math.sqrt(-quad)
-    u = np.array([ut, 0.0, 0.0, omega * ut])
-    return GeodesicState(p, TensorValue((UP,), u), "timelike")
 
 
 def photon_orbit_radius(params: KerrParams, prograde=True) -> float:

@@ -501,13 +501,6 @@ def _dirac(a, u, ut, h_x):
     )
 
 
-def apply_dirac(data_connection, grid: Grid1p1, u):
-    """Discrete D u at interior time levels 1..n_t-1 (second-order stencils)."""
-    u = np.asarray(u, dtype=complex)
-    a = _twist(data_connection, grid.t[1:-1], grid.h_t)[0]
-    return _dirac(a, u[1:-1], _diff(u, "d1", grid.h_t), grid.h_x)
-
-
 # ---------------------------------------------------------------------------
 # Green's operators
 # ---------------------------------------------------------------------------
@@ -530,28 +523,6 @@ def _green_source(grid: Grid1p1, f):
     return f
 
 
-def green(grid: Grid1p1, direction: str, f, potential=None):
-    """Retarded (G_+) or advanced (G_-) Green's operator applied to f.
-
-    G_+ f solves P u = f with u = 0 to the past of supp f; G_- f mirrors to
-    the future.  The source must vanish on a collar at both temporal ends so
-    that the zero-data region exists on the grid.
-    """
-    if direction not in ("retarded", "advanced"):
-        raise DomainError(f"unknown direction {direction!r}")
-    f = _green_source(grid, f)
-    if direction == "retarded":
-        return cauchy_solve(grid, f=f, potential=potential)
-    # advanced: time-reflect, solve retarded, reflect back (the operator has
-    # no first-order time term when twist is absent, so P is reflection-even)
-    return cauchy_solve(grid, f=f[::-1], potential=potential)[::-1]
-
-
-def causal_propagator(grid: Grid1p1, f, potential=None):
-    """G f = G_+ f - G_- f."""
-    return green(grid, "retarded", f, potential) - green(grid, "advanced", f, potential)
-
-
 def green_clause_residuals(grid: Grid1p1, f, potential=None):
     """Max-norm residuals of the three defining clauses for both directions.
 
@@ -565,7 +536,10 @@ def green_clause_residuals(grid: Grid1p1, f, potential=None):
 def _green_clause_residuals(grid: Grid1p1, f, potentials):
     """green_clause_residuals of f for each potential of a list (None for
     none): G_+ f, G_- f, G_+ P f and G_- P f of every potential are solved
-    in one march, the advanced ones time-reflected as `green` solves them."""
+    in one march.  G_+ solves P u = f with u = 0 to the past of supp f; G_-
+    mirrors to the future, solved as G_+ of the time-reflected source and
+    reflected back (without a twist P has no first-order time term, so it is
+    reflection-even)."""
     f = _field(f)
     scale = float(np.max(np.abs(f)))
     if scale == 0.0:

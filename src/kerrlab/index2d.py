@@ -210,23 +210,6 @@ def eta_h_circle(a_value: float):
     return 1.0 - 2.0 * frac, 0
 
 
-def eta_abel_oracle(a_value: float) -> float:
-    """Abel-summed eta series sum_k sign(k + a) exp(-s |k + a|) at s = 1e-4.
-
-    Independent check of the closed form in eta_h_circle; converges to
-    1 - 2 frac(a) as s -> 0 for non-integer a.  The two geometric tails are
-    summed in closed form so s can be taken small.
-    """
-    s = 1e-4
-    frac = a_value - math.floor(a_value)
-    if frac == 0.0:
-        return 0.0
-    # positive eigenvalues: frac, frac+1, ... ; negative: frac-1, frac-2, ...
-    pos = math.exp(-s * frac) / (1.0 - math.exp(-s))
-    neg = math.exp(-s * (1.0 - frac)) / (1.0 - math.exp(-s))
-    return pos - neg
-
-
 class IndexTheoremError(ValueError):
     """An IndexReport whose fields violate an index-theorem invariant."""
 
@@ -313,8 +296,3 @@ def charge_report(profile: ConnectionProfile) -> IndexReport:
         q_right=q_right,
         q_chiral=q_chiral,
     )
-
-
-def reversed_profile(profile: ConnectionProfile) -> ConnectionProfile:
-    """Time reflection t -> T - t."""
-    return ConnectionProfile(a=lambda t: profile.a(profile.T - t), T=profile.T)

@@ -291,26 +291,12 @@ def killing_tensor_residual_fd(params: KerrParams, p: BLPoint, step=1e-3) -> flo
     return _killing(params, *_one(p), "K", step).item()
 
 
-def carter_tensor(params: KerrParams, p: BLPoint) -> TensorValue:
-    """Carter Killing tensor K_ab = Y_ac Y^c_b (sign-invariant in Y)."""
-    _check_point(params, p)
-    _ky_calibration(params)
-    return TensorValue((DOWN, DOWN), *_at(params, p.r, p.theta, "K"))
-
-
 def xi_oneform(params: KerrParams, p: BLPoint) -> TensorValue:
     """Complex 1-form built from first derivatives of Y; real and equal to
     (d/dt)-flat for the calibrated Kerr Y."""
     _check_point(params, p)
     _ky_calibration(params)
     return TensorValue((DOWN,), *_at(params, p.r, p.theta, "xi"))
-
-
-def kappa_scalars(params: KerrParams, p: BLPoint):
-    """Killing-spinor scalar kappa1 = -(r - i a cos theta)/3 and U = -d log kappa1."""
-    _check_point(params, p)
-    k1, U = _at(params, p.r, p.theta, "kappa1", "U")
-    return complex(k1), TensorValue((DOWN,), U)
 
 
 def _tetrad(params: KerrParams, r, th):
@@ -346,16 +332,6 @@ def _principal_tetrad(params: KerrParams, r, th):
     if worst > 1e-11:
         raise CalibrationError(f"tetrad normalization residual {worst} above 1e-11")
     return legs
-
-
-def principal_tetrad(params: KerrParams, p: BLPoint):
-    """Principal null tetrad (l, n, m, mbar) as contravariant TensorValues.
-
-    Normalized against ghat = -g: ghat(l,n) = 1, ghat(m,mbar) = -1, and
-    ghat_ab = 2(l_(a n_b) - m_(a mbar_b)); verified before returning.
-    """
-    _check_point(params, p)
-    return tuple(TensorValue((UP,), v) for v in _principal_tetrad(params, p.r, p.theta))
 
 
 def tetrad_reconstruction_residual(params: KerrParams, p: BLPoint) -> float:

@@ -13,12 +13,13 @@ the field at all of its points in one call, checked over the whole array,
 and the geometry in one broadcasting closed-form call per quantity; the
 rest is array arithmetic over the leading point axes.
 
-The currents have one core, `_currents`, over any number of centres, and F
-and V one divergence, `_tensor_divergence`.  The one-point functions wrap
-array forms: coulomb_field `_coulomb_F`, uniform_field `_uniform_F`, V_tensor
-`_currents`, and the others the array form of their name (`_divergence` for
-maxwell_divergence_residual).  `maxwell-currents` runs the cores on blocks of
-centres, so that a sweep holds the nested stencils of one block at a time.
+The two fields are the array forms `_coulomb_F` and `_uniform_F`.  The
+currents have one core, `_currents`, over any number of centres, and F and
+V one divergence, `_tensor_divergence`.  The one-point functions wrap array
+forms: V_tensor `_currents`, and the others the array form of their name
+(`_divergence` for maxwell_divergence_residual).  `maxwell-currents` runs
+the cores on blocks of centres, so that a sweep holds the nested stencils
+of one block at a time.
 """
 
 from __future__ import annotations
@@ -47,19 +48,6 @@ def _check_antisymmetric(F):
     skew = np.max(np.abs(F + np.swapaxes(F, -1, -2)), axis=(-2, -1))
     if np.any(skew > 1e-13 * np.maximum(1.0, np.max(np.abs(F), axis=(-2, -1)))):
         raise ValueError("field strength is not antisymmetric")
-
-
-@dataclass(frozen=True)
-class MaxwellSample:
-    """Antisymmetric real field strength at a single exterior point."""
-
-    F: TensorValue
-    point: BLPoint
-
-    def __post_init__(self):
-        if self.F.variance != (DOWN, DOWN):
-            raise ValueError("field strength must be a down-down 2-form")
-        _check_antisymmetric(self.F.components)
 
 
 @dataclass(frozen=True)
@@ -141,22 +129,6 @@ def _calibration(params: KerrParams, field: str):
     return True
 
 
-def coulomb_field(params: KerrParams, q: float, p: BLPoint) -> MaxwellSample:
-    """Stationary Coulomb-type Maxwell field of charge q (F = dA closed by
-    construction)."""
-    _calibration(params, "coulomb")
-    return MaxwellSample(TensorValue((DOWN, DOWN), q * _coulomb_F(params, p.coords)), p)
-
-
-def uniform_field(params: KerrParams, b: float, p: BLPoint) -> MaxwellSample:
-    """Uniform-magnetic-field Maxwell test solution of strength b.
-
-    Unlike the Coulomb field this one is not aligned with the principal null
-    directions, so it produces nonzero Z, eta and V."""
-    _calibration(params, "uniform")
-    return MaxwellSample(TensorValue((DOWN, DOWN), b * _uniform_F(params, p.coords)), p)
-
-
 def maxwell_divergence_residual(params, F_field, p: BLPoint, step=1e-3) -> float:
     """max_b |nabla^a F_ab| at p for a field (pts[..., 4] -> F[..., 4, 4]), by
     fourth-order central differences."""
@@ -170,17 +142,6 @@ def _np_scalars(F, legs, r, theta, a):
     c = lambda u, v: np.einsum("...a,...ab,...b->...", u, F, v)
     phi1 = 0.5 * (c(l, n) + c(mb, mv))
     return c(l, mv), phi1, c(mb, n), (r - 1j * a * np.cos(theta)) ** 2 * phi1
-
-
-def np_scalars(sample: MaxwellSample, tetrad):
-    """Newman-Penrose components (phi0, phi1, phi2) and Upsilon = (r - ia cos theta)^2 phi1.
-
-    For a source-free field aligned with the principal null directions
-    (phi0 = phi2 = 0), Upsilon is constant over the exterior.
-    """
-    p = sample.point
-    legs = [x.components for x in tetrad]
-    return tuple(map(complex, _np_scalars(sample.F.components, legs, p.r, p.theta, p.params.a)))
 
 
 def _Z(starF, ginv, Y):

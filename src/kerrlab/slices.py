@@ -75,11 +75,6 @@ def _curvature(data, points, step):
     return np.einsum("...ab,...ab->...", hinv[:, 0], ricci), outer, hinv, g0
 
 
-def scalar_curvature(data: SliceData, p) -> float:
-    """Ricci scalar of h at p by nested finite differences of step 1e-3."""
-    return float(_curvature(data, [p], 1e-3)[0][0])
-
-
 def constraint_residual(data: SliceData, points, step=1e-3):
     """Hamiltonian and momentum constraint residuals at each sample point.
 
@@ -94,14 +89,6 @@ def constraint_residual(data: SliceData, points, step=1e-3):
     nk = _cov_fd(k, gamma, (DOWN, DOWN), step, "d1_4")
     div_k = np.einsum("...bc,...bca->...a", hinv0, nk)
     return scal + trk[:, 0] ** 2 - ksq, div_k - _partial_fd(trk, step, "d1_4", 0)
-
-
-def flat_slice() -> SliceData:
-    """Euclidean 3-space with vanishing extrinsic curvature."""
-    return SliceData(
-        h_sampler=lambda p: np.eye(3),
-        k_sampler=lambda p: np.zeros((3, 3)),
-    )
 
 
 def schwarzschild_slice(m: float) -> SliceData:

@@ -2,9 +2,9 @@
 
 The field psi(t, r*, theta) e^{i m_phi phi} is evolved on a uniform
 (tortoise, polar-angle) lattice with a second-order leapfrog scheme.  The
-module provides the reduced wave operator, the Carter operator Q, the
-second-order symmetry algebra, and the densities of the model energy and of
-the Morawetz bulk integral with a trapping cutoff.
+module provides the reduced wave operator, the Carter operator Q, and the
+densities of the model energy and of the Morawetz bulk integral with a
+trapping cutoff, summed over the words of the second-order symmetry algebra.
 
 Operator conventions.  With Sigma = r^2 + a^2 cos^2 theta the combination
 Sigma Box splits as R(r) + Q + d_phi^2-terms where R involves only (t, r)
@@ -84,18 +84,6 @@ MAX_REPORTS = 10**4  # report passes of one evolve (criterion 4's evolves make 3
 # ---------------------------------------------------------------------------
 
 
-def tortoise_from_radius(params: KerrParams, r):
-    """r*(r) = r + (2m r+ / (r+ - r-)) ln((r - r+)/(2m)) - (r- mirror term)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= params.r_plus):
-        raise DomainError("tortoise map needs r > r_plus")
-    m, rp, rm = params.m, params.r_plus, params.r_minus
-    out = r + (2 * m * rp / (rp - rm)) * np.log((r - rp) / (2 * m))
-    if rm > 1e-14:
-        out -= (2 * m * rm / (rp - rm)) * np.log((r - rm) / (2 * m))
-    return out
-
-
 def horizon_gap_from_tortoise(params: KerrParams, rstar):
     """rho = r - r_plus as a function of r*, solved by Newton in log(rho).
 
@@ -149,12 +137,6 @@ def horizon_gap_from_tortoise(params: KerrParams, rstar):
             raise DomainError(f"tortoise inversion did not converge at r*={rstar[unsettled[0]]}")
     out = libm(math.exp, u)
     return out if out.shape != (1,) else float(out[0])
-
-
-def radius_from_tortoise(params: KerrParams, rstar):
-    """Inverse of the tortoise map."""
-    rho = horizon_gap_from_tortoise(params, rstar)
-    return params.r_plus + rho
 
 
 def cutoff_bump(r, m):
@@ -395,20 +377,19 @@ def _product(grid: WaveGrid, psi):
 class ModeField2p1:
     """Field state: psi and psi_t on the grid at a given time.
 
-    history, when present, is a (levels, dt) pair of consecutive psi levels
-    maintained by the evolver for time-derivative diagnostics; `psi` sits at
-    levels[-4], i.e. the levels extend three steps past `time`; they are
-    float64 when `evolve` stepped in real arithmetic.  `carter_Q` and
-    `reduced_wave_apply` read the three levels around `psi` through the
-    stack layer, which refuses a history of fewer than 5 levels; without a
-    history, `reduced_wave_apply` treats the field as stationary.
+    history, when present, is the (levels, dt) pair that `evolve` returns:
+    its final window, a list of 7 consecutive psi levels, and its step.
+    `psi` sits at levels[-4], i.e. the levels extend three steps past
+    `time`; they are float64 when `evolve` stepped in real arithmetic.  A
+    diagnostic reads the levels through the stack layer (`_stack`,
+    `_levels`), which takes a list or an array.
     """
 
     grid: WaveGrid
     psi: np.ndarray
     psi_t: np.ndarray
     time: float = 0.0
-    history: tuple = None  # (ndarray of shape (L, n_r, n_theta), dt)
+    history: tuple = None  # ([L levels of shape (n_r, n_theta)], dt)
 
     def __post_init__(self):
         self.psi = np.asarray(self.psi, dtype=complex)
@@ -549,28 +530,6 @@ def carter_q_stack(grid: WaveGrid, stack, dt, out=None, work=None):
     return out
 
 
-def carter_Q(field: ModeField2p1):
-    """Q psi at the field's current time, using the stored history for d_t^2."""
-    if field.history is None:
-        raise DomainError("carter_Q needs an evolver-maintained history")
-    levels, dt = field.history
-    return carter_q_stack(field.grid, _stack(levels, 5, "carter_Q")[-5:-2], dt)[0]
-
-
-def reduced_wave_apply(field: ModeField2p1):
-    """Box psi on the grid.
-
-    Uses the stored history for time derivatives, which must then hold at
-    least 5 levels; without a history the field is treated as stationary (a
-    constant stack, so the time-derivative terms vanish), which is exact for
-    static test profiles.
-    """
-    if field.history is None:
-        return box_stack(field.grid, np.array([field.psi] * 3), 1.0)[0]
-    levels, dt = field.history
-    return box_stack(field.grid, _stack(levels, 5, "reduced_wave_apply")[-5:-2], dt)[0]
-
-
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -664,9 +623,8 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
     7-level window centred on its time, in report buffers allocated once per
     evolve.  The ratio column is bulk_cumulative / e_model3(t=0).
 
-    The returned field's history is the final 7-level window as one array,
-    filled after the report buffers are freed, so that a run's memory peak
-    is its stepping, not the window and its copy side by side.
+    The returned field's history is (levels, dt): the final 7-level window,
+    the list of levels itself, handed over without a copy.
 
     Without the rotation term (grid.rotates false) and with real data, the
     levels and the returned history are float64, otherwise complex; the
@@ -727,45 +685,16 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
         reports.append(EnergyReport(time=t, e_model3=e, bulk_increment=b,
                                     bulk_cumulative=bulk_cum, ratio=bulk_cum / e0))
 
-    # final state at t_end = n_steps * dt sits at the window center; each
-    # level leaves the window once copied into the history
+    # final state at t_end = n_steps * dt sits at the window center
     del work
-    psi_final = levels[-4]
-    psi_t_final = _dt_at(levels[-3], levels[-5], dt)
-    history = np.empty((len(levels),) + psi_final.shape, psi_final.dtype)
-    for k in range(len(levels)):
-        history[k] = levels[k]
-        levels[k] = None
-    out = ModeField2p1(grid=grid, psi=psi_final, psi_t=psi_t_final,
-                       time=n_steps * dt, history=(history, dt))
+    out = ModeField2p1(grid=grid, psi=levels[-4], psi_t=_dt_at(levels[-3], levels[-5], dt),
+                       time=n_steps * dt, history=(levels, dt))
     return out, reports
 
 
 # ---------------------------------------------------------------------------
-# symmetry algebra and the base fields of the report densities
+# the base fields of the report densities
 # ---------------------------------------------------------------------------
-
-S2_WORDS = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1))  # d_t^2, d_t d_phi, d_phi^2, Q
-S1_WORDS = ((1, 0, 0), (0, 1, 0))
-S0_WORDS = ((0, 0, 0),)
-
-
-def symmetry_apply(grid: WaveGrid, stack, dt, word):
-    """Apply d_t^{n_t} d_phi^{n_phi} Q^{n_Q} to a stack of time levels.
-
-    Each d_t or Q consumes one level from each end of the stack.
-    Returns the transformed (shorter) stack.
-    """
-    n_t, n_phi, n_q = word
-    if n_t + n_phi + 2 * n_q > 3:
-        raise DomainError("symmetry words above total order 3 are unsupported")
-    stack = _stack(stack, 2 * (n_t + n_q) + 1, "symmetry_apply")
-    for _ in range(n_t):
-        stack = _centered_dt(stack, dt)
-    stack = stack * (1j * grid.m_phi) ** n_phi
-    for _ in range(n_q):
-        stack = carter_q_stack(grid, stack, dt)
-    return stack
 
 
 def _base_weights(m_phi):

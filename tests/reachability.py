@@ -4,7 +4,8 @@ which of their values no program caller varies.
 The trace runs, in this one process and under `sys.setprofile`:
   * the nine subcommands of `kerrlab.cli` at their default configs
     (`geodesic` and `wave-evolve` with `--csv`),
-    `maxwell-currents --field coulomb` and `morawetz --threads 2`;
+    `maxwell-currents --field coulomb`, `morawetz --threads 2` and
+    `kerr-check --config FILE`;
   * the acceptance criteria but the fourth, `tests/test_acceptance.py
     -k "not criterion_4"` (criterion 4 reaches nothing that `wave-evolve`
     does not, and takes most of the suite's time).
@@ -12,9 +13,8 @@ Every report and CSV is written to a temporary directory.  Then it prints each
 function defined under src/kerrlab that never ran, with the number of lines
 of its definition (the `def` line through its last line), and the totals.  A
 function nested in one that never ran is counted in its enclosing function's
-lines, not listed again.  `cli._send_outcome` runs only in the child that
-`morawetz --threads 2` forks, which `sys.setprofile` does not see, so it is
-listed although it ran.
+lines, not listed again.  The functions of UNTRACED run where the trace
+cannot see them, and are named there with the place they run.
 
 The census that follows reads the source alone.  The program's callers are
 src/kerrlab (the CLI among it), tests/test_acceptance.py and perfbench/;
@@ -38,7 +38,10 @@ the calling module first, and a wrapper that passes on its own *args and
     bound of `cli._check`: a key that can only move a check's bound.
 What is listed but kept on purpose is named under KEPT, with the reason.
 
-Run from anywhere, with numpy and pytest installed:
+The script exits 1 if a function that never ran is neither in UNTRACED nor
+in KEPT, if the census lists a row that KEPT does not name, or if an entry of
+KEPT or UNTRACED names nothing that is listed; else 0.  Run from anywhere,
+with numpy and pytest installed:
 
     python tests/reachability.py
 
@@ -48,6 +51,7 @@ The file name keeps pytest from collecting it.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import sys
 import tempfile
@@ -73,6 +77,10 @@ def _runs(out):
     runs.append(("maxwell-currents --field coulomb", argv))
     argv = ["morawetz", "--threads", "2", "--out", os.path.join(out, "forked.json")]
     runs.append(("morawetz --threads 2", argv))
+    config = os.path.join(out, "config.json")
+    with open(config, "w") as fh:
+        json.dump({"out": os.path.join(out, "configured.json")}, fh)
+    runs.append(("kerr-check --config FILE", ["kerr-check", "--config", config]))
     return runs
 
 
@@ -111,21 +119,26 @@ PROGRAM = ([os.path.join(PACKAGE, f) for f in sorted(os.listdir(PACKAGE)) if f.e
               for f in sorted(os.listdir(os.path.join(ROOT, "perfbench"))) if f.endswith(".py")])
 # The generated kernels all take (m, a, r, th), whether their form reads m or not.
 GENERATED = ("_closed_forms",)
-# Listed by the census, but kept: name -> reason.
+# Functions that run where `sys.setprofile` does not see them: name -> where.
+UNTRACED = {
+    **dict.fromkeys(("_derive._exprs", "_derive._nonzero", "_derive._kernel", "_derive.emit",
+                     "_derive.main"), "the derivation, `python -m kerrlab._derive` (needs sympy)"),
+    "cli._send_outcome": "the child that `morawetz --threads 2` forks",
+}
+# Listed by the census or never run, but kept: name -> reason.
 KEPT = {
+    "__init__.__dir__": "dir(kerrlab) lists the public names before they resolve (PEP 562)",
     "hyperbolic1d.apply_wave_operator(twist)":
         "the reference that tests hold the twisted cauchy_solve against",
-    "geodesics.circular_orbit_state(prograde)":
-        "the two orbit senses of Bardeen, Press & Teukolsky (1972)",
     "geodesics.photon_orbit_radius(prograde)":
         "the two orbit senses of Bardeen, Press & Teukolsky (1972)",
-    "hyperbolic1d.causal_propagator(potential)": "the potential V of P = box + V, as green takes it",
-    "hyperbolic1d.green":
-        "the oracle that tests hold the stacked Green march of green_clause_residuals against",
     "hyperbolic1d.green_clause_residuals(potential)":
         "the one-potential form of the clause check; the green command marches its two at once",
     "hyperbolic1d.formal_dual_residual(potential)": "the potential V of P = box + V, as green takes it",
     "cli.main(argv)": "None reads sys.argv; an in-process caller passes a list",
+    "kerr.BLPoint(t)":
+        "the time component of coords, which the 4-D stencils difference; the program "
+        "samples the stationary geometry at t = 0",
     "_derive.main(argv)": "None reads sys.argv, as in cli.main",
     "geodesics.conserved_drift(causal_type)": "criterion 2 passes it, and the criteria are fixed",
     "geodesics._geodesic_rhs.rhs(tau)":
@@ -278,7 +291,8 @@ def _bound_keys(tree):
 def census():
     """Print the parameters and dataclass fields that no program caller
     varies, the parameters that their function never reads, the CLI config
-    keys that only move a check's bound, and what of these is kept."""
+    keys that only move a check's bound, and what of these is kept; return
+    the labels of the rows listed but not kept, and of those kept."""
     trees = {path: ast.parse(open(path).read(), path) for path in PROGRAM}
     defs = [(path, c) for path in PROGRAM if os.path.dirname(path) == PACKAGE
             for c in _callables(os.path.basename(path)[:-3], trees[path])]
@@ -383,6 +397,8 @@ def census():
     print(f"\nlisted by the census but kept ({len(kept)}):")
     for label, _, line in kept:
         print(f"  {label}  (line {line}): {KEPT[label]}")
+    return [row[0] for rows in (unset, one_value, unread, fields, bound_keys)
+            for row in rows if row[0] not in KEPT], [row[0] for row in kept]
 
 
 def main():
@@ -429,11 +445,24 @@ def main():
 
     print(f"\nfunctions under src/kerrlab that never ran ({len(unreached)} of {total_functions}):")
     for module, name, first, lines in unreached:
-        reason = KEPT.get(f"{module}.{name}")
-        print(f"  {lines:4d}  {module}.{name}  (line {first}){': kept, ' + reason if reason else ''}")
+        label = f"{module}.{name}"
+        reason = (f": untraced, {UNTRACED[label]}" if label in UNTRACED
+                  else f": kept, {KEPT[label]}" if label in KEPT else "")
+        print(f"  {lines:4d}  {label}  (line {first}){reason}")
     print(f"  {unreached_lines:4d}  lines in {len(unreached)} functions")
-    census()
+    listed, kept = census()
+
+    never_ran = [f"{module}.{name}" for module, name, _, _ in unreached]
+    faults = [f"never ran, and neither untraced nor kept: {label}" for label in never_ran
+              if label not in UNTRACED and label not in KEPT]
+    faults += [f"listed by the census, and not kept: {label}" for label in listed]
+    faults += [f"names nothing listed: {label}" for label in {**UNTRACED, **KEPT}
+               if label not in never_ran and label not in kept]
+    print(f"\nfaults ({len(faults)}):")
+    for fault in faults:
+        print(f"  {fault}")
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -735,22 +735,20 @@ def test_large_masses_end_in_an_exit_code(tmp_path, args):
 @pytest.mark.parametrize("field", ["uniform", "coulomb"])
 def test_maxwell_currents_blocks_agree_with_the_one_point_functions(monkeypatch, field):
     # 7 points in blocks of 3, so that the last block is short: each entry is
-    # what the one-point public functions give at its point, bit for bit for
-    # the currents and the Maxwell residual, and to 1e-14 relative for the NP
-    # scalars and the energy density (the tetrad, g and ginv are evaluated
-    # there one point at a time, on the closed forms' scalar path)
+    # what the one-point functions give at its point, bit for bit for the
+    # currents and the Maxwell residual, and to 1e-14 relative for the NP
+    # scalars and the energy density (the field, the tetrad, g and ginv are
+    # evaluated there one point at a time, on the closed forms' scalar path)
     import kerrlab.cli as cli
-    from kerrlab import (V_tensor, coulomb_field, dominant_energy_value,
-                         maxwell_divergence_residual, np_scalars, principal_tetrad,
-                         uniform_field)
-    from kerrlab.maxwell import _CALIBRATIONS
+    from kerrlab import V_tensor, dominant_energy_value, maxwell_divergence_residual
+    from kerrlab.kerr import _principal_tetrad
+    from kerrlab.maxwell import _CALIBRATIONS, _np_scalars
 
     monkeypatch.setattr(cli, "MAXWELL_BLOCK_CENTRES", 3)
     _, cfg = parse_config(["maxwell-currents", "--field", field, "--n-points", "7"])
     results, _, _ = cli._run_maxwell_currents(cfg)
     params, step, q = KerrParams(cfg["m"], cfg["a"]), cfg["step"], cfg["strength"]
     F_field = lambda pts: q * _CALIBRATIONS[field][1](params, pts)
-    make = {"uniform": uniform_field, "coulomb": coulomb_field}[field]
     points = random_exterior_points(params, 7, np.random.default_rng(cfg["seed"]))
     assert len(results["per_point"]) == 7
     for p, pp in zip(points, results["per_point"]):
@@ -762,7 +760,8 @@ def test_maxwell_currents_blocks_agree_with_the_one_point_functions(monkeypatch,
         assert np.array_equal(pp["eta"], rep.eta.components)
         assert pp["maxwell_residual"] == maxwell_divergence_residual(params, F_field, p, step=step)
 
-        phis = np_scalars(make(params, q, p), principal_tetrad(params, p))
+        phis = _np_scalars(F_field(p.coords), _principal_tetrad(params, p.r, p.theta),
+                           p.r, p.theta, params.a)
         scale = max(map(abs, phis[:3]))
         for name, value in zip(("phi0", "phi1", "phi2"), phis):
             assert abs(pp["np_scalars"][name] - value) <= 1e-14 * scale, name

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import circular_orbit_state, trajectory_state
+
 import kerrlab.geodesics as geodesics
-from kerrlab import (BLPoint, KerrParams, circular_orbit_state,
-                     conserved_drift, conserved_quantities, integrate_geodesic,
-                     normalize_velocity, photon_orbit_radius)
+from kerrlab import (BLPoint, KerrParams, conserved_drift, conserved_quantities,
+                     integrate_geodesic, normalize_velocity, photon_orbit_radius)
 
 
 def test_circular_orbit_conserved_closed_form():
@@ -140,7 +141,7 @@ def test_conserved_series_matches_pointwise_integrals():
     series = conserved_series(params, traj.x, traj.u)
     assert series.shape == (7, 4)
     for i in range(7):
-        c = conserved_quantities(params, traj.state(i, "timelike"))
+        c = conserved_quantities(params, trajectory_state(traj, i, "timelike"))
         assert np.allclose(series[i, :3], [c.e, c.lz, c.k], rtol=1e-13, atol=1e-13)
     assert np.allclose(series[:, 3], -1.0, atol=1e-10)
 

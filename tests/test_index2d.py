@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import eta_abel_oracle, reversed_profile
+
 from kerrlab import (ConnectionProfile, DomainError, GuardBandError,
-                     charge_report, chern_integral, eta_abel_oracle,
-                     eta_h_circle, mode_kernel_count,
-                     ramp_profile, reversed_profile)
+                     charge_report, chern_integral, eta_h_circle,
+                     mode_kernel_count, ramp_profile)
 from kerrlab import index2d
 from kerrlab.index2d import _mode_solution_moduli
 

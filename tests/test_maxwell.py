@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kerrlab import (BLPoint, DomainError, KerrParams, V_tensor, coulomb_field,
-                     dominant_energy_value, kerr_metric,
-                     maxwell_divergence_residual, np_scalars, principal_tetrad,
-                     random_exterior_points, uniform_field)
-from kerrlab.kerr import _ky_calibration
-from kerrlab.maxwell import _coulomb_F, _eta, _sample, _uniform_F
+from kerrlab import (BLPoint, DomainError, KerrParams, V_tensor, dominant_energy_value,
+                     kerr_metric, maxwell_divergence_residual, random_exterior_points)
+from kerrlab.kerr import _ky_calibration, _principal_tetrad
+from kerrlab.maxwell import _coulomb_F, _eta, _np_scalars, _sample, _uniform_F
 from kerrlab.tensors import _hodge, _stencil
 
 PARAMS = KerrParams(1.0, 0.5)
@@ -36,8 +34,9 @@ def test_coulomb_np_scalars_aligned():
     # phi0 = phi2 = 0 and Upsilon = (r - i a cos theta) phi1 is constant
     ups = []
     for p in pts(4, seed=23):
-        sample = coulomb_field(PARAMS, 1.0, p)
-        phi0, phi1, phi2, upsilon = np_scalars(sample, principal_tetrad(PARAMS, p))
+        phi0, phi1, phi2, upsilon = _np_scalars(_coulomb_F(PARAMS, p.coords),
+                                                _principal_tetrad(PARAMS, p.r, p.theta),
+                                                p.r, p.theta, PARAMS.a)
         assert abs(phi0) < 1e-10 and abs(phi2) < 1e-10
         assert abs(phi1) > 0
         ups.append(upsilon)
@@ -46,8 +45,9 @@ def test_coulomb_np_scalars_aligned():
 
 def test_uniform_np_scalars_not_aligned():
     p = pts(1, seed=24)[0]
-    sample = uniform_field(PARAMS, 1.0, p)
-    phi0, phi1, phi2, _ = np_scalars(sample, principal_tetrad(PARAMS, p))
+    phi0, phi1, phi2, _ = _np_scalars(_uniform_F(PARAMS, p.coords),
+                                      _principal_tetrad(PARAMS, p.r, p.theta),
+                                      p.r, p.theta, PARAMS.a)
     assert max(abs(phi0), abs(phi2)) > 1e-6
 
 
@@ -88,9 +88,8 @@ def test_dominant_energy_leading_part():
 
 def test_hodge_dual_of_coulomb_antisymmetric():
     p = pts(1, seed=27)[0]
-    sample = coulomb_field(PARAMS, 1.0, p)
     metric = kerr_metric(PARAMS, p)
-    c = _hodge(sample.F.components.real, metric.g_inv.components.real, metric.sqrt_abs_det)
+    c = _hodge(_coulomb_F(PARAMS, p.coords), metric.g_inv.components.real, metric.sqrt_abs_det)
     assert np.max(np.abs(c + c.T)) < 1e-10 * max(1.0, np.max(np.abs(c)))
 
 
