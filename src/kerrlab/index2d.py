@@ -153,17 +153,17 @@ def _mode_solution_moduli(profile: ConnectionProfile, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
 
     def sample(n):
-        if (2 * n + 1) * ks.size > MAX_MODE_SAMPLES:
-            raise DomainError(f"mode check of {ks.size} modes needs {n:.3g} RK4 steps, "
-                              f"above {MAX_MODE_SAMPLES} samples")
-        avals = profile._samples if n == _BASE_STEPS else _sample_a(profile, 2 * n + 1)
+        if (2 * n + 1) * ks.size > MAX_MODE_SAMPLES:  # inf included
+            raise DomainError(f"mode check of {ks.size} modes of the profile over T = "
+                              f"{profile.T:.3g} needs {n:.3g} RK4 steps, above {MAX_MODE_SAMPLES} samples")
+        avals = profile._samples if n == _BASE_STEPS else _sample_a(profile, 2 * int(n) + 1)
         return ks[None, :] + avals[:, None]
 
     n = _BASE_STEPS
     rates = sample(n)
     fastest = float(np.max(np.abs(rates)))
     if profile.T / n * fastest > 0.1:
-        n = math.ceil(10.0 * profile.T * fastest)
+        n = float(np.ceil(10.0 * profile.T * fastest))  # inf where T max|k + a| overflows
         rates = sample(n)
     z = -1j * (profile.T / n) * rates
     z0, zm, z1 = z[:-1:2], z[1::2], z[2::2]

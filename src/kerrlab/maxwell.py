@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, StabilityError
 from .kerr import (
     BLPoint,
     KerrParams,
@@ -212,8 +212,8 @@ def _currents(params: KerrParams, F_field, centres, step):
     outer layer; the nested eta layer uses the same step.  F_field is called
     once, on the 17 x 9 points of every centre's nested stencil.  Each check
     holds at every centre: _field's; V and its divergence finite, else
-    OverflowError (V is quadratic in the field); V real.  The results are
-    copies, so that no stencil array outlives the call.
+    StabilityError, a numeric failure (V is quadratic in the field); V real.
+    The results are copies, so that no stencil array outlives the call.
     """
     # The outer layer differentiates a field that itself carries O(step^2)
     # inner truncation error plus roundoff amplified by 1/step.  A wider
@@ -234,7 +234,7 @@ def _currents(params: KerrParams, F_field, centres, step):
         div = _tensor_divergence(V, ginv[..., 0, :, :], geo["gamma"][..., 0, 0, :, :, :], h)
     Z, eta, V = Z[..., 0, :, :], eta[..., 0, :], V[..., 0, :, :]  # at the centres
     if not all(np.all(np.isfinite(x)) for x in (Z, eta, V, div)):
-        raise OverflowError("V_ab of this field overflows double precision")
+        raise StabilityError("V_ab of this field overflows double precision")
     scale = np.maximum(1.0, np.max(np.abs(V), axis=(-2, -1)))
     if np.any(np.max(np.abs(V.imag), axis=(-2, -1)) > 1e-11 * scale):
         raise CalibrationError("V has a non-negligible imaginary part")

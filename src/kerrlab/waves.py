@@ -643,7 +643,7 @@ def evolve(field: ModeField2p1, t_end: float, cfl: float = 0.5, report_dt: float
     require_normal("the time step dt", dt, 2)  # the d2 stencils divide by dt^2
     if report_dt is None:
         report_dt = t_end / 8.0
-    report_stride = max(int(round(report_dt / dt)), 1)
+    report_stride = max(int(round(min(report_dt, t_end) / dt)), 1)  # past t_end: at 0 and t_end
     n_reports = -(-n_steps // report_stride) + 1  # centres 0, stride, 2 stride, ... and n_steps
     if diagnostics and n_reports > MAX_REPORTS:
         raise DomainError(f"an evolve to t = {t_end:.3g} reporting every {report_stride} x "

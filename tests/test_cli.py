@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,9 +14,9 @@ import pytest
 import kerrlab
 from kerrlab import (DomainError, KerrParams, conformal_ky_residual, kerr_metric,
                      killing_tensor_residual, killing_tensor_residual_fd,
-                     killing_yano_residual, killing_yano_residual_fd,
+                     killing_yano_residual, killing_yano_residual_fd, photon_orbit_radius,
                      random_exterior_points, tetrad_reconstruction_residual, xi_oneform)
-from kerrlab.cli import COMMON, SCHEMAS, main, parse_config
+from kerrlab.cli import COMMON, HANDLERS, SCHEMAS, _interval, main, parse_config
 
 
 def subprocess_env():
@@ -307,7 +308,7 @@ OVERSIZE_1P1 = [
 # and every float key at 1e308, whose double overflows
 EDGE_SWEEP = [[sub, f"--{key.replace('_', '-')}={value}"]
               for sub, schema in SCHEMAS.items()
-              for key, (caster, _default, _help) in schema.items() if caster in (int, float)
+              for key, (caster, _default, _help, _range) in schema.items() if caster in (int, float)
               for value in ("0", "-1", *(("1e300", "1e308") if caster is float else (str(10**18),)))]
 EDGE_SWEEP += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_SWEEP]
 # the removed bound keys of the 1+1 subcommands, at the same values: unknown flags
@@ -320,11 +321,11 @@ EDGE_KERR = [argv for argv in EDGE_SWEEP if argv not in EDGE_1P1]
 
 # Seeds, counts, strengths, tolerances and starts the geometry subcommands
 # cannot use: each must be refused as an input error.  A field strength of
-# 1e300 overflows V_ab, one of 1e308 the field itself, and one of 0 makes
-# every current and residual 0; an integrator tolerance of 1e300 lets the
-# integrator step where the geodesic right-hand side is NaN.  On the
-# ergosurface (r = 2m on the equator, g_tt = 0) with u^phi = 0 the
-# normalization does not fix u^t.
+# 1e300 or 1e308 lies outside the range of strength (V_ab would overflow),
+# and one of 0 makes every current and residual 0; an integrator tolerance
+# of 1e300 lets the integrator step where the geodesic right-hand side is
+# NaN.  On the ergosurface (r = 2m on the equator, g_tt = 0) with u^phi = 0
+# the normalization does not fix u^t.
 EDGE_GEOMETRY = [
     ["kerr-check", "--seed=-1"], ["maxwell-currents", "--seed=-1"],
     ["kerr-check", f"--n-points={10**18}"], ["maxwell-currents", f"--n-points={10**18}"],
@@ -342,6 +343,32 @@ VALID_GEOMETRY = [
     ["geodesic", "--r0=2"],
 ]
 EDGE_GEOMETRY += VALID_GEOMETRY
+# The physically special inputs of each geometry, at the default m = 1 and
+# a = 0.5, and their exit codes: the horizon r+ and r+(1 + 1e-12) (where no
+# timelike completion exists), the ergosurface r = m + sqrt(m^2 - a^2 cos^2
+# theta) off the equator, theta on and near the axis, a = m and
+# a = m(1 - 1e-15) on all five geometry subcommands, the prograde photon
+# orbit, started timelike and as a circular null orbit, and a start at
+# r0 = 1e51 about a hole of m = 1e42, whose closed forms multiply past 1e300
+# (as floats, which overflow to inf rather than raise), with and without a
+# velocity.
+GEOMETRY_SUBCOMMANDS = ("kerr-check", "geodesic", "wave-evolve", "morawetz", "maxwell-currents")
+_DEFAULT_KERR = KerrParams(1.0, 0.5)
+_PHOTON_ORBIT = photon_orbit_radius(_DEFAULT_KERR)
+SPECIAL_GEOMETRY = {
+    ("geodesic", f"--r0={_DEFAULT_KERR.r_plus!r}"): 2,
+    ("geodesic", f"--r0={_DEFAULT_KERR.r_plus * (1 + 1e-12)!r}"): 2,
+    ("geodesic", f"--r0={1 + math.sqrt(1 - 0.25 * math.cos(1.0) ** 2)!r}", "--theta0=1.0"): 0,
+    **{("geodesic", f"--theta0={theta!r}"): 2 for theta in (0.0, math.pi, 1e-300)},
+    **{(sub, f"--a={a!r}"): code
+       for sub in GEOMETRY_SUBCOMMANDS for a, code in ((1.0, 2), (1 - 1e-15, 0))},
+    ("geodesic", f"--r0={_PHOTON_ORBIT!r}"): 0,
+    ("geodesic", f"--r0={_PHOTON_ORBIT!r}", "--causal=null", "--ur0=0", "--utheta0=0",
+     "--uphi0=0.1"): 0,
+    ("geodesic", "--r0=1e51", "--m=1e42"): 2,
+    ("geodesic", "--r0=1e51", "--m=1e42", "--ur0=0", "--utheta0=0", "--uphi0=0"): 1,
+}
+EDGE_GEOMETRY += [list(argv) for argv in SPECIAL_GEOMETRY]
 
 EDGE_DRIVER = """
 import contextlib, io, json, signal, sys, traceback, warnings
@@ -438,6 +465,131 @@ def test_a_twist_whose_square_overflows_is_refused_by_its_key(tmp_path, capsys, 
     assert main(["dirac", f"{flag}=1e150", "--out", out]) == 1
 
 
+# The inputs that overflowed mid-run, after set-up work, and left through a
+# catch-all that called them input errors naming no key.  Each is refused
+# before any work by its key's range, or by the joint quotient that names its
+# keys (T / (cfl 2 pi / n_x), 10 T max|k + a|).  --report-dt=1e308 now runs:
+# a cadence past t_end gives the reports at 0 and t_end.
+OVERFLOWING_INPUTS = [
+    *([sub, f"--m={m}"] for sub in GEOMETRY_SUBCOMMANDS for m in ("1e300", "1e308")),
+    *(["geodesic", f"--{key}={v}"] for key in ("r0", "ur0", "utheta0", "uphi0")
+      for v in ("1e300", "1e308")),
+    *([sub, f"--rstar-max={v}"] for sub in ("wave-evolve", "morawetz") for v in ("1e300", "1e308")),
+    *([sub, "--report-dt=1e308"] for sub in ("wave-evolve", "morawetz")),
+    *([sub, "--T=1e308"] for sub in ("green", "dirac", "index")),
+    *([sub, "--T=-1e308"] for sub in ("green", "dirac")),
+    ["maxwell-currents", "--strength=1e300"], ["maxwell-currents", "--step=5e-324"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_INPUTS, ids=" ".join)
+def test_overflowing_inputs_are_refused_by_their_key(tmp_path, capsys, argv):
+    key = argv[1][2:].split("=")[0].replace("-", "_")
+    out = tmp_path / "r.json"
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if key == "report_dt":
+        assert code == 0, err
+    else:
+        assert code == 2 and "input error: " in err and f"{key} = " in err, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["wave-evolve", "morawetz"])
+def test_a_report_cadence_past_the_run_gives_its_two_reports(tmp_path, sub):
+    # the stride comes from min(report_dt, t_end): 1e308, whose count of
+    # steps is no integer, runs to the results of 1e300 and of t_end itself
+    runs = [run_json(tmp_path, [sub, "--t-end", "1", "--n-r", "32", "--n-theta", "8",
+                                f"--report-dt={dt}"], name=f"{dt}.json")
+            for dt in ("1e308", "1e300", "1")]
+    assert [code for code, _ in runs] == [0, 0, 0]
+    assert runs[0][1]["results"] == runs[1][1]["results"] == runs[2][1]["results"]
+    if sub == "wave-evolve":
+        assert [row[1] for row in runs[0][1]["results"]["series"]] == [0.0, 1.0]
+
+
+def test_an_overflow_in_the_program_is_not_an_input_error(monkeypatch, capsys):
+    # exit 2 means the input was bad: an overflow in the program's own
+    # arithmetic on valid input is not reported as one
+    def overflowing(cfg):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setitem(HANDLERS, "index", overflowing)
+    with pytest.raises(OverflowError):
+        main(["index"])
+    assert "input error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, key", [(sub, key) for sub, schema in SCHEMAS.items()
+                                      for key, (caster, *_) in schema.items() if caster is int]
+                         + [("goursat", "threads")])
+def test_an_integer_beyond_every_double_is_refused_by_its_key(tmp_path, capsys, sub, key):
+    # argparse reads an integer of any size; one beyond the largest double
+    # would overflow where the program takes it as a float
+    assert main([sub, f"--{key.replace('_', '-')}={10**400}", "--out", str(tmp_path / "r.json")]) == 2
+    assert f"input error: {key} must be a finite double" in capsys.readouterr().err
+
+
+def test_a_config_integer_beyond_every_double_is_refused_for_a_real_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"m": 1' + "0" * 400 + "}")
+    assert main(["kerr-check", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "input error: m must be a finite double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", SCHEMAS)
+def test_each_flags_help_states_its_range_from_the_table(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it
+    for key, (_caster, _default, help_text, bounds) in {**SCHEMAS[sub], **COMMON}.items():
+        if bounds:
+            assert f"{help_text}, in {_interval(*bounds[:2])}" in text, key
+
+
+# Every finite end of every range, with the next number beyond it: the next
+# integer for an integer key, the next double for a real one.
+RANGE_ENDS = [(sub, key, caster, end, end + (1 if out > 0 else -1) if caster is int
+               else math.nextafter(end, out))
+              for sub, schema in SCHEMAS.items()
+              for key, (caster, _default, _help, bounds) in {**schema, **COMMON}.items() if bounds
+              for end, out in ((bounds[0], -math.inf), (bounds[1], math.inf)) if math.isfinite(end)]
+
+
+def _flag(key, value):
+    return f"--{key.replace('_', '-')}={value!r}"
+
+
+@pytest.mark.parametrize("sub, key, caster, end, past", RANGE_ENDS,
+                         ids=[f"{sub} {key}={end!r}" for sub, key, _, end, _ in RANGE_ENDS])
+def test_a_range_admits_its_end_and_refuses_the_next_number(sub, key, caster, end, past):
+    assert parse_config([sub, _flag(key, end)])[1][key] == end
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{key} = {past!r} lies outside ')}"):
+        parse_config([sub, _flag(key, past)])
+
+
+# Each end run through main, but the size limits of the sample counts, which
+# the oversize cases meet (10^4 maxwell-currents points take about 12 s).
+RANGE_END_RUNS = [[sub, _flag(key, end)] for sub, key, _, end, _ in RANGE_ENDS
+                  if key not in ("n_points", "n_samples")]
+
+
+@pytest.fixture(scope="module")
+def range_end_outcomes(tmp_path_factory):
+    return edge_outcomes(tmp_path_factory, RANGE_END_RUNS)
+
+
+@pytest.mark.parametrize("case", range(len(RANGE_END_RUNS)),
+                         ids=[" ".join(argv) for argv in RANGE_END_RUNS])
+def test_each_range_end_runs_to_an_exit_code(range_end_outcomes, case):
+    # an end is not refused by its range; a run may still fail its checks
+    # (the numeric failure of exit 1) or meet a library check of its own
+    code, err = range_end_outcomes[case]
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    assert code != 2 or ("input error: " in err and "lies outside" not in err), err
+
+
 @pytest.mark.parametrize("argv", [["--n-x", "32"], ["--T", "0.5", "--n-x", "64"],
                                   ["--T", "0.5", "--n-x", "32", "--twist-a0", "2", "--twist-a1", "1.5"]])
 def test_dirac_measures_its_order_over_halved_steps(tmp_path, monkeypatch, argv):
@@ -459,7 +611,8 @@ def edge_geometry_outcomes(tmp_path_factory):
     return edge_outcomes(tmp_path_factory, EDGE_GEOMETRY)
 
 
-_INVALID_GEOMETRY = [i for i, argv in enumerate(EDGE_GEOMETRY) if argv not in VALID_GEOMETRY]
+_INVALID_GEOMETRY = [i for i, argv in enumerate(EDGE_GEOMETRY)
+                     if argv not in VALID_GEOMETRY and tuple(argv) not in SPECIAL_GEOMETRY]
 
 
 @pytest.mark.parametrize("case", _INVALID_GEOMETRY,
@@ -478,10 +631,18 @@ def test_geometry_edge_points_run_to_a_passing_report(edge_geometry_outcomes, ar
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("argv", SPECIAL_GEOMETRY, ids=" ".join)
+def test_physically_special_geometry_inputs_end_in_their_exit_code(edge_geometry_outcomes, argv):
+    code, err = edge_geometry_outcomes[EDGE_GEOMETRY.index(list(argv))]
+    assert code == SPECIAL_GEOMETRY[argv], err
+    assert code != 2 or "input error" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 # every float key of every subcommand at a tiny value
 EDGE_TINY = [[sub, f"--{key.replace('_', '-')}={value}"]
              for sub, schema in SCHEMAS.items()
-             for key, (caster, _default, _help) in schema.items() if caster is float
+             for key, (caster, _default, _help, _range) in schema.items() if caster is float
              for value in ("1e-300", "5e-324")]
 # The tiny values that hung, or ended in a traceback or a warning, and their
 # exit codes.  Where a run divides by h^p for a step h (the wave runs' dt with
@@ -570,7 +731,7 @@ def test_initial_data_vanishing_on_the_grid_are_an_input_error(vanishing_wave_ou
 ])
 def test_pulse_width_whose_square_is_not_a_normal_double_is_an_input_error(args, capsys):
     # width**2 underflows (or overflows): the data would be inf * 0 = NaN
-    with pytest.raises(DomainError, match="does not square to a normal double"):
+    with pytest.raises(DomainError, match=r"width = .* width\^2 must be a normal double"):
         parse_config(args)
     assert main(args) == 2
     assert "input error" in capsys.readouterr().err
@@ -612,7 +773,7 @@ WRONG_TYPE = {int: 1.5, str: 5, float: "1.5"}
                          ids=list(SCHEMAS) + ["out,threads"])
 def test_config_file_values_of_the_wrong_json_type_are_input_errors(tmp_path, sub, keys):
     cfg = tmp_path / "cfg.json"
-    for key, (caster, _default, _help) in keys.items():
+    for key, (caster, _default, _help, _range) in keys.items():
         for value in (True, WRONG_TYPE[caster]):
             cfg.write_text(json.dumps({key: value}))
             with pytest.raises(DomainError, match=f"config value for {key} must be"):
@@ -629,7 +790,7 @@ def test_config_file_values_resolve_as_their_flags_do(tmp_path, monkeypatch, sub
     cfg = tmp_path / "cfg.json"
     for number in (0.75, 2):
         values = {key: {int: 7, float: number, str: str(tmp_path / key)}[caster]
-                  for key, (caster, _default, _help) in schema.items()}
+                  for key, (caster, _default, _help, _range) in schema.items()}
         cfg.write_text(json.dumps(values))
         from_file = parse_config([sub, "--config", str(cfg)])
         from_flags = parse_config([sub] + [f"--{key.replace('_', '-')}={value}"

@@ -228,3 +228,14 @@ def test_an_imaginary_part_of_V_just_past_its_bound_fails_the_calibration(monkey
     with_imaginary_part(np.nextafter(bound, 1.0))
     with pytest.raises(CalibrationError, match="imaginary part"):
         V_tensor(PARAMS, field, p)
+
+
+def test_an_overflowing_V_is_a_numeric_failure():
+    # V_ab is quadratic in the field: at 1e300 times the uniform field it
+    # exceeds the largest double, an overflow of the computed values, not bad input
+    from kerrlab import StabilityError
+    from kerrlab.maxwell import _currents
+
+    centre = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS).coords
+    with pytest.raises(StabilityError, match="overflows double precision"):
+        _currents(PARAMS, lambda q: 1e300 * _uniform_F(PARAMS, q), centre, 1e-3)
