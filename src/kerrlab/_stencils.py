@@ -3,7 +3,11 @@ kerrlab is an entry of STENCILS formed by `combine`.  Callers keep their own
 boundary handling (wrap padding, parity ghosts, interior levels only,
 one-sided end rows) and hand `combine` the terms, or let `_diff` slice them.
 A quotient multiplies by the reciprocal of c h^p: on complex data numpy's
-division by a real forms that same product, at several times the cost."""
+division by a real forms that same product, at several times the cost.
+
+`on_points` is the one rule by which the program samples a scalar callable
+that a caller supplies (a source, a potential, a twist, null-ray data, a
+connection profile) on the points it differences."""
 
 from __future__ import annotations
 
@@ -31,6 +35,21 @@ def require_normal(what, h, p=1):
     is not a normal double: it would divide by 0, overflow, or lose bits."""
     if not np.finfo(float).tiny <= (h * h if p == 2 else h) < np.inf:
         raise DomainError(f"{what} = {h:g} {'does not square to' if p == 2 else 'is not'} a normal double")
+
+
+def on_points(f, *coords):
+    """f at the points of the coordinate arrays, which broadcast together:
+    one call on full-shape views of them, kept when it gives one value per
+    point; otherwise (TypeError, ValueError, or a result of another shape, a
+    scalar included) one call per point, on Python floats."""
+    coords = np.broadcast_arrays(*coords)
+    try:
+        vals = np.asarray(f(*coords))
+        if vals.shape == coords[0].shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array(list(map(f, *(c.ravel().tolist() for c in coords)))).reshape(coords[0].shape)
 
 
 def mirror(entry):

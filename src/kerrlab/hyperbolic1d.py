@@ -32,11 +32,10 @@ problems (G_+ f, G_- f, G_+ P f, G_- P f) as one stack, the `green` command
 those of both of its potentials, and `dirac_solve_by_squaring` both spinor
 components.
 
-Sampling rule for callables: a source f(t, x) or a connection profile is
-called once on arrays where it accepts them, and by one scalar call per
-point on Python floats where it raises TypeError or ValueError or returns
-values of another shape (`_midpoint_blocks`, and `index2d._on_times`).
-A twist a(t) is called on floats only.
+Every scalar callable (source, potential, twist, null-ray data, and
+`index2d`'s connection profile) is sampled by `_stencils.on_points`; only
+the Dirac spinor source (once per level) and the `slices.SliceData`
+samplers (once per point), which give vectors and matrices, are not.
 
 Real data stay real.  Without a twist, a scalar-wave problem whose fields
 (initial data, source, ray data, the field P acts on) are all real is held
@@ -56,14 +55,13 @@ normal; sigma^{-1} = gamma^0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _stencils
-from ._stencils import _diff
+from ._stencils import _diff, on_points
 from .errors import DomainError, StabilityError
 
 GAMMA0 = np.array([[0.0, 1j], [1j, 0.0]])
@@ -133,8 +131,7 @@ def _field(x):
 
 def sample(grid: Grid1p1, func):
     """Sample func(t, x) on the full space-time lattice, shape (n_t+1, n_x)."""
-    T, X = np.meshgrid(grid.t, grid.x, indexing="ij")
-    return _field(func(T, X))
+    return _field(on_points(func, grid.t[:, None], grid.x))
 
 
 def _dx(u, name, h):
@@ -149,19 +146,17 @@ def _potential(grid, potential):
     potentials (None for none) gives one row of V per problem of a stack."""
     if isinstance(potential, list):
         return np.array([_potential(grid, p) for p in potential])
-    return np.zeros(grid.n_x) if potential is None else np.asarray(potential(grid.x), dtype=float)
+    return np.zeros(grid.n_x) if potential is None else np.asarray(on_points(potential, grid.x), dtype=float)
 
 
 def _twist(twist, t, h):
     """a(t) and its centered rate (a(t + h) - a(t - h)) / 2h on an array of
-    times; zeros without a twist.  One scalar call per value, on Python
-    floats, since a connection may accept floats only (math.sin)."""
+    times; zeros without a twist."""
     t = np.asarray(t, dtype=float)
     if twist is None:
         return np.zeros(t.shape), np.zeros(t.shape)
-    times = t.ravel().tolist()
-    a = np.array([[float(twist(s + k * h)) for s in times] for k in (-1, 0, 1)])
-    return a[1].reshape(t.shape), _diff(a, "d1", h)[0].reshape(t.shape)
+    a = np.asarray(on_points(twist, np.stack([t - h, t, t + h])), dtype=float)
+    return a[1], _diff(a, "d1", h)[0]
 
 
 def cauchy_solve(grid: Grid1p1, f=None, u0=None, u1=None, potential=None, twist=None):
@@ -276,47 +271,15 @@ class GoursatField:
     phi: np.ndarray  # shape (len(uu), len(vv))
 
 
-def _midpoint_blocks(f, um, rows):
-    """f/4 at the cell midpoints (um[i], um[j]) in (u, v), one block of `rows`
-    u-rows at a time (the last block may be shorter): an iterator of arrays
-    of shape (rows, n).
-
-    The first block decides how f is called, and every later block is called
-    the same way: one call on the (t, x) arrays of the block's midpoints when
-    f accepts arrays; otherwise (TypeError/ValueError, or a result that does
-    not broadcast to the block's shape) one scalar call per cell, on the
-    Python floats of those arrays.  A block is complex when any of its
-    values is.
-    """
-    def midpoints(i):
-        uu, vv = um[i:i + rows, None], um[None, :]
-        return 0.5 * (uu + vv), 0.5 * (vv - uu)
-
-    def array_call(i):
-        t, x = midpoints(i)
-        return np.broadcast_to(np.asarray(f(t, x)), t.shape) / 4.0
-
-    def scalar_calls(i):
-        t, x = midpoints(i)
-        return np.array(list(map(f, t.ravel().tolist(), x.ravel().tolist()))).reshape(t.shape) / 4.0
-
-    starts = range(0, um.size, rows)
-    try:
-        first = array_call(0)
-    except (TypeError, ValueError):
-        return map(scalar_calls, starts)
-    return itertools.chain([first], map(array_call, starts[1:]))
-
-
 def goursat_solve(p, q, extent, n, f=None) -> GoursatField:
     """Solve d_u d_v phi = f/4 on [0,extent]^2 with phi(u,0) = p(u), phi(0,v) = q(v).
 
     p, q are callables on the two null rays from the vertex and must agree at
     the vertex.  f, when given, is the wave-operator source f(t, x) (the
-    double-null right-hand side is f/4): a callable on numpy arrays, which is
-    sampled in one call per block of u-rows, or on floats only.  No derivative
-    data is accepted along the rays: the scheme is explicit, so the solution
-    on the future of the rays is fixed by the ray data and the source alone
+    double-null right-hand side is f/4), sampled by `on_points` at the cell
+    midpoints of one block of u-rows at a time.  No derivative data is
+    accepted along the rays: the scheme is explicit, so the solution on the
+    future of the rays is fixed by the ray data and the source alone
     (uniqueness).
 
     The lattice is marched in blocks of about GOURSAT_BLOCK_CELLS cells, so
@@ -348,11 +311,12 @@ def _goursat_rows(p, q, extent, n, f=None):
     h = extent / n
     uu = np.arange(n + 1) * h
     vv = np.arange(n + 1) * h
-    pv = _field([p(u) for u in uu])
-    qv = _field([q(v) for v in vv])
+    pv = _field(on_points(p, uu))
+    qv = _field(on_points(q, vv))
     if abs(pv[0] - qv[0]) > 1e-12 * max(1.0, abs(pv[0])):
         raise DomainError("null data disagree at the vertex")
     rows = max(1, GOURSAT_BLOCK_CELLS // n)
+    um = uu[:-1] + 0.5 * h  # the cell midpoints along each null direction
 
     # the scheme phi[i+1,j+1] = phi[i+1,j] + phi[i,j+1] - phi[i,j] + h^2 mid[i,j]
     # telescopes to the ray data plus a double cumulative sum of the source,
@@ -361,13 +325,14 @@ def _goursat_rows(p, q, extent, n, f=None):
     # lie within one row
     def blocks():
         yield 0, qv.astype(np.result_type(pv, qv))[None, :]
-        sources = _midpoint_blocks(f, uu[:-1] + 0.5 * h, rows) if f is not None else None
         for i, start in enumerate(range(1, n + 1, rows)):
             out = pv[start:start + rows, None] + qv[None, :]
             out -= qv[0]
             out[:, 0] = pv[start:start + rows]
-            if sources is not None:
-                block = next(sources)
+            if f is not None:
+                # f/4 at the midpoints (u, v) of the block's cells, in (t, x)
+                mu, mv = um[start - 1:start - 1 + rows, None], um[None, :]
+                block = on_points(f, 0.5 * (mu + mv), 0.5 * (mv - mu)) / 4.0
                 if i:  # a source may give complex values in some blocks only
                     block = block.astype(np.result_type(block, column_sums), copy=False)
                     block[0] += column_sums
@@ -398,7 +363,9 @@ def _goursat_error(uu, vv, blocks, exact):
 @dataclass(frozen=True)
 class DiracData1p1:
     """Initial spinor u0 (shape (2, n_x)), optional source f(t, x) -> (2, n_x)
-    on the circle's points x, optional connection coefficient a(t)."""
+    on the circle's points x, optional connection coefficient a(t).  f gives
+    a spinor per point, so it is called once per level (`source_samples`),
+    not by `on_points`; a is a scalar, sampled by `on_points`."""
 
     u0: np.ndarray
     f: object = None

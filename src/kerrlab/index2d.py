@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._stencils import require_normal
+from ._stencils import on_points, require_normal
 from .errors import DomainError, GuardBandError, StabilityError
 
 GUARD_LOW = 1e-12
@@ -59,12 +59,11 @@ MAX_MODE_SAMPLES = 2 * 10**6  # RK4 nodes times counted modes in the mode check
 class ConnectionProfile:
     """Smooth holonomy parameter a(t) on [0, T].
 
-    a is a callable of t that takes an array of times and returns a's values
-    on them, or takes one float and returns one value: arrays of times are
-    sampled in one call when a accepts them, else by one call per time
-    (`_on_times`).  a must be constant on the first and last 5% of [0, T],
-    its collars (product form near the boundary, so the transgression term
-    vanishes).
+    a is a callable of t, sampled by `_stencils.on_points`: on an array of
+    times, or on one float at a time.  a must be constant on the first and
+    last 5% of [0, T], its collars (product form near the boundary, so the
+    transgression term vanishes).  The endpoints a(0) and a(T) are the ends
+    of the shared samples, which linspace places at 0 and T exactly.
     """
 
     a: object  # callable t -> a(t), on an array of times or on a float
@@ -75,13 +74,13 @@ class ConnectionProfile:
             raise DomainError("time extent must be positive")
         require_normal(f"the sample spacing T / {2 * _BASE_STEPS}", self.T / (2 * _BASE_STEPS))
         for t0, t1 in ((0.0, 0.05 * self.T), (0.95 * self.T, self.T)):
-            vals = _on_times(self.a, np.linspace(t0, t1, 16))
+            vals = on_points(self.a, np.linspace(t0, t1, 16))
             if not np.max(np.abs(vals - vals[0])) <= 1e-12:  # NaN samples are refused too
                 raise DomainError("a profile must be constant on its collars near the ends")
 
     @property
     def endpoints(self):
-        return float(self.a(0.0)), float(self.a(self.T))
+        return float(self._samples[0]), float(self._samples[-1])
 
     @cached_property
     def _samples(self):
@@ -90,22 +89,9 @@ class ConnectionProfile:
         return _sample_a(self, 2 * _BASE_STEPS + 1)
 
 
-def _on_times(a, ts):
-    """a on the array of times ts: one call on the array when a accepts it
-    and returns one value per time; otherwise (TypeError/ValueError, or a
-    result of another shape) one call per time, on Python floats."""
-    try:
-        vals = np.asarray(a(ts))
-        if vals.shape == ts.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([a(t) for t in ts.tolist()])
-
-
 def _sample_a(profile: ConnectionProfile, count: int) -> np.ndarray:
-    """a on linspace(0, T, count), by the rule of `_on_times`."""
-    return _on_times(profile.a, np.linspace(0.0, profile.T, count))
+    """a on linspace(0, T, count)."""
+    return on_points(profile.a, np.linspace(0.0, profile.T, count))
 
 
 def _smootherstep(s):

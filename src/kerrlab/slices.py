@@ -29,6 +29,8 @@ class SliceData:
 
     h_sampler: point (length-3 array) -> symmetric positive 3x3 array.
     k_sampler: point -> symmetric 3x3 array.
+    Each gives a matrix per point, so each is called once per point
+    (`_sample`), not by `_stencils.on_points`.
     """
 
     h_sampler: object

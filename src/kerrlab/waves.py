@@ -110,8 +110,12 @@ def horizon_gap_from_tortoise(params: KerrParams, rstar):
         F's rounding floor there, in u: its four terms and three sums, and the
         arguments of the logs, of which (rho + r+) - r- cancels near extremality."""
         rho = libm(math.exp, u)
+        x = rho / (2 * m)
+        if (x == 0.0).any():  # exp(u) underflowed, and math.log(0) raises
+            raise DomainError(f"r*={s[np.argmax(x == 0.0)]} lies too deep inside: r - r+ "
+                              f"underflows to 0 in the tortoise inversion")
         r = rp + rho
-        a_log = A * libm(math.log, rho / (2 * m))
+        a_log = A * libm(math.log, x)
         F = r + a_log - s
         b_log = 0.0
         if rm > 1e-14:
@@ -838,21 +842,25 @@ def initial_data(grid: WaveGrid, family: str, center=30.0, width=6.0):
     sin = grid.sin_theta[None, :]
     cos = grid.cos_theta[None, :]
     m = abs(grid.m_phi)
-    # a squared distance beyond double precision is inf, where the pulse
-    # exp(-inf) = 0 takes its limit value
+    # a squared distance, or its ratio to the squared width, beyond double
+    # precision is inf, where the pulse exp(-inf) = 0 takes its limit value;
+    # so is the ingoing slope there, whose product with the pulse is 0
     with np.errstate(over="ignore"):
         dist2 = (rs - center) ** 2
+        # 4 width^2 is (2 width)^2, bit for bit, and inf where that overflows
+        gauss = np.exp(-dist2 / (4.0 * width**2 if family == "gaussian-wide" else width**2))
+        slope = -2.0 * (rs - center) / width**2
     if family == "gaussian-static":
         ang = sin**m * (3.0 * cos**2 - 1.0 + (0.5 if m else 0.0))
-        psi = np.exp(-dist2 / width**2) * ang
+        psi = gauss * ang
         psi_t = np.zeros_like(psi)
     elif family == "gaussian-ingoing":
         ang = sin**m * cos
-        psi = np.exp(-dist2 / width**2) * ang
-        psi_t = (-2.0 * (rs - center) / width**2) * psi  # = +d_rs psi
+        psi = gauss * ang
+        psi_t = np.multiply(slope, psi, out=np.zeros_like(psi), where=np.isfinite(slope))  # = +d_rs psi
     elif family == "gaussian-wide":
         ang = sin**m * (1.0 + 0.3 * cos)
-        psi = np.exp(-dist2 / (2.0 * width) ** 2) * ang
+        psi = gauss * ang
         psi_t = np.zeros_like(psi)
     else:
         raise DomainError(f"unknown data family {family!r}")

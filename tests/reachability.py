@@ -20,7 +20,8 @@ The census that follows reads the source alone.  The program's callers are
 src/kerrlab (the CLI among it), tests/test_acceptance.py and perfbench/;
 unit tests are not.  A call is matched to the functions of its name, those of
 the calling module first, and a wrapper that passes on its own *args and
-**kwargs counts its callers as those of the function it calls.  It lists:
+**kwargs to a function of the program counts its callers as that function's.
+It lists:
   * each parameter with a default that no program caller sets;
   * each parameter that every program call passes at one fixed value (a
     literal or a numpy or math constant), where that value is the default
@@ -305,13 +306,16 @@ def census():
         visitor.visit(tree)
         calls[path] = visitor.calls
     # a wrapper that passes on its own *args and **kwargs: (file, name) -> the
-    # name it calls; its callers count as that function's
+    # name it calls; its callers count as that function's.  Only a function of
+    # the program makes a wrapper: passing them on to a callable parameter
+    # (on_points' f) or to numpy (np.broadcast_arrays) does not.
     forwards = {}
     for path, found in calls.items():
         for call, scope, varargs in found:
             starred = [a.value for a in call.args if isinstance(a, ast.Starred)] + \
                       [k.value for k in call.keywords if k.arg is None]
-            if starred and all(getattr(v, "id", None) in varargs for v in starred):
+            if (starred and all(getattr(v, "id", None) in varargs for v in starred)
+                    and _callee(call) in by_name):
                 forwards[path, scope] = _callee(call)
 
     # (module, qualname, parameter) -> the values the calls pass: the source

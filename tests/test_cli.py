@@ -305,11 +305,13 @@ OVERSIZE_1P1 = [
     ["green", "--cfl=1e-300", f"--n-x={10**30}"],  # a time step that underflows to 0
 ]
 # every numeric key of every subcommand at 0, -1 and a value far too large,
-# and every float key at 1e308, whose double overflows
+# and every float key at 1e308, whose double overflows, and at -1e300 and
+# -1e308 (an r* that deep underflows r - r+ in the tortoise inversion)
 EDGE_SWEEP = [[sub, f"--{key.replace('_', '-')}={value}"]
               for sub, schema in SCHEMAS.items()
               for key, (caster, _default, _help, _range) in schema.items() if caster in (int, float)
-              for value in ("0", "-1", *(("1e300", "1e308") if caster is float else (str(10**18),)))]
+              for value in ("0", "-1", *(("1e300", "1e308", "-1e300", "-1e308") if caster is float
+                                         else (str(10**18),)))]
 EDGE_SWEEP += [argv for argv in OVERSIZE_1P1 if argv not in EDGE_SWEEP]
 # the removed bound keys of the 1+1 subcommands, at the same values: unknown flags
 REMOVED_1P1 = [[sub, f"--{key.replace('_', '-')}={value}"]
@@ -704,10 +706,15 @@ def test_oversize_wave_grids_and_orbit_spans_are_input_errors(oversize_waves_geo
 
 
 # Pulses that vanish on the tortoise range: one that underflows to 0, one
-# whose squared distance overflows.  Every energy and ratio would read 0.
+# whose squared distance overflows, and pulses of each family at the least
+# width, whose squared distance over width^2 overflows at every node (none
+# lies at the center; the ingoing slope overflows there too).  Every energy
+# and ratio would read 0.
 VANISHING_WAVES = [[sub, f"--n-r={n_r}", f"--center={center}"]
                    for sub, n_r in (("wave-evolve", 64), ("morawetz", 32))
                    for center in ("1000", "1e300")]
+VANISHING_WAVES += [["wave-evolve", "--width=1.5e-154", f"--family={family}"]
+                    for family in ("gaussian-static", "gaussian-ingoing", "gaussian-wide")]
 
 
 @pytest.fixture(scope="module")
@@ -722,6 +729,15 @@ def test_initial_data_vanishing_on_the_grid_are_an_input_error(vanishing_wave_ou
     assert code == 2, err
     assert "initial data vanish on the grid" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("family", ["gaussian-static", "gaussian-ingoing", "gaussian-wide"])
+def test_a_pulse_of_the_greatest_width_runs_to_a_report(tmp_path, family):
+    # (2 width)^2, the wide pulse's scale, overflows below the top of the
+    # width range: that pulse takes its limit exp(0) = 1, with no OverflowError
+    argv = ["wave-evolve", "--width=1.3e154", f"--family={family}", "--n-r=32", "--n-theta=8",
+            "--t-end=1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("args", [

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kerrlab import KerrParams, WaveGrid
-from kerrlab._stencils import STENCILS, _diff, combine, mirror
+from kerrlab._stencils import STENCILS, _diff, combine, mirror, on_points
+from kerrlab.hyperbolic1d import Grid1p1, cauchy_solve, goursat_solve, sample
+from kerrlab.index2d import ConnectionProfile, charge_report
 from kerrlab.waves import (_centered_dt, _ghost_pad_theta, d2_rstar, d_rstar, d_theta,
                            lambda_theta_conservative)
 
@@ -148,3 +150,66 @@ def test_end_rows_written_in_place_match_the_concatenated_parts(name, end, compl
         ref = np.concatenate((parts[0], middle, parts[1]), axis=axis)
         got = _diff(u, name, 0.3, axis=axis, end=end)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+# on_points: the one rule by which the program samples a scalar callable.
+# Each entry point below takes a pair of twins: a function written with
+# numpy, which takes arrays, and the same function written with math and
+# Python's min and max, which raise TypeError or ValueError on an array.
+# +, *, / and sqrt round alike on arrays and on floats, so the twins must
+# give the same bits, sampled in one call or in one call per point.
+TWINS = {
+    "numpy": {"sqrt": np.sqrt, "clip": lambda s: np.clip(s, 0.0, 1.0)},
+    "math": {"sqrt": math.sqrt, "clip": lambda s: min(max(s, 0.0), 1.0)},
+}
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def _entry_points(lib):
+    sqrt, clip = lib["sqrt"], lib["clip"]
+    grid = Grid1p1(T=1.0, n_x=32, n_t=8)
+    source = lambda t, x: sqrt(1.0 + t * t) * x - 0.25 * t
+    potential = lambda x: 0.5 * sqrt(1.0 + x * x)
+    twist = lambda t: 0.3 + 0.1 * sqrt(1.0 + t * t)
+
+    def ramp(t):
+        s = clip((t - 0.5) / 9.0)
+        return 0.3 + s * s * (3.0 - 2.0 * s)
+
+    profile = ConnectionProfile(a=ramp, T=10.0)
+    u0 = np.sin(grid.x)
+    return {
+        "sample": sample(grid, source),
+        "goursat_solve": goursat_solve(lambda u: sqrt(1.0 + u * u), lambda v: sqrt(1.0 + 2.0 * v * v),
+                                       0.9371, 300, f=source).phi,
+        "cauchy_solve potential": cauchy_solve(grid, u0=u0, potential=potential),
+        "cauchy_solve twist": cauchy_solve(grid, u0=u0, potential=potential, twist=twist),
+        "ConnectionProfile samples": profile._samples,
+        "ConnectionProfile endpoints": profile.endpoints,
+        "charge_report": list(charge_report(profile).as_dict().values()),
+    }
+
+
+def test_a_numpy_callable_and_its_math_twin_give_the_same_bits():
+    arrays, floats = _entry_points(TWINS["numpy"]), _entry_points(TWINS["math"])
+    for name in arrays:
+        assert _bits(arrays[name]) == _bits(floats[name]), name
+    assert arrays["ConnectionProfile endpoints"] == (0.3, 1.3)
+    assert arrays["charge_report"][2] == 1  # index_lhs
+
+
+def test_on_points_calls_once_on_arrays_or_once_per_point_on_floats():
+    t, x = np.arange(3.0)[:, None], np.arange(4.0)
+    for f, calls in ((lambda t, x: t * x, 1),  # one value per point: kept
+                     (lambda t, x: math.sqrt(t) * x, 1 + 12),  # TypeError on arrays
+                     (lambda t, x: 2.0 * t, 1),  # t is passed at full shape: kept
+                     (lambda t, x: 0.5, 1 + 12)):  # a scalar is sampled per point, not broadcast
+        seen = []
+        vals = on_points(lambda *p: seen.append(type(p[0])) or f(*p), t, x)
+        assert vals.shape == (3, 4)
+        assert len(seen) == calls and seen[0] is np.ndarray and set(seen[1:]) <= {float}
+        assert np.array_equal(vals, [[f(a, b) for b in x.tolist()] for a in t.ravel().tolist()])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,15 @@ def test_tortoise_inversion_that_does_not_converge_names_its_point():
     rstar[31] = math.nan
     with pytest.raises(DomainError, match=r"did not converge at r\*=nan"):
         horizon_gap_from_tortoise(params, rstar)
+
+
+@pytest.mark.parametrize("s", [-2000.0, -1e300, -1e308])
+def test_tortoise_inversion_whose_gap_underflows_names_its_point(s):
+    # r - r+ = exp(u) underflows to 0 below about r+ - 745 A (A = 2 m r+ /
+    # (r+ - r-)): refused as an input error, not math.log(0)'s ValueError
+    params = KerrParams(1.0, 0.5)
+    with pytest.raises(DomainError, match=re.escape(f"r*={s!r} lies too deep inside")):
+        horizon_gap_from_tortoise(params, np.array([5.0, s, -30.0]))
 
 
 @pytest.mark.parametrize("m, a, s", [(1.0, 0.999, 0.7509386733416932), (0.5, 0.4995, -1.25169985),
