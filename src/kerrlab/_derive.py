@@ -8,7 +8,7 @@ zero and writes the kernel sources, with the entries' flat positions, shape
 and dtype, as the module `_closed_forms.py`.
 
     python -m kerrlab._derive           # rewrite _closed_forms.py
-    python -m kerrlab._derive --check   # exit 1 if it is stale
+    python -m kerrlab._derive --check   # exit 1 if it is stale or an identity fails
 """
 
 from __future__ import annotations
@@ -218,18 +218,82 @@ def emit() -> str:
     return "\n\n".join([PREAMBLE.format(names=", ".join(sorted(numpy_names)))] + blocks)
 
 
+@lru_cache(maxsize=1)
+def identities():
+    """{name: (argument symbols, entries of `_exprs` that vanish for every (m, a))},
+    once per process: xi, g^{ab} xi_b - delta^a_t; Killing-Yano, nabla_(a Y_b)c
+    (Penrose 1973, Floyd 1973); Maxwell F_*, d_a(sqrtg F^{ab}) / sqrtg (Wald 1974)."""
+    args, forms = _exprs()["g"][0], {name: expr for name, (_args, expr) in _exprs().items()}
+    ginv, gamma, Y, dY, sqrtg = (forms[name] for name in ("ginv", "gamma", "Y", "dY", "sqrtg"))
+    nabla_Y = lambda c, i, j: dY[c][i][j] - sum(gamma[d][c][i] * Y[d, j] + gamma[d][c][j] * Y[i, d]
+                                                for d in range(4))  # nabla_c Y_ij
+    table = {"xi": [sum(ginv[i, b] * forms["xi"][b] for b in range(4)) - int(i == 0) for i in range(4)],
+             "Killing-Yano": [nabla_Y(i, j, k) + nabla_Y(j, i, k)
+                              for i in range(4) for j in range(i, 4) for k in range(4)]}
+    for name in ("F_coulomb", "F_uniform"):
+        F_up = ginv * forms[name] * ginv  # d_a for a = r, th: the forms are stationary and axisymmetric
+        table[f"Maxwell {name}"] = [sum(sp.diff(sqrtg * F_up[c, b], args[c + 1]) for c in (1, 2)) / sqrtg
+                                    for b in range(4)]
+    return {name: (args, entries) for name, entries in table.items()}
+
+
+# Identity testing at points (Schwartz 1980, Zippel 1979): an identity fails at
+# a probe (m, a, r, th) where an entry, to 50 digits, exceeds IDENTITY_BOUND
+# times its scale.  Rounding reads about 1e-51; a sign flipped in Y, a term
+# dropped from xi and a factor 1 + 1e-6 on an F_uniform entry read >= 5.3e-11.
+IDENTITY_BOUND = 1e-30
+IDENTITY_PROBES = (("1", "0.5", "3.5", "0.7"), ("1.5", "-0.9", "2.5", "1.9"),
+                   ("1e10", "0.999e10", "3.3e10", "1.2"), ("1e-6", "3e-7", "9e-6", "0.4"))
+_FUNCTIONS = {sp.sin: mpmath.sin, sp.cos: mpmath.cos, sp.Pow: pow}
+
+
+def _evaluate(expr, memo):
+    """(value, scale) of a sympy expression, memo holding those of the argument
+    symbols and of what was evaluated so far.  The scale takes every sum over
+    its terms' absolute values, at every depth: the size of what cancels."""
+    if expr not in memo:
+        pairs = [_evaluate(arg, memo) for arg in expr.args]
+        values = [value for value, _ in pairs]
+        if expr.is_Add or expr.is_Mul:
+            total = mpmath.fsum if expr.is_Add else mpmath.fprod
+            memo[expr] = total(values), total(scale for _, scale in pairs)
+        elif expr.is_Pow and values[1] > 0:
+            memo[expr] = values[0] ** values[1], pairs[0][1] ** values[1]
+        else:
+            value = _FUNCTIONS[expr.func](*values) if pairs else mpmath.mpmathify(expr)
+            memo[expr] = value, abs(value)
+    return memo[expr]
+
+
+def check_identities() -> list:
+    """A message for each identity and probe at which an entry exceeds
+    IDENTITY_BOUND times its scale (of scale 0, it vanishes term by term)."""
+    failures = []
+    for name, (args, entries) in identities().items():
+        for probe in IDENTITY_PROBES:
+            with mpmath.workdps(50):
+                memo = {arg: (x, abs(x)) for arg, x in zip(args, map(mpmath.mpf, probe))}
+                pairs = [_evaluate(entry, memo) for entry in entries]
+                residual = float(max(abs(value) / scale if scale else 0 for value, scale in pairs))
+            if not residual <= IDENTITY_BOUND:
+                failures.append(f"identity {name} fails at (m, a, r, th) = ({', '.join(probe)}): "
+                                f"residual {residual:.3g} above {IDENTITY_BOUND:g}")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m kerrlab._derive",
                                      description="Regenerate the compiled Kerr closed forms.")
     parser.add_argument("--check", action="store_true",
-                        help=f"write nothing; exit 1 if {TARGET.name} differs from a fresh derivation")
+                        help=f"write nothing; exit 1 if {TARGET.name} is stale or an identity fails")
     ns = parser.parse_args(argv)
     source = emit()
     if ns.check:
+        failures = check_identities()
         if not TARGET.exists() or TARGET.read_text() != source:
-            print(f"{TARGET} is stale: run python -m kerrlab._derive", file=sys.stderr)
-            return 1
-        return 0
+            failures.insert(0, f"{TARGET} is stale: run python -m kerrlab._derive")
+        sys.stderr.writelines(f"{failure}\n" for failure in failures)
+        return 1 if failures else 0
     TARGET.write_text(source)
     return 0
 

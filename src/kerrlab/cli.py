@@ -334,8 +334,7 @@ def _check(failures, name, value, lo=None, hi=None):
 
 
 def _run_kerr_check(cfg):
-    from .kerr import (KerrParams, _at, _conformal_ky, _killing, _ky_calibration, _tetrad,
-                       random_exterior_points)
+    from .kerr import KerrParams, _at, _conformal_ky, _killing, _tetrad, random_exterior_points
 
     params = KerrParams(m=cfg["m"], a=cfg["a"])
     rng = np.random.default_rng(cfg["seed"])
@@ -343,7 +342,6 @@ def _run_kerr_check(cfg):
     r = np.array([p.r for p in points])
     th = np.array([p.theta for p in points])
     ginv, xi = _at(params, r, th, "ginv", "xi")
-    _ky_calibration(params)  # xi is validated before it is used
     xi_up = np.einsum("...ab,...b->...a", ginv, xi)
     res = {
         "ky": _killing(params, r, th, "Y"),
@@ -546,22 +544,19 @@ def _run_morawetz(cfg):
 
 def _run_maxwell_currents(cfg):
     from .kerr import KerrParams, _at, _principal_tetrad, random_exterior_points
-    from .maxwell import (_CALIBRATIONS, _calibration, _currents, _divergence,
-                          _dominant_energy, _np_scalars)
+    from .maxwell import FIELDS, _currents, _divergence, _dominant_energy, _np_scalars
 
     params = KerrParams(m=cfg["m"], a=cfg["a"])
-    if cfg["field"] not in _CALIBRATIONS:
+    if cfg["field"] not in FIELDS:
         raise DomainError("field must be 'coulomb' or 'uniform'")
     if cfg["strength"] == 0:  # every Z, eta, V and residual would read 0
         raise DomainError("strength must be non-zero: a vanishing field has no currents to check")
-    F_raw = _CALIBRATIONS[cfg["field"]][1]
-    F_field = lambda pts: cfg["strength"] * F_raw(params, pts)
+    F_field = lambda pts: cfg["strength"] * FIELDS[cfg["field"]](params, pts)
 
     rng = np.random.default_rng(cfg["seed"])
     points = random_exterior_points(params, cfg["n_points"], rng)
     centres = np.array([p.coords for p in points])
     step = cfg["step"]
-    _calibration(params, cfg["field"])  # the closed form is validated before it is used
     blocks = []
     for block in np.split(centres, range(MAXWELL_BLOCK_CENTRES, len(centres), MAXWELL_BLOCK_CENTRES)):
         Z, eta, _, div, F = _currents(params, F_field, block, step)

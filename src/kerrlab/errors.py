@@ -10,7 +10,7 @@ class DomainError(KerrlabError):
 
 
 class CalibrationError(KerrlabError):
-    """An internal self-check of a closed-form object failed (wrong ansatz or constant)."""
+    """A check of computed values failed (the tetrad's normalization, V_ab's reality)."""
 
 
 class StabilityError(KerrlabError):

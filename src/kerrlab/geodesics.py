@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .kerr import BLPoint, KerrParams, _at, _check_point, _forms, _ky_calibration
+from .kerr import BLPoint, KerrParams, _at, _check_point, _forms
 from .tensors import UP, TensorValue
 
 # Trajectories stop at r_plus + PLUNGE_GUARD * m.  Boyer-Lindquist components
@@ -93,10 +93,8 @@ class ConservedSet:
 
 def conserved_quantities(params: KerrParams, s: GeodesicState) -> ConservedSet:
     """e, l_z and k of the state s: its row of `conserved_series`, after
-    checking that s is a point of params and that the Killing-Yano form
-    calibrates (else CalibrationError)."""
+    checking that s is a point of params."""
     _check_point(params, s.x)
-    _ky_calibration(params)
     e, lz, k, _norm = conserved_series(params, s.x.coords[None], s.u.real_part()[None])[0]
     return ConservedSet(e=float(e), lz=float(lz), k=float(k))
 

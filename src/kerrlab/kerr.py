@@ -14,9 +14,8 @@ also of the 4-velocity, keeps its list.  Every form runs its numpy kernel
 and broadcasts over arrays of (r, theta), point axes leading.  Only accel,
 which the geodesic right-hand side calls at one state tens of times per
 integrator step, has a second path there: its kernel on Python floats
-(see `_accel`).  The Killing-Yano sign is validated, not assumed:
-`_ky_calibration` fails loudly unless the associated Killing field comes
-out as +d/dt.
+(see `_accel`).  The forms' identities (xi = +d/dt, Y Killing-Yano, the
+test fields Maxwell) are checked once, by `python -m kerrlab._derive --check`.
 
 Conventions: signature (-,+,+,+); orientation eps_{t r theta phi} = +sqrt|g|;
 tetrad inner products are quoted with respect to the reversed-signature
@@ -189,28 +188,6 @@ def _check_point(params, p):
         raise DomainError("point was constructed for different Kerr parameters")
 
 
-@lru_cache(maxsize=32)
-def _ky_calibration(params: KerrParams):
-    """Validate the Killing-Yano ansatz for these parameters.
-
-    Checks, at a reference exterior point: (a) vanishing symmetrized
-    gradient of Y, (b) the conformal Killing-Yano residual, (c) the
-    associated complex 1-form raising to +d/dt.  Raises CalibrationError if
-    any check fails; Y is used as generated.
-    """
-    p = BLPoint(0.0, 3.0 * params.m + 1.0, 1.0, 0.3, params)
-    # (c): xi must be +d/dt with vanishing imaginary part
-    xi_up = np.matmul(*_at(params, p.r, p.theta, "ginv", "xi"))
-    if np.max(np.abs(xi_up.imag)) > 1e-8:
-        raise CalibrationError("xi is not real for a Killing-Yano normalized Y")
-    if np.max(np.abs(xi_up.real - [1.0, 0.0, 0.0, 0.0])) > 1e-8:
-        raise CalibrationError(f"xi does not calibrate to +d/dt: got {xi_up.real}")
-    # (a) and (b): analytic Killing-Yano residual
-    res = killing_yano_residual(params, p)
-    if res > 1e-10:
-        raise CalibrationError(f"Killing-Yano residual {res} too large")
-
-
 def _analytic_nabla(params: KerrParams, r, th, name: str):
     """nabla_c T_ab of the named all-down closed form from its analytic
     partials 'd<name>', at the points (r, th), point axes leading."""
@@ -293,9 +270,8 @@ def killing_tensor_residual_fd(params: KerrParams, p: BLPoint, step=1e-3) -> flo
 
 def xi_oneform(params: KerrParams, p: BLPoint) -> TensorValue:
     """Complex 1-form built from first derivatives of Y; real and equal to
-    (d/dt)-flat for the calibrated Kerr Y."""
+    (d/dt)-flat, an identity that `_derive --check` verifies."""
     _check_point(params, p)
-    _ky_calibration(params)
     return TensorValue((DOWN,), *_at(params, p.r, p.theta, "xi"))
 
 

@@ -123,6 +123,7 @@ GENERATED = ("_closed_forms",)
 # Functions that run where `sys.setprofile` does not see them: name -> where.
 UNTRACED = {
     **dict.fromkeys(("_derive._exprs", "_derive._nonzero", "_derive._kernel", "_derive.emit",
+                     "_derive.identities", "_derive._evaluate", "_derive.check_identities",
                      "_derive.main"), "the derivation, `python -m kerrlab._derive` (needs sympy)"),
     "cli._send_outcome": "the child that `morawetz --threads 2` forks",
 }

@@ -16,7 +16,8 @@ from kerrlab import (DomainError, KerrParams, conformal_ky_residual, kerr_metric
                      killing_tensor_residual, killing_tensor_residual_fd,
                      killing_yano_residual, killing_yano_residual_fd, photon_orbit_radius,
                      random_exterior_points, tetrad_reconstruction_residual, xi_oneform)
-from kerrlab.cli import COMMON, HANDLERS, SCHEMAS, _interval, main, parse_config
+from kerrlab.cli import (COMMON, CONSERVED_DRIFT_MAX, HANDLERS, SCHEMAS, _interval, main,
+                         parse_config)
 
 
 def subprocess_env():
@@ -357,6 +358,7 @@ EDGE_GEOMETRY += VALID_GEOMETRY
 GEOMETRY_SUBCOMMANDS = ("kerr-check", "geodesic", "wave-evolve", "morawetz", "maxwell-currents")
 _DEFAULT_KERR = KerrParams(1.0, 0.5)
 _PHOTON_ORBIT = photon_orbit_radius(_DEFAULT_KERR)
+RESTING_FAR_OUT = ("geodesic", "--r0=1e51", "--m=1e42", "--ur0=0", "--utheta0=0", "--uphi0=0")
 SPECIAL_GEOMETRY = {
     ("geodesic", f"--r0={_DEFAULT_KERR.r_plus!r}"): 2,
     ("geodesic", f"--r0={_DEFAULT_KERR.r_plus * (1 + 1e-12)!r}"): 2,
@@ -368,7 +370,7 @@ SPECIAL_GEOMETRY = {
     ("geodesic", f"--r0={_PHOTON_ORBIT!r}", "--causal=null", "--ur0=0", "--utheta0=0",
      "--uphi0=0.1"): 0,
     ("geodesic", "--r0=1e51", "--m=1e42"): 2,
-    ("geodesic", "--r0=1e51", "--m=1e42", "--ur0=0", "--utheta0=0", "--uphi0=0"): 1,
+    RESTING_FAR_OUT: 0,
 }
 EDGE_GEOMETRY += [list(argv) for argv in SPECIAL_GEOMETRY]
 
@@ -639,6 +641,15 @@ def test_physically_special_geometry_inputs_end_in_their_exit_code(edge_geometry
     assert code == SPECIAL_GEOMETRY[argv], err
     assert code != 2 or "input error" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+def test_a_resting_start_far_from_a_heavy_hole_keeps_its_energy(tmp_path):
+    # at rest at r0 = 1e9 m, e = sqrt(1 - 2m/r0) is 1 - m/r0 to rounding, and
+    # no integral drifts past its bound
+    code, rep = run_json(tmp_path, list(RESTING_FAR_OUT))
+    assert code == 0, rep["failures"]
+    assert rep["results"]["initial_conserved"]["e"] == pytest.approx(1 - 1e42 / 1e51, rel=2**-52, abs=0)
+    assert all(d <= CONSERVED_DRIFT_MAX for d in rep["results"]["drifts"].values())
 
 
 # every float key of every subcommand at a tiny value
@@ -919,13 +930,13 @@ def test_maxwell_currents_blocks_agree_with_the_one_point_functions(monkeypatch,
     import kerrlab.cli as cli
     from kerrlab import V_tensor, dominant_energy_value, maxwell_divergence_residual
     from kerrlab.kerr import _principal_tetrad
-    from kerrlab.maxwell import _CALIBRATIONS, _np_scalars
+    from kerrlab.maxwell import FIELDS, _np_scalars
 
     monkeypatch.setattr(cli, "MAXWELL_BLOCK_CENTRES", 3)
     _, cfg = parse_config(["maxwell-currents", "--field", field, "--n-points", "7"])
     results, _, _ = cli._run_maxwell_currents(cfg)
     params, step, q = KerrParams(cfg["m"], cfg["a"]), cfg["step"], cfg["strength"]
-    F_field = lambda pts: q * _CALIBRATIONS[field][1](params, pts)
+    F_field = lambda pts: q * FIELDS[field](params, pts)
     points = random_exterior_points(params, 7, np.random.default_rng(cfg["seed"]))
     assert len(results["per_point"]) == 7
     for p, pp in zip(points, results["per_point"]):
@@ -965,7 +976,7 @@ def test_maxwell_currents_memory_is_bounded_by_a_block():
         finally:
             tracemalloc.stop()
 
-    peak(1)  # the field's calibration, cached from here on
+    peak(1)  # the first run's one-time costs (imports, the closed forms) are not counted
     assert peak(256) <= 1.5 * peak(32)
 
 

@@ -368,14 +368,52 @@ def test_derive_check_rejects_a_stale_module(tmp_path, monkeypatch):
     assert stale.read_text() == _derive.emit()
 
 
-def test_a_killing_yano_residual_just_past_its_bound_fails_the_calibration(monkeypatch):
-    # _ky_calibration refuses a residual above 1e-10 and accepts one at it;
-    # __wrapped__ runs it past its cache
-    from kerrlab import CalibrationError, kerr
+def _flip_the_sign_of_Y_rt(forms):
+    forms["Y"][1, 0] = -forms["Y"][1, 0]
 
-    params = KerrParams(1.0, 0.5)
-    monkeypatch.setattr(kerr, "killing_yano_residual", lambda params, p: 1e-10)
-    assert kerr._ky_calibration.__wrapped__(params) is None
-    monkeypatch.setattr(kerr, "killing_yano_residual", lambda params, p: np.nextafter(1e-10, 1.0))
-    with pytest.raises(CalibrationError, match="Killing-Yano residual"):
-        kerr._ky_calibration.__wrapped__(params)
+
+def _drop_a_term_of_xi_t(forms):
+    forms["xi"][0] = forms["xi"][0].func(*forms["xi"][0].args[1:])
+
+
+def _scale_an_F_uniform_entry(forms):
+    forms["F_uniform"][1, 0] *= 1 + 1e-6
+
+
+@pytest.mark.parametrize("plant, identity", [(_flip_the_sign_of_Y_rt, "Killing-Yano"),
+                                             (_drop_a_term_of_xi_t, "xi"),
+                                             (_scale_an_F_uniform_entry, "Maxwell F_uniform")])
+def test_derive_check_names_the_identity_and_probe_of_a_planted_defect(monkeypatch, capsys,
+                                                                       plant, identity):
+    # a copy of the forms with one defect fails --check at every probe, on the
+    # identity that the defect breaks alone; the module is current (emit is
+    # cached from the true forms), so the identity is the only failure
+    from kerrlab import _derive
+
+    _derive.emit()
+    forms = {name: (args, expr.copy() if hasattr(expr, "copy") else expr)
+             for name, (args, expr) in _derive._exprs().items()}
+    plant({name: expr for name, (_args, expr) in forms.items()})
+    monkeypatch.setattr(_derive, "_exprs", lambda: forms)
+    monkeypatch.setattr(_derive, "identities", _derive.identities.__wrapped__)  # past its cache
+    assert _derive.main(["--check"]) == 1
+    failures = capsys.readouterr().err.splitlines()
+    assert [f.split(": residual")[0] for f in failures] == [
+        f"identity {identity} fails at (m, a, r, th) = ({', '.join(probe)})"
+        for probe in _derive.IDENTITY_PROBES]
+
+
+def test_an_identity_residual_at_its_bound_passes_and_one_just_past_it_fails(monkeypatch, capsys):
+    # every entry of every identity reads the given |value| / scale at every probe
+    import mpmath
+
+    from kerrlab import _derive
+
+    bound = _derive.IDENTITY_BOUND
+    monkeypatch.setattr(_derive, "_evaluate", lambda entry, memo: (mpmath.mpf(bound), mpmath.mpf(1)))
+    assert _derive.main(["--check"]) == 0 and capsys.readouterr().err == ""
+    past = np.nextafter(bound, 1.0)
+    monkeypatch.setattr(_derive, "_evaluate", lambda entry, memo: (mpmath.mpf(past), mpmath.mpf(1)))
+    assert _derive.main(["--check"]) == 1
+    failures = capsys.readouterr().err.splitlines()
+    assert len(failures) == len(_derive.identities()) * len(_derive.IDENTITY_PROBES)

@@ -5,7 +5,7 @@ import pytest
 
 from kerrlab import (BLPoint, DomainError, KerrParams, V_tensor, dominant_energy_value,
                      kerr_metric, maxwell_divergence_residual, random_exterior_points)
-from kerrlab.kerr import _ky_calibration, _principal_tetrad
+from kerrlab.kerr import _principal_tetrad
 from kerrlab.maxwell import _coulomb_F, _eta, _np_scalars, _sample, _uniform_F
 from kerrlab.tensors import _hodge, _stencil
 
@@ -118,7 +118,6 @@ def test_V_tensor_geometry_evaluation_counts(monkeypatch):
     import kerrlab.kerr as kerr
 
     p = BLPoint(0.0, 5.0, 1.1, 0.4, PARAMS)
-    _ky_calibration(PARAMS)  # the cached Killing-Yano calibration evaluates xi once
     forms = kerr._forms()
     counts = {}
 
@@ -181,29 +180,6 @@ def test_V_tensor_rejects_a_non_finite_field():
 
     with pytest.raises(ValueError, match="non-finite"):
         V_tensor(PARAMS, F, p, step=1e-3)
-
-
-def test_calibration_calls_the_field_once_per_step(monkeypatch):
-    # the 5 calibration points times the 17-point stencil of each: one field
-    # call per step over all 85 points, and no per-point metric is built
-    import kerrlab.kerr as kerr
-    import kerrlab.maxwell as maxwell
-
-    calls = []
-
-    def F(params, q):
-        calls.append(q.copy())
-        return _uniform_F(params, q)
-
-    def no_metric(*args):
-        raise AssertionError("the calibration called kerr_metric")
-
-    monkeypatch.setitem(maxwell._CALIBRATIONS, "uniform", ("uniform-field", F, 4321, 1e-5, 1e-9))
-    monkeypatch.setattr(kerr, "kerr_metric", no_metric)
-    assert maxwell._calibration.__wrapped__(PARAMS, "uniform")
-    assert [q.shape for q in calls] == [(5, 17, 4), (5, 17, 4)]
-    for q in calls:
-        assert len(set(map(tuple, q.reshape(-1, 4)))) == 85
 
 
 def test_an_imaginary_part_of_V_just_past_its_bound_fails_the_calibration(monkeypatch):
