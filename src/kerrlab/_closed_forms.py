@@ -1,10 +1,11 @@
 """Kerr closed forms in Boyer-Lindquist coordinates: one kernel per form.
 
 Generated by `python -m kerrlab._derive` from the symbolic forms in
-`kerrlab._derive`; do not edit.  Each kernel of (m, a, r, th), and `accel`
-of (m, a, r, th, u0, u1, u2, u3), returns the entries of its form that are
-not identically zero, in flat order, with common subexpressions eliminated.
-`kerr._forms` scatters them into arrays, except accel's, which are all four.
+`kerrlab._derive`; do not edit.  Each kernel of (m, a, r, th), and `flow`
+and `integrals` of (m, a, r, th, pv, pr, pth, ppsi), returns the entries of
+its form that are not identically zero, in flat order, with common
+subexpressions eliminated.  `kerr._forms` scatters them into arrays, except
+flow's and integrals', which are lists.
 """
 
 from numpy import cos, sin, sqrt
@@ -546,65 +547,50 @@ def F_uniform(m, a, r, th):
 FORMS['F_uniform'] = (F_uniform, (4, 4), (1, 2, 4, 7, 8, 11, 13, 14), float)
 
 
-def accel(m, a, r, th, u0, u1, u2, u3):
-    x0 = 2*m
-    x1 = r*x0
-    x2 = a**2
-    x3 = r**2
-    x4 = x2 + x3
-    x5 = -x1 + x4
-    x6 = x5**(-1.0)
-    x7 = sin(th)
-    x8 = x7**2
-    x9 = x2*x8
-    x10 = -x4**2 + x5*x9
-    x11 = 4*r
-    x12 = cos(th)
-    x13 = x12**2*x2 + x3
-    x14 = x13**(-3.0)
-    x15 = x12*x2*x7
-    x16 = x13**(-1.0)
-    x17 = x16*x7
-    x18 = x11*x12
-    x19 = x7**3
-    x20 = a**3
-    x21 = x13**(-2.0)
-    x22 = m*x21
-    x23 = a*m*x17*x18 + x18*x19*x20*x22
-    x24 = -x23
-    x25 = x16*x6
-    x26 = a*x1
-    x27 = x25*x26
-    x28 = x24*x27
-    x29 = u0*u2
-    x30 = a*x8
-    x31 = 4*x22*x3
-    x32 = -x0*x16*x30 + x30*x31
-    x33 = x25*x26*x32
-    x34 = -2*m*x16 + x31
-    x35 = -x34
-    x36 = u0*u1
-    x37 = -2*r + x0
-    x38 = 2*r
-    x39 = -x10
-    x40 = x21*x39
-    x41 = -x16*x8*(4*r*x4 + x37*x9) + x38*x40*x8
-    x42 = -x41
-    x43 = u1*u3
-    x44 = x16*x5
-    x45 = 2*x12
-    x46 = x19*x2*x45
-    x47 = x17*x39*x45 + x40*x46 - x44*x46
-    x48 = u2*u3
-    x49 = u2**2
-    x50 = u0**2
-    x51 = (1/2)*x44
-    x52 = u0*u3
-    x53 = u1**2
-    x54 = (1/2)*u3**2
-    x55 = x8**(-1.0)
-    x56 = -x1 + x2 + x3 - x9
-    return [-x29*(m*x10*x11*x14*x15*x6 - x28) - x36*(x10*x16*x35*x6 - x33) - x43*(x10*x16*x32*x6 - x27*x42) - x48*(x10*x16*x24*x6 - x27*x47), r*x16*x49*x5 + 2*u1*u2*x12*x16*x2*x7 + x32*x44*x52 - x34*x50*x51 - x41*x44*x54 - x51*x53*(x13*x37/x5**2 + x38*x6), 2*m*r*x12*x14*x2*x50*x7 - u1*u2*x16*x38 + x12*x16*x2*x49*x7 - x15*x25*x53 - x16*x23*x52 + x16*x47*x54, -x29*(-8*m**2*x12*x14*x20*x3*x6*x7 + x16*x24*x55*x56*x6) - x36*(x16*x32*x55*x56*x6 - x27*x35) - x43*(x16*x42*x55*x56*x6 - x33) - x48*(x16*x47*x55*x56*x6 - x28)]
+def flow(m, a, r, th, pv, pr, pth, ppsi):
+    x0 = (r*r)
+    x1 = cos(th)
+    x2 = (a*a)
+    x3 = 2*x2
+    x4 = 2*x0 + (x1*x1)*x3
+    x5 = (1/x4)
+    x6 = 2*a
+    x7 = ppsi*x6
+    x8 = x0 + x2
+    x9 = 2*pr
+    x10 = x8*x9
+    x11 = sin(th)
+    x12 = (x11*x11)
+    x13 = 2*m
+    x14 = -r*x13 + x8
+    x15 = x5*(2*pv*x8 + x14*x9 + x7)
+    x16 = x15/x14
+    x17 = (1/x12)
+    x18 = 4*r
+    x19 = (pr*pr)
+    x20 = (ppsi*ppsi)
+    x21 = (pv*pv)
+    x22 = (pr*x7 + (pth*pth) + pv*x10 + pv*x7 + x12*x2*x21 + x14*x19 + x17*x20)/(x4*x4)
+    x23 = x1*x11
+    return [-x16*x8 + x5*(pv*x12*x3 + x10 + x7), x15, 2*pth*x5, -a*x16 + x5*(2*ppsi*x17 + pr*x6 + pv*x6), x18*x22 - x5*(pr*pv*x18 + x19*(2*r - x13)), -4*x2*x22*x23 - x5*(-2*x1*x20/(x11*x11*x11) + x21*x23*x3)]
 
 
-FORMS['accel'] = (accel, (4,), (0, 1, 2, 3), float)
+FORMS['flow'] = (flow, (6,), (0, 1, 2, 3, 4, 5), float)
+
+
+def integrals(m, a, r, th, pv, pr, pth, ppsi):
+    x0 = (pth*pth)
+    x1 = sin(th)
+    x2 = a*pv
+    x3 = (a*a)
+    x4 = cos(th)**2
+    x5 = (r*r)
+    x6 = (2*x3*x4 + 2*x5)**(-1.0)
+    x7 = 2*ppsi
+    x8 = (x1*x1)
+    x9 = x3 + x5
+    x10 = a*pr*x7 + (ppsi*ppsi)/x8 + (pr*pr)*(-2*m*r + x9) + 2*pr*pv*x9 + (pv*pv)*x3*x8 + x0 + x2*x7
+    return [-x0 + 2*x10*x3*x4*x6 - (ppsi/x1 + x1*x2)**2, 2*x10*x6]
+
+
+FORMS['integrals'] = (integrals, (2,), (0, 1), float)

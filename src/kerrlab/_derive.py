@@ -22,6 +22,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 TARGET = Path(__file__).with_name("_closed_forms.py")
 
@@ -32,11 +33,11 @@ def _exprs():
 
     Tensor forms are sympy matrices or nested lists indexed like the
     numeric arrays; scalar forms are plain expressions.  Every form is of
-    (m, a, r, th) but `accel`, the geodesic acceleration
-    a^c = -Gamma^c_ab u^a u^b, which is also of (u0, u1, u2, u3).
+    (m, a, r, th) but the two of the geodesics, `flow` and `integrals`, which
+    are also of the momenta (pv, pr, pth, ppsi) of the ingoing chart.
     """
     m, a, r, th = sp.symbols("m a r th", real=True)
-    u = sp.symbols("u0:4", real=True)
+    p = sp.symbols("pv pr pth ppsi", real=True)
     sin, cos = sp.sin(th), sp.cos(th)
     Sigma = r**2 + a**2 * cos**2
     Delta = r**2 - 2 * m * r + a**2
@@ -131,9 +132,14 @@ def _exprs():
     A_unif = [(g[0, 3] + 2 * a * g[0, 0]) / 2, sp.Integer(0), sp.Integer(0), (g[3, 3] + 2 * a * g[0, 3]) / 2]
     F_unif = sp.Matrix(4, 4, lambda i, j: d(A_unif[j], i) - d(A_unif[i], j))
 
-    # ten products, as Gamma^c_ab = Gamma^c_ba
-    accel = [-sum((2 - (i == j)) * gamma[c][i][j] * u[i] * u[j] for i in range(4) for j in range(i, 4))
-             for c in range(4)]
+    # The ingoing Kerr chart (v, r, th, psi), dv = dt + (r^2 + a^2)/Delta dr and
+    # dpsi = dphi + a/Delta dr (Kerr 1963; Teukolsky 2015): its inverse metric
+    # g' is M / Sigma, which has no Delta in a denominator (`identities` checks
+    # it against J ginv J^T), and H = g'^{ab} p_a p_b / 2 the geodesics'
+    # super-Hamiltonian (MTW 33.5), written over one Sigma.
+    M = sp.Matrix([[a**2 * sin**2, r**2 + a**2, 0, a], [r**2 + a**2, Delta, 0, a],
+                   [0, 0, 1, 0], [a, a, 0, 1 / sin**2]])
+    H = sum(M[i, j] * p[i] * p[j] for i in range(4) for j in range(4)) / (2 * Sigma)
     exprs = {
         "g": g,
         "ginv": ginv,
@@ -151,17 +157,38 @@ def _exprs():
         "F_uniform": F_unif,
     }
     forms = {name: ((m, a, r, th), expr) for name, expr in exprs.items()}
-    forms["accel"] = ((m, a, r, th) + u, accel)
+    forms.update((name, ((m, a, r, th) + p, expr))
+                 for name, expr in _hamiltonian_forms((m, a, r, th) + p, H, l_up).items())
     return forms
+
+
+def _hamiltonian_forms(args, H, l):
+    """The geodesics' two forms of H(m, a, r, th, pv, pr, pth, ppsi), the
+    super-Hamiltonian of the ingoing chart, derived from H as one expression.
+    flow is Hamilton's equations with the position in Boyer-Lindquist t and
+    phi: [u^t, u^r, u^th, u^phi, -dH/dr, -dH/dth], where u^r = dH/dpr,
+    u^th = dH/dpth, u^t = dH/dpv - (r^2 + a^2)/Delta dH/dpr (t = v - r*) and
+    u^phi = dH/dppsi - a/Delta dH/dpr, with l = ((r^2 + a^2)/Delta, 1, 0,
+    a/Delta), the chart map's r column; dpv/dtau = dppsi/dtau = 0, as v and
+    psi are cyclic.  integrals is [k, 2H]: Carter's constant in its theta
+    form, in the repo's sign (k = K_ab u^a u^b; Carter 1968), and the norm,
+    neither with Delta in a denominator."""
+    m, a, r, th, pv, pr, pth, ppsi = args
+    dv, dr, dth, dpsi = (sp.diff(H, x) for x in (pv, pr, pth, ppsi))
+    flow = [dv - l[0] * dr, dr, dth, dpsi - l[3] * dr, -sp.diff(H, r), -sp.diff(H, th)]
+    sin, cos = sp.sin(th), sp.cos(th)
+    k = -(pth**2 + (a * pv * sin + ppsi / sin) ** 2 - a**2 * cos**2 * 2 * H)
+    return {"flow": flow, "integrals": [k, 2 * H]}
 
 
 PREAMBLE = '''"""Kerr closed forms in Boyer-Lindquist coordinates: one kernel per form.
 
 Generated by `python -m kerrlab._derive` from the symbolic forms in
-`kerrlab._derive`; do not edit.  Each kernel of (m, a, r, th), and `accel`
-of (m, a, r, th, u0, u1, u2, u3), returns the entries of its form that are
-not identically zero, in flat order, with common subexpressions eliminated.
-`kerr._forms` scatters them into arrays, except accel's, which are all four.
+`kerrlab._derive`; do not edit.  Each kernel of (m, a, r, th), and `flow`
+and `integrals` of (m, a, r, th, pv, pr, pth, ppsi), returns the entries of
+its form that are not identically zero, in flat order, with common
+subexpressions eliminated.  `kerr._forms` scatters them into arrays, except
+flow's and integrals', which are lists.
 """
 
 from numpy import {names}
@@ -171,7 +198,7 @@ FORMS = {{}}
 '''
 
 
-# exterior points (m, a, r, th, u0, u1, u2, u3) at which an entry is evaluated to 40 digits
+# exterior points (m, a, r, th, pv, pr, pth, ppsi) at which an entry is evaluated to 40 digits
 PROBES = (("1", "0.5", "3.5", "0.7", "1.3", "-0.2", "0.05", "0.11"),
           ("1.5", "-0.9", "2.5", "1.9", "2.1", "0.4", "-0.03", "-0.07"),
           ("0.3", "0.2", "3.7", "1.2", "1.1", "0.1", "0.2", "0.3"))
@@ -188,13 +215,35 @@ def _nonzero(args, flat):
             if e != 0 and (any(abs(v[i]) > 1e-30 for v in values) or sp.simplify(e) != 0)]
 
 
+class _ProductPowers(NumPyPrinter):
+    """lambdify's numpy printer, but x**n for a symbol x (after common
+    subexpressions are eliminated, most bases are) and an integer
+    0 < |n| <= 8 is written as a product or its reciprocal: numpy takes x**2
+    on arrays as x*x and Python floats take pow(), which may round apart, and
+    a product is faster."""
+
+    def _print_Pow(self, expr, rational=False):
+        base, n = expr.args
+        if not (base.is_Symbol and n.is_Integer and 0 < abs(n) <= 8):
+            return super()._print_Pow(expr, rational=rational)
+        product = "*".join([self._print(base)] * abs(int(n)))
+        return f"({product})" if n > 0 else f"(1/{product})" if abs(n) == 1 else f"(1/({product}))"
+
+
+# The geodesics' kernels, which run on Python floats at one state and on
+# arrays of samples: with integer powers as products both round alike.
+PRODUCT_POWERS = ("flow", "integrals")
+
+
 def _kernel(name, args, expr):
     """(source, numpy names used, shape, non-zero flat indices, dtype) of the
     named kernel: its dtype is complex where an emitted entry holds i, else float."""
     entries = np.array(expr.tolist() if isinstance(expr, sp.MatrixBase) else expr, dtype=object)
     flat = entries.ravel()
     idx = _nonzero(args, flat)
-    kernel = sp.lambdify(args, list(flat[idx]), modules="numpy", cse=True)
+    printer = (_ProductPowers({"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True})
+               if name in PRODUCT_POWERS else None)  # None: lambdify's own, with these settings
+    kernel = sp.lambdify(args, list(flat[idx]), modules="numpy", cse=True, printer=printer)
     names = set(kernel.__code__.co_names)
     for n in names:  # the emitted module binds these names from numpy, as lambdify did
         if n not in vars(np) or kernel.__globals__.get(n) is not vars(np)[n]:
@@ -222,18 +271,38 @@ def emit() -> str:
 def identities():
     """{name: (argument symbols, entries of `_exprs` that vanish for every (m, a))},
     once per process: xi, g^{ab} xi_b - delta^a_t; Killing-Yano, nabla_(a Y_b)c
-    (Penrose 1973, Floyd 1973); Maxwell F_*, d_a(sqrtg F^{ab}) / sqrtg (Wald 1974)."""
+    (Penrose 1973, Floyd 1973); conformal Killing-Yano, the same less its
+    trace terms; Killing tensor, nabla_(a K_bc); Maxwell F_*,
+    d_a(sqrtg F^{ab}) / sqrtg (Wald 1974); ingoing chart and Carter k, half the
+    momentum Hessians of the norm 2H and of k less J ginv J^T and J ginv K ginv
+    J^T, with J = d(v, r, th, psi)/d(t, r, th, phi)."""
     args, forms = _exprs()["g"][0], {name: expr for name, (_args, expr) in _exprs().items()}
-    ginv, gamma, Y, dY, sqrtg = (forms[name] for name in ("ginv", "gamma", "Y", "dY", "sqrtg"))
-    nabla_Y = lambda c, i, j: dY[c][i][j] - sum(gamma[d][c][i] * Y[d, j] + gamma[d][c][j] * Y[i, d]
-                                                for d in range(4))  # nabla_c Y_ij
+    g, ginv, gamma, Y, dY, K, dK, sqrtg = (forms[name] for name in
+                                          ("g", "ginv", "gamma", "Y", "dY", "K", "dK", "sqrtg"))
+    nabla = lambda T, dT, c, i, j: dT[c][i][j] - sum(gamma[d][c][i] * T[d, j] + gamma[d][c][j] * T[i, d]
+                                                     for d in range(4))  # nabla_c T_ij
+    nabla_Y = lambda c, i, j: nabla(Y, dY, c, i, j)
+    killing_yano = {(i, j, k): nabla_Y(i, j, k) + nabla_Y(j, i, k)
+                    for i in range(4) for j in range(i, 4) for k in range(4)}
+    div = [sum(nabla_Y(d, i, c) * ginv[c, d] for c in range(4) for d in range(4)) for i in range(4)]
     table = {"xi": [sum(ginv[i, b] * forms["xi"][b] for b in range(4)) - int(i == 0) for i in range(4)],
-             "Killing-Yano": [nabla_Y(i, j, k) + nabla_Y(j, i, k)
-                              for i in range(4) for j in range(i, 4) for k in range(4)]}
+             "Killing-Yano": list(killing_yano.values()),
+             # 2 nabla_(a Y_b)c = -2/3 g_ab div_c + (g_ac div_b + g_bc div_a)/3, div_a = nabla_d Y_a^d
+             "conformal Killing-Yano": [e + sp.Rational(2, 3) * g[i, j] * div[k]
+                                        - (g[i, k] * div[j] + g[j, k] * div[i]) / 3
+                                        for (i, j, k), e in killing_yano.items()],
+             "Killing tensor": [nabla(K, dK, i, j, k) + nabla(K, dK, j, k, i) + nabla(K, dK, k, i, j)
+                                for i in range(4) for j in range(i, 4) for k in range(j, 4)]}
     for name in ("F_coulomb", "F_uniform"):
         F_up = ginv * forms[name] * ginv  # d_a for a = r, th: the forms are stationary and axisymmetric
         table[f"Maxwell {name}"] = [sum(sp.diff(sqrtg * F_up[c, b], args[c + 1]) for c in (1, 2)) / sqrtg
                                     for b in range(4)]
+    J = sp.eye(4)
+    J[0, 1], J[3, 1] = forms["l"][0], forms["l"][3]  # l, the principal null direction, is J's r column
+    p = _exprs()["integrals"][0][4:]
+    k, norm = forms["integrals"]
+    for name, form, want in (("ingoing chart", norm, J * ginv * J.T), ("Carter k", k, J * ginv * K * ginv * J.T)):
+        table[name] = [sp.diff(form, p[i], p[j]) / 2 - want[i, j] for i in range(4) for j in range(i, 4)]
     return {name: (args, entries) for name, entries in table.items()}
 
 

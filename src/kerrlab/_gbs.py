@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import add
 
 import numpy as np
 
@@ -25,19 +26,23 @@ Solution = namedtuple("Solution", "t y event message sol")
 def step(fun, tau, y, h, k):
     """y + T_kk, the extrapolated step of size h from (tau, y), and the midpoint-rule
     increments z - y (rounded far below y) of columns 0..k on a leading axis.  One state
-    runs the columns in turn, as fun is cheapest on one state; a batch (n, d), with tau
-    and h shaped (n, 1), runs them side by side, one fun call per substep."""
-    f0 = fun(tau, y)
+    runs the columns in turn on Python floats, as fun is cheapest there: fun gets a float
+    tau and a list of floats and returns a sequence.  A batch (n, d), with tau and h shaped
+    (n, 1), runs the columns side by side, one fun call per substep on arrays."""
     if y.ndim == 1:
-        cols = []
+        tau, h, y0 = float(tau), float(h), y.tolist()  # np.float64 would make every operation numpy's
+        f0, cols = fun(tau, y0), []
         for n in SUBSTEPS[:k + 1]:
             s = h / n
-            z0, z1 = 0.0, s * f0
+            s2 = 2 * s
+            z0, z1 = [0.0] * len(y0), [s * f for f in f0]
             for i in range(1, n):
-                z0, z1 = z1, z0 + 2 * s * fun(tau + i * s, y + z1)
+                f = fun(tau + i * s, list(map(add, y0, z1)))
+                z0, z1 = z1, [a + s2 * b for a, b in zip(z0, f)]
             cols.append(z1)
         cols = np.array(cols)
     else:
+        f0 = fun(tau, y)
         s = h / np.reshape(SUBSTEPS[:k + 1], (-1, 1, 1))
         z0, cols = np.zeros_like(s * f0), s * f0
         for i in range(1, SUBSTEPS[k]):
@@ -51,14 +56,15 @@ def step(fun, tau, y, h, k):
 def crossing(fun, tau, y, y1, h, k, i, value):
     """Where y[i] meets value in the step from (tau, y) to y1: Newton in the step
     length, on extrapolated steps from (tau, y), from the root of y[i]'s cubic Hermite."""
-    g0, g1, d0, d1 = y[i] - value, y1[i] - value, h * fun(tau, y)[i], h * fun(tau + h, y1)[i]
+    at = lambda tau, y: fun(float(tau), y.tolist())[i]  # one state, as step calls fun
+    g0, g1, d0, d1 = y[i] - value, y1[i] - value, h * at(tau, y), h * at(tau + h, y1)
     x, c2, c3 = g0 / (g0 - g1), 3 * (g1 - g0) - 2 * d0 - d1, 2 * (g0 - g1) + d0 + d1
     for _ in range(6):  # the Hermite cubic is g0 + x (d0 + x (c2 + x c3)) on x in [0, 1]
         x -= (g0 + x * (d0 + x * (c2 + x * c3))) / (d0 + x * (2 * c2 + 3 * x * c3))
     s = h * min(1.0, max(0.0, x))  # a NaN x (a flat cubic) starts from s = 0
     for _ in range(8):
         z = step(fun, tau, y, s, k)[0]
-        ds = (z[i] - value) / fun(tau + s, z)[i]
+        ds = (z[i] - value) / at(tau + s, z)
         s = min(h, max(0.0, s - ds))
         if abs(ds) <= 1e-6 * h:
             break

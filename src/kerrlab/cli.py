@@ -369,8 +369,8 @@ def _run_kerr_check(cfg):
 
 
 def _run_geodesic(cfg):
-    from .geodesics import (_drift, conserved_quantities, conserved_series, integrate_geodesic,
-                            normalize_velocity)
+    from .geodesics import (CHART_GAP, _drift, conserved_quantities, conserved_series,
+                            integrate_geodesic, momentum_series, normalize_velocity)
     from .kerr import BLPoint, KerrParams
 
     params = KerrParams(m=cfg["m"], a=cfg["a"])
@@ -382,16 +382,28 @@ def _run_geodesic(cfg):
     traj = integrate_geodesic(params, s0, cfg["t_max"], tol=cfg["tol"],
                               n_samples=cfg["n_samples"])
 
-    conserved = conserved_series(params, traj.x, traj.u)
+    conserved = conserved_series(params, traj.x, traj.u)  # the Boyer-Lindquist reading
     rows = np.column_stack([traj.tau, traj.x, traj.u, conserved]).tolist()
     names = ("e", "lz", "k", "norm")  # the columns of the series
     header = ["tau", "t", "r", "theta", "phi", "ut", "ur", "utheta", "uphi", *names]
 
-    drifts = _drift(conserved)
+    # the momentum form, over every sample, and the chart check: the
+    # Boyer-Lindquist reading where it keeps its digits, which sees a wrong
+    # g'^{ab} that H, conserved by any Hamiltonian flow, cannot
+    drifts = _drift(momentum_series(params, traj))
+    far = traj.x[:, 1] - params.r_plus >= CHART_GAP * params.m
+    chart = {"samples": int(np.count_nonzero(far)), "drifts": None}
     failures = []
     for name, d in zip(names, drifts):
         _check(failures, f"{name}_drift", float(d), hi=CONSERVED_DRIFT_MAX)
+    if far.any():
+        chart["drifts"] = dict(zip(names, map(float, _drift(conserved[far]))))
+        for name, d in chart["drifts"].items():
+            _check(failures, f"chart_{name}_drift", d, hi=CONSERVED_DRIFT_MAX)
+    else:
+        chart["reason"] = f"no sample lies at r - r_plus >= {CHART_GAP:g} m: not checked"
     results = {"drifts": dict(zip(names, map(float, drifts))),
+               "chart_check": chart,
                "plunged": traj.plunged,
                "initial_conserved": conserved_quantities(params, s0).__dict__,
                "samples": len(rows)}

@@ -1,21 +1,28 @@
 """Geodesic integration on Kerr with complete-integrability diagnostics.
 
-The equations of motion are integrated directly in Christoffel form by
-Gragg-Bulirsch-Stoer extrapolation, on one generated kernel of the position
-and the 4-velocity, the acceleration a^c = -Gamma^c_ab u^a u^b (`accel`: no
-Christoffel array is built).  Integrability is exercised by checking
+Geodesics are integrated as the Hamiltonian flow of H = g'^{ab} p_a p_b / 2
+in the ingoing Kerr chart (v, r, theta, psi), whose inverse metric g' has
+no Delta in a denominator, by Gragg-Bulirsch-Stoer extrapolation on one
+generated kernel (`flow`).  The state is (t, r, theta, phi, p_v, p_r,
+p_theta, p_psi): the momenta of the ingoing chart, which stay regular at
+the horizon, and the Boyer-Lindquist t and phi, whose rates u^t and u^phi
+the kernel returns (v and psi are cyclic, and nothing reads them).  p_v =
+-e and p_psi = l_z have right-hand sides that are identically 0, so the
+integrator keeps them bit for bit.  Integrability is exercised by checking
 constancy of the four integrals (norm, energy e, axial angular momentum
-l_z, and the quadratic Carter invariant k) rather than by quadratures.
-`conserved_series` is their one formula: the norm check of a state,
-`conserved_quantities` and the drifts all read it.
+l_z, and the quadratic Carter invariant k) rather than by quadratures, read
+two ways: from the momenta (`momentum_series`, where e and l_z drift by
+exactly 0 and k is Carter's theta form) and from the Boyer-Lindquist
+samples (`conserved_series`, the one formula of the norm check of a state,
+`conserved_quantities` and criterion 2's drifts).
 
 Sign conventions: e = -g(u, d/dt) (positive for future-directed orbits at
 infinity), l_z = +g(u, d/dphi).  The Carter invariant uses K_ab = Y_ac Y^c_b,
 under which k = -l_z^2 for equatorial Schwarzschild orbits.
 
 kerrlab._gbs is imported on first use.  integrate_geodesic calls the
-module-level solve_ivp by name, so replacing it there observes every RHS
-evaluation, the sampling included.
+module-level solve_ivp by name, so replacing it there observes every
+right-hand side evaluation of the integrator, its dense output included.
 """
 
 from __future__ import annotations
@@ -26,14 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .kerr import BLPoint, KerrParams, _at, _check_point, _forms
+from .kerr import BLPoint, KerrParams, _at, _check_point, _forms, _twin
 from .tensors import UP, TensorValue
 
-# Trajectories stop at r_plus + PLUNGE_GUARD * m.  Boyer-Lindquist components
-# degenerate at the horizon: at r - r_plus = delta the 4-velocity components
-# grow like 1/delta and quadratic invariants lose ~delta^-2 digits to
-# cancellation, so the guard stays at a coordinate-healthy distance.
+# Trajectories stop at r_plus + PLUNGE_GUARD * m.  The flow is regular at the
+# horizon, but the samples are Boyer-Lindquist: at r - r_plus = delta, u^t and
+# u^phi grow like 1/delta and the invariants read from them lose ~delta^-2
+# digits to cancellation, so the guard stays at a coordinate-healthy distance.
 PLUNGE_GUARD = 1e-2
+# The chart check reads the Boyer-Lindquist integrals on the samples at
+# r - r_plus >= CHART_GAP * m only, where that reading keeps its digits.
+CHART_GAP = 1.0
 
 NORM_TOL = 1e-10  # largest |g(u, u) - target| a state may have
 # Largest integrator tolerance.  Step control needs a tolerance well below 1:
@@ -41,8 +51,9 @@ NORM_TOL = 1e-10  # largest |g(u, u) - target| a state may have
 # finite.
 MAX_TOL = 1e-3
 # Largest t_max, in units of m.  The work grows with the time an orbit spans
-# (a bound orbit at r = 10 m takes about 2 s to reach t = 10^4 m), and at a
-# span near 1e300 the first trial step is no longer a representable increment.
+# (a bound orbit at r = 10 m takes about 0.1 s to reach t = 10^4 m at the
+# default tol on a shared 2-vCPU host), and at a span near 1e300 the first
+# trial step is no longer a representable increment.
 MAX_TIME = 1e5
 
 
@@ -100,13 +111,24 @@ def conserved_quantities(params: KerrParams, s: GeodesicState) -> ConservedSet:
 
 
 def _geodesic_rhs(params):
-    accel = _forms()["accel"]
-    m, a = params.m, params.a
+    flow = _forms()["flow"]
+    twin = _twin(flow)
+    m, a = float(params.m), float(params.a)  # np.float64 would make every operation numpy's
 
     def rhs(tau, y):
-        # one state (8,), as Python floats, or a batch (n, 8); du^c = -Gamma^c_ab u^a u^b
-        _t, r, th, _phi, *u = y.tolist() if y.ndim == 1 else y.T
-        return np.array([*u, *accel(m, a, r, th, *u)]).T
+        # one state, a list of Python floats, on flow's twin, or a batch (n, 8) on
+        # its numpy kernel; p_v and p_psi are constant
+        if type(y) is list:
+            _t, r, th, _phi, pv, pr, pth, ppsi = y
+            try:
+                ut, ur, uth, uph, fr, fth = twin(m, a, r, th, pv, pr, pth, ppsi)
+            except (ArithmeticError, ValueError):  # numpy's inf/NaN, which the integrator rejects
+                ut, ur, uth, uph, fr, fth = flow(*map(np.float64, (m, a, r, th, pv, pr, pth, ppsi)))
+            return ut, ur, uth, uph, 0.0, fr, fth, 0.0
+        _t, r, th, _phi, pv, pr, pth, ppsi = y.T
+        ut, ur, uth, uph, fr, fth = flow(m, a, r, th, pv, pr, pth, ppsi)
+        zero = np.zeros_like(r)
+        return np.stack([ut, ur, uth, uph, zero, fr, fth, zero], axis=1)
 
     return rhs
 
@@ -118,6 +140,7 @@ class Trajectory:
     tau: np.ndarray
     x: np.ndarray  # shape (n, 4): t, r, theta, phi
     u: np.ndarray  # shape (n, 4)
+    p: np.ndarray  # shape (n, 4): p_v, p_r, p_theta, p_psi of the ingoing chart
     plunged: bool
     params: KerrParams
 
@@ -134,7 +157,8 @@ def integrate_geodesic(
     Plunging trajectories stop at r = r_plus + 1e-2 m and the partial
     trajectory is returned with plunged=True.  The n_samples (at least 2)
     evenly spaced samples are extrapolated steps from the nearest accepted
-    step.
+    step, with u^a = dx^a/dtau from the flow at each sample but the first,
+    which is s0.
     """
     if not 0 < t_max <= MAX_TIME * params.m:
         raise DomainError(f"t_max must be positive and at most {MAX_TIME:g} m")
@@ -142,7 +166,12 @@ def integrate_geodesic(
         raise DomainError(f"tol must be positive and at most {MAX_TOL}")
     if n_samples < 2:  # one sample is the initial state, whose drifts all read 0
         raise DomainError("n_samples must be at least 2")
-    y0 = np.concatenate([s0.x.coords, s0.u.real_part()])
+    g, l = _at(params, s0.x.r, s0.x.theta, "g", "l")
+    p = g @ s0.u.real_part()
+    # p'_r = p_r - ((r^2 + a^2) p_t + a p_phi)/Delta: l = ((r^2 + a^2)/Delta, 1, 0, a/Delta)
+    # is J's r column, J = d(v, r, theta, psi)/d(t, r, theta, phi)
+    p[1] -= l[0] * p[0] + l[3] * p[3]
+    y0 = np.concatenate([s0.x.coords, p])
     r_stop = params.r_plus + PLUNGE_GUARD * params.m
     # events: t reaches t_max, r falls to r_stop.  u^t >= 1 outside the
     # ergoregion for the states of interest, so the affine span 10 t_max is
@@ -153,7 +182,9 @@ def integrate_geodesic(
         raise StabilityError(f"geodesic integration failed: {sol.message}")
     taus = np.linspace(0.0, sol.t[-1], n_samples)
     ys = sol.sol(taus)
-    return Trajectory(tau=taus, x=ys[:, :4], u=ys[:, 4:], plunged=sol.event == 1, params=params)
+    u = np.stack(_forms()["flow"](params.m, params.a, ys[:, 1], ys[:, 2], *ys[:, 4:].T)[:4], axis=1)
+    u[0] = s0.u.real_part()  # the first sample is the start, bit for bit, as ys[0] is y0
+    return Trajectory(tau=taus, x=ys[:, :4], u=u, p=ys[:, 4:], plunged=sol.event == 1, params=params)
 
 
 def conserved_series(params: KerrParams, x, u) -> np.ndarray:
@@ -170,6 +201,14 @@ def conserved_series(params: KerrParams, x, u) -> np.ndarray:
     return np.stack([-gu[:, 0], gu[:, 3],
                      np.einsum("na,nab,nb->n", u, K, u),
                      np.einsum("na,na->n", u, gu)], axis=1)
+
+
+def momentum_series(params: KerrParams, traj: Trajectory) -> np.ndarray:
+    """(e, l_z, k, norm) = (-p_v, p_psi, Carter's theta form, 2H) at every
+    sample, from the momenta of the ingoing chart: e and l_z are the state's
+    own components, and k and the norm have no Delta in a denominator."""
+    k, norm = _forms()["integrals"](params.m, params.a, traj.x[:, 1], traj.x[:, 2], *traj.p.T)
+    return np.stack([-traj.p[:, 0], traj.p[:, 3], k, norm], axis=1)
 
 
 def _drift(series):

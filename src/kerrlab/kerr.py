@@ -1,21 +1,23 @@
 """Closed-form Kerr/Schwarzschild geometry in Boyer-Lindquist coordinates.
 
-All closed forms (metric, Christoffel symbols and the geodesic acceleration
-they give, Killing-Yano 2-form and its square, principal tetrad, Coulomb
-test field) are derived symbolically ahead of time in `_derive`, which
-needs sympy: each tensor expression is flattened, its identically zero
-entries are dropped, and the remaining entries are lambdified together with
-common-subexpression elimination into one flat kernel.  The kernels are
-emitted to the generated module `_closed_forms.py` (`python -m
-kerrlab._derive` rewrites it), so run time needs numpy only.  At first use
-`_forms` scatters each kernel's entries into an array of the form's shape
-and of the dtype the generated table records; `accel`, the acceleration,
-also of the 4-velocity, keeps its list.  Every form runs its numpy kernel
-and broadcasts over arrays of (r, theta), point axes leading.  Only accel,
-which the geodesic right-hand side calls at one state tens of times per
-integrator step, has a second path there: its kernel on Python floats
-(see `_accel`).  The forms' identities (xi = +d/dt, Y Killing-Yano, the
-test fields Maxwell) are checked once, by `python -m kerrlab._derive --check`.
+All closed forms (metric, Christoffel symbols, Killing-Yano 2-form and its
+square, principal tetrad, Coulomb test field, and the geodesics' Hamiltonian
+flow in the ingoing Kerr chart with its integrals) are derived symbolically
+ahead of time in `_derive`, which needs sympy: each tensor expression is
+flattened, its identically zero entries are dropped, and the remaining
+entries are lambdified together with common-subexpression elimination into
+one flat kernel.  The kernels are emitted to the generated module
+`_closed_forms.py` (`python -m kerrlab._derive` rewrites it), so run time
+needs numpy only.  At first use `_forms` scatters each kernel's entries
+into an array of the form's shape and of the dtype the generated table
+records; `flow` and `integrals`, also of the momenta, keep their lists.
+Every form runs its numpy kernel and broadcasts over arrays of (r, theta),
+point axes leading.  Only flow, which the geodesic right-hand side calls at
+one state tens of times per integrator step, has a second path there: its
+kernel on Python floats (see `_twin`).  The forms' identities (xi = +d/dt,
+Y Killing-Yano and conformal Killing-Yano, K Killing, the test fields
+Maxwell, the ingoing chart's inverse metric and Carter's k) are checked
+once, by `python -m kerrlab._derive --check`.
 
 Conventions: signature (-,+,+,+); orientation eps_{t r theta phi} = +sqrt|g|;
 tetrad inner products are quoted with respect to the reversed-signature
@@ -99,33 +101,18 @@ def _check_exterior(params: KerrParams, r, th):
 # compiled closed forms (generated ahead of time, scattered at first use)
 # ---------------------------------------------------------------------------
 
-# The globals of accel's twin on Python floats (see `_accel`).
+# The globals of a kernel's twin on Python floats (see `_twin`).
 _MATH_GLOBALS = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt}
 
 
-def _accel(kernel):
-    """accel's form: its numpy kernel on arrays of states, and at one state
-    (r a float, np.float64 included) its twin on Python floats: the kernel's
-    code object under globals that bind cos, sin and sqrt to the `math`
-    module's, 2-3 times faster than on numpy scalars with the same bits.
-    Where the twin raises (Delta = 0, overflow) or an argument is not finite
-    (NaN signs could differ), the numpy kernel runs on the state as
-    np.float64 and returns inf/NaN, not an exception.
-    """
-    twin = types.FunctionType(kernel.__code__, _MATH_GLOBALS, kernel.__name__)
-
-    def form(*args):
-        if not isinstance(args[2], float):
-            return kernel(*args)
-        try:
-            x = tuple(map(float, args))
-            if math.isfinite(sum(x)):  # no inf or NaN (nor an overflowing sum)
-                return twin(*x)
-        except (ArithmeticError, ValueError):
-            pass
-        return kernel(*map(np.float64, args))
-
-    return form
+def _twin(kernel):
+    """The kernel's code object under globals that bind cos, sin and sqrt to
+    the `math` module's.  At a finite state of Python floats it gives the
+    numpy kernel's bits, several times faster than numpy scalars do, but raises
+    where numpy returns inf/NaN (Delta = 0, an overflowing power, an infinite
+    angle).  Used for flow, which the geodesic right-hand side calls at one
+    state tens of times per integrator step."""
+    return types.FunctionType(kernel.__code__, _MATH_GLOBALS, kernel.__name__)
 
 
 def _scatter(kernel, shape, idx, dtype):
@@ -154,14 +141,13 @@ def _scatter(kernel, shape, idx, dtype):
 
 @lru_cache(maxsize=1)
 def _forms():
-    """name -> numeric callable (m, a, r, th) -> array, but for `accel`:
-    (m, a, r, th, u0, u1, u2, u3) -> the list of a^c = -Gamma^c_ab u^a u^b,
-    Python floats at one point (r a float) and arrays for arrays of states."""
+    """name -> numeric callable (m, a, r, th) -> array, but for the geodesics'
+    two forms of (m, a, r, th, pv, pr, pth, ppsi), `flow` and `integrals`,
+    whose kernels return lists."""
     from ._closed_forms import FORMS
 
-    forms = {name: _scatter(*entry) for name, entry in FORMS.items() if name != "accel"}
-    forms["accel"] = _accel(FORMS["accel"][0])
-    return forms
+    return {name: entry[0] if name in ("flow", "integrals") else _scatter(*entry)
+            for name, entry in FORMS.items()}
 
 
 def _at(params: KerrParams, r, th, *names):

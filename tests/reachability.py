@@ -118,11 +118,13 @@ PROGRAM = ([os.path.join(PACKAGE, f) for f in sorted(os.listdir(PACKAGE)) if f.e
            + [os.path.join(ROOT, "tests", "test_acceptance.py")]
            + [os.path.join(ROOT, "perfbench", f)
               for f in sorted(os.listdir(os.path.join(ROOT, "perfbench"))) if f.endswith(".py")])
-# The generated kernels all take (m, a, r, th), whether their form reads m or not.
+# The generated kernels all take (m, a, r, th), and the geodesics' two the momenta
+# too, whether their form reads m or not.
 GENERATED = ("_closed_forms",)
 # Functions that run where `sys.setprofile` does not see them: name -> where.
 UNTRACED = {
-    **dict.fromkeys(("_derive._exprs", "_derive._nonzero", "_derive._kernel", "_derive.emit",
+    **dict.fromkeys(("_derive._exprs", "_derive._hamiltonian_forms", "_derive._nonzero",
+                     "_derive._ProductPowers._print_Pow", "_derive._kernel", "_derive.emit",
                      "_derive.identities", "_derive._evaluate", "_derive.check_identities",
                      "_derive.main"), "the derivation, `python -m kerrlab._derive` (needs sympy)"),
     "cli._send_outcome": "the child that `morawetz --threads 2` forks",
@@ -144,7 +146,8 @@ KEPT = {
     "_derive.main(argv)": "None reads sys.argv, as in cli.main",
     "geodesics.conserved_drift(causal_type)": "criterion 2 passes it, and the criteria are fixed",
     "geodesics._geodesic_rhs.rhs(tau)":
-        "the integrator calls fun(tau, y); the geodesic equations do not depend on tau",
+        "the integrator calls fun(tau, y); the super-Hamiltonian H of the geodesics does not "
+        "depend on tau, so neither does its flow",
     "maxwell.maxwell_divergence_residual(step)":
         "the step of maxwell-currents --step, which the CLI varies through _divergence",
     "maxwell._lie(name)": "the inner stencil of _currents, named where it builds the stencil",

@@ -204,10 +204,12 @@ def test_index_profile_spike_is_resolved(tmp_path):
 
 def _solve_with_a_nan_rhs(fun, *args, **kwargs):
     # the integrator's own failure: every step of a NaN right-hand side is
-    # rejected until the step falls below the spacing of floats
+    # rejected until the step falls below the spacing of floats.  One state
+    # comes as a list of floats, a batch as an array
     from kerrlab._gbs import solve_ivp
 
-    return solve_ivp(lambda tau, y: np.full_like(y, np.nan), *args, **kwargs)
+    return solve_ivp(lambda tau, y: [math.nan] * len(y) if type(y) is list else np.full_like(y, np.nan),
+                     *args, **kwargs)
 
 
 @pytest.mark.parametrize("args, module, name, fake", [
@@ -272,14 +274,73 @@ def test_removed_bound_keys_are_input_errors(tmp_path, capsys, sub, key):
 
 
 def test_a_looser_drift_bound_cannot_pass_a_failing_orbit(tmp_path, capsys):
-    # the plunge at a = 0.999 fails the fixed drift bound (ROADMAP item 4),
-    # and no flag can loosen that bound into a pass
-    argv = ["geodesic", "--a", "0.999", "--r0", "4", "--out", str(tmp_path / "r.json")]
+    # the default orbit integrated at a loose tolerance fails the fixed drift
+    # bound (k drifts by 1.9e-8), and no flag can loosen that bound into a pass
+    argv = ["geodesic", "--tol", "1e-6", "--out", str(tmp_path / "r.json")]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--drift-tol", "1e-8"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --drift-tol 1e-8" in capsys.readouterr().err
     assert main(argv) == 1
+
+
+# Plunges that the Boyer-Lindquist Christoffel integrator failed (norm drifts
+# of 1.4e-9 to 5.8e-7, k of 1.8e-8 at a = 0.9999, r0 = 4): u^t grows like
+# 1/Delta there, and so did the error the step control allowed.
+PLUNGES = [("0.999", "4"), ("0.9999", "4"), ("0.9999", "8"), ("0.999", "2")]
+
+
+@pytest.mark.parametrize("a, r0", PLUNGES, ids=lambda v: v)
+def test_near_extremal_plunges_keep_their_integrals(tmp_path, a, r0):
+    # integrated in the ingoing chart, e = -p_v and l_z = p_psi are state
+    # components whose right-hand side is 0, so they drift by exactly 0, and
+    # the other integrals stay far below the bound on every sample.  The start
+    # at r0 = 2 lies at r - r+ = 0.955 m, and the orbit falls from there: no
+    # sample lies at r - r+ >= m, so the chart check is reported as not made,
+    # with its reason, and is not a pass
+    code, rep = run_json(tmp_path, ["geodesic", "--a", a, "--r0", r0])
+    assert code == 0, rep["failures"]
+    res = rep["results"]
+    assert res["plunged"] and res["drifts"]["e"] == res["drifts"]["lz"] == 0.0
+    assert max(res["drifts"].values()) <= CONSERVED_DRIFT_MAX / 100
+    chart = res["chart_check"]
+    if r0 == "2":
+        assert chart == {"samples": 0, "drifts": None,
+                         "reason": "no sample lies at r - r_plus >= 1 m: not checked"}
+    else:
+        assert chart["samples"] > 0 and max(chart["drifts"].values()) <= CONSERVED_DRIFT_MAX / 100
+
+
+def test_the_tightest_plunge_clears_the_drift_bound_a_hundredfold(tmp_path):
+    # a = 0.99, r0 = 5: its k drift of 8.8e-11 was the tightest margin of the
+    # geodesic checks (11x) under the Boyer-Lindquist integrator
+    code, rep = run_json(tmp_path, ["geodesic", "--a", "0.99", "--r0", "5"])
+    assert code == 0
+    drifts = [*rep["results"]["drifts"].values(), *rep["results"]["chart_check"]["drifts"].values()]
+    assert max(drifts) <= CONSERVED_DRIFT_MAX / 100
+
+
+@pytest.mark.parametrize("argv", [[], ["--a", "0.9", "--r0", "12"]], ids=["plunge", "bound"])
+def test_a_wrong_ingoing_metric_fails_the_chart_check(tmp_path, monkeypatch, argv):
+    # H is conserved by any Hamiltonian flow, so a defect of g'^{ab} that the
+    # flow and the integrals share escapes every momentum-form drift: a factor
+    # 1 + 1e-6 on g'^{vr} leaves them at 1e-13 or below, while the
+    # Boyer-Lindquist reading of the samples drifts by 4e-8 to 1e-6
+    import sympy as sp
+
+    from kerrlab import _derive, kerr
+
+    args, (_k, norm) = _derive._exprs()["integrals"]
+    pv, pr = args[4], args[5]
+    H = norm / 2 + 1e-6 * sp.diff(norm, pv, pr) / 2 * pv * pr
+    planted = _derive._hamiltonian_forms(args, H, _derive._exprs()["l"][1])
+    kernels = {name: sp.lambdify(args, expr, modules="numpy", cse=True) for name, expr in planted.items()}
+    monkeypatch.setitem(kerr._forms(), "flow", kernels["flow"])
+    monkeypatch.setitem(kerr._forms(), "integrals", kernels["integrals"])
+    code, rep = run_json(tmp_path, ["geodesic", *argv])
+    assert code == 1
+    assert max(rep["results"]["drifts"].values()) <= 1e-12
+    assert [f["check"] for f in rep["failures"]] == [f"chart_{name}_drift" for name in ("e", "lz", "k", "norm")]
 
 
 @pytest.mark.parametrize("args", [

@@ -191,7 +191,7 @@ def test_integrate_geodesic_calls_the_module_solve_ivp(monkeypatch):
 
 
 def test_one_state_rhs_at_the_horizon_returns_the_numpy_kernels_values():
-    # at r = r+ (Delta = 0) accel's twin on Python floats raises; the one-state
+    # at r = r+ (Delta = 0) flow's twin on Python floats raises; the one-state
     # right-hand side must return the numpy kernel's inf/NaN instead, which the
     # integrator rejects as a step, and raise nothing
     import types
@@ -200,24 +200,54 @@ def test_one_state_rhs_at_the_horizon_returns_the_numpy_kernels_values():
     from kerrlab._closed_forms import FORMS
 
     params = KerrParams(1.0, 0.5)
-    y = np.array([0.0, params.r_plus, 1.1, 0.0, 1.2, -0.3, 0.01, 0.02])
-    state = (params.m, params.a, *y[[1, 2, 4, 5, 6, 7]])
-    kernel = FORMS["accel"][0]
+    y = [0.0, params.r_plus, 1.1, 0.0, -0.9, -0.3, 0.01, 0.02]
+    state = (params.m, params.a, *y[1:3], *y[4:])
+    kernel = FORMS["flow"][0]
     twin = types.FunctionType(kernel.__code__, kerr._MATH_GLOBALS)
     with pytest.raises(ZeroDivisionError):
-        twin(*map(float, state))
+        twin(*state)
     with np.errstate(all="ignore"):
-        got = geodesics._geodesic_rhs(params)(0.0, y)
-        want = np.array([*y[4:], *kernel(*state)])
+        got = np.array(geodesics._geodesic_rhs(params)(0.0, y))
+        ut, ur, uth, uph, fr, fth = kernel(*map(np.float64, state))
+        want = np.array([ut, ur, uth, uph, 0.0, fr, fth, 0.0])
     assert not np.all(np.isfinite(got))
     assert got.tobytes() == want.tobytes()
+
+
+def test_the_one_state_right_hand_side_runs_on_python_floats(monkeypatch):
+    # the integrator hands one state to the right-hand side as a list of
+    # Python floats at a float tau, in its steps and in its event crossings,
+    # and a batch as float arrays.  At np.float64 every operation of the step
+    # and of the kernel's twin runs through numpy's scalars, which undid the
+    # gain of running the step on floats
+    params = KerrParams(1.0, 0.5)
+    s0 = normalize_velocity(params, BLPoint(0.0, 8.0, 1.2, 0.0, params),
+                            (0.01, 0.02, 0.03), "timelike")
+    inner, seen = geodesics.solve_ivp, []
+
+    def traced(fun, *args, **kwargs):
+        def rhs(tau, y):
+            seen.append((type(tau), type(y), {type(v) for v in y} if type(y) is list else y.dtype))
+            return fun(tau, y)
+
+        return inner(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "solve_ivp", traced)
+    traj = integrate_geodesic(params, s0, 20.0)
+    assert abs(traj.x[-1, 0] - 20.0) < 1e-9  # the run ended on its t event, after a crossing
+    one = [entry for entry in seen if entry[1] is list]
+    assert len(one) > 100 and all(entry == (float, list, {float}) for entry in one)
+    batch = [entry for entry in seen if entry[1] is not list]
+    assert batch and all(entry[1:] == (np.ndarray, np.float64) for entry in batch)
 
 
 def test_gbs_integrates_the_harmonic_oscillator_to_its_tolerance():
     from kerrlab._gbs import solve_ivp
 
-    def fun(tau, y):  # one state (2,) or a batch (n, 2)
-        return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+    def fun(tau, y):  # one state, a list of floats, or a batch (n, 2)
+        if type(y) is list:
+            return [y[1], -y[0]]
+        return np.stack([y[:, 1], -y[:, 0]], axis=1)
 
     sol = solve_ivp(fun, (0.0, 20.0), [1.0, 0.0], 1e-12)
     assert sol.message is None and sol.event is None and sol.t[-1] == 20.0

@@ -107,8 +107,9 @@ FORM_POINTS = [(0.0, 4.0, 1.1), (0.0, 7.5, 2.0e-6), (0.5, 3.0, 0.7),
                (0.9, 2.5, math.pi - 2.0e-6), (0.9, 11.0, 1.9)]
 
 
-# a velocity for the forms that take one (accel)
-FORM_VELOCITY = (1.3, -0.2, 0.05, 0.11)
+# momenta (p_v, p_r, p_theta, p_psi) for the forms that take them (flow, integrals)
+FORM_MOMENTA = (-1.3, -0.2, 0.05, 0.11)
+MOMENTUM_FORMS = ("flow", "integrals")
 
 
 def test_compiled_forms_match_plain_lambdify():
@@ -120,11 +121,11 @@ def test_compiled_forms_match_plain_lambdify():
 
     exprs = _exprs()
     forms = _forms()
-    assert set(forms) == set(exprs) and len(forms) == 15
+    assert set(forms) == set(exprs) and len(forms) == 16
     for name, (args, expr) in exprs.items():
         plain = sp.lambdify(args, expr, modules="numpy")
         for a, r, th in FORM_POINTS:
-            point = ((1.0, a, r, th) + FORM_VELOCITY)[:len(args)]
+            point = ((1.0, a, r, th) + FORM_MOMENTA)[:len(args)]
             ref = np.array(plain(*point), dtype=complex)
             got = np.array(forms[name](*point))
             assert got.shape == ref.shape, name
@@ -199,7 +200,7 @@ def _one_point_mismatches(forms, points):
     from kerrlab._closed_forms import FORMS
 
     return [(name, m, a, r, th) for name in sorted(forms)
-            if FORMS[name][3] is float and name != "accel"
+            if FORMS[name][3] is float and name not in MOMENTUM_FORMS
             for m, a, r, th in points
             if forms[name](m, a, r, th).tobytes() != _numpy_point(name, m, a, r, th).tobytes()]
 
@@ -231,64 +232,91 @@ def test_one_point_real_forms_keep_the_numpy_kernels_bits():
     assert _one_point_mismatches(_forms(), as_numpy) == []
 
 
-def _accel_states(n, seed):
-    """(m, a, r, th, u0, u1, u2, u3) at n states: the points of
-    `_exterior_sweep` with normally distributed velocities."""
-    u = np.random.default_rng(seed).normal(size=(n, 4))
-    return np.column_stack([np.array(_exterior_sweep(n, seed)), u])
+def _momentum_states(n, seed):
+    """(m, a, r, th, pv, pr, pth, ppsi) at n states: the points of
+    `_exterior_sweep` with normally distributed momenta."""
+    p = np.random.default_rng(seed).normal(size=(n, 4))
+    return np.column_stack([np.array(_exterior_sweep(n, seed)), p])
 
 
-def test_accel_is_minus_gamma_u_u():
-    # accel's kernel is generated from gamma's expressions, not from gamma's
-    # kernel.  Over 300 states, at one state and in a batch, it must equal
-    # -Gamma^c_ab u^a u^b contracted from gamma's form within 8 ulps of the
-    # largest sum of |Gamma^c_ab u^a u^b| over a and b.  (Componentwise the two
-    # differ by up to 1e4 ulps of that sum in c = t at large r, where both lie
-    # as far from the 40-digit value: gamma's own entries cancel there.)
-    from kerrlab.kerr import _forms
+def test_flow_is_hamiltons_equations_in_boyer_lindquist():
+    # flow is derived from the ingoing chart's H, not from ginv's or gamma's
+    # kernels.  Over 300 states, at one state and in a batch, it must equal
+    # u^a = g^{ab} p_b and dp_a/dtau = Gamma^d_ab u^b p_d in Boyer-Lindquist,
+    # with p_r = p'_r + l^t p_v + l^phi p_psi and dp'_r/dtau = dp_r/dtau -
+    # u^r (d_r l^t p_v + d_r l^phi p_psi) through the chart (l^t = (r^2 + a^2)/Delta,
+    # l^phi = a/Delta), within 1e-12 of the sum of each side's absolute terms
+    # carried through the chart map: the largest reads about 62 ulps of it,
+    # where the Christoffels' own entries cancel
+    from kerrlab.kerr import _forms, _twin
 
     forms = _forms()
-    states = _accel_states(300, 38)
-    m, a, r, th, *u = states.T
-    u = np.array(u).T
-    G = forms["gamma"](m, a, r, th)
-    want = -np.einsum("ncab,na,nb->nc", G, u, u)
-    scale = np.max(np.einsum("ncab,na,nb->nc", np.abs(G), np.abs(u), np.abs(u)), axis=1)
-    batch = np.array(forms["accel"](m, a, r, th, *u.T)).T
-    one = np.array([forms["accel"](*map(float, state)) for state in states])
+    states = _momentum_states(300, 38)
+    m, a, r, th, pv, pr, pth, pps = states.T
+    ginv, G, l = (forms[name](m, a, r, th) for name in ("ginv", "gamma", "l"))
+    Delta = r**2 - 2 * m * r + a**2
+    dl = [(2 * r * Delta - (r**2 + a**2) * (2 * r - 2 * m)) / Delta**2, -a * (2 * r - 2 * m) / Delta**2]
+    p = np.stack([pv, pr + l[:, 0] * pv + l[:, 3] * pps, pth, pps], axis=1)
+    P = np.stack([abs(pv), abs(pr) + abs(l[:, 0] * pv) + abs(l[:, 3] * pps), abs(pth), abs(pps)], axis=1)
+    u, U = np.einsum("nab,nb->na", ginv, p), np.einsum("nab,nb->na", abs(ginv), P)
+    f, F = np.einsum("ndab,nb,nd->na", G, u, p), np.einsum("ndab,nb,nd->na", abs(G), U, P)
+    want = np.stack([*u.T, f[:, 1] - u[:, 1] * (dl[0] * pv + dl[1] * pps), f[:, 2]], axis=1)
+    scale = np.stack([U[:, 0] + abs(l[:, 0]) * U[:, 1], U[:, 1], U[:, 2], U[:, 3] + abs(l[:, 3]) * U[:, 1],
+                      F[:, 1] + U[:, 1] * (abs(dl[0] * pv) + abs(dl[1] * pps)), F[:, 2]], axis=1)
+    batch = np.array(forms["flow"](*states.T)).T
+    one = np.array([_twin(forms["flow"])(*state) for state in states.tolist()])
     for got in (batch, one):
-        ulps = np.max(np.abs(got - want), axis=1) / (np.finfo(float).eps * scale)
-        assert np.max(ulps) <= 8.0, (np.max(ulps), states[np.argmax(ulps)])
+        err = np.max(np.abs(got - want) / scale, axis=1)
+        assert np.max(err) <= 1e-12, (np.max(err), states[np.argmax(err)])
 
 
-def _accel_mismatches(point, states):
-    """The states (m, a, r, th, u0..u3), given as numpy scalars, at which
-    point(*state) differs in any bit from the numpy kernel of accel."""
+def _flow_mismatches(point, states):
+    """The states (m, a, r, th, pv, pr, pth, ppsi), given as Python floats,
+    at which point(*state) differs in any bit from the numpy kernel of flow
+    at the same state as numpy scalars."""
     from kerrlab._closed_forms import FORMS
 
-    kernel = FORMS["accel"][0]
-    return [state for state in map(tuple, states)
-            if np.array(point(*state)).tobytes() != np.array(kernel(*state)).tobytes()]
+    kernel = FORMS["flow"][0]
+    return [state for state in map(tuple, states.tolist())
+            if np.array(point(*state)).tobytes() != np.array(kernel(*map(np.float64, state))).tobytes()]
 
 
-def test_one_state_accel_keeps_the_numpy_kernels_bits():
-    # the geodesic right-hand side evaluates accel on one state's numpy scalars
-    # through the twin on Python floats; each entry keeps the numpy kernel's
-    # bits.  (A batch of states runs the numpy kernel on arrays, whose powers
-    # may round differently from pow() in the last bit.)
-    from kerrlab.kerr import _forms
+def test_one_state_flow_keeps_the_numpy_kernels_bits():
+    # the geodesic right-hand side evaluates flow at one state of Python
+    # floats on its twin; each entry keeps the numpy kernel's bits at the
+    # same state.  (A batch of states runs the numpy kernel on arrays, whose
+    # powers would round differently from pow() in the last bit but for
+    # _derive.PRODUCT_POWERS: see test_a_batch_and_one_state_of_flow_agree_bit_for_bit.)
+    from kerrlab.kerr import _forms, _twin
 
-    assert _accel_mismatches(_forms()["accel"], _accel_states(1000, 30)) == []
+    assert _flow_mismatches(_twin(_forms()["flow"]), _momentum_states(1000, 30)) == []
 
 
-def test_the_accel_bit_parity_check_sees_a_one_ulp_error(monkeypatch):
+def test_the_flow_bit_parity_check_sees_a_one_ulp_error(monkeypatch):
     # a twin built on a sin one ulp off must fail the check above
     from kerrlab import kerr
     from kerrlab._closed_forms import FORMS
 
     planted = dict(kerr._MATH_GLOBALS, sin=lambda x: math.nextafter(math.sin(x), math.inf))
     monkeypatch.setattr(kerr, "_MATH_GLOBALS", planted)
-    assert _accel_mismatches(kerr._accel(FORMS["accel"][0]), _accel_states(20, 30))
+    assert _flow_mismatches(kerr._twin(FORMS["flow"][0]), _momentum_states(20, 30))
+
+
+def test_a_batch_and_one_state_of_flow_agree_bit_for_bit():
+    # the integrator steps one state on the twin and samples a batch on the
+    # numpy kernel.  Printed with pow() for integer powers, which numpy runs
+    # on arrays as x*x and 1/x, the two differed on 148 of these 4,000
+    # states, by up to 64 ulps of an entry (-dH/dr, whose terms cancel) and
+    # 1.33 ulps of the state's largest entry; with the powers written as
+    # products (_derive.PRODUCT_POWERS) they agree to the last bit
+    from kerrlab.kerr import _forms, _twin
+
+    states = _momentum_states(4000, 30)
+    batch = np.array(_forms()["flow"](*states.T)).T
+    one = np.array([_twin(_forms()["flow"])(*state) for state in states.tolist()])
+    worst = np.max(np.abs(batch - one), axis=1) / (np.finfo(float).eps * np.max(np.abs(one), axis=1))
+    assert np.max(worst) == 0.0, (np.max(worst), states[np.argmax(worst)])
+    assert batch.tobytes() == one.tobytes()
 
 
 def _outcome(form, *args):
@@ -315,7 +343,7 @@ def test_one_point_forms_where_python_floats_fail_keep_the_numpy_outcome(r):
     from kerrlab.kerr import _forms
 
     for name, form in _forms().items():
-        if FORMS[name][3] is complex or name == "accel":  # accel: test_one_state_rhs_at_the_horizon
+        if FORMS[name][3] is complex or name in MOMENTUM_FORMS:  # flow: test_one_state_rhs_at_the_horizon
             continue
         for args in ((1.0, 0.5, np.float64(r), np.float64(1.1)), (1.0, 0.5, r, 1.1)):
             want = _outcome(lambda *p: _numpy_point(name, *p), *args)
@@ -340,7 +368,7 @@ def test_compiled_forms_broadcast_over_points():
     th = np.array([0.4, 1.6, math.pi - 2.0e-6])  # broadcast against r's rows
     for a in (0.0, 0.6):
         for name, form in _forms().items():
-            if name == "accel":  # of states, not points: test_accel_is_minus_gamma_u_u
+            if name in MOMENTUM_FORMS:  # of states, not points: test_flow_is_hamiltons_equations_in_...
                 continue
             batch = form(1.0, a, r, th)
             single = np.array([[form(1.0, a, r[i, j], th[j]) for j in range(3)]
@@ -380,14 +408,42 @@ def _scale_an_F_uniform_entry(forms):
     forms["F_uniform"][1, 0] *= 1 + 1e-6
 
 
+def _scale_a_dK_entry(forms):
+    # d_r K_tt; the outer list is the copy's own, its rows are shared
+    forms["dK"][1] = [list(row) for row in forms["dK"][1]]
+    forms["dK"][1][0][0] *= 1 + 1e-6
+
+
+def _scale_the_ingoing_g_vr(forms):
+    # a factor 1 + 1e-6 on g'^{vr} and g'^{rv}: the norm 2H gains 2e-6 g'^{vr} p_v p_r
+    import sympy as sp
+
+    k, norm = forms["integrals"]
+    pv, pr = sp.symbols("pv pr", real=True)
+    forms["integrals"][1] = norm + 1e-6 * sp.diff(norm, pv, pr) * pv * pr
+
+
+def _scale_carters_k(forms):
+    forms["integrals"][0] *= 1 + 1e-6
+
+
+# The identities that a defect breaks beside the one it is named for: a Y
+# that is not Killing-Yano is not conformal Killing-Yano either.
+ALSO_BROKEN = {"Killing-Yano": ("conformal Killing-Yano",)}
+
+
 @pytest.mark.parametrize("plant, identity", [(_flip_the_sign_of_Y_rt, "Killing-Yano"),
                                              (_drop_a_term_of_xi_t, "xi"),
-                                             (_scale_an_F_uniform_entry, "Maxwell F_uniform")])
+                                             (_scale_an_F_uniform_entry, "Maxwell F_uniform"),
+                                             (_scale_a_dK_entry, "Killing tensor"),
+                                             (_scale_the_ingoing_g_vr, "ingoing chart"),
+                                             (_scale_carters_k, "Carter k")])
 def test_derive_check_names_the_identity_and_probe_of_a_planted_defect(monkeypatch, capsys,
                                                                        plant, identity):
     # a copy of the forms with one defect fails --check at every probe, on the
-    # identity that the defect breaks alone; the module is current (emit is
-    # cached from the true forms), so the identity is the only failure
+    # identity that the defect breaks (and on those of ALSO_BROKEN); the module
+    # is current (emit is cached from the true forms), so these are the only
+    # failures
     from kerrlab import _derive
 
     _derive.emit()
@@ -399,8 +455,8 @@ def test_derive_check_names_the_identity_and_probe_of_a_planted_defect(monkeypat
     assert _derive.main(["--check"]) == 1
     failures = capsys.readouterr().err.splitlines()
     assert [f.split(": residual")[0] for f in failures] == [
-        f"identity {identity} fails at (m, a, r, th) = ({', '.join(probe)})"
-        for probe in _derive.IDENTITY_PROBES]
+        f"identity {name} fails at (m, a, r, th) = ({', '.join(probe)})"
+        for name in (identity, *ALSO_BROKEN.get(identity, ())) for probe in _derive.IDENTITY_PROBES]
 
 
 def test_an_identity_residual_at_its_bound_passes_and_one_just_past_it_fails(monkeypatch, capsys):
